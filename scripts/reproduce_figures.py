@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate the toolkit's reference figure data as CSV/JSON files.
 
-Produces, under --outdir:
-  region_vpb_vs{V_S}.json        physicality/security maps over (V_p_B, C_p)
-  region_epsp_vs{V_S}.json       maps over (eps_p, C_p), symmetric transmittance
-  keyrate_vs_loss_{dir}.csv      worst-case key rate versus attenuation,
-                                 one file per direction, three V_S columns merged
-  max_noise_{dir}.csv            maximal tolerable symmetric noise versus attenuation
+Produces, under --outdir, one file per direction and V_S:
+  region_vpb_vs{V_S}.json          physicality/security maps over (V_p_B, C_p)
+  region_epsp_vs{V_S}.json         maps over (eps_p, C_p), symmetric transmittance
+  keyrate_vs_loss_{dir}_vs{V_S}.csv
+                                   worst-case key rate versus attenuation
+  max_noise_{dir}_vs{V_S}.csv      maximal tolerable symmetric noise versus attenuation
 
 Run `python scripts/reproduce_figures.py --fast` for a quick smoke pass.
+--threads is accepted for compatibility and has no effect.
 """
 
 import argparse

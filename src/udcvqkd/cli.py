@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                            action="store_const", const=True,
                            help="drop the vacuum term from Bob's p variance")
         if "threads" in options:
-            p.add_argument("--threads", type=int, help="worker threads (default: machine)")
+            p.add_argument("--threads", type=int,
+                           help="accepted for compatibility; has no effect")
         if "output" in options:
             p.add_argument("--output", help="write result to this path")
         if "format" in options:

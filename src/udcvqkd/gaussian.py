@@ -180,25 +180,3 @@ def _min_uncertainty_eig(mats: np.ndarray) -> np.ndarray:
     n = mats.shape[-1] // 2
     herm = mats + 1j * symplectic_form(n)
     return np.linalg.eigvalsh(herm)[..., 0]
-
-
-def _g_clamped(nus: np.ndarray) -> np.ndarray:
-    """Vectorized bosonic entropy treating any nu <= 1 as a pure mode."""
-    nus = np.asarray(nus, dtype=float)
-    out = np.zeros_like(nus)
-    above = nus > 1.0
-    a = (nus[above] + 1.0) / 2.0
-    b = (nus[above] - 1.0) / 2.0
-    out[above] = a * np.log2(a) - b * np.log2(b)
-    return out
-
-
-def _batch_entropy(mats: np.ndarray) -> np.ndarray:
-    """Von Neumann entropy in bits for a stack of covariance matrices.
-
-    Fast path without validation or pairing checks; eigenvalues at or
-    below 1 contribute nothing.  Intended for dense sweeps over matrices
-    already known to be (near-)physical.
-    """
-    spec = _abs_spectrum(mats)
-    return _g_clamped(spec[..., ::2]).sum(axis=-1)

@@ -15,23 +15,22 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, UnphysicalObservation, UnphysicalState
-from .gaussian import (
-    CovMatrix,
-    PHYSICALITY_TOL,
-    _batch_entropy,
-    _min_uncertainty_eig,
-    entropy_g,
-    symplectic_eigenvalues,
+from .errors import (
+    DomainError,
+    NonPositiveDefinite,
+    UnphysicalObservation,
+    UnphysicalState,
 )
+from .gaussian import CovMatrix, PHYSICALITY_TOL, entropy_g
 
 LOG2E = math.log2(math.e)
 
-# Numerical policy for the worst-case correlation search.
-WORST_CASE_GRID_POINTS = 1001
+# Numerical policy for the worst-case correlation search: the final
+# bracket is WORST_CASE_XTOL wide, or that fraction of a narrower interval.
 WORST_CASE_XTOL = 1e-10
 HOLEVO_FLOOR_TOL = 1e-9
 # Observations this close below the parabola vertex are treated as sitting
@@ -44,6 +43,12 @@ VERTEX_SLACK = 1e-12
 BOUNDARY_NU_TOL = 1e-7
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,7 @@ class ProtocolParams:
     beta: float = 1.0
 
     def __post_init__(self):
+        _check_finite(V_S=self.V_S, V_M=self.V_M, beta=self.beta)
         if not self.V_S > 0.0:
             raise DomainError("V_S must be positive")
         if not self.V_M >= 0.0:
@@ -87,6 +93,7 @@ class ChannelParams:
     eps_p: float = 0.0
 
     def __post_init__(self):
+        _check_finite(eta_x=self.eta_x, eta_p=self.eta_p, eps_x=self.eps_x, eps_p=self.eps_p)
         for name in ("eta_x", "eta_p"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise DomainError(f"{name} must lie in (0, 1]")
@@ -124,12 +131,11 @@ class ObservedStats:
         chan: ChannelParams,
         strict_paper_vpb: bool = False,
     ) -> "ObservedStats":
-        v_x = chan.eta_x * (params.V_S + params.V_M + chan.eps_x) + 1.0 - chan.eta_x
+        xm = _x_moments(params, chan.eta_x, chan.eps_x)
         v_p = chan.eta_p * (1.0 / params.V_S + chan.eps_p)
         if not strict_paper_vpb:
             v_p += 1.0 - chan.eta_p
-        c_x = math.sqrt(chan.eta_x * params.V_M) * math.sqrt(params.tmsv_variance)
-        return cls(V_x_B=v_x, V_p_B=v_p, C_x=c_x)
+        return cls(V_x_B=xm.v_x_b, V_p_B=v_p, C_x=xm.c_x)
 
 
 class ReconciliationDirection(enum.Enum):
@@ -178,25 +184,92 @@ def build_eb_state(params: ProtocolParams) -> CovMatrix:
     return CovMatrix(mat)
 
 
-def _output_matrix(
-    params: ProtocolParams,
-    eta_x: float,
-    eps_x: float,
-    c_p: float,
-    v_p_b: float,
-) -> np.ndarray:
-    """Two-mode covariance shared after the channel, for a given p correlation."""
+class _XMoments(NamedTuple):
+    """x-side second moments of the state shared after the channel.
+
+    v is Alice's variance (both quadratures), c_x the x correlation, v_x_b
+    Bob's x variance, and b = eta_x (V_S + eps_x - 1) + 1.  They satisfy
+    v * v_x_b - c_x**2 = v * b exactly, which the kernel below uses in
+    place of that cancelling difference.
+    """
+
+    v: float
+    c_x: float
+    v_x_b: float
+    b: float
+
+
+def _x_moments(params: ProtocolParams, eta_x: float, eps_x: float) -> _XMoments:
     v = params.tmsv_variance
-    c_x = math.sqrt(eta_x * params.V_M) * math.sqrt(v)
-    v_x_b = eta_x * (params.V_S + params.V_M + eps_x) + 1.0 - eta_x
-    return np.array(
-        [
-            [v, 0.0, c_x, 0.0],
-            [0.0, v, 0.0, c_p],
-            [c_x, 0.0, v_x_b, 0.0],
-            [0.0, c_p, 0.0, v_p_b],
-        ]
+    return _XMoments(
+        v=v,
+        c_x=math.sqrt(eta_x * params.V_M) * math.sqrt(v),
+        v_x_b=eta_x * (params.V_S + params.V_M + eps_x) + 1.0 - eta_x,
+        b=eta_x * (params.V_S + eps_x - 1.0) + 1.0,
     )
+
+
+def _symplectic_pair(xm: _XMoments, c_p, v_p_b: float):
+    """Symplectic eigenvalues (nu_plus, nu_minus) of the shared state.
+
+    Closed form for two modes (Serafini, Illuminati & De Siena, J. Phys. B
+    37, L21 (2004)).  With decoupled quadratures, nu**2 are the
+    eigenvalues of X P, the product of the x and p blocks, whose trace and
+    determinant are the two symplectic invariants
+    Delta = v**2 + v_x_b v_p_b + 2 c_x c_p and det = v b (v v_p_b - c_p**2).
+    Their split nu_plus**2 - nu_minus**2 is taken from the entries of X P,
+    (a - d)**2 + 4 b c, not from Delta**2 - 4 det, which cancels to
+    sqrt(rounding) on near-pure states; nu_minus**2 is det / nu_plus**2,
+    which does not cancel under strong modulation.  c_p is a float or a
+    numpy array; the state must be positive definite.
+    """
+    v, c_x, v_x_b, b = xm
+    delta = v * v + v_x_b * v_p_b + 2.0 * c_x * c_p
+    det = v * b * (v * v_p_b - c_p * c_p)
+    diag = v * v - v_x_b * v_p_b
+    off = (v * c_p + c_x * v_p_b) * (c_x * v + v_x_b * c_p)
+    split = abs(diag * diag + 4.0 * off) ** 0.5
+    nu_plus_sq = 0.5 * (delta + split)
+    return nu_plus_sq ** 0.5, (det / nu_plus_sq) ** 0.5
+
+
+def _g(nu: float) -> float:
+    """Bosonic entropy in bits, 0 for nu <= 1.
+
+    log2(1 + m) + m log2(1 + 1/m) with m = (nu - 1)/2: the usual
+    ((nu+1)/2) log2((nu+1)/2) - m log2(m) without its cancellation at
+    large nu.
+    """
+    if nu <= 1.0:
+        return 0.0
+    m = 0.5 * (nu - 1.0)
+    return (math.log1p(m) + m * math.log1p(1.0 / m)) * LOG2E
+
+
+def _g_array(nu: np.ndarray) -> np.ndarray:
+    """_g over a numpy array."""
+    m = 0.5 * (nu - 1.0)
+    out = np.zeros_like(m)
+    above = m > 0.0
+    m = m[above]
+    out[above] = (np.log1p(m) + m * np.log1p(1.0 / m)) * LOG2E
+    return out
+
+
+def _physical(xm: _XMoments, c_p, v_p_b: float, tol: float):
+    """Uncertainty-principle test of the shared state: gamma + i.Omega >= -tol.
+
+    With X and P the x and p blocks of gamma this is exactly
+    (P + tol) - (X + tol)^-1 >= 0, a 2x2 test, done here multiplied through
+    by det(X + tol) = v b + tol (v + v_x_b + tol).  c_p is a float or a
+    numpy array.
+    """
+    v, c_x, v_x_b, b = xm
+    det_x = v * b + tol * (v + v_x_b + tol)
+    n11 = (v + tol) * det_x - (v_x_b + tol)
+    n22 = (v_p_b + tol) * det_x - (v + tol)
+    n12 = c_p * det_x + c_x
+    return (n11 >= 0.0) & (n22 >= 0.0) & (n12 * n12 <= n11 * n22)
 
 
 def apply_channel(
@@ -210,8 +283,18 @@ def apply_channel(
     variance is modeled as eta_p (1/V_S + eps_p) + 1 - eta_p, i.e. with
     the channel's vacuum contribution included.
     """
+    xm = _x_moments(params, chan.eta_x, chan.eps_x)
     v_p_b = chan.eta_p * (1.0 / params.V_S + chan.eps_p) + 1.0 - chan.eta_p
-    return CovMatrix(_output_matrix(params, chan.eta_x, chan.eps_x, C_p, v_p_b))
+    return CovMatrix(
+        np.array(
+            [
+                [xm.v, 0.0, xm.c_x, 0.0],
+                [0.0, xm.v, 0.0, C_p],
+                [xm.c_x, 0.0, xm.v_x_b, 0.0],
+                [0.0, C_p, 0.0, v_p_b],
+            ]
+        )
+    )
 
 
 def mutual_information(params: ProtocolParams, chan: ChannelParams) -> float:
@@ -259,6 +342,7 @@ def physicality_interval(
     parabola vertex or the curvature vanishes, or None when no physical
     state is compatible (V_p_B below the vertex).
     """
+    _check_finite(V_p_B=V_p_B)
     if not V_p_B > 0.0:
         raise DomainError("V_p_B must be positive")
     v0, c0, coeff = physicality_parabola(params, chan)
@@ -270,19 +354,14 @@ def physicality_interval(
 
 
 def _conditional_nu(
-    params: ProtocolParams,
-    chan: ChannelParams,
-    V_p_B: float,
-    direction: ReconciliationDirection,
+    xm: _XMoments, V_p_B: float, direction: ReconciliationDirection
 ) -> float:
     """Symplectic eigenvalue of the state left after the reference side's
     homodyne measurement; both conditional states are single-mode and
     diagonal, so nu is the square root of the determinant."""
-    b = chan.eta_x * (params.V_S + chan.eps_x - 1.0) + 1.0
     if direction is ReconciliationDirection.DIRECT:
-        return math.sqrt(b * V_p_B)
-    v_x_b = chan.eta_x * (params.V_S + params.V_M + chan.eps_x) + 1.0 - chan.eta_x
-    return params.tmsv_variance * math.sqrt(b / v_x_b)
+        return math.sqrt(xm.b * V_p_B)
+    return xm.v * math.sqrt(xm.b / xm.v_x_b)
 
 
 def _floor_holevo(chi: float) -> float:
@@ -305,51 +384,40 @@ def holevo_bound(
     """Eavesdropper's Holevo information (bits) at a specific p correlation.
 
     Difference between the entropy of the shared two-mode state and the
-    entropy conditioned on the reference side's homodyne outcome.  Small
-    negative values (within 1e-9) are clamped to zero.
+    entropy conditioned on the reference side's homodyne outcome, both
+    from the closed-form symplectic eigenvalues that key_rate searches
+    over.  Small negative values (within 1e-9) are clamped to zero.
 
     Once the state has passed the physicality test, a symplectic eigenvalue
     within 1e-7 below 1 is rounding on a boundary state and counts as a
     pure mode: at the ends of the physicality interval with V_M around 1e7
-    or more it lands further below 1 than entropy_g's 1e-9 clamp.
+    or more it lands about 1e-8 below 1.
 
     Raises UnphysicalState when the two-mode state at (C_p, V_p_B) violates
-    the uncertainty principle beyond tol, or beyond that rounding.
+    the uncertainty principle beyond tol, or beyond that rounding, and
+    NonPositiveDefinite when a large tol admits a singular state.
     """
-    mat = _output_matrix(params, chan.eta_x, chan.eps_x, C_p, V_p_B)
-    if _min_uncertainty_eig(mat[np.newaxis])[0] < -tol:
+    xm = _x_moments(params, chan.eta_x, chan.eps_x)
+    if not _physical(xm, C_p, V_p_B, tol):
         raise UnphysicalState(
             f"two-mode state with C_p={C_p!r}, V_p_B={V_p_B!r} is unphysical"
         )
-    nus = [float(nu) for nu in symplectic_eigenvalues(CovMatrix(mat))]
-    nu_cond = _conditional_nu(params, chan, V_p_B, direction)
-    nu_min = min(*nus, nu_cond)
+    if not xm.v * V_p_B > C_p * C_p:
+        raise NonPositiveDefinite("covariance matrix is not positive definite")
+    nu_plus, nu_minus = _symplectic_pair(xm, C_p, V_p_B)
+    nu_cond = _conditional_nu(xm, V_p_B, direction)
+    nu_min = min(nu_minus, nu_cond)
     if nu_min < 1.0 - BOUNDARY_NU_TOL:
         raise UnphysicalState(
             f"two-mode state with C_p={C_p!r}, V_p_B={V_p_B!r} has a "
             f"symplectic eigenvalue {nu_min!r} below 1"
         )
-    s_ab = sum(entropy_g(max(nu, 1.0)) for nu in nus)
     s_cond = entropy_g(max(nu_cond, 1.0))
-    return _floor_holevo(s_ab - s_cond)
-
-
-def _entropy_on_grid(
-    params: ProtocolParams, chan: ChannelParams, V_p_B: float, cps: np.ndarray
-) -> np.ndarray:
-    mats = np.repeat(
-        _output_matrix(params, chan.eta_x, chan.eps_x, 0.0, V_p_B)[np.newaxis],
-        len(cps),
-        axis=0,
-    )
-    mats[:, 1, 3] = cps
-    mats[:, 3, 1] = cps
-    return _batch_entropy(mats)
+    return _floor_holevo(_g(nu_plus) + _g(nu_minus) - s_cond)
 
 
 def _worst_case_correlation(
-    params: ProtocolParams,
-    chan: ChannelParams,
+    xm: _XMoments,
     V_p_B: float,
     direction: ReconciliationDirection,
     lo: float,
@@ -357,30 +425,28 @@ def _worst_case_correlation(
 ) -> tuple[float, float]:
     """Maximize the Holevo bound over the physical correlation interval.
 
-    Dense grid (endpoints included) followed by golden-section refinement
-    around the best cell; the conditional entropy does not depend on the
-    correlation, so only the joint entropy is scanned.
+    The joint entropy is concave in the correlation on the interval (the
+    tests check the result against a dense grid): golden-section search
+    over the whole interval, keeping both endpoints as candidates.  The
+    bracket shrinks to WORST_CASE_XTOL times min(1, hi - lo), but not
+    below a few ulps of C_p: near a pure state the entropy can vary by
+    5e-11 across an interval 1e-11 wide.  The conditional entropy does not
+    depend on the correlation, so only the joint entropy is searched.
     """
-    s_cond = entropy_g(_conditional_nu(params, chan, V_p_B, direction))
+    s_cond = entropy_g(_conditional_nu(xm, V_p_B, direction))
 
     def joint_entropy(cp: float) -> float:
-        return float(_entropy_on_grid(params, chan, V_p_B, np.array([cp]))[0])
+        nu_plus, nu_minus = _symplectic_pair(xm, cp, V_p_B)
+        return _g(nu_plus) + _g(nu_minus)
 
-    if hi - lo <= WORST_CASE_XTOL:
-        cp = 0.5 * (lo + hi)
-        return cp, _floor_holevo(joint_entropy(cp) - s_cond)
-
-    grid = np.linspace(lo, hi, WORST_CASE_GRID_POINTS)
-    values = _entropy_on_grid(params, chan, V_p_B, grid)
-    best = int(np.argmax(values))
-
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
+    ulp = math.ulp(max(abs(lo), abs(hi)))
+    xtol = max(WORST_CASE_XTOL * min(1.0, hi - lo), 8.0 * ulp)
+    a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc = joint_entropy(c)
     fd = joint_entropy(d)
-    while b - a > WORST_CASE_XTOL:
+    while b - a > xtol:
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
@@ -392,9 +458,8 @@ def _worst_case_correlation(
     refined = 0.5 * (a + b)
 
     candidates = [
-        (grid[0], float(values[0])),
-        (grid[-1], float(values[-1])),
-        (grid[best], float(values[best])),
+        (lo, joint_entropy(lo)),
+        (hi, joint_entropy(hi)),
         (refined, joint_entropy(refined)),
     ]
     cp, s_ab = max(candidates, key=lambda pair: pair[1])
@@ -420,7 +485,11 @@ def key_rate(
         )
     mi = mutual_information(params, chan)
     worst_cp, chi = _worst_case_correlation(
-        params, chan, V_p_B, direction, interval[0], interval[1]
+        _x_moments(params, chan.eta_x, chan.eps_x),
+        V_p_B,
+        direction,
+        interval[0],
+        interval[1],
     )
     return SecurityAssessment(
         mutual_info=mi,
@@ -445,6 +514,7 @@ def symmetric_vpB(
     dropped, which can yield a sub-vacuum variance for a lossy noiseless
     channel; it is provided for comparison only.
     """
+    _check_finite(eta=eta, eps_p=eps_p)
     if not 0.0 < eta <= 1.0:
         raise DomainError("eta must lie in (0, 1]")
     if not eps_p >= 0.0:
@@ -469,6 +539,9 @@ def asymptotic_key_rate_dr(V_S: float, eta: float) -> float:
     V_S = 1; use the coherent variant there.
     """
     _check_eta_open(eta)
+    _check_finite(V_S=V_S)
+    if not V_S > 0.0:
+        raise DomainError("V_S must be positive")
     if V_S == 1.0:
         raise DomainError("V_S = 1 has a separate closed form (coherent variant)")
     c = math.sqrt((1.0 + eta * (1.0 / V_S - 1.0)) * (1.0 + eta * (V_S - 1.0)))
@@ -500,6 +573,9 @@ def asymptotic_key_rate_rr(V_S: float, eta: float) -> float:
     approaches 1; use the coherent variant at V_S = 1.
     """
     _check_eta_open(eta)
+    _check_finite(V_S=V_S)
+    if not V_S > 0.0:
+        raise DomainError("V_S must be positive")
     if V_S == 1.0:
         raise DomainError("V_S = 1 has a separate closed form (coherent variant)")
     d = math.sqrt((1.0 + eta * (V_S - 1.0)) / (eta * V_S))

@@ -1,7 +1,9 @@
 """Parameter-space sweeps: region maps, loss curves, noise frontiers.
 
-Grid cells and curve points are independent tasks; results are assembled
-in index order so output is deterministic regardless of thread count.
+Region maps are classified row by row with numpy over the closed-form
+two-mode kernel; curves and root searches call key_rate point by point.
+Everything runs on the calling thread, so output is deterministic; the
+threads settings are accepted for compatibility and have no effect.
 Region maps serialize to JSON and curves to CSV, schemas documented in the
 README.
 """
@@ -11,26 +13,28 @@ from __future__ import annotations
 import enum
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NoPositiveRate, NoRoot, UnphysicalObservation
-from .gaussian import _batch_entropy, _g_clamped, _min_uncertainty_eig
+from .gaussian import PHYSICALITY_TOL
 from .protocol import (
     ChannelParams,
     ProtocolParams,
     ReconciliationDirection,
     _conditional_nu,
-    _output_matrix,
+    _g,
+    _g_array,
+    _physical,
+    _symplectic_pair,
+    _x_moments,
     key_rate,
     mutual_information,
     symmetric_vpB,
 )
 
-PHYSICALITY_TOL = 1e-9
 NOISE_CAP = 10.0
 DB_CAP = 60.0
 
@@ -47,6 +51,8 @@ def eta_to_db(eta: float) -> float:
 
 def db_grid(start: float, stop: float, step: float) -> list[float]:
     """Inclusive dB grid start, start+step, ... up to stop (within rounding)."""
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError("dB grid bounds and step must be finite")
     if step <= 0:
         raise ConfigError("step must be positive")
     if stop < start:
@@ -77,7 +83,8 @@ class SweepConfig:
     """Grid ranges, resolutions, tolerances, and convention flags.
 
     x ranges cover V_p_B (FREE_VPB mode) or eps_p (SYMMETRIC_NOISE mode);
-    cp ranges cover the unknown p correlation.
+    cp ranges cover the unknown p correlation.  threads is validated but
+    has no effect: sweeps run on the calling thread.
     """
 
     x_min: float
@@ -95,6 +102,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.x_points < 2 or self.cp_points < 2:
             raise ConfigError("grid resolutions must be at least 2")
+        if not all(math.isfinite(v) for v in (self.x_min, self.x_max, self.cp_min, self.cp_max)):
+            raise ConfigError("axis ranges must be finite")
         if not (self.x_max > self.x_min and self.cp_max > self.cp_min):
             raise ConfigError("axis ranges must be nonempty")
         if self.bisect_tol_eps <= 0 or self.bisect_tol_db <= 0:
@@ -140,14 +149,6 @@ class Curve:
             raise ConfigError("abscissa must be strictly increasing")
 
 
-def _map_indexed(worker, count: int, threads: int) -> list:
-    """Order-preserving map over range(count), optionally threaded."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, range(count)))
-    return [worker(i) for i in range(count)]
-
-
 def scan_region(
     params: ProtocolParams,
     chan_x: tuple[float, float],
@@ -181,28 +182,21 @@ def scan_region(
         raise ConfigError(f"unknown region mode {mode!r}")
 
     mi = mutual_information(params, chan)
-    s_cond_rr = _g_clamped(
-        np.array([_conditional_nu(params, chan, 1.0, ReconciliationDirection.REVERSE)])
-    )[0]
+    xm = _x_moments(params, eta_x, eps_x)
+    s_cond_rr = _g(_conditional_nu(xm, 1.0, ReconciliationDirection.REVERSE))
 
     def classify_row(i: int) -> np.ndarray:
-        v_p_b = vpb_of(x_axis[i])
+        v_p_b = float(vpb_of(x_axis[i]))
         row = np.zeros(grid.cp_points, dtype=np.int8)
         if v_p_b <= 0:
             return row
-        mats = np.repeat(
-            _output_matrix(params, eta_x, eps_x, 0.0, v_p_b)[np.newaxis],
-            grid.cp_points,
-            axis=0,
-        )
-        mats[:, 1, 3] = cp_axis
-        mats[:, 3, 1] = cp_axis
-        physical = _min_uncertainty_eig(mats) >= -physicality_tol
+        physical = _physical(xm, cp_axis, v_p_b, physicality_tol)
         if not physical.any():
             return row
-        s_ab = _batch_entropy(mats[physical])
-        nu_dr = _conditional_nu(params, chan, v_p_b, ReconciliationDirection.DIRECT)
-        k_dr = params.beta * mi - (s_ab - _g_clamped(np.array([nu_dr]))[0])
+        nu_plus, nu_minus = _symplectic_pair(xm, cp_axis[physical], v_p_b)
+        s_ab = _g_array(nu_plus) + _g_array(nu_minus)
+        nu_dr = _conditional_nu(xm, v_p_b, ReconciliationDirection.DIRECT)
+        k_dr = params.beta * mi - (s_ab - _g(nu_dr))
         k_rr = params.beta * mi - (s_ab - s_cond_rr)
         secure_dr = k_dr > 0.0
         secure_rr = k_rr > 0.0
@@ -218,8 +212,7 @@ def scan_region(
         row[physical] = codes.astype(np.int8)
         return row
 
-    rows = _map_indexed(classify_row, grid.x_points, grid.threads)
-    cells = np.stack(rows, axis=0)
+    cells = np.stack([classify_row(i) for i in range(grid.x_points)], axis=0)
     metadata = {
         "V_S": params.V_S,
         "V_M": params.V_M,
@@ -262,16 +255,18 @@ def keyrate_vs_attenuation(
 
     The channel is symmetric with excess noise eps in both quadratures.
     Grid points whose observed p variance admits no physical state are
-    left out of the curve.
+    left out of the curve.  threads must be at least 1 and has no effect.
     """
+    if threads < 1:
+        raise ConfigError("threads must be at least 1")
     db_values = [float(v) for v in db_values]
     if any(b <= a for a, b in zip(db_values, db_values[1:])):
         raise ConfigError("dB grid must be strictly increasing")
 
-    def evaluate(i: int) -> float | None:
-        return _worst_case_rate(params, db_to_eta(db_values[i]), eps, direction, strict_paper_vpb)
-
-    rates = _map_indexed(evaluate, len(db_values), threads)
+    rates = [
+        _worst_case_rate(params, db_to_eta(db), eps, direction, strict_paper_vpb)
+        for db in db_values
+    ]
     kept = [(db, k) for db, k in zip(db_values, rates) if k is not None]
     metadata = {
         "V_S": params.V_S,
@@ -305,8 +300,8 @@ def max_tolerable_noise(
     Raises NoPositiveRate when K(0) <= 0 and NoRoot when the cap is
     reached without a sign change.
     """
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError("tolerance must be positive and finite")
     eta = db_to_eta(dB)
 
     def rate(eps: float) -> float | None:
@@ -347,8 +342,8 @@ def max_attenuation(
     Raises NoPositiveRate when K <= 0 already at 0 dB and NoRoot when the
     rate is still positive at the cap.
     """
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError("tolerance must be positive and finite")
 
     def rate(db: float) -> float | None:
         return _worst_case_rate(params, db_to_eta(db), eps, direction, strict_paper_vpb)

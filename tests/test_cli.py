@@ -72,6 +72,20 @@ class TestKeyrateCommand:
         assert "UnphysicalObservation" in err
 
 
+    @pytest.mark.parametrize("flag", ["--vs", "--vm", "--eps"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_input_is_a_domain_error(self, capsys, flag, value):
+        opts = {"--vs": "1", "--vm": "10", "--eps": "0", flag: value}
+        argv = ["keyrate", "--eta-db", "1", "--dir", "dr"]
+        for name, text in opts.items():
+            argv += [name, text]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DomainError:")
+        assert "Traceback" not in err
+
+
 class TestArgumentErrors:
     def test_missing_required_option(self, capsys):
         code, _, err = run(capsys, "keyrate", "--vs", "1", "--vm", "10", "--eta-db", "1")
@@ -86,6 +100,14 @@ class TestArgumentErrors:
         )
         assert code == 2
         assert "exactly one" in err
+
+    def test_non_finite_grid_is_a_config_error(self, capsys):
+        code, out, err = run(capsys, "sweep-loss", "--vs", "1", "--vm", "10",
+                             "--dir", "dr", "--db", "0:inf:1")
+        assert code == 2
+        assert out == ""
+        assert "ConfigError:" in err
+        assert "Traceback" not in err
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -20,7 +20,6 @@ from udcvqkd import (
     symplectic_form,
     von_neumann_entropy,
 )
-from udcvqkd.gaussian import _batch_entropy
 
 
 def tmsv(v: float) -> CovMatrix:
@@ -190,13 +189,6 @@ class TestVonNeumannEntropy:
             lhs = von_neumann_entropy(CovMatrix(joint))
             rhs = von_neumann_entropy(a) + von_neumann_entropy(b)
             assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    def test_batch_entropy_agrees_with_scalar_path(self):
-        rng = np.random.default_rng(9)
-        mats = np.stack([random_physical_cm(rng, 2).mat for _ in range(64)])
-        batch = _batch_entropy(mats)
-        scalar = [von_neumann_entropy(CovMatrix(m)) for m in mats]
-        assert batch == pytest.approx(scalar, abs=1e-10)
 
 
 class TestConditionOnHomodyne:

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udcvqkd import (
@@ -30,8 +31,10 @@ from udcvqkd import (
     physicality_interval,
     physicality_parabola,
     symmetric_vpB,
+    symplectic_eigenvalues,
     von_neumann_entropy,
 )
+from udcvqkd.protocol import _conditional_nu, _g_array, _symplectic_pair, _x_moments
 
 DR = ReconciliationDirection.DIRECT
 RR = ReconciliationDirection.REVERSE
@@ -71,6 +74,26 @@ class TestParams:
     )
     def test_tmsv_variance_at_least_one(self, v_s, v_m):
         assert ProtocolParams(V_S=v_s, V_M=v_m).tmsv_variance >= 1.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(DomainError):
+            ProtocolParams(V_S=bad, V_M=1.0)
+        with pytest.raises(DomainError):
+            ProtocolParams(V_S=1.0, V_M=bad)
+        with pytest.raises(DomainError):
+            ProtocolParams(V_S=1.0, V_M=1.0, beta=bad)
+        for name in ("eta_x", "eta_p", "eps_x", "eps_p"):
+            kwargs = {"eta_x": 0.5, "eta_p": 0.5, "eps_x": 0.0, "eps_p": 0.0, name: bad}
+            with pytest.raises(DomainError):
+                ChannelParams(**kwargs)
+        params = ProtocolParams(V_S=1.0, V_M=1.0)
+        with pytest.raises(DomainError):
+            symmetric_vpB(params, bad, 0.0)
+        with pytest.raises(DomainError):
+            symmetric_vpB(params, 0.5, bad)
+        with pytest.raises(DomainError):
+            physicality_interval(params, ChannelParams.symmetric(0.5, 0.0), bad)
 
     def test_zero_transmittance_excluded(self):
         with pytest.raises(DomainError):
@@ -326,6 +349,105 @@ class TestHolevoBound:
             holevo_bound(params, chan, hi + 1e-2, v_p_b, DR)
 
 
+def _mp_holevo(params, chan, c_p, v_p_b, direction):
+    """Holevo information at 50 digits from the float inputs, with the
+    symplectic spectrum taken from the eigenvalues of i.Omega.gamma."""
+
+    def g(nu):
+        if nu <= 1:
+            return mpmath.mpf(0)
+        a, b = (nu + 1) / 2, (nu - 1) / 2
+        return a * mpmath.log(a, 2) - b * mpmath.log(b, 2)
+
+    with mpmath.workdps(50):
+        v_s, v_m, eta, eps, cp, vpb = (
+            mpmath.mpf(x) for x in (params.V_S, params.V_M, chan.eta_x, chan.eps_x, c_p, v_p_b)
+        )
+        v = mpmath.sqrt(1 + v_m / v_s)
+        cx = mpmath.sqrt(eta * v_m * v)
+        vxb = eta * (v_s + v_m + eps) + 1 - eta
+        gamma = mpmath.matrix([[v, 0, cx, 0], [0, v, 0, cp], [cx, 0, vxb, 0], [0, cp, 0, vpb]])
+        omega = mpmath.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        spectrum = mpmath.eig(mpmath.mpc(0, 1) * omega * gamma, left=False, right=False)
+        nus = sorted(abs(ev) for ev in spectrum)  # (nu_-, nu_-, nu_+, nu_+)
+        if direction is DR:
+            nu_cond = mpmath.sqrt((vxb - cx**2 / v) * vpb)
+        else:
+            nu_cond = mpmath.sqrt((v - cx**2 / vxb) * v)
+        return g(nus[0]) + g(nus[2]) - g(nu_cond)
+
+
+class TestTwoModeKernel:
+    def test_matches_generic_symplectic_eigenvalues(self):
+        rng = np.random.default_rng(71)
+        checked = 0
+        while checked < 600:
+            params = ProtocolParams(
+                V_S=math.exp(rng.uniform(math.log(0.1), math.log(10.0))),
+                V_M=10.0 ** rng.uniform(-2.0, 4.0),
+            )
+            eta, eps = rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.2)
+            chan = ChannelParams.symmetric(eta, eps)
+            v_p_b = symmetric_vpB(params, eta, eps) + rng.uniform(0.0, 0.5)
+            interval = physicality_interval(params, chan, v_p_b)
+            if interval is None:
+                continue
+            c_p = rng.uniform(*interval)
+            mat = apply_channel(params, chan, c_p).mat.copy()
+            mat[3, 3] = v_p_b
+            want = symplectic_eigenvalues(CovMatrix(mat))
+            got = _symplectic_pair(_x_moments(params, eta, eps), c_p, v_p_b)
+            assert got == pytest.approx(tuple(want), rel=1e-9)
+            checked += 1
+
+    def test_pure_state_is_exact_to_rounding(self):
+        # on a lossless noiseless channel nu_+ = nu_- = 1; the error stays
+        # at a few ulps of the largest entry (about V_M / V_S), where the
+        # discriminant Delta**2 - 4 det would leave sqrt(rounding) instead
+        for v_s in (0.2, 0.6, 3.0):
+            for v_m in (1.0, 20.0, 1e4, 1e6):
+                params = ProtocolParams(V_S=v_s, V_M=v_m)
+                v_p_b = symmetric_vpB(params, 1.0, 0.0)
+                nus = _symplectic_pair(_x_moments(params, 1.0, 0.0), pure_cp(params), v_p_b)
+                scale = 1e-15 * params.tmsv_variance**2
+                assert nus == pytest.approx((1.0, 1.0), abs=scale)
+
+    @pytest.mark.parametrize("v_m", [1e2, 1e6, 1e8])
+    def test_holevo_matches_50_digit_oracle(self, v_m):
+        for v_s, eta in ((0.5, 0.3), (1.0, 0.6), (2.0, 0.9)):
+            for eps in (0.0, 0.02):
+                params = ProtocolParams(V_S=v_s, V_M=v_m)
+                chan = ChannelParams.symmetric(eta, eps)
+                v_p_b = symmetric_vpB(params, eta, eps)
+                for direction in (DR, RR):
+                    a = key_rate(params, chan, v_p_b, direction)
+                    want = float(_mp_holevo(params, chan, a.worst_Cp, v_p_b, direction))
+                    assert a.holevo == pytest.approx(want, abs=1e-10)
+                    assert holevo_bound(params, chan, a.worst_Cp, v_p_b, direction) == (
+                        pytest.approx(want, abs=1e-10)
+                    )
+
+    @settings(deadline=None)
+    @given(
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=4.0),
+        st.floats(min_value=0.05, max_value=1.0),
+        st.floats(min_value=0.0, max_value=0.1),
+        st.floats(min_value=0.0, max_value=0.5),
+        st.sampled_from([DR, RR]),
+    )
+    def test_worst_case_dominates_dense_grid(self, log_vs, log_vm, eta, eps, extra, direction):
+        params = ProtocolParams(V_S=10.0**log_vs, V_M=10.0**log_vm)
+        chan = ChannelParams.symmetric(eta, eps)
+        v_p_b = symmetric_vpB(params, eta, eps) + extra
+        a = key_rate(params, chan, v_p_b, direction)
+        xm = _x_moments(params, eta, eps)
+        nu_plus, nu_minus = _symplectic_pair(xm, np.linspace(*a.Cp_interval, 1001), v_p_b)
+        s_cond = entropy_g(_conditional_nu(xm, v_p_b, direction))
+        chi = _g_array(nu_plus) + _g_array(nu_minus) - s_cond
+        assert a.holevo >= chi.max() - 1e-12
+
+
 class TestKeyRate:
     def test_identity_channel_keeps_all_mutual_information(self):
         params = ProtocolParams(V_S=1.0, V_M=100.0, beta=0.95)
@@ -438,6 +560,12 @@ class TestAsymptoticRates:
             asymptotic_key_rate_dr(1.0, 0.5)
         with pytest.raises(DomainError):
             asymptotic_key_rate_rr(1.0, 0.5)
+
+    @pytest.mark.parametrize("v_s", [math.inf, math.nan, 0.0, -1.0])
+    def test_signal_variance_must_be_positive_and_finite(self, v_s):
+        for func in (asymptotic_key_rate_dr, asymptotic_key_rate_rr):
+            with pytest.raises(DomainError):
+                func(v_s, 0.5)
 
     def test_transmittance_domain_is_open(self):
         for func in (asymptotic_key_rate_dr_coherent, asymptotic_key_rate_rr_coherent):

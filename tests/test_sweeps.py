@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from udcvqkd import (
     write_curve_csv,
     write_region_json,
 )
+from udcvqkd.gaussian import _min_uncertainty_eig
 
 DR = ReconciliationDirection.DIRECT
 RR = ReconciliationDirection.REVERSE
@@ -84,6 +86,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             region_grid(1.0, 2.0, bisect_tol_eps=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_settings_rejected(self, bad):
+        for args in ((0.0, bad, 0.1), (bad, 1.0, 0.1), (0.0, 1.0, bad)):
+            with pytest.raises(ConfigError):
+                db_grid(*args)
+        with pytest.raises(ConfigError):
+            region_grid(1.0, bad)
+        with pytest.raises(ConfigError):
+            region_grid(1.0, 2.0, cp_min=-bad)
+        params = ProtocolParams(V_S=1.0, V_M=10.0)
+        with pytest.raises(ConfigError):
+            max_tolerable_noise(params, 0.2, DR, tol=bad)
+        with pytest.raises(ConfigError):
+            max_attenuation(params, 0.03, DR, tol=bad)
+
+    def test_threads_must_be_positive(self):
+        # threads has no effect, but stays a validated setting
+        with pytest.raises(ConfigError):
+            keyrate_vs_attenuation(ProtocolParams(V_S=2.0, V_M=100.0), 0.03, [0.0], DR,
+                                   threads=0)
+        with pytest.raises(ConfigError):
+            region_grid(1.0, 2.0, threads=0)
+
     def test_curve_invariants(self):
         with pytest.raises(ConfigError):
             Curve(abscissa=(0.0, 1.0), ordinate=(1.0,), x_name="x", y_name="y")
@@ -122,6 +147,34 @@ class TestScanRegion:
                 else:
                     expected = RegionClass.PHYSICAL_INSECURE
             assert region.cells[i, j] == expected
+
+    @pytest.mark.parametrize("v_s,v_m", [(1.0, 10.0), (0.5, 1e4)])
+    def test_physicality_mask_matches_uncertainty_eigenvalue(self, v_s, v_m):
+        # the map's 2x2 block test against the smallest eigenvalue of
+        # gamma + i.Omega, on a wide grid and on a zoom around the parabola
+        # vertex, where the tolerance decides a band of cells
+        params = ProtocolParams(V_S=v_s, V_M=v_m)
+        chan = ChannelParams.symmetric(*self.chan_x)
+        v0, c0, _ = physicality_parabola(params, chan)
+        grids = [
+            region_grid(0.5 * v0, 2.0 * v0, points=90, cp_min=2.0 * c0, cp_max=0.2 * c0),
+            region_grid(v0 - 2e-6, v0 + 2e-6, points=60,
+                        cp_min=c0 - 2e-3, cp_max=c0 + 2e-3),
+        ]
+        for grid in grids:
+            masks = []
+            for tol in (0.0, 1e-9, 1e-6):
+                region = scan_region(params, self.chan_x, grid, RegionMode.FREE_VPB,
+                                     physicality_tol=tol)
+                mats = np.empty((grid.x_points, grid.cp_points, 4, 4))
+                mats[:] = apply_channel(params, chan, 0.0).mat
+                mats[:, :, 3, 3] = region.x_axis[:, np.newaxis]
+                mats[:, :, 1, 3] = mats[:, :, 3, 1] = region.cp_axis[np.newaxis, :]
+                want = _min_uncertainty_eig(mats) >= -tol
+                assert np.array_equal(region.cells != RegionClass.UNPHYSICAL, want)
+                masks.append(want)
+            assert masks[0].any() and not masks[0].all()
+        assert masks[0].sum() < masks[1].sum() < masks[2].sum()
 
     def test_everything_below_vertex_is_unphysical(self):
         v0 = physicality_parabola(self.params, ChannelParams.symmetric(*self.chan_x))[0]
