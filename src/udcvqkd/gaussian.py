@@ -9,6 +9,7 @@ function of its inputs and safe to call concurrently.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ NU_CLAMP_TOL = 1e-9
 PAIRING_TOL = 1e-8
 PHYSICALITY_TOL = 1e-9
 CONDITIONING_TOL = 1e-12
+LOG2E = math.log2(math.e)
 
 
 class Quadrature(enum.Enum):
@@ -120,16 +122,17 @@ def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
 def entropy_g(nu: float) -> float:
     """Entropy in bits of one bosonic mode with symplectic eigenvalue nu.
 
-    ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2); exactly 0 at
-    nu = 1.  Values within 1e-9 below 1 are treated as 1.
+    ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), evaluated as
+    log2(1 + m) + m log2(1 + 1/m) with m = (nu - 1)/2, which does not
+    cancel at large nu; exactly 0 at nu = 1.  Values within 1e-9 below 1
+    are treated as 1.
     """
     if nu < 1.0 - NU_CLAMP_TOL:
         raise DomainError(f"symplectic eigenvalue {nu!r} is below 1")
     if nu <= 1.0:
         return 0.0
-    a = (nu + 1.0) / 2.0
-    b = (nu - 1.0) / 2.0
-    return float(a * np.log2(a) - b * np.log2(b))
+    m = 0.5 * (nu - 1.0)
+    return (math.log1p(m) + m * math.log1p(1.0 / m)) * LOG2E
 
 
 def von_neumann_entropy(gamma: CovMatrix) -> float:

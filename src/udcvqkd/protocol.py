@@ -51,6 +51,13 @@ def _check_finite(**values: float) -> None:
             raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+def _not_finite(what: str) -> DomainError:
+    """The error for finite inputs that gave a non-finite result: some
+    intermediate value left the double-precision range."""
+    return DomainError(f"{what} is not finite for these inputs: an "
+                       "intermediate value overflowed or underflowed")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Source and modulation settings.
@@ -205,8 +212,23 @@ def _x_moments(params: ProtocolParams, eta_x: float, eps_x: float) -> _XMoments:
         v=v,
         c_x=math.sqrt(eta_x * params.V_M) * math.sqrt(v),
         v_x_b=eta_x * (params.V_S + params.V_M + eps_x) + 1.0 - eta_x,
-        b=eta_x * (params.V_S + eps_x - 1.0) + 1.0,
+        b=_x_noise(params.V_S, eta_x, eps_x),
     )
+
+
+def _x_noise(V_S: float, eta_x: float, eps_x: float) -> float:
+    """b = eta_x (V_S + eps_x - 1) + 1, Bob's x variance given Alice's data.
+
+    It equals 1 - eta_x + eta_x (V_S + eps_x) > 0, but rounds to 0 when
+    eta_x is within rounding of 1 and V_S + eps_x is below it.
+    """
+    b = eta_x * (V_S + eps_x - 1.0) + 1.0
+    if not b > 0.0:
+        raise DomainError(
+            f"1 - eta_x + eta_x (V_S + eps_x) rounds to {b!r} at eta_x={eta_x!r}, "
+            f"V_S={V_S!r}, eps_x={eps_x!r}"
+        )
+    return b
 
 
 def _symplectic_pair(xm: _XMoments, c_p, v_p_b: float):
@@ -303,8 +325,11 @@ def mutual_information(params: ProtocolParams, chan: ChannelParams) -> float:
     (1/2) log2[1 + eta_x V_M / (1 + eta_x (V_S + eps_x - 1))]; identical
     for direct and reverse reconciliation.
     """
-    snr = chan.eta_x * params.V_M / (1.0 + chan.eta_x * (params.V_S + chan.eps_x - 1.0))
-    return 0.5 * math.log2(1.0 + snr)
+    snr = chan.eta_x * params.V_M / _x_noise(params.V_S, chan.eta_x, chan.eps_x)
+    mi = 0.5 * math.log2(1.0 + snr)
+    if not math.isfinite(mi):
+        raise _not_finite("mutual information")
+    return mi
 
 
 def physicality_parabola(
@@ -319,17 +344,18 @@ def physicality_parabola(
 
     Only the x-quadrature channel parameters enter.
     """
-    v0 = 1.0 / (1.0 + chan.eta_x * (params.V_S + chan.eps_x - 1.0))
+    v0 = 1.0 / _x_noise(params.V_S, chan.eta_x, chan.eps_x)
     c0 = (
         -v0
         * math.sqrt(chan.eta_x * params.V_M)
         / (params.V_M / params.V_S + 1.0) ** 0.25
     )
-    coeff = (
-        params.V_M
-        / math.sqrt(params.V_S * (params.V_S + params.V_M))
-        * (1.0 - chan.eta_x * params.V_S * v0)
-    )
+    root = math.sqrt(params.V_S * (params.V_S + params.V_M))
+    if not root > 0.0:
+        raise DomainError(f"V_S (V_S + V_M) underflows at V_S={params.V_S!r}, V_M={params.V_M!r}")
+    coeff = params.V_M / root * (1.0 - chan.eta_x * params.V_S * v0)
+    if not (math.isfinite(v0) and math.isfinite(c0) and math.isfinite(coeff)):
+        raise _not_finite("physicality parabola")
     return v0, c0, coeff
 
 
@@ -350,6 +376,8 @@ def physicality_interval(
     if dv < -VERTEX_SLACK * max(1.0, abs(v0)):
         return None
     half = math.sqrt(max(coeff, 0.0) * max(dv, 0.0))
+    if not math.isfinite(half):
+        raise _not_finite("physicality interval")
     return (c0 - half, c0 + half)
 
 
@@ -365,8 +393,11 @@ def _conditional_nu(
 
 
 def _floor_holevo(chi: float) -> float:
+    """Clamp rounding below zero; beyond HOLEVO_FLOOR_TOL the inputs are
+    past double precision (e.g. V_S around 1e-8 on a lossless channel,
+    where b = 1 - eta + eta V_S cancels and g has infinite slope at 1)."""
     if chi < -HOLEVO_FLOOR_TOL:
-        raise RuntimeError(
+        raise DomainError(
             f"Holevo bound evaluated to {chi!r}; conditioning exceeded the "
             "joint entropy beyond numerical tolerance"
         )
@@ -413,7 +444,10 @@ def holevo_bound(
             f"symplectic eigenvalue {nu_min!r} below 1"
         )
     s_cond = entropy_g(max(nu_cond, 1.0))
-    return _floor_holevo(_g(nu_plus) + _g(nu_minus) - s_cond)
+    chi = _floor_holevo(_g(nu_plus) + _g(nu_minus) - s_cond)
+    if not math.isfinite(chi):
+        raise _not_finite("Holevo bound")
+    return chi
 
 
 def _worst_case_correlation(
@@ -484,13 +518,22 @@ def key_rate(
             f"V_p_B={V_p_B!r} lies below the physicality parabola vertex"
         )
     mi = mutual_information(params, chan)
-    worst_cp, chi = _worst_case_correlation(
-        _x_moments(params, chan.eta_x, chan.eps_x),
-        V_p_B,
-        direction,
-        interval[0],
-        interval[1],
-    )
+    try:
+        worst_cp, chi = _worst_case_correlation(
+            _x_moments(params, chan.eta_x, chan.eps_x),
+            V_p_B,
+            direction,
+            interval[0],
+            interval[1],
+        )
+    except (ZeroDivisionError, TypeError) as exc:
+        # a zero nu_plus**2, or a complex nu_minus from a determinant that
+        # rounding made negative: the inputs are beyond double precision
+        raise DomainError(
+            f"the two-mode kernel lost all precision at V_p_B={V_p_B!r}: {exc}"
+        ) from exc
+    if not math.isfinite(chi):
+        raise _not_finite("worst-case Holevo bound")
     return SecurityAssessment(
         mutual_info=mi,
         holevo=chi,
@@ -544,9 +587,17 @@ def asymptotic_key_rate_dr(V_S: float, eta: float) -> float:
         raise DomainError("V_S must be positive")
     if V_S == 1.0:
         raise DomainError("V_S = 1 has a separate closed form (coherent variant)")
-    c = math.sqrt((1.0 + eta * (1.0 / V_S - 1.0)) * (1.0 + eta * (V_S - 1.0)))
-    s = eta * abs(1.0 - V_S)
-    return LOG2E * (c * math.atanh(1.0 / c) - 1.0) + math.log2(s / (1.0 + s))
+    # With c = sqrt(1 + u), u = eta (1 - eta) (V_S - 1)**2 / V_S and
+    # s = eta |1 - V_S|, the rate is log2(e) (c atanh(1/c) - 1) + log2(s / (1 + s)).
+    # c atanh(1/c) and log2(s) diverge as u -> 0 (eta -> 0, or V_S -> 1)
+    # and cancel: atanh(1/c) + ln s = ln(1 + c) + ln(eta V_S / (1 - eta)) / 2.
+    # What is left, (c - 1) atanh(1/c), vanishes with u.
+    u = eta * (1.0 - eta) * (V_S - 1.0) * (1.0 - 1.0 / V_S)
+    c = math.sqrt(1.0 + u)
+    c_minus_1 = u / (1.0 + c)
+    rest = 0.5 * c_minus_1 * math.log1p(2.0 / c_minus_1) if c_minus_1 > 1e-300 else 0.0
+    diverging = math.log1p(c) + 0.5 * (math.log(eta) + math.log(V_S) - math.log1p(-eta))
+    return LOG2E * (diverging + rest - 1.0 - math.log1p(eta * abs(1.0 - V_S)))
 
 
 def asymptotic_key_rate_dr_coherent(eta: float) -> float:
@@ -578,14 +629,17 @@ def asymptotic_key_rate_rr(V_S: float, eta: float) -> float:
         raise DomainError("V_S must be positive")
     if V_S == 1.0:
         raise DomainError("V_S = 1 has a separate closed form (coherent variant)")
-    d = math.sqrt((1.0 + eta * (V_S - 1.0)) / (eta * V_S))
-    if d <= 1.0 + 1e-12:
-        raise DomainError(f"conditional eigenvalue D={d!r} too close to 1")
-    return (
-        (d / 2.0) * (math.log2((d + 1.0) / 2.0) - math.log2((d - 1.0) / 2.0))
-        - math.log2(1.0 + eta * abs(1.0 - V_S))
-        - LOG2E
-    )
+    # D = sqrt((1 + eta (V_S - 1)) / (eta V_S)) overflows as eta V_S -> 0,
+    # so work with r = 1/D: (D/2) log2((D + 1)/(D - 1)) is
+    # log2(e) log1p(2r / (1 - r)) / (2r), which tends to log2(e) as r -> 0.
+    # 1 - r = (1 - eta) / (den (1 + r)) does not cancel as r -> 1.
+    den = (1.0 - eta) + eta * V_S
+    r = math.sqrt(eta * V_S / den)
+    if r >= 1.0 / (1.0 + 1e-12):
+        raise DomainError(f"conditional eigenvalue D={1.0 / r!r} too close to 1")
+    x = 2.0 * r * (1.0 + r) * den / (1.0 - eta)
+    half_d_log = math.log1p(x) / (2.0 * r) if r > 0.0 else 1.0
+    return LOG2E * (half_d_log - 1.0) - math.log2(1.0 + eta * abs(1.0 - V_S))
 
 
 def asymptotic_key_rate_rr_coherent(eta: float) -> float:

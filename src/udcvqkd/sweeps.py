@@ -1,7 +1,9 @@
 """Parameter-space sweeps: region maps, loss curves, noise frontiers.
 
-Region maps are classified row by row with numpy over the closed-form
-two-mode kernel; curves and root searches call key_rate point by point.
+Region maps are classified in blocks of REGION_BLOCK_ROWS rows, one numpy
+pass over the closed-form two-mode kernel per block, and their cell codes
+are written to JSON byte by byte; curves and root searches call key_rate
+point by point, the root searches through one bisection helper.
 Everything runs on the calling thread, so output is deterministic; the
 threads settings are accepted for compatibility and have no effect.
 Region maps serialize to JSON and curves to CSV, schemas documented in the
@@ -37,6 +39,9 @@ from .protocol import (
 
 NOISE_CAP = 10.0
 DB_CAP = 60.0
+# Region maps are classified this many rows at a time: one numpy pass per
+# block instead of per row, with temporaries that stay small at any grid size.
+REGION_BLOCK_ROWS = 32
 
 
 def db_to_eta(db: float) -> float:
@@ -93,11 +98,8 @@ class SweepConfig:
     cp_max: float
     x_points: int = 400
     cp_points: int = 400
-    bisect_tol_eps: float = 1e-6
-    bisect_tol_db: float = 1e-4
     strict_paper_vpb: bool = False
     threads: int = 1
-    output: str | None = None
 
     def __post_init__(self):
         if self.x_points < 2 or self.cp_points < 2:
@@ -106,8 +108,6 @@ class SweepConfig:
             raise ConfigError("axis ranges must be finite")
         if not (self.x_max > self.x_min and self.cp_max > self.cp_min):
             raise ConfigError("axis ranges must be nonempty")
-        if self.bisect_tol_eps <= 0 or self.bisect_tol_db <= 0:
-            raise ConfigError("bisection tolerances must be positive")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
 
@@ -130,6 +130,8 @@ class RegionMap:
             raise ConfigError("region axes must be strictly increasing")
         if self.cells.shape != (len(self.x_axis), len(self.cp_axis)):
             raise ConfigError("cell grid does not match the axes")
+        if self.cells.size and not 0 <= self.cells.min() <= self.cells.max() <= max(RegionClass):
+            raise ConfigError("cells must hold RegionClass codes")
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ def scan_region(
     if mode is RegionMode.FREE_VPB:
         if grid.x_min <= 0:
             raise ConfigError("V_p_B axis must be strictly positive")
-        vpb_of = lambda x: x
+        vpb_of = float
     elif mode is RegionMode.SYMMETRIC_NOISE:
         if grid.x_min < 0:
             raise ConfigError("excess-noise axis must be nonnegative")
@@ -181,38 +183,25 @@ def scan_region(
     else:
         raise ConfigError(f"unknown region mode {mode!r}")
 
-    mi = mutual_information(params, chan)
+    key_mi = params.beta * mutual_information(params, chan)
     xm = _x_moments(params, eta_x, eps_x)
     s_cond_rr = _g(_conditional_nu(xm, 1.0, ReconciliationDirection.REVERSE))
+    vpb_rows = np.array([vpb_of(x) for x in x_axis])
+    s_cond_dr = np.array(
+        [_g(_conditional_nu(xm, v, ReconciliationDirection.DIRECT)) for v in vpb_rows]
+    )
 
-    def classify_row(i: int) -> np.ndarray:
-        v_p_b = float(vpb_of(x_axis[i]))
-        row = np.zeros(grid.cp_points, dtype=np.int8)
-        if v_p_b <= 0:
-            return row
-        physical = _physical(xm, cp_axis, v_p_b, physicality_tol)
-        if not physical.any():
-            return row
-        nu_plus, nu_minus = _symplectic_pair(xm, cp_axis[physical], v_p_b)
+    cells = np.zeros((grid.x_points, grid.cp_points), dtype=np.int8)
+    for start in range(0, grid.x_points, REGION_BLOCK_ROWS):
+        vpb = vpb_rows[start:start + REGION_BLOCK_ROWS]
+        rows, cols = np.nonzero(_physical(xm, cp_axis, vpb[:, None], physicality_tol))
+        nu_plus, nu_minus = _symplectic_pair(xm, cp_axis[cols], vpb[rows])
         s_ab = _g_array(nu_plus) + _g_array(nu_minus)
-        nu_dr = _conditional_nu(xm, v_p_b, ReconciliationDirection.DIRECT)
-        k_dr = params.beta * mi - (s_ab - _g(nu_dr))
-        k_rr = params.beta * mi - (s_ab - s_cond_rr)
-        secure_dr = k_dr > 0.0
-        secure_rr = k_rr > 0.0
-        codes = np.where(
-            secure_dr & secure_rr,
-            RegionClass.SECURE_BOTH,
-            np.where(
-                secure_dr,
-                RegionClass.SECURE_DR,
-                np.where(secure_rr, RegionClass.SECURE_RR, RegionClass.PHYSICAL_INSECURE),
-            ),
-        )
-        row[physical] = codes.astype(np.int8)
-        return row
+        secure_dr = key_mi - (s_ab - s_cond_dr[start + rows]) > 0.0
+        secure_rr = key_mi - (s_ab - s_cond_rr) > 0.0
+        # PHYSICAL_INSECURE, SECURE_DR, SECURE_RR, SECURE_BOTH are 1 + dr + 2 rr
+        cells[start + rows, cols] = 1 + secure_dr + 2 * secure_rr
 
-    cells = np.stack([classify_row(i) for i in range(grid.x_points)], axis=0)
     metadata = {
         "V_S": params.V_S,
         "V_M": params.V_M,
@@ -285,6 +274,41 @@ def keyrate_vs_attenuation(
     )
 
 
+def _zero_crossing(rate, first: float, cap: float, tol: float, label) -> float:
+    """A zero crossing of rate(x) on [0, cap], by bisection.
+
+    rate returns None for observations with no physical state, which count
+    as negative; label(x) names the point x in error messages.  The upper
+    bracket doubles from first up to cap; the bracket then halves until it
+    is at most tol wide, or until its ends are adjacent floats (a tol below
+    their spacing).  Returns its midpoint.
+
+    Raises NoPositiveRate when rate(0) <= 0 and NoRoot when rate(cap) is
+    still nonnegative.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ConfigError("tolerance must be positive and finite")
+    k0 = rate(0.0)
+    if k0 is None or k0 <= 0.0:
+        raise NoPositiveRate(f"key rate at {label(0.0)} is {k0!r}")
+    hi = first
+    while (k := rate(hi)) is not None and k >= 0.0:
+        if hi >= cap:
+            raise NoRoot(f"key rate still positive at {label(cap)}")
+        hi = min(hi * 2.0, cap)
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        k = rate(mid)
+        if k is None or k < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def max_tolerable_noise(
     params: ProtocolParams,
     dB: float,
@@ -300,30 +324,12 @@ def max_tolerable_noise(
     Raises NoPositiveRate when K(0) <= 0 and NoRoot when the cap is
     reached without a sign change.
     """
-    if not 0.0 < tol < math.inf:
-        raise ConfigError("tolerance must be positive and finite")
     eta = db_to_eta(dB)
 
     def rate(eps: float) -> float | None:
         return _worst_case_rate(params, eta, eps, direction, strict_paper_vpb)
 
-    k0 = rate(0.0)
-    if k0 is None or k0 <= 0.0:
-        raise NoPositiveRate(f"key rate at eps=0 is {k0!r} for {dB} dB")
-    hi = 0.1
-    while (k := rate(hi)) is not None and k >= 0.0:
-        if hi >= NOISE_CAP:
-            raise NoRoot(f"key rate still positive at eps={NOISE_CAP}")
-        hi = min(hi * 2.0, NOISE_CAP)
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        k = rate(mid)
-        if k is None or k < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _zero_crossing(rate, 0.1, NOISE_CAP, tol, lambda eps: f"eps={eps} for {dB} dB")
 
 
 def max_attenuation(
@@ -342,29 +348,11 @@ def max_attenuation(
     Raises NoPositiveRate when K <= 0 already at 0 dB and NoRoot when the
     rate is still positive at the cap.
     """
-    if not 0.0 < tol < math.inf:
-        raise ConfigError("tolerance must be positive and finite")
 
     def rate(db: float) -> float | None:
         return _worst_case_rate(params, db_to_eta(db), eps, direction, strict_paper_vpb)
 
-    k0 = rate(0.0)
-    if k0 is None or k0 <= 0.0:
-        raise NoPositiveRate(f"key rate at 0 dB is {k0!r}")
-    hi = 0.5
-    while (k := rate(hi)) is not None and k >= 0.0:
-        if hi >= DB_CAP:
-            raise NoRoot(f"key rate still positive at {DB_CAP} dB")
-        hi = min(hi * 2.0, DB_CAP)
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        k = rate(mid)
-        if k is None or k < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _zero_crossing(rate, 0.5, DB_CAP, tol, lambda db: f"{db} dB")
 
 
 def _fmt(value) -> str:
@@ -424,12 +412,24 @@ def region_to_json(region: RegionMap) -> str:
         "tool": f"udcvqkd {__version__}",
         "mode": region.mode.value,
         "metadata": region.metadata,
-        "x_axis": [float(v) for v in region.x_axis],
-        "cp_axis": [float(v) for v in region.cp_axis],
+        "x_axis": region.x_axis.tolist(),
+        "cp_axis": region.cp_axis.tolist(),
         "legend": {str(int(c)): c.name.lower() for c in RegionClass},
-        "cells": region.cells.astype(int).tolist(),
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    # "cells" sorts first among the keys, so its text goes right after "{".
+    rest = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return '{"cells":' + _cells_json(region.cells) + "," + rest[1:] + "\n"
+
+
+def _cells_json(cells: np.ndarray) -> str:
+    """Compact JSON of a grid of single-digit codes, built byte by byte:
+    each row is "[d,d,...,d]" followed by a "," that the last row drops."""
+    rows, cols = cells.shape
+    buf = np.full((rows, 2 * cols + 2), ord(","), dtype=np.uint8)
+    buf[:, 0] = ord("[")
+    buf[:, 1:2 * cols:2] = cells + ord("0")
+    buf[:, 2 * cols] = ord("]")
+    return "[" + buf.tobytes()[:-1].decode() + "]"
 
 
 def write_region_json(region: RegionMap, path) -> None:

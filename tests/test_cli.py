@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from udcvqkd import (
     mutual_information,
     symmetric_vpB,
 )
+from udcvqkd import sweeps
 from udcvqkd.cli import main
 
 
@@ -86,6 +89,24 @@ class TestKeyrateCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["keyrate", "--vs", "1e300", "--vm", "10", "--eta", "0.5", "--dir", "rr"],
+        ["keyrate", "--vs", "1", "--vm", "1e300", "--eta", "0.5", "--dir", "rr"],
+        ["keyrate", "--vs", "1", "--vm", "10", "--eps", "1e300", "--eta", "0.5", "--dir", "rr"],
+        ["keyrate", "--vs", "1e-300", "--vm", "1", "--eta", "0.5", "--dir", "dr"],
+        ["max-noise", "--vs", "1", "--vm", "1e300", "--dir", "rr", "--eta", "0.9"],
+        ["sweep-loss", "--vs", "1", "--vm", "10", "--eps", "1e300", "--dir", "rr",
+         "--db", "0:1:0.5"],
+    ])
+    def test_finite_input_with_non_finite_result_is_a_domain_error(self, capsys, argv):
+        # intermediate values overflow: an error, not NaN or Infinity with exit 0
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DomainError:")
+        assert "Traceback" not in err
+
+
 class TestArgumentErrors:
     def test_missing_required_option(self, capsys):
         code, _, err = run(capsys, "keyrate", "--vs", "1", "--vm", "10", "--eta-db", "1")
@@ -136,6 +157,15 @@ class TestAsymptoticCommand:
         assert obj["dr_coherent"] == obj["dr"]
         assert obj["rr_coherent"] == obj["rr"]
 
+    @pytest.mark.parametrize("v_s,eta", [("0.5", "1e-300"), ("1e-300", "1e-17"),
+                                         ("2", "5e-324"), ("1e-300", "0.9999999999999999")])
+    def test_extreme_inputs_give_finite_rates(self, capsys, v_s, eta):
+        code, out, err = run(capsys, "asymptotic", "--vs", v_s, "--eta", eta)
+        assert code == 0, err
+        obj = json.loads(out)
+        for key in ("dr", "rr", "dr_coherent", "rr_coherent"):
+            assert math.isfinite(obj[key])
+
     def test_squeezed_uses_general_forms(self, capsys):
         code, out, _ = run(capsys, "asymptotic", "--vs", "2", "--eta", "0.9")
         obj = json.loads(out)
@@ -185,6 +215,25 @@ class TestMaxNoiseCommand:
         assert code == 0
         obj = json.loads(out)
         assert obj["eps_max"] == pytest.approx(0.19452, abs=1e-3)
+
+    def test_tolerance_below_float_spacing_returns(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            assert len(calls) <= 2000, "bisection did not terminate"
+            return key_rate(*args)
+
+        monkeypatch.setattr(sweeps, "key_rate", counted)
+        argv = ["max-noise", "--vs", "1", "--vm", "10", "--dir", "rr", "--eta", "0.9"]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv, "--tol", "1e-300")
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        assert len(calls) < 100
+        _, coarse, _ = run(capsys, *argv)
+        assert json.loads(out)["eps_max"] == pytest.approx(
+            json.loads(coarse)["eps_max"], abs=1e-6)
 
     def test_no_positive_rate_maps_to_exit_one(self, capsys):
         code, _, err = run(

@@ -15,6 +15,8 @@ from udcvqkd import (
     Quadrature,
     QuadratureSelector,
     ReconciliationDirection,
+    SecurityAssessment,
+    ToolkitError,
     UnphysicalObservation,
     UnphysicalState,
     apply_channel,
@@ -27,6 +29,9 @@ from udcvqkd import (
     entropy_g,
     holevo_bound,
     key_rate,
+    keyrate_vs_attenuation,
+    max_attenuation,
+    max_tolerable_noise,
     mutual_information,
     physicality_interval,
     physicality_parabola,
@@ -574,6 +579,31 @@ class TestAsymptoticRates:
             with pytest.raises(DomainError):
                 func(1.0)
 
+    @pytest.mark.parametrize("v_s", [1e-300, 1e-100, 1e-17, 1e-3, 0.5, 1.0 - 1e-9, 1.0 + 1e-9,
+                                     2.0, 1e3, 1e17, 1e100, 1e200, 1e300])
+    def test_extreme_inputs_match_high_precision_or_raise(self, v_s):
+        # c -> 1 in the direct form and D -> infinity in the reverse form
+        # used to end in math domain errors, divisions by zero and NaN
+        mpmath.mp.dps = 700
+        log2 = mpmath.log(2)
+        for eta in (5e-324, 1e-300, 1e-100, 1e-17, 1e-6, 0.3, 0.9, 1.0 - 1e-9, 1.0 - 1e-16):
+            vs, e = mpmath.mpf(v_s), mpmath.mpf(eta)
+            c = mpmath.sqrt((1 + e * (1 / vs - 1)) * (1 + e * (vs - 1)))
+            s = e * abs(1 - vs)
+            want_dr = (c * mpmath.atanh(1 / c) - 1 + mpmath.log(s / (1 + s))) / log2
+            got_dr = asymptotic_key_rate_dr(v_s, eta)
+            assert abs(got_dr - want_dr) <= 1e-12 * max(1.0, abs(want_dr)), (v_s, eta)
+
+            d = mpmath.sqrt((1 + e * (vs - 1)) / (e * vs))
+            if d - 1 <= 2e-12:
+                with pytest.raises(DomainError):
+                    asymptotic_key_rate_rr(v_s, eta)
+                continue
+            want_rr = (d / 2 * mpmath.log((d + 1) / (d - 1)) - mpmath.log(1 + s) - 1) / log2
+            got_rr = asymptotic_key_rate_rr(v_s, eta)
+            assert abs(got_rr - want_rr) <= 1e-12 * max(1.0, abs(want_rr)), (v_s, eta)
+        mpmath.mp.dps = 15
+
     def test_reverse_rate_diverges_near_unit_transmittance(self):
         with pytest.raises(DomainError):
             asymptotic_key_rate_rr(2.0, 1.0 - 1e-15)
@@ -615,3 +645,61 @@ class TestAsymptoticRates:
         k_rr = key_rate(params, chan, v_p_b, RR).key_rate
         assert k_dr == pytest.approx(asymptotic_key_rate_dr_coherent(eta), abs=1e-3)
         assert k_rr == pytest.approx(asymptotic_key_rate_rr_coherent(eta), abs=1e-3)
+
+
+# Log-uniform magnitudes across the double range, and transmittances near
+# both ends of (0, 1].
+MAGNITUDE = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
+TRANSMITTANCE = st.floats(min_value=-300.0, max_value=0.0).flatmap(
+    lambda e: st.sampled_from([10.0 ** e, 1.0 - 10.0 ** e]))
+
+
+def _entry_points(v_s, v_m, eta, eps, v_p_b, c_p, direction):
+    params = ProtocolParams(V_S=v_s, V_M=v_m)
+    chan = ChannelParams.symmetric(eta, eps)
+    db = -10.0 * math.log10(eta)
+    return {
+        "mutual_information": lambda: mutual_information(params, chan),
+        "physicality_parabola": lambda: physicality_parabola(params, chan),
+        "physicality_interval": lambda: physicality_interval(params, chan, v_p_b),
+        "symmetric_vpB": lambda: symmetric_vpB(params, eta, eps),
+        "key_rate": lambda: key_rate(params, chan, v_p_b, direction),
+        "key_rate_symmetric": lambda: key_rate(
+            params, chan, symmetric_vpB(params, eta, eps), direction),
+        "holevo_bound": lambda: holevo_bound(params, chan, c_p, v_p_b, direction),
+        "asymptotic_key_rate_dr": lambda: asymptotic_key_rate_dr(v_s, eta),
+        "asymptotic_key_rate_rr": lambda: asymptotic_key_rate_rr(v_s, eta),
+        "asymptotic_key_rate_dr_coherent": lambda: asymptotic_key_rate_dr_coherent(eta),
+        "asymptotic_key_rate_rr_coherent": lambda: asymptotic_key_rate_rr_coherent(eta),
+        "keyrate_vs_attenuation": lambda: keyrate_vs_attenuation(
+            params, eps, [0.0, db], direction).ordinate,
+        "max_attenuation": lambda: max_attenuation(params, eps, direction, tol=1e-2),
+        "max_tolerable_noise": lambda: max_tolerable_noise(params, db, direction, tol=1e-3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_entry_points(1.0, 1.0, 0.5, 0.0, 1.0, 0.0, DR)))
+@settings(deadline=None, max_examples=100)
+@given(
+    v_s=MAGNITUDE,
+    v_m=st.one_of(st.just(0.0), MAGNITUDE),
+    eta=TRANSMITTANCE,
+    eps=st.one_of(st.just(0.0), MAGNITUDE),
+    v_p_b=MAGNITUDE,
+    c_p=st.one_of(st.just(0.0), MAGNITUDE, MAGNITUDE.map(lambda x: -x)),
+    direction=st.sampled_from([DR, RR]),
+)
+def test_entry_points_return_finite_numbers_or_raise_toolkit_errors(
+    name, v_s, v_m, eta, eps, v_p_b, c_p, direction
+):
+    try:
+        result = _entry_points(v_s, v_m, eta, eps, v_p_b, c_p, direction)[name]()
+    except ToolkitError:
+        return
+    if isinstance(result, SecurityAssessment):
+        result = (result.mutual_info, result.holevo, result.key_rate, result.worst_Cp,
+                  *result.Cp_interval)
+    if result is None:  # physicality_interval: no physical state
+        return
+    values = result if isinstance(result, tuple) else (result,)
+    assert all(math.isfinite(value) for value in values), values

@@ -16,6 +16,7 @@ from udcvqkd import (
     QuadratureSelector,
     ReconciliationDirection,
     RegionClass,
+    RegionMap,
     RegionMode,
     SweepConfig,
     apply_channel,
@@ -41,7 +42,16 @@ from udcvqkd import (
     write_curve_csv,
     write_region_json,
 )
-from udcvqkd.gaussian import _min_uncertainty_eig
+from udcvqkd import __version__, sweeps
+from udcvqkd.gaussian import PHYSICALITY_TOL, _min_uncertainty_eig
+from udcvqkd.protocol import (
+    _conditional_nu,
+    _g,
+    _g_array,
+    _physical,
+    _symplectic_pair,
+    _x_moments,
+)
 
 DR = ReconciliationDirection.DIRECT
 RR = ReconciliationDirection.REVERSE
@@ -81,10 +91,6 @@ class TestConfigValidation:
             SweepConfig(x_min=2.0, x_max=1.0, cp_min=-1.0, cp_max=0.0)
         with pytest.raises(ConfigError):
             SweepConfig(x_min=1.0, x_max=2.0, cp_min=0.0, cp_max=0.0)
-
-    def test_tolerances_positive(self):
-        with pytest.raises(ConfigError):
-            region_grid(1.0, 2.0, bisect_tol_eps=0.0)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_settings_rejected(self, bad):
@@ -266,6 +272,41 @@ class TestScanRegion:
             scan_region(self.params, self.chan_x, region_grid(-0.1, 0.4),
                         RegionMode.SYMMETRIC_NOISE)
 
+    @pytest.mark.parametrize("x_points", [2, 31, 32, 33, 97])
+    @pytest.mark.parametrize("mode,x_range", [
+        (RegionMode.FREE_VPB, (0.7, 2.2)),
+        (RegionMode.SYMMETRIC_NOISE, (0.0, 0.5)),
+    ])
+    def test_blocked_scan_matches_row_by_row_evaluation(self, x_points, mode, x_range):
+        # rows are classified REGION_BLOCK_ROWS at a time; one row at a time
+        # with a float V_p_B must give the same cells, block edges included
+        params = ProtocolParams(V_S=0.8, V_M=30.0)
+        eta, eps = self.chan_x
+        grid = region_grid(*x_range, cp_min=-5.0, cp_max=0.0, x_points=x_points,
+                           cp_points=45)
+        region = scan_region(params, self.chan_x, grid, mode)
+        xm = _x_moments(params, eta, eps)
+        key_mi = mutual_information(params, ChannelParams.symmetric(eta, eps))
+        s_cond_rr = _g(_conditional_nu(xm, 1.0, RR))
+        want = np.zeros_like(region.cells)
+        for i, x in enumerate(region.x_axis):
+            v_p_b = float(x) if mode is RegionMode.FREE_VPB else symmetric_vpB(params, eta, x)
+            physical = _physical(xm, region.cp_axis, v_p_b, PHYSICALITY_TOL)
+            for j in np.flatnonzero(physical):
+                nu_plus, nu_minus = _symplectic_pair(xm, region.cp_axis[j:j + 1], v_p_b)
+                s_ab = float(_g_array(nu_plus)[0] + _g_array(nu_minus)[0])
+                k_dr = key_mi - (s_ab - _g(_conditional_nu(xm, v_p_b, DR)))
+                k_rr = key_mi - (s_ab - s_cond_rr)
+                want[i, j] = (
+                    RegionClass.SECURE_BOTH if (k_dr > 0 and k_rr > 0)
+                    else RegionClass.SECURE_DR if k_dr > 0
+                    else RegionClass.SECURE_RR if k_rr > 0
+                    else RegionClass.PHYSICAL_INSECURE
+                )
+        assert np.array_equal(region.cells, want)
+        assert region.cells.dtype == np.int8
+        assert len(np.unique(region.cells)) >= 3
+
     def test_thread_count_does_not_change_cells(self):
         grid1 = region_grid(0.9, 1.8)
         grid4 = region_grid(0.9, 1.8, threads=4)
@@ -399,6 +440,51 @@ def independent_dr_rate(v_s, v_m, eta, eps, grid_points=201):
     return mutual_info - (chi - entropy(after_alice.mat))
 
 
+def count_key_rate_calls(monkeypatch, limit=2000):
+    """Count the root finders' key_rate calls; stop a runaway loop at limit."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        assert len(calls) <= limit, "bisection did not terminate"
+        return key_rate(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "key_rate", counted)
+    return calls
+
+
+class TestZeroCrossing:
+    @pytest.mark.parametrize("find,fixed,direction", [
+        (max_tolerable_noise, 0.4575749056067512, RR),
+        (max_tolerable_noise, 0.2, DR),
+        (max_attenuation, 0.03, DR),
+    ])
+    def test_tolerance_below_float_spacing_terminates(self, monkeypatch, find, fixed,
+                                                      direction):
+        # once the bracket ends are adjacent floats the midpoint equals one
+        # of them; the search stops there instead of looping forever
+        params = ProtocolParams(V_S=1.0 if direction is RR else 2.0,
+                                V_M=10.0 if direction is RR else 100.0)
+        coarse = find(params, fixed, direction)
+        calls = count_key_rate_calls(monkeypatch)
+        fine = find(params, fixed, direction, tol=1e-300)
+        assert len(calls) < 100
+        assert fine == pytest.approx(coarse, abs=1e-4)
+        assert math.nextafter(fine, math.inf) > fine
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-3, 0.3])
+    def test_steps_follow_the_tolerance(self, monkeypatch, tol):
+        # the bracket halves while wider than tol: one key_rate call at 0,
+        # one per upper-bracket probe, one per halving
+        params = ProtocolParams(V_S=2.0, V_M=100.0)
+        calls = count_key_rate_calls(monkeypatch)
+        eps_max = max_tolerable_noise(params, 0.2, DR, tol=tol)
+        probes = 2  # 0.1 is secure, 0.2 is not
+        halvings = max(0, math.ceil(math.log2(0.2 / tol)))
+        assert len(calls) == 1 + probes + halvings
+        assert eps_max == pytest.approx(0.194519, abs=max(tol, 5e-4))
+
+
 class TestMaxAttenuation:
     def test_coherent_direct_crossing_matches_independent_model(self):
         # the 1.108 dB crossing that acceptance 5 expects at 0.9 dB is a
@@ -498,6 +584,50 @@ class TestWriters:
         codes = {c for row in obj["cells"] for c in row}
         assert codes <= {0, 1, 2, 3, 4}
         assert obj["metadata"]["V_M"] == 10.0
+
+    @staticmethod
+    def reference_region_json(region):
+        """The encoder region_to_json replaced: json.dumps over Python ints."""
+        obj = {
+            "tool": f"udcvqkd {__version__}",
+            "mode": region.mode.value,
+            "metadata": region.metadata,
+            "x_axis": [float(v) for v in region.x_axis],
+            "cp_axis": [float(v) for v in region.cp_axis],
+            "legend": {str(int(c)): c.name.lower() for c in RegionClass},
+            "cells": region.cells.astype(int).tolist(),
+        }
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("shape", [(2, 2), (33, 7), (64, 5), (401, 3)])
+    def test_region_json_matches_reference_encoder(self, shape):
+        rng = np.random.default_rng(shape[0])
+        cells = rng.integers(0, 5, size=shape).astype(np.int8)
+        cells.flat[:min(cells.size, 5)] = np.arange(min(cells.size, 5))
+        region = RegionMap(
+            x_axis=np.linspace(0.5, 2.0, shape[0]),
+            cp_axis=np.linspace(-3.0, 1.0 / 3.0, shape[1]),
+            cells=cells,
+            mode=RegionMode.SYMMETRIC_NOISE,
+            metadata={"V_S": 0.5, "eta_x": 0.1, "zeta": [1, 2]},
+        )
+        assert len(np.unique(cells)) == min(cells.size, 5)
+        assert region_to_json(region) == self.reference_region_json(region)
+
+    def test_scanned_region_json_matches_reference_encoder(self):
+        grid = region_grid(0.7, 2.2, points=70, cp_min=-5.0, cp_max=0.0)
+        region = scan_region(ProtocolParams(V_S=0.8, V_M=30.0), (0.9, 0.03), grid,
+                             RegionMode.FREE_VPB)
+        assert len(np.unique(region.cells)) >= 3
+        assert region_to_json(region) == self.reference_region_json(region)
+
+    @pytest.mark.parametrize("code", [-1, 5, 10])
+    def test_region_map_rejects_unknown_codes(self, code):
+        cells = np.zeros((3, 2), dtype=np.int8)
+        cells[1, 1] = code
+        with pytest.raises(ConfigError):
+            RegionMap(x_axis=np.arange(3.0), cp_axis=np.arange(2.0), cells=cells,
+                             mode=RegionMode.FREE_VPB)
 
     def test_repeated_scans_are_byte_identical(self, tmp_path):
         params = ProtocolParams(V_S=1.0, V_M=10.0)
