@@ -42,8 +42,6 @@ VERTEX_SLACK = 1e-12
 # it about V_M * 1e-16 below 1.
 BOUNDARY_NU_TOL = 1e-7
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _check_finite(**values: float) -> None:
     for name, value in values.items():
@@ -114,37 +112,6 @@ class ChannelParams:
         return cls(eta_x=eta, eta_p=eta, eps_x=eps, eps_p=eps)
 
 
-@dataclass(frozen=True)
-class ObservedStats:
-    """Second moments the trusted parties can estimate.
-
-    The x-quadrature correlation C_x is known from the modulation data;
-    the p-quadrature correlation is deliberately absent because it cannot
-    be estimated without modulating p.
-    """
-
-    V_x_B: float
-    V_p_B: float
-    C_x: float
-
-    def __post_init__(self):
-        if not (self.V_x_B > 0.0 and self.V_p_B > 0.0):
-            raise DomainError("observed variances must be positive")
-
-    @classmethod
-    def from_parameters(
-        cls,
-        params: ProtocolParams,
-        chan: ChannelParams,
-        strict_paper_vpb: bool = False,
-    ) -> "ObservedStats":
-        xm = _x_moments(params, chan.eta_x, chan.eps_x)
-        v_p = chan.eta_p * (1.0 / params.V_S + chan.eps_p)
-        if not strict_paper_vpb:
-            v_p += 1.0 - chan.eta_p
-        return cls(V_x_B=xm.v_x_b, V_p_B=v_p, C_x=xm.c_x)
-
-
 class ReconciliationDirection(enum.Enum):
     """Which party's data the error correction is referenced to."""
 
@@ -195,9 +162,10 @@ class _XMoments(NamedTuple):
     """x-side second moments of the state shared after the channel.
 
     v is Alice's variance (both quadratures), c_x the x correlation, v_x_b
-    Bob's x variance, and b = eta_x (V_S + eps_x - 1) + 1.  They satisfy
-    v * v_x_b - c_x**2 = v * b exactly, which the kernel below uses in
-    place of that cancelling difference.
+    Bob's x variance, and b = 1 - eta_x + eta_x (V_S + eps_x).  v_x_b is
+    built as b + eta_x V_M, so v * v_x_b - c_x**2 = v * b holds by
+    construction, and the kernel below uses v * b in place of that
+    cancelling difference.
     """
 
     v: float
@@ -208,27 +176,25 @@ class _XMoments(NamedTuple):
 
 def _x_moments(params: ProtocolParams, eta_x: float, eps_x: float) -> _XMoments:
     v = params.tmsv_variance
+    b = _x_noise(params.V_S, eta_x, eps_x)
     return _XMoments(
         v=v,
         c_x=math.sqrt(eta_x * params.V_M) * math.sqrt(v),
-        v_x_b=eta_x * (params.V_S + params.V_M + eps_x) + 1.0 - eta_x,
-        b=_x_noise(params.V_S, eta_x, eps_x),
+        v_x_b=b + eta_x * params.V_M,
+        b=b,
     )
 
 
 def _x_noise(V_S: float, eta_x: float, eps_x: float) -> float:
-    """b = eta_x (V_S + eps_x - 1) + 1, Bob's x variance given Alice's data.
+    """b = 1 - eta_x + eta_x (V_S + eps_x), Bob's x variance given Alice's
+    data.
 
-    It equals 1 - eta_x + eta_x (V_S + eps_x) > 0, but rounds to 0 when
-    eta_x is within rounding of 1 and V_S + eps_x is below it.
+    Both terms are nonnegative, so b keeps its relative precision, and
+    stays positive, when eta_x is near 1 and V_S + eps_x is small; written
+    as eta_x (V_S + eps_x - 1) + 1 it cancels there, and the conditional
+    entropy, with g's infinite slope at 1, then overshoots the joint one.
     """
-    b = eta_x * (V_S + eps_x - 1.0) + 1.0
-    if not b > 0.0:
-        raise DomainError(
-            f"1 - eta_x + eta_x (V_S + eps_x) rounds to {b!r} at eta_x={eta_x!r}, "
-            f"V_S={V_S!r}, eps_x={eps_x!r}"
-        )
-    return b
+    return (1.0 - eta_x) + eta_x * (V_S + eps_x)
 
 
 def _symplectic_pair(xm: _XMoments, c_p, v_p_b: float):
@@ -253,6 +219,48 @@ def _symplectic_pair(xm: _XMoments, c_p, v_p_b: float):
     split = abs(diag * diag + 4.0 * off) ** 0.5
     nu_plus_sq = 0.5 * (delta + split)
     return nu_plus_sq ** 0.5, (det / nu_plus_sq) ** 0.5
+
+
+def _entropy_slope(xm: _XMoments, c_p: float, v_p_b: float) -> float:
+    """d/dC_p of the joint entropy g(nu_plus) + g(nu_minus), in bits.
+
+    With s, t = nu_plus**2, nu_minus**2 and f(x) = g(sqrt(x)), the slope is
+    f'(s) ds + f'(t) dt.  s + t = Delta and s t = det give
+    ds = (s dDelta - d det)/(s - t) and dt = (d det - t dDelta)/(s - t),
+    with dDelta = 2 c_x and d det = -2 v b c_p; taking dt as dDelta - ds
+    instead cancels under strong modulation, where ds is about dDelta.
+    Where s and t meet (v_p_b = v**2/v_x_b, c_p = -c_x v/v_x_b) the slope
+    is written f'(t) dDelta + D (s dDelta - d det), with the divided
+    difference D = (f'(s) - f'(t))/(s - t) taken as f'' at the midpoint
+    while s - t is below 1e-5 (t - 1), so it stays finite there.
+    f'(x) = log2(e) log1p(2/(nu - 1)) / (4 nu).  A mode at nu <= 1 has
+    unbounded slope with the sign of its d(nu**2); with both modes there
+    the state is pure to rounding and the slope is 0.  s and t come from
+    the same invariants as in _symplectic_pair, written out here because
+    this runs about ten times per key_rate.
+    """
+    v, c_x, v_x_b, b = xm
+    delta = v * v + v_x_b * v_p_b + 2.0 * c_x * c_p
+    det = v * b * (v * v_p_b - c_p * c_p)
+    diag = v * v - v_x_b * v_p_b
+    off = (v * c_p + c_x * v_p_b) * (c_x * v + v_x_b * c_p)
+    s = 0.5 * (delta + abs(diag * diag + 4.0 * off) ** 0.5)
+    t = det / s
+    d_delta = 2.0 * c_x
+    d_det = -2.0 * v * b * c_p
+    if t <= 1.0:
+        return 0.0 if s <= 1.0 else math.copysign(math.inf, d_det - t * d_delta)
+    nu_t = t ** 0.5
+    df_t = math.log1p(2.0 * (nu_t + 1.0) / (t - 1.0)) * LOG2E / (4.0 * nu_t)
+    if s - t > 1e-5 * (t - 1.0):
+        nu_s = s ** 0.5
+        df_s = math.log1p(2.0 * (nu_s + 1.0) / (s - 1.0)) * LOG2E / (4.0 * nu_s)
+        return (df_s * (s * d_delta - d_det) + df_t * (d_det - t * d_delta)) / (s - t)
+    x = 0.5 * (s + t)
+    nu = x ** 0.5
+    d2f = -LOG2E * (nu / (x - 1.0) + 0.5 * math.log1p(2.0 * (nu + 1.0) / (x - 1.0))) / (
+        4.0 * nu * x)
+    return df_t * d_delta + d2f * (s * d_delta - d_det)
 
 
 def _g(nu: float) -> float:
@@ -394,8 +402,8 @@ def _conditional_nu(
 
 def _floor_holevo(chi: float) -> float:
     """Clamp rounding below zero; beyond HOLEVO_FLOOR_TOL the inputs are
-    past double precision (e.g. V_S around 1e-8 on a lossless channel,
-    where b = 1 - eta + eta V_S cancels and g has infinite slope at 1)."""
+    past double precision (g has infinite slope at 1, so rounding in a
+    near-pure mode is amplified)."""
     if chi < -HOLEVO_FLOOR_TOL:
         raise DomainError(
             f"Holevo bound evaluated to {chi!r}; conditioning exceeded the "
@@ -459,13 +467,19 @@ def _worst_case_correlation(
 ) -> tuple[float, float]:
     """Maximize the Holevo bound over the physical correlation interval.
 
-    The joint entropy is concave in the correlation on the interval (the
-    tests check the result against a dense grid): golden-section search
-    over the whole interval, keeping both endpoints as candidates.  The
-    bracket shrinks to WORST_CASE_XTOL times min(1, hi - lo), but not
-    below a few ulps of C_p: near a pure state the entropy can vary by
-    5e-11 across an interval 1e-11 wide.  The conditional entropy does not
-    depend on the correlation, so only the joint entropy is searched.
+    The conditional entropy does not depend on the correlation, so only
+    the joint entropy is searched.  It is concave in the correlation on
+    the interval (the tests check the result against a dense grid), so its
+    slope (_entropy_slope) falls from positive to negative across it.  The
+    slope is taken xtol/2 inside each end; if it already points outward
+    there, the maximum lies within xtol of that end.  Otherwise regula
+    falsi with the Anderson-Bjorck end scaling (Illinois with an adaptive
+    factor) brackets the slope's zero until the bracket is xtol wide,
+    bisecting while an end's slope is unbounded; interpolated points are
+    kept xtol/2 inside the bracket, so a step next to the zero closes it.
+    xtol is WORST_CASE_XTOL times min(1, hi - lo), but not below a few
+    ulps of C_p: near a pure state the entropy can vary by 5e-11 across an
+    interval 1e-11 wide.  Both endpoints stay candidates.
     """
     s_cond = entropy_g(_conditional_nu(xm, V_p_B, direction))
 
@@ -475,21 +489,43 @@ def _worst_case_correlation(
 
     ulp = math.ulp(max(abs(lo), abs(hi)))
     xtol = max(WORST_CASE_XTOL * min(1.0, hi - lo), 8.0 * ulp)
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc = joint_entropy(c)
-    fd = joint_entropy(d)
-    while b - a > xtol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = joint_entropy(d)
+    half = 0.5 * xtol
+    a, b = lo + half, hi - half
+    refined = 0.5 * (lo + hi)
+    if a < b:
+        fa = _entropy_slope(xm, a, V_p_B)
+        fb = _entropy_slope(xm, b, V_p_B)
+        if not fa > 0.0:
+            refined = a
+        elif not fb < 0.0:
+            refined = b
         else:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = joint_entropy(c)
-    refined = 0.5 * (a + b)
+            side = 0
+            while b - a > xtol:
+                if fa < math.inf and fb > -math.inf:
+                    x = a + (b - a) * (fa / (fa - fb))
+                else:
+                    x = 0.5 * (a + b)
+                if x < a + half:
+                    x = a + half
+                elif x > b - half:
+                    x = b - half
+                fx = _entropy_slope(xm, x, V_p_B)
+                # a point on the same side as the last one scales the
+                # kept end's slope by 1 - fx/f(replaced), or by 1/2
+                if fx > 0.0:
+                    if side > 0:
+                        m = 1.0 - fx / fa
+                        fb *= m if m > 0.0 else 0.5
+                    a, fa, side = x, fx, 1
+                elif fx < 0.0:
+                    if side < 0:
+                        m = 1.0 - fx / fb
+                        fa *= m if m > 0.0 else 0.5
+                    b, fb, side = x, fx, -1
+                else:
+                    a = b = x
+            refined = 0.5 * (a + b)
 
     candidates = [
         (lo, joint_entropy(lo)),

@@ -10,7 +10,7 @@ from udcvqkd import (
     ChannelParams,
     CovMatrix,
     DomainError,
-    ObservedStats,
+    NoPositiveRate,
     ProtocolParams,
     Quadrature,
     QuadratureSelector,
@@ -39,7 +39,14 @@ from udcvqkd import (
     symplectic_eigenvalues,
     von_neumann_entropy,
 )
-from udcvqkd.protocol import _conditional_nu, _g_array, _symplectic_pair, _x_moments
+from udcvqkd import protocol
+from udcvqkd.protocol import (
+    _conditional_nu,
+    _entropy_slope,
+    _g_array,
+    _symplectic_pair,
+    _x_moments,
+)
 
 DR = ReconciliationDirection.DIRECT
 RR = ReconciliationDirection.REVERSE
@@ -115,11 +122,12 @@ class TestParams:
     def test_observed_stats_consistency(self):
         params = ProtocolParams(V_S=0.7, V_M=12.0)
         chan = ChannelParams(eta_x=0.85, eta_p=0.6, eps_x=0.04, eps_p=0.02)
-        obs = ObservedStats.from_parameters(params, chan)
+        v_x_b = _x_moments(params, chan.eta_x, chan.eps_x).v_x_b
         expected = chan.eta_x * (params.V_S + params.V_M + chan.eps_x) + 1 - chan.eta_x
-        assert obs.V_x_B == pytest.approx(expected, abs=1e-12)
-        strict = ObservedStats.from_parameters(params, chan, strict_paper_vpb=True)
-        assert obs.V_p_B - strict.V_p_B == pytest.approx(1 - chan.eta_p, abs=1e-12)
+        assert v_x_b == pytest.approx(expected, abs=1e-12)
+        v_p_b = symmetric_vpB(params, chan.eta_p, chan.eps_p)
+        strict = symmetric_vpB(params, chan.eta_p, chan.eps_p, strict_paper=True)
+        assert v_p_b - strict == pytest.approx(1 - chan.eta_p, abs=1e-12)
 
 
 class TestBuildEbState:
@@ -245,7 +253,7 @@ class TestConditionalStates:
                 eps_x=rng.uniform(0.0, 0.3),
                 eps_p=rng.uniform(0.0, 0.3),
             )
-            v_p_b = ObservedStats.from_parameters(params, chan).V_p_B
+            v_p_b = symmetric_vpB(params, chan.eta_p, chan.eps_p)
             interval = physicality_interval(params, chan, v_p_b)
             if interval is None:
                 continue
@@ -354,16 +362,31 @@ class TestHolevoBound:
             holevo_bound(params, chan, hi + 1e-2, v_p_b, DR)
 
 
+def _mp_g(nu):
+    if nu <= 1:
+        return mpmath.mpf(0)
+    a, b = (nu + 1) / 2, (nu - 1) / 2
+    return a * mpmath.log(a, 2) - b * mpmath.log(b, 2)
+
+
+def _mp_joint_entropy(params, chan, c_p, v_p_b):
+    """g(nu_+) + g(nu_-) at the working precision, with nu_+-**2 the roots
+    of x**2 - Delta x + det(gamma) for the shared state gamma."""
+    v_s, v_m, eta, eps, vpb = (
+        mpmath.mpf(x) for x in (params.V_S, params.V_M, chan.eta_x, chan.eps_x, v_p_b)
+    )
+    v = mpmath.sqrt(1 + v_m / v_s)
+    cx = mpmath.sqrt(eta * v_m * v)
+    vxb = eta * (v_s + v_m + eps) + 1 - eta
+    delta = v**2 + vxb * vpb + 2 * cx * c_p
+    det = (v * vxb - cx**2) * (v * vpb - c_p**2)
+    split = mpmath.sqrt(delta**2 - 4 * det)
+    return _mp_g(mpmath.sqrt((delta + split) / 2)) + _mp_g(mpmath.sqrt((delta - split) / 2))
+
+
 def _mp_holevo(params, chan, c_p, v_p_b, direction):
     """Holevo information at 50 digits from the float inputs, with the
     symplectic spectrum taken from the eigenvalues of i.Omega.gamma."""
-
-    def g(nu):
-        if nu <= 1:
-            return mpmath.mpf(0)
-        a, b = (nu + 1) / 2, (nu - 1) / 2
-        return a * mpmath.log(a, 2) - b * mpmath.log(b, 2)
-
     with mpmath.workdps(50):
         v_s, v_m, eta, eps, cp, vpb = (
             mpmath.mpf(x) for x in (params.V_S, params.V_M, chan.eta_x, chan.eps_x, c_p, v_p_b)
@@ -379,7 +402,7 @@ def _mp_holevo(params, chan, c_p, v_p_b, direction):
             nu_cond = mpmath.sqrt((vxb - cx**2 / v) * vpb)
         else:
             nu_cond = mpmath.sqrt((v - cx**2 / vxb) * v)
-        return g(nus[0]) + g(nus[2]) - g(nu_cond)
+        return _mp_g(nus[0]) + _mp_g(nus[2]) - _mp_g(nu_cond)
 
 
 class TestTwoModeKernel:
@@ -452,6 +475,90 @@ class TestTwoModeKernel:
         chi = _g_array(nu_plus) + _g_array(nu_minus) - s_cond
         assert a.holevo >= chi.max() - 1e-12
 
+    @pytest.mark.parametrize("v_m", [1e2, 1e6, 1e8])
+    def test_slope_matches_50_digit_derivative(self, v_m):
+        for v_s, eta, eps, extra in ((0.5, 0.3, 0.0, 0.0), (1.0, 0.6, 0.02, 0.3),
+                                     (2.0, 0.9, 0.0, 0.1), (0.7, 0.95, 0.05, 0.0)):
+            params = ProtocolParams(V_S=v_s, V_M=v_m)
+            chan = ChannelParams.symmetric(eta, eps)
+            v_p_b = symmetric_vpB(params, eta, eps) + extra
+            lo, hi = physicality_interval(params, chan, v_p_b)
+            xm = _x_moments(params, eta, eps)
+            for frac in (0.1, 0.5, 0.9):
+                c_p = lo + frac * (hi - lo)
+                with mpmath.workdps(50):
+                    want = mpmath.diff(
+                        lambda c: _mp_joint_entropy(params, chan, c, v_p_b), mpmath.mpf(c_p))
+                assert _entropy_slope(xm, c_p, v_p_b) == pytest.approx(float(want), rel=1e-8)
+
+    def test_slope_is_finite_where_the_eigenvalues_meet(self):
+        # nu_+ = nu_- at v_p_b = v**2/v_x_b, c_p = -c_x v/v_x_b, where the
+        # split s - t of the squared eigenvalues is 0
+        params = ProtocolParams(V_S=0.5, V_M=10.0)
+        chan = ChannelParams.symmetric(0.7, 0.0)
+        xm = _x_moments(params, 0.7, 0.0)
+        v_p_b = xm.v**2 / xm.v_x_b
+        c_star = -xm.c_x * xm.v / xm.v_x_b
+        lo, hi = physicality_interval(params, chan, v_p_b)
+        assert lo < c_star < hi
+        nu_plus, nu_minus = _symplectic_pair(xm, c_star, v_p_b)
+        assert nu_plus == pytest.approx(nu_minus, rel=1e-12)
+        slope = _entropy_slope(xm, c_star, v_p_b)
+        with mpmath.workdps(50):
+            want = mpmath.diff(
+                lambda c: _mp_joint_entropy(params, chan, c, v_p_b), mpmath.mpf(c_star))
+        assert math.isfinite(slope)
+        assert slope == pytest.approx(float(want), rel=1e-8)
+        # the golden-section search over the whole interval gave these
+        for direction, golden in ((DR, 2.4297904129126633), (RR, 2.4297904129126637)):
+            a = key_rate(params, chan, v_p_b, direction)
+            assert a.holevo == pytest.approx(golden, abs=1e-12)
+
+    @pytest.mark.parametrize("direction", [DR, RR])
+    def test_worst_case_at_interval_end(self, direction):
+        params = ProtocolParams(V_S=0.8, V_M=100.0)
+        chan = ChannelParams.symmetric(0.9, 0.0)
+        v_p_b = symmetric_vpB(params, 0.9, 0.0)
+        a = key_rate(params, chan, v_p_b, direction)
+        lo, hi = a.Cp_interval
+        assert a.worst_Cp == hi
+        assert a.holevo == holevo_bound(params, chan, hi, v_p_b, direction)
+        xm = _x_moments(params, 0.9, 0.0)
+        nu_plus, nu_minus = _symplectic_pair(xm, np.linspace(lo, hi, 1001), v_p_b)
+        s_cond = entropy_g(_conditional_nu(xm, v_p_b, direction))
+        chi = _g_array(nu_plus) + _g_array(nu_minus) - s_cond
+        assert a.holevo >= chi.max() - 1e-12
+
+    def test_slope_evaluations_per_search(self, monkeypatch):
+        # a golden section over the same grid takes about 53 kernel calls;
+        # the zero search takes its slope calls plus 3 candidate values
+        slopes, kernels = [], []
+        slope, kernel = protocol._entropy_slope, protocol._symplectic_pair
+
+        def counted_slope(*args):
+            slopes[-1] += 1
+            return slope(*args)
+
+        def counted_kernel(*args):
+            kernels[-1] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(protocol, "_entropy_slope", counted_slope)
+        monkeypatch.setattr(protocol, "_symplectic_pair", counted_kernel)
+        rng = np.random.default_rng(97)
+        for _ in range(400):
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-1.0, 1.0),
+                                    V_M=10.0 ** rng.uniform(0.0, 8.0))
+            eta, eps = rng.uniform(0.05, 1.0), rng.choice([0.0, rng.uniform(0.0, 0.1)])
+            chan = ChannelParams.symmetric(eta, eps)
+            v_p_b = symmetric_vpB(params, eta, eps) + rng.choice([0.0, rng.uniform(0.0, 1.0)])
+            slopes.append(0)
+            kernels.append(0)
+            key_rate(params, chan, v_p_b, DR if rng.uniform() < 0.5 else RR)
+        assert np.mean(slopes) <= 20
+        assert max(slopes) <= 60
+        assert max(kernels) <= 3
+
 
 class TestKeyRate:
     def test_identity_channel_keeps_all_mutual_information(self):
@@ -505,6 +612,17 @@ class TestKeyRate:
         v_p_b = symmetric_vpB(params, 0.9, 0.0, strict_paper=True)
         with pytest.raises(UnphysicalObservation):
             key_rate(params, chan, v_p_b, DR)
+
+    def test_lossless_channel_with_tiny_signal_variance(self):
+        # b = 1 - eta + eta V_S and v_x_b = b + eta V_M keep V_S = 1e-8 at
+        # eta = 1; written as eta (V_S - 1) + 1 they cancel, and the RR
+        # conditional entropy then exceeded the joint one by 4.4e-8 bits
+        params = ProtocolParams(V_S=1e-8, V_M=0.0)
+        chan = ChannelParams.symmetric(1.0, 0.0)
+        a = key_rate(params, chan, symmetric_vpB(params, 1.0, 0.0), RR)
+        assert a.holevo == 0.0
+        with pytest.raises(NoPositiveRate):
+            max_attenuation(params, 0.0, RR)
 
 
 class TestSymmetricVpB:
