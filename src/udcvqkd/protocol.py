@@ -25,7 +25,7 @@ from .errors import (
     UnphysicalObservation,
     UnphysicalState,
 )
-from .gaussian import CovMatrix, PHYSICALITY_TOL, entropy_g
+from .gaussian import CovMatrix, entropy_g
 
 LOG2E = math.log2(math.e)
 
@@ -37,10 +37,6 @@ HOLEVO_FLOOR_TOL = 1e-9
 # on it, so that exactly-critical channels (e.g. pure loss on a coherent
 # state) survive floating-point rounding.
 VERTEX_SLACK = 1e-12
-# A symplectic eigenvalue this far below 1 in a state that passed the
-# physicality test is rounding on the boundary; entries of order V_M put
-# it about V_M * 1e-16 below 1.
-BOUNDARY_NU_TOL = 1e-7
 
 
 def _check_finite(**values: float) -> None:
@@ -291,8 +287,10 @@ def _physical(xm: _XMoments, c_p, v_p_b: float, tol: float):
 
     With X and P the x and p blocks of gamma this is exactly
     (P + tol) - (X + tol)^-1 >= 0, a 2x2 test, done here multiplied through
-    by det(X + tol) = v b + tol (v + v_x_b + tol).  c_p is a float or a
-    numpy array.
+    by det(X + tol) = v b + tol (v + v_x_b + tol).  At tol = 0 its
+    n12**2 <= n11 n22, divided by (v b)**2, is the physicality parabola
+    (physicality_parabola), which is what key_rate and holevo_bound use;
+    the tolerance is for the region maps.  c_p is a float or a numpy array.
     """
     v, c_x, v_x_b, b = xm
     det_x = v * b + tol * (v + v_x_b + tol)
@@ -350,18 +348,16 @@ def physicality_parabola(
 
         (C_p - C0)**2 <= coeff * (V_p_B - V0).
 
-    Only the x-quadrature channel parameters enter.
+    This is _physical's test at tol = 0 divided by (v b)**2: V0 = 1/b,
+    C0 = -c_x/(v b) and coeff = n11/(v b).  n11 = v**2 b - v_x_b is
+    written as V_M ((1 - eta_x) + eta_x eps_x) / V_S, which does not
+    cancel and is exactly 0 on a lossless, noiseless channel.  Only the
+    x-quadrature channel parameters enter.
     """
-    v0 = 1.0 / _x_noise(params.V_S, chan.eta_x, chan.eps_x)
-    c0 = (
-        -v0
-        * math.sqrt(chan.eta_x * params.V_M)
-        / (params.V_M / params.V_S + 1.0) ** 0.25
-    )
-    root = math.sqrt(params.V_S * (params.V_S + params.V_M))
-    if not root > 0.0:
-        raise DomainError(f"V_S (V_S + V_M) underflows at V_S={params.V_S!r}, V_M={params.V_M!r}")
-    coeff = params.V_M / root * (1.0 - chan.eta_x * params.V_S * v0)
+    xm = _x_moments(params, chan.eta_x, chan.eps_x)
+    vb = xm.v * xm.b
+    n11 = params.V_M * ((1.0 - chan.eta_x) + chan.eta_x * chan.eps_x) / params.V_S
+    v0, c0, coeff = 1.0 / xm.b, -xm.c_x / vb, n11 / vb
     if not (math.isfinite(v0) and math.isfinite(c0) and math.isfinite(coeff)):
         raise _not_finite("physicality parabola")
     return v0, c0, coeff
@@ -418,7 +414,6 @@ def holevo_bound(
     C_p: float,
     V_p_B: float,
     direction: ReconciliationDirection,
-    tol: float = PHYSICALITY_TOL,
 ) -> float:
     """Eavesdropper's Holevo information (bits) at a specific p correlation.
 
@@ -427,30 +422,25 @@ def holevo_bound(
     from the closed-form symplectic eigenvalues that key_rate searches
     over.  Small negative values (within 1e-9) are clamped to zero.
 
-    Once the state has passed the physicality test, a symplectic eigenvalue
-    within 1e-7 below 1 is rounding on a boundary state and counts as a
-    pure mode: at the ends of the physicality interval with V_M around 1e7
-    or more it lands about 1e-8 below 1.
+    The state is physical exactly when C_p lies in physicality_interval,
+    the set key_rate maximizes over, so the two agree by construction.  At
+    the ends of that interval with V_M around 1e7 or more a symplectic
+    eigenvalue rounds to about 1e-8 below 1; it counts as a pure mode.
 
-    Raises UnphysicalState when the two-mode state at (C_p, V_p_B) violates
-    the uncertainty principle beyond tol, or beyond that rounding, and
-    NonPositiveDefinite when a large tol admits a singular state.
+    Raises UnphysicalState when C_p lies outside the interval or no
+    physical state matches V_p_B, NonPositiveDefinite when the state is
+    singular, and DomainError when V_p_B is not positive and finite.
     """
-    xm = _x_moments(params, chan.eta_x, chan.eps_x)
-    if not _physical(xm, C_p, V_p_B, tol):
+    interval = physicality_interval(params, chan, V_p_B)
+    if interval is None or not interval[0] <= C_p <= interval[1]:
         raise UnphysicalState(
             f"two-mode state with C_p={C_p!r}, V_p_B={V_p_B!r} is unphysical"
         )
+    xm = _x_moments(params, chan.eta_x, chan.eps_x)
     if not xm.v * V_p_B > C_p * C_p:
         raise NonPositiveDefinite("covariance matrix is not positive definite")
     nu_plus, nu_minus = _symplectic_pair(xm, C_p, V_p_B)
     nu_cond = _conditional_nu(xm, V_p_B, direction)
-    nu_min = min(nu_minus, nu_cond)
-    if nu_min < 1.0 - BOUNDARY_NU_TOL:
-        raise UnphysicalState(
-            f"two-mode state with C_p={C_p!r}, V_p_B={V_p_B!r} has a "
-            f"symplectic eigenvalue {nu_min!r} below 1"
-        )
     s_cond = entropy_g(max(nu_cond, 1.0))
     chi = _floor_holevo(_g(nu_plus) + _g(nu_minus) - s_cond)
     if not math.isfinite(chi):

@@ -166,7 +166,10 @@ def scan_region(
     follows the symmetric-channel convention (honoring strict_paper_vpb).
     Secure cells are decided by the sign of the key rate at that exact
     (V_p_B or eps_p, C_p), with no smoothing of boundary cells.
+    physicality_tol must be nonnegative and finite.
     """
+    if not 0.0 <= physicality_tol < math.inf:
+        raise ConfigError("physicality_tol must be nonnegative and finite")
     eta_x, eps_x = chan_x
     chan = ChannelParams(eta_x=eta_x, eta_p=eta_x, eps_x=eps_x, eps_p=eps_x)
     x_axis = np.linspace(grid.x_min, grid.x_max, grid.x_points)

@@ -44,6 +44,7 @@ from udcvqkd.protocol import (
     _conditional_nu,
     _entropy_slope,
     _g_array,
+    _physical,
     _symplectic_pair,
     _x_moments,
 )
@@ -224,19 +225,88 @@ class TestPhysicalityBound:
         assert hi - lo == pytest.approx(2 * math.sqrt(coeff * 0.3), abs=1e-10)
 
     def test_lossless_noiseless_interval_collapses_to_pure_correlation(self):
+        # the curvature is exactly 0 here, so the interval is one point at
+        # the observed V_p_B and above it alike
         rng = np.random.default_rng(47)
         chan = ChannelParams.symmetric(1.0, 0.0)
         for _ in range(100):
             params = ProtocolParams(V_S=rng.uniform(0.2, 5), V_M=rng.uniform(0.1, 50))
             v_p_b = symmetric_vpB(params, 1.0, 0.0)
-            lo, hi = physicality_interval(params, chan, v_p_b)
-            assert hi - lo <= 1e-8
-            assert 0.5 * (lo + hi) == pytest.approx(pure_cp(params), abs=1e-10)
+            for extra in (0.0, rng.uniform(0.0, 1e-6), rng.uniform(0.0, 10.0)):
+                lo, hi = physicality_interval(params, chan, v_p_b + extra)
+                assert hi == lo
+                assert lo == pytest.approx(pure_cp(params), abs=1e-10)
+
+    def test_parabola_matches_50_digit_invariants(self):
+        # V0 = 1/b, C0 = -c_x/(v b) and coeff = (v**2 b - v_x_b)/(v b) from
+        # the float inputs; 1 - eta V_S/b in place of the uncancelled n11
+        # loses up to 7e-8 of coeff, relative, at eta = 1 and eps near 1e-8
+        rng = np.random.default_rng(131)
+        for i in range(400):
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-1.0, 1.0),
+                                    V_M=10.0 ** rng.uniform(0.0, 8.0))
+            eta = 1.0 if i % 4 == 0 else rng.uniform(0.05, 1.0)
+            chan = ChannelParams.symmetric(eta, 10.0 ** rng.uniform(-8.0, -1.0))
+            got = physicality_parabola(params, chan)
+            with mpmath.workdps(50):
+                v_s, v_m, eta, eps = (mpmath.mpf(x) for x in (params.V_S, params.V_M,
+                                                              chan.eta_x, chan.eps_x))
+                v = mpmath.sqrt(1 + v_m / v_s)
+                b = 1 - eta + eta * (v_s + eps)
+                c_x = mpmath.sqrt(eta * v_m * v)
+                v_x_b = b + eta * v_m
+                want = (1 / b, -c_x / (v * b), (v**2 * b - v_x_b) / (v * b))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * abs(w)
 
     def test_rejects_nonpositive_observation(self):
         params = ProtocolParams(V_S=1.0, V_M=1.0)
         with pytest.raises(DomainError):
             physicality_interval(params, ChannelParams.symmetric(0.9, 0.0), 0.0)
+
+    @pytest.mark.parametrize("v_s", [1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-12, 1.0 + 1e-12,
+                                     1.0 - 1e-15, 1.0 + 1e-15])
+    def test_pure_loss_near_coherent_keeps_its_interval(self, v_s):
+        # pure loss puts V_p_B about eta (1 - eta) (V_S - 1)**2 above the
+        # vertex, below rounding here; VERTEX_SLACK keeps these observations
+        # physical (without it, rounding puts some just below the vertex)
+        rng = np.random.default_rng(137)
+        for _ in range(200):
+            params = ProtocolParams(V_S=v_s, V_M=10.0 ** rng.uniform(0.0, 8.0))
+            eta = rng.uniform(0.05, 1.0)
+            chan = ChannelParams.symmetric(eta, 0.0)
+            v_p_b = symmetric_vpB(params, eta, 0.0)
+            assert physicality_interval(params, chan, v_p_b) is not None
+            for direction in (DR, RR):
+                key_rate(params, chan, v_p_b, direction)
+
+    def test_interval_is_the_exact_uncertainty_test(self):
+        # _physical at tol = 0 holds at the interval midpoint and fails just
+        # beyond either end: the parabola is that test, not an approximation.
+        # holevo_bound, checked in every tenth draw, accepts exactly the
+        # interval.
+        rng = np.random.default_rng(139)
+        for i in range(20000):
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-1.0, 1.0),
+                                    V_M=10.0 ** rng.uniform(0.0, 8.0))
+            eta, eps = rng.uniform(0.05, 1.0), 10.0 ** rng.uniform(-4.0, -1.0)
+            chan = ChannelParams.symmetric(eta, eps)
+            v0 = physicality_parabola(params, chan)[0]
+            v_p_b = v0 * (1.0 + 10.0 ** rng.uniform(-4.0, 0.0))
+            lo, hi = physicality_interval(params, chan, v_p_b)
+            xm = _x_moments(params, eta, eps)
+            step = 1e-6 * (hi - lo)
+            assert _physical(xm, 0.5 * (lo + hi), v_p_b, 0.0)
+            assert not _physical(xm, lo - step, v_p_b, 0.0)
+            assert not _physical(xm, hi + step, v_p_b, 0.0)
+            if i % 10:
+                continue
+            direction = DR if i % 20 else RR
+            for c_p in (lo, hi):
+                assert holevo_bound(params, chan, c_p, v_p_b, direction) >= 0.0
+            for c_p in (lo - step, hi + step):
+                with pytest.raises(UnphysicalState):
+                    holevo_bound(params, chan, c_p, v_p_b, direction)
 
 
 class TestConditionalStates:

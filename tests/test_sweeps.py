@@ -272,6 +272,14 @@ class TestScanRegion:
             scan_region(self.params, self.chan_x, region_grid(-0.1, 0.4),
                         RegionMode.SYMMETRIC_NOISE)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    def test_rejects_bad_physicality_tolerance(self, bad):
+        # nan and inf would mark every cell unphysical, and a negative
+        # tolerance would shrink the region, all without complaint
+        with pytest.raises(ConfigError):
+            scan_region(self.params, self.chan_x, region_grid(0.9, 1.8), RegionMode.FREE_VPB,
+                        physicality_tol=bad)
+
     @pytest.mark.parametrize("x_points", [2, 31, 32, 33, 97])
     @pytest.mark.parametrize("mode,x_range", [
         (RegionMode.FREE_VPB, (0.7, 2.2)),
