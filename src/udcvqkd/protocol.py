@@ -287,10 +287,9 @@ def _physical(xm: _XMoments, c_p, v_p_b: float, tol: float):
 
     With X and P the x and p blocks of gamma this is exactly
     (P + tol) - (X + tol)^-1 >= 0, a 2x2 test, done here multiplied through
-    by det(X + tol) = v b + tol (v + v_x_b + tol).  At tol = 0 its
-    n12**2 <= n11 n22, divided by (v b)**2, is the physicality parabola
-    (physicality_parabola), which is what key_rate and holevo_bound use;
-    the tolerance is for the region maps.  c_p is a float or a numpy array.
+    by det(X + tol) = v b + tol (v + v_x_b + tol).  At tol = 0 it is
+    physicality_parabola, which key_rate and holevo_bound use; the region
+    maps use the tolerance.  c_p is a float or a numpy array.
     """
     v, c_x, v_x_b, b = xm
     det_x = v * b + tol * (v + v_x_b + tol)
@@ -348,13 +347,15 @@ def physicality_parabola(
 
         (C_p - C0)**2 <= coeff * (V_p_B - V0).
 
-    This is _physical's test at tol = 0 divided by (v b)**2: V0 = 1/b,
-    C0 = -c_x/(v b) and coeff = n11/(v b).  n11 = v**2 b - v_x_b is
-    written as V_M ((1 - eta_x) + eta_x eps_x) / V_S, which does not
-    cancel and is exactly 0 on a lossless, noiseless channel.  Only the
+    This is _physical's n12**2 <= n11 n22 at tol = 0 over (v b)**2, with
+    n11 = v**2 b - v_x_b written as V_M ((1 - eta_x) + eta_x eps_x) / V_S,
+    which does not cancel (0 on a lossless, noiseless channel).  Only the
     x-quadrature channel parameters enter.
     """
-    xm = _x_moments(params, chan.eta_x, chan.eps_x)
+    return _parabola(_x_moments(params, chan.eta_x, chan.eps_x), params, chan)
+
+
+def _parabola(xm: _XMoments, params: ProtocolParams, chan: ChannelParams):
     vb = xm.v * xm.b
     n11 = params.V_M * ((1.0 - chan.eta_x) + chan.eta_x * chan.eps_x) / params.V_S
     v0, c0, coeff = 1.0 / xm.b, -xm.c_x / vb, n11 / vb
@@ -372,10 +373,15 @@ def physicality_interval(
     parabola vertex or the curvature vanishes, or None when no physical
     state is compatible (V_p_B below the vertex).
     """
+    return _interval(physicality_parabola(params, chan), V_p_B)
+
+
+def _interval(parabola, V_p_B: float):
+    """physicality_interval from its parabola."""
     _check_finite(V_p_B=V_p_B)
     if not V_p_B > 0.0:
         raise DomainError("V_p_B must be positive")
-    v0, c0, coeff = physicality_parabola(params, chan)
+    v0, c0, coeff = parabola
     dv = V_p_B - v0
     if dv < -VERTEX_SLACK * max(1.0, abs(v0)):
         return None
@@ -422,21 +428,24 @@ def holevo_bound(
     from the closed-form symplectic eigenvalues that key_rate searches
     over.  Small negative values (within 1e-9) are clamped to zero.
 
-    The state is physical exactly when C_p lies in physicality_interval,
-    the set key_rate maximizes over, so the two agree by construction.  At
-    the ends of that interval with V_M around 1e7 or more a symplectic
-    eigenvalue rounds to about 1e-8 below 1; it counts as a pure mode.
-
-    Raises UnphysicalState when C_p lies outside the interval or no
-    physical state matches V_p_B, NonPositiveDefinite when the state is
-    singular, and DomainError when V_p_B is not positive and finite.
+    C_p is physical when it lies in physicality_interval, up to rounding:
+    boundary states computed another way (pure loss, or the source state
+    on a lossless channel) land a few ulps off an end, so C_p is accepted
+    8 ulps beyond the interval at V_p_B + 8 ulps and moved to the nearer
+    end.  A symplectic eigenvalue there about 1e-8 below 1 (V_M >= 1e7)
+    counts as a pure mode.  Raises UnphysicalState for any other C_p,
+    NonPositiveDefinite for a singular state and DomainError when V_p_B
+    is not positive and finite.
     """
-    interval = physicality_interval(params, chan, V_p_B)
-    if interval is None or not interval[0] <= C_p <= interval[1]:
-        raise UnphysicalState(
-            f"two-mode state with C_p={C_p!r}, V_p_B={V_p_B!r} is unphysical"
-        )
     xm = _x_moments(params, chan.eta_x, chan.eps_x)
+    parabola = _parabola(xm, params, chan)
+    interval = _interval(parabola, V_p_B)
+    if interval is not None:
+        lo, hi = _interval(parabola, V_p_B + 8.0 * math.ulp(V_p_B))
+        reach = 8.0 * math.ulp(max(abs(lo), abs(hi)))
+    if interval is None or not lo - reach <= C_p <= hi + reach:
+        raise UnphysicalState(f"two-mode state with C_p={C_p!r}, V_p_B={V_p_B!r} is unphysical")
+    C_p = min(max(C_p, interval[0]), interval[1])
     if not xm.v * V_p_B > C_p * C_p:
         raise NonPositiveDefinite("covariance matrix is not positive definite")
     nu_plus, nu_minus = _symplectic_pair(xm, C_p, V_p_B)
@@ -545,13 +554,8 @@ def key_rate(
         )
     mi = mutual_information(params, chan)
     try:
-        worst_cp, chi = _worst_case_correlation(
-            _x_moments(params, chan.eta_x, chan.eps_x),
-            V_p_B,
-            direction,
-            interval[0],
-            interval[1],
-        )
+        xm = _x_moments(params, chan.eta_x, chan.eps_x)
+        worst_cp, chi = _worst_case_correlation(xm, V_p_B, direction, *interval)
     except (ZeroDivisionError, TypeError) as exc:
         # a zero nu_plus**2, or a complex nu_minus from a determinant that
         # rounding made negative: the inputs are beyond double precision

@@ -344,6 +344,27 @@ class TestHolevoBound:
         for direction in (DR, RR):
             assert holevo_bound(params, chan, pure_cp(params), v_p_b, direction) <= 1e-9
 
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_true_boundary_state_is_accepted(self, lossy):
+        # the source state on a lossless, noiseless channel and the true
+        # state after pure loss lie on an interval end, but their C_p and
+        # V_p_B are computed another way than the interval and land a few
+        # ulps to either side of it; every fourth source is near-coherent
+        rng = np.random.default_rng(151)
+        for i in range(2000):
+            v_s = 1.0 + rng.uniform(-1e-6, 1e-6) if i % 4 == 0 else rng.uniform(0.2, 5.0)
+            params = ProtocolParams(V_S=v_s, V_M=rng.uniform(0.1, 50.0))
+            eta = rng.uniform(0.05, 1.0) if lossy else 1.0
+            chan = ChannelParams.symmetric(eta, 0.0)
+            c_p = math.sqrt(eta) * pure_cp(params)
+            v_p_b = symmetric_vpB(params, eta, 0.0)
+            for direction in (DR, RR):
+                chi = holevo_bound(params, chan, c_p, v_p_b, direction)
+                if lossy:
+                    assert chi <= key_rate(params, chan, v_p_b, direction).holevo + 1e-9
+                else:
+                    assert chi <= 1e-9
+
     def test_direct_conditional_eigenvalue_identity(self):
         # nu of the post-measurement state equals sqrt(det) of the generic
         # conditioning result

@@ -19,6 +19,7 @@ from udcvqkd import (
     RegionMap,
     RegionMode,
     SweepConfig,
+    UnphysicalState,
     apply_channel,
     condition_on_homodyne,
     curve_to_csv,
@@ -33,6 +34,7 @@ from udcvqkd import (
     max_attenuation,
     max_tolerable_noise,
     mutual_information,
+    physicality_interval,
     physicality_parabola,
     region_to_json,
     scan_region,
@@ -137,9 +139,8 @@ class TestScanRegion:
             j = int(rng.integers(0, grid.cp_points))
             v_p_b = float(region.x_axis[i])
             c_p = float(region.cp_axis[j])
-            mat = apply_channel(self.params, chan, c_p).mat.copy()
-            mat[3, 3] = v_p_b
-            if not is_physical(CovMatrix(mat)):
+            interval = physicality_interval(self.params, chan, v_p_b)
+            if interval is None or not interval[0] <= c_p <= interval[1]:
                 expected = RegionClass.UNPHYSICAL
             else:
                 k_dr = mi - holevo_bound(self.params, chan, c_p, v_p_b, DR)
@@ -153,6 +154,21 @@ class TestScanRegion:
                 else:
                     expected = RegionClass.PHYSICAL_INSECURE
             assert region.cells[i, j] == expected
+
+    def test_tolerance_band_cell_is_physical_only_in_the_map(self):
+        # known limitation: the map tests cells with physicality_tol, while
+        # key_rate and holevo_bound use the tol = 0 interval, so a cell
+        # 1e-9 beyond the interval is physical in the map and not pointwise.
+        # When the maps adopt the interval this cell turns UNPHYSICAL.
+        chan = ChannelParams.symmetric(*self.chan_x)
+        v_p_b = 1.5
+        hi = physicality_interval(self.params, chan, v_p_b)[1]
+        grid = region_grid(v_p_b, v_p_b + 0.1, points=2, cp_min=hi + 1e-9, cp_max=hi + 1.0)
+        region = scan_region(self.params, self.chan_x, grid, RegionMode.FREE_VPB)
+        assert region.cp_axis[0] > hi and region.cells[0, 1] == RegionClass.UNPHYSICAL
+        assert region.cells[0, 0] != RegionClass.UNPHYSICAL
+        with pytest.raises(UnphysicalState):
+            holevo_bound(self.params, chan, float(region.cp_axis[0]), v_p_b, DR)
 
     @pytest.mark.parametrize("v_s,v_m", [(1.0, 10.0), (0.5, 1e4)])
     def test_physicality_mask_matches_uncertainty_eigenvalue(self, v_s, v_m):
