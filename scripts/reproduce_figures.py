@@ -40,6 +40,8 @@ REGION_VS = (0.9, 1.0, 1.1)
 SWEEP_VM = 100.0
 SWEEP_EPS = 0.03
 SWEEP_VS = (0.5, 1.0, 2.0)
+# width of the final root bracket of each frontier point, in shot-noise units
+FRONTIER_TOL = 1e-6
 
 
 def region_maps(outdir: pathlib.Path, points: int, threads: int) -> None:
@@ -79,7 +81,7 @@ def noise_frontiers(outdir: pathlib.Path, step: float) -> None:
             kept_db, kept_eps = [], []
             for db in db_values:
                 try:
-                    eps_max = max_tolerable_noise(params, db, direction)
+                    eps_max = max_tolerable_noise(params, db, direction, tol=FRONTIER_TOL)
                 except (NoPositiveRate, NoRoot):
                     continue
                 kept_db.append(db)
@@ -92,6 +94,7 @@ def noise_frontiers(outdir: pathlib.Path, step: float) -> None:
                 metadata={
                     "V_S": v_s, "V_M": SWEEP_VM, "beta": 1.0,
                     "direction": direction.value, "strict_paper_vpb": False,
+                    "tol": FRONTIER_TOL,
                 },
             )
             write_curve_csv(curve, outdir / f"max_noise_{direction.value}_vs{v_s:g}.csv")

@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="C_p axis lo:hi[:points]; use --cp-range=-2:-1 "
                            "for negative bounds (points default 400)")
         if "tol" in options:
-            p.add_argument("--tol", type=float, help="bisection tolerance")
+            p.add_argument("--tol", type=float,
+                           help="root tolerance: width of the final regula falsi bracket")
         if "strict_paper_vpb" in options:
             p.add_argument("--strict-paper-vpb", dest="strict_paper_vpb",
                            action="store_const", const=True,

@@ -457,6 +457,58 @@ def holevo_bound(
     return chi
 
 
+def _bracket_sign_change(f, a: float, fa: float, b: float, fb: float,
+                         xtol: float) -> tuple[float, float]:
+    """Shrink a sign-change bracket of f until it is at most xtol wide.
+
+    Takes fa = f(a) > 0 > f(b) = fb and returns the final (a, b).  Regula
+    falsi with the Anderson-Bjorck end scaling (Illinois, Dowell & Jarratt,
+    BIT 11, 168 (1971), with the adaptive factor of Anderson & Bjorck,
+    BIT 13, 423 (1973)): a point on the same side as the last one scales
+    the kept end's value by 1 - f(x)/f(replaced), or by 1/2 when that is
+    not positive, so a convex f cannot pin one end.  It bisects while an
+    end's value is infinite, and keeps interpolated points xtol/2 inside
+    the bracket, so a step next to the zero closes it.  An exact zero
+    closes the bracket on that point.  When neither that point nor the
+    midpoint lies strictly inside (the ends are adjacent floats, an xtol
+    below their spacing) it stops there.
+
+    Where f is nearly flat the scaling factor nears 0 and the next point
+    lands beside the kept end, so a bracket reaching far into a flat tail
+    can take more steps than bisection.  The root finders' doubling
+    brackets are a factor of two wide.
+    """
+    half = 0.5 * xtol
+    side = 0
+    while b - a > xtol:
+        if fa < math.inf and fb > -math.inf:
+            x = a + (b - a) * (fa / (fa - fb))
+        else:
+            x = 0.5 * (a + b)
+        if x < a + half:
+            x = a + half
+        elif x > b - half:
+            x = b - half
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        fx = f(x)
+        if fx > 0.0:
+            if side > 0:
+                m = 1.0 - fx / fa
+                fb *= m if m > 0.0 else 0.5
+            a, fa, side = x, fx, 1
+        elif fx < 0.0:
+            if side < 0:
+                m = 1.0 - fx / fb
+                fa *= m if m > 0.0 else 0.5
+            b, fb, side = x, fx, -1
+        else:
+            a = b = x
+    return a, b
+
+
 def _worst_case_correlation(
     xm: _XMoments,
     V_p_B: float,
@@ -471,13 +523,10 @@ def _worst_case_correlation(
     the interval (the tests check the result against a dense grid), so its
     slope (_entropy_slope) falls from positive to negative across it.  The
     slope is taken xtol/2 inside each end; if it already points outward
-    there, the maximum lies within xtol of that end.  Otherwise regula
-    falsi with the Anderson-Bjorck end scaling (Illinois with an adaptive
-    factor) brackets the slope's zero until the bracket is xtol wide,
-    bisecting while an end's slope is unbounded; interpolated points are
-    kept xtol/2 inside the bracket, so a step next to the zero closes it.
-    xtol is WORST_CASE_XTOL times min(1, hi - lo), but not below a few
-    ulps of C_p: near a pure state the entropy can vary by 5e-11 across an
+    there, the maximum lies within xtol of that end.  Otherwise
+    _bracket_sign_change closes on the slope's zero.  xtol is
+    WORST_CASE_XTOL times min(1, hi - lo), but not below a few ulps of
+    C_p: near a pure state the entropy can vary by 5e-11 across an
     interval 1e-11 wide.  Both endpoints stay candidates.
     """
     s_cond = entropy_g(_conditional_nu(xm, V_p_B, direction))
@@ -499,31 +548,8 @@ def _worst_case_correlation(
         elif not fb < 0.0:
             refined = b
         else:
-            side = 0
-            while b - a > xtol:
-                if fa < math.inf and fb > -math.inf:
-                    x = a + (b - a) * (fa / (fa - fb))
-                else:
-                    x = 0.5 * (a + b)
-                if x < a + half:
-                    x = a + half
-                elif x > b - half:
-                    x = b - half
-                fx = _entropy_slope(xm, x, V_p_B)
-                # a point on the same side as the last one scales the
-                # kept end's slope by 1 - fx/f(replaced), or by 1/2
-                if fx > 0.0:
-                    if side > 0:
-                        m = 1.0 - fx / fa
-                        fb *= m if m > 0.0 else 0.5
-                    a, fa, side = x, fx, 1
-                elif fx < 0.0:
-                    if side < 0:
-                        m = 1.0 - fx / fb
-                        fa *= m if m > 0.0 else 0.5
-                    b, fb, side = x, fx, -1
-                else:
-                    a = b = x
+            a, b = _bracket_sign_change(lambda cp: _entropy_slope(xm, cp, V_p_B),
+                                        a, fa, b, fb, xtol)
             refined = 0.5 * (a + b)
 
     candidates = [
@@ -547,14 +573,14 @@ def key_rate(
     negative.  Raises UnphysicalObservation when no physical state matches
     the observed V_p_B.
     """
-    interval = physicality_interval(params, chan, V_p_B)
+    xm = _x_moments(params, chan.eta_x, chan.eps_x)
+    interval = _interval(_parabola(xm, params, chan), V_p_B)
     if interval is None:
         raise UnphysicalObservation(
             f"V_p_B={V_p_B!r} lies below the physicality parabola vertex"
         )
     mi = mutual_information(params, chan)
     try:
-        xm = _x_moments(params, chan.eta_x, chan.eps_x)
         worst_cp, chi = _worst_case_correlation(xm, V_p_B, direction, *interval)
     except (ZeroDivisionError, TypeError) as exc:
         # a zero nu_plus**2, or a complex nu_minus from a determinant that

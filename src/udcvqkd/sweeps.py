@@ -3,7 +3,8 @@
 Region maps are classified in blocks of REGION_BLOCK_ROWS rows, one numpy
 pass over the closed-form two-mode kernel per block, and their cell codes
 are written to JSON byte by byte; curves and root searches call key_rate
-point by point, the root searches through one bisection helper.
+point by point, the root searches by regula falsi through the bracketing
+helper that the worst-case C_p search uses.
 Everything runs on the calling thread, so output is deterministic; the
 threads settings are accepted for compatibility and have no effect.
 Region maps serialize to JSON and curves to CSV, schemas documented in the
@@ -26,6 +27,7 @@ from .protocol import (
     ChannelParams,
     ProtocolParams,
     ReconciliationDirection,
+    _bracket_sign_change,
     _conditional_nu,
     _g,
     _g_array,
@@ -278,37 +280,38 @@ def keyrate_vs_attenuation(
 
 
 def _zero_crossing(rate, first: float, cap: float, tol: float, label) -> float:
-    """A zero crossing of rate(x) on [0, cap], by bisection.
+    """A zero crossing of rate(x) on [0, cap], by regula falsi.
 
     rate returns None for observations with no physical state, which count
-    as negative; label(x) names the point x in error messages.  The upper
-    bracket doubles from first up to cap; the bracket then halves until it
-    is at most tol wide, or until its ends are adjacent floats (a tol below
-    their spacing).  Returns its midpoint.
+    as negative (-inf to the search); label(x) names the point x in error
+    messages.  The upper bracket doubles from first up to cap, and the
+    last probe with a positive rate is the lower end.  _bracket_sign_change
+    then closes the bracket until it is at most tol wide, or until its
+    ends are adjacent floats (a tol below their spacing).  Returns its
+    midpoint.
 
     Raises NoPositiveRate when rate(0) <= 0 and NoRoot when rate(cap) is
     still nonnegative.
     """
     if not 0.0 < tol < math.inf:
         raise ConfigError("tolerance must be positive and finite")
+
+    def signed(x: float) -> float:
+        k = rate(x)
+        return -math.inf if k is None else k
+
     k0 = rate(0.0)
     if k0 is None or k0 <= 0.0:
         raise NoPositiveRate(f"key rate at {label(0.0)} is {k0!r}")
+    lo, k_lo = 0.0, k0
     hi = first
-    while (k := rate(hi)) is not None and k >= 0.0:
+    while (k := signed(hi)) >= 0.0:
         if hi >= cap:
             raise NoRoot(f"key rate still positive at {label(cap)}")
+        if k > 0.0:
+            lo, k_lo = hi, k
         hi = min(hi * 2.0, cap)
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        k = rate(mid)
-        if k is None or k < 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bracket_sign_change(signed, lo, k_lo, hi, k, tol)
     return 0.5 * (lo + hi)
 
 
@@ -321,8 +324,9 @@ def max_tolerable_noise(
 ) -> float:
     """Largest symmetric excess noise with a positive worst-case key rate.
 
-    Bisection for the root of K(eps) = 0 at fixed attenuation; the upper
-    bracket doubles from 0.1 up to a cap of 10 shot-noise units.
+    Regula falsi (_zero_crossing) for the root of K(eps) = 0 at fixed
+    attenuation; the upper bracket doubles from 0.1 up to a cap of 10
+    shot-noise units.  The result lies within tol of the crossing.
 
     Raises NoPositiveRate when K(0) <= 0 and NoRoot when the cap is
     reached without a sign change.
@@ -344,8 +348,9 @@ def max_attenuation(
 ) -> float:
     """Attenuation (dB) at which the worst-case key rate crosses zero.
 
-    Bisection on a symmetric channel with fixed excess noise; the upper
-    bracket doubles from 0.5 dB up to a 60 dB cap.  Observations with no
+    Regula falsi (_zero_crossing) on a symmetric channel with fixed excess
+    noise; the upper bracket doubles from 0.5 dB up to a 60 dB cap, and
+    the result lies within tol of the crossing.  Observations with no
     physical state (strict-paper mode) count as insecure.
 
     Raises NoPositiveRate when K <= 0 already at 0 dB and NoRoot when the

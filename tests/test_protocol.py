@@ -41,6 +41,7 @@ from udcvqkd import (
 )
 from udcvqkd import protocol
 from udcvqkd.protocol import (
+    _bracket_sign_change,
     _conditional_nu,
     _entropy_slope,
     _g_array,
@@ -649,6 +650,53 @@ class TestTwoModeKernel:
         assert np.mean(slopes) <= 20
         assert max(slopes) <= 60
         assert max(kernels) <= 3
+
+
+def recorded(f):
+    """f and the list of points it is called at; a runaway loop stops at
+    1000 calls."""
+    points = []
+
+    def wrapped(x):
+        points.append(x)
+        assert len(points) <= 1000, "search did not terminate"
+        return f(x)
+
+    return wrapped, points
+
+
+class TestBracketSignChange:
+    @pytest.mark.parametrize("a,b", [(0.0, 4.0), (2.0, 4.0)])
+    def test_convex_decay_closes_faster_than_bisection(self, a, b):
+        # exp(-x) - c is convex and flattens, like K(dB); the brackets are
+        # the shapes the root finders' doubling gives, [0, first probe] and
+        # [probe, 2 probe]
+        c = math.exp(-3.0)
+        g = lambda x: math.exp(-x) - c
+        f, points = recorded(g)
+        lo, hi = _bracket_sign_change(f, a, g(a), b, g(b), 1e-4)
+        assert lo <= 3.0 <= hi and hi - lo <= 1e-4
+        assert len(points) < math.ceil(math.log2((b - a) / 1e-4))
+
+    def test_infinite_end_forces_bisection_and_still_closes(self):
+        f, points = recorded(lambda x: 0.3 - x if x < 0.4 else -math.inf)
+        lo, hi = _bracket_sign_change(f, 0.0, 0.3, 1.0, -math.inf, 1e-9)
+        # midpoints while the upper end's value is -inf: 0.5 (-inf again),
+        # 0.25 (positive), then 0.375, the first finite negative end
+        assert points[:3] == [0.5, 0.25, 0.375]
+        assert lo <= 0.3 <= hi and hi - lo <= 1e-9
+
+    def test_tolerance_below_float_spacing_stops_at_adjacent_floats(self):
+        # a step function has no zero, so only the adjacent-float stop ends it
+        f, points = recorded(lambda x: 1.0 if x < 0.3 else -1.0)
+        lo, hi = _bracket_sign_change(f, 0.0, 1.0, 1.0, -1.0, 1e-300)
+        assert lo < 0.3 <= hi == math.nextafter(lo, math.inf)
+        assert len(points) < 100
+
+    def test_exact_zero_returns_that_point(self):
+        f, points = recorded(lambda x: 0.25 - x)
+        assert _bracket_sign_change(f, 0.0, 0.25, 1.0, -0.75, 1e-12) == (0.25, 0.25)
+        assert points == [0.25]
 
 
 class TestKeyRate:

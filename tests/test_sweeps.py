@@ -470,7 +470,7 @@ def count_key_rate_calls(monkeypatch, limit=2000):
 
     def counted(*args, **kwargs):
         calls.append(None)
-        assert len(calls) <= limit, "bisection did not terminate"
+        assert len(calls) <= limit, "root search did not terminate"
         return key_rate(*args, **kwargs)
 
     monkeypatch.setattr(sweeps, "key_rate", counted)
@@ -496,17 +496,49 @@ class TestZeroCrossing:
         assert fine == pytest.approx(coarse, abs=1e-4)
         assert math.nextafter(fine, math.inf) > fine
 
-    @pytest.mark.parametrize("tol", [1e-6, 1e-3, 0.3])
-    def test_steps_follow_the_tolerance(self, monkeypatch, tol):
-        # the bracket halves while wider than tol: one key_rate call at 0,
-        # one per upper-bracket probe, one per halving
+    @pytest.mark.parametrize("tol,expected", [(1e-6, 7), (1e-3, 7), (0.3, 3)])
+    def test_calls_follow_the_tolerance(self, monkeypatch, tol, expected):
+        # one key_rate call at 0, two upper-bracket probes (0.1 is secure,
+        # 0.2 is not), then the regula falsi steps; bisection from 0 would
+        # make 21, 11 and 3 calls
         params = ProtocolParams(V_S=2.0, V_M=100.0)
         calls = count_key_rate_calls(monkeypatch)
         eps_max = max_tolerable_noise(params, 0.2, DR, tol=tol)
-        probes = 2  # 0.1 is secure, 0.2 is not
-        halvings = max(0, math.ceil(math.log2(0.2 / tol)))
-        assert len(calls) == 1 + probes + halvings
+        assert len(calls) == expected
         assert eps_max == pytest.approx(0.194519, abs=max(tol, 5e-4))
+
+    def test_figure_set_roots_within_call_budget(self, monkeypatch):
+        # the figure set's roots: noise frontiers over 0.1-1.2 dB and
+        # attenuation limits at four noise levels, for every source and
+        # both directions; bisection needs 19.5 key_rate calls per root
+        calls = count_key_rate_calls(monkeypatch)
+        roots = []
+        for direction in ReconciliationDirection:
+            for v_s in (0.5, 1.0, 2.0):
+                params = ProtocolParams(V_S=v_s, V_M=100.0)
+                searches = [(max_tolerable_noise, db, 1e-6) for db in db_grid(0.1, 1.2, 0.1)]
+                searches += [(max_attenuation, eps, 1e-4) for eps in (0.0, 0.01, 0.03, 0.05)]
+                for find, fixed, tol in searches:
+                    start = len(calls)
+                    try:
+                        root = find(params, fixed, direction, tol=tol)
+                    except (NoPositiveRate, NoRoot):
+                        continue
+                    roots.append((params, direction, find, fixed, tol, root, len(calls) - start))
+        assert len(roots) == 88
+        assert sum(r[-1] for r in roots) / len(roots) <= 10
+        monkeypatch.undo()
+
+        def rate(params, direction, find, fixed, x):
+            db, eps = (fixed, x) if find is max_tolerable_noise else (x, fixed)
+            eta = db_to_eta(db)
+            chan = ChannelParams.symmetric(eta, eps)
+            return key_rate(params, chan, symmetric_vpB(params, eta, eps), direction).key_rate
+
+        for params, direction, find, fixed, tol, root, _ in roots:
+            below = rate(params, direction, find, fixed, max(root - tol, 0.0))
+            above = rate(params, direction, find, fixed, root + tol)
+            assert below >= 0.0 > above, (params, direction, find.__name__, fixed, root)
 
 
 class TestMaxAttenuation:
