@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DomainError,
     NonPositiveDefinite,
     UnphysicalObservation,
@@ -273,13 +274,23 @@ def _g(nu: float) -> float:
 
 
 def _g_array(nu: np.ndarray) -> np.ndarray:
-    """_g over a numpy array."""
+    """_g over a numpy array; nu <= 1 or NaN gives 0, without warnings."""
     m = 0.5 * (nu - 1.0)
-    out = np.zeros_like(m)
-    above = m > 0.0
-    m = m[above]
-    out[above] = (np.log1p(m) + m * np.log1p(1.0 / m)) * LOG2E
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(m > 0.0, (np.log1p(m) + m * np.log1p(1.0 / m)) * LOG2E, 0.0)
+
+
+def _uncertainty_terms(xm: _XMoments, c_p, v_p_b, tol: float):
+    """(n11, n22, n12) of _physical's 2x2 test.  n12 is nondecreasing in
+    c_p; ConfigError when det(X + tol) overflows (tol about 1e154)."""
+    v, c_x, v_x_b, b = xm
+    det_x = v * b + tol * (v + v_x_b + tol)
+    if not math.isfinite(det_x):
+        raise ConfigError(f"physicality tolerance {tol!r} overflows det(X + tol)")
+    n11 = (v + tol) * det_x - (v_x_b + tol)
+    n22 = (v_p_b + tol) * det_x - (v + tol)
+    n12 = c_p * det_x + c_x
+    return n11, n22, n12
 
 
 def _physical(xm: _XMoments, c_p, v_p_b: float, tol: float):
@@ -291,12 +302,24 @@ def _physical(xm: _XMoments, c_p, v_p_b: float, tol: float):
     physicality_parabola, which key_rate and holevo_bound use; the region
     maps use the tolerance.  c_p is a float or a numpy array.
     """
-    v, c_x, v_x_b, b = xm
-    det_x = v * b + tol * (v + v_x_b + tol)
-    n11 = (v + tol) * det_x - (v_x_b + tol)
-    n22 = (v_p_b + tol) * det_x - (v + tol)
-    n12 = c_p * det_x + c_x
+    n11, n22, n12 = _uncertainty_terms(xm, c_p, v_p_b, tol)
     return (n11 >= 0.0) & (n22 >= 0.0) & (n12 * n12 <= n11 * n22)
+
+
+def _physical_runs(xm: _XMoments, c_p: np.ndarray, v_p_b: np.ndarray, tol: float):
+    """_physical(xm, c_p, v_p_b[:, None], tol) as runs of columns
+    [first[i], stop[i]), for an increasing c_p axis: n12**2 falls to its
+    argmin k and rises after it (rounding is monotone), so the cells under
+    n11 n22 end the falling part and start the rising one.  Rows with a
+    negative n11 or n22, or n11 n22 = 0 * inf, are empty."""
+    n11, n22, n12 = _uncertainty_terms(xm, c_p, v_p_b, tol)
+    q = n12 * n12
+    k = int(np.argmin(q))
+    bound = n11 * n22
+    bound = np.where((n11 >= 0.0) & (n22 >= 0.0) & (bound >= 0.0), bound, -1.0)
+    first = k + 1 - np.searchsorted(q[k::-1], bound, side="right")
+    stop = k + np.searchsorted(q[k:], bound, side="right")
+    return first, np.maximum(stop, first)
 
 
 def apply_channel(

@@ -1,10 +1,11 @@
 """Parameter-space sweeps: region maps, loss curves, noise frontiers.
 
-Region maps are classified in blocks of REGION_BLOCK_ROWS rows, one numpy
-pass over the closed-form two-mode kernel per block, and their cell codes
-are written to JSON byte by byte; curves and root searches call key_rate
-point by point, the root searches by regula falsi through the bracketing
-helper that the worst-case C_p search uses.
+Region maps binary-search each row's run of physical C_p cells, then run
+the closed-form two-mode kernel, broadcast, over the box around the runs
+of each block of REGION_BLOCK_ROWS rows, and write cell codes to JSON two
+bytes at a time; curves and root searches call key_rate point by point,
+the root searches by regula falsi through the bracketing helper that the
+worst-case C_p search uses.
 Everything runs on the calling thread, so output is deterministic; the
 threads settings are accepted for compatibility and have no effect.
 Region maps serialize to JSON and curves to CSV, schemas documented in the
@@ -31,7 +32,7 @@ from .protocol import (
     _conditional_nu,
     _g,
     _g_array,
-    _physical,
+    _physical_runs,
     _symplectic_pair,
     _x_moments,
     key_rate,
@@ -168,7 +169,8 @@ def scan_region(
     follows the symmetric-channel convention (honoring strict_paper_vpb).
     Secure cells are decided by the sign of the key rate at that exact
     (V_p_B or eps_p, C_p), with no smoothing of boundary cells.
-    physicality_tol must be nonnegative and finite.
+    physicality_tol must be nonnegative and below about 1e154, where
+    det(X + tol) overflows; ConfigError otherwise.
     """
     if not 0.0 <= physicality_tol < math.inf:
         raise ConfigError("physicality_tol must be nonnegative and finite")
@@ -191,21 +193,30 @@ def scan_region(
     key_mi = params.beta * mutual_information(params, chan)
     xm = _x_moments(params, eta_x, eps_x)
     s_cond_rr = _g(_conditional_nu(xm, 1.0, ReconciliationDirection.REVERSE))
-    vpb_rows = np.array([vpb_of(x) for x in x_axis])
-    s_cond_dr = np.array(
-        [_g(_conditional_nu(xm, v, ReconciliationDirection.DIRECT)) for v in vpb_rows]
-    )
+    vpb_rows = np.array([vpb_of(x) for x in x_axis.tolist()])
+    # _conditional_nu's DIRECT sqrt(b V_p_B) in one pass; _g stays scalar,
+    # as np.log1p need not round like math.log1p.
+    s_cond_dr = np.array([_g(nu) for nu in np.sqrt(xm.b * vpb_rows).tolist()])
+    first, stop = _physical_runs(xm, cp_axis, vpb_rows, physicality_tol)
+    col = np.arange(grid.cp_points)
 
     cells = np.zeros((grid.x_points, grid.cp_points), dtype=np.int8)
     for start in range(0, grid.x_points, REGION_BLOCK_ROWS):
-        vpb = vpb_rows[start:start + REGION_BLOCK_ROWS]
-        rows, cols = np.nonzero(_physical(xm, cp_axis, vpb[:, None], physicality_tol))
-        nu_plus, nu_minus = _symplectic_pair(xm, cp_axis[cols], vpb[rows])
+        rows = slice(start, start + REGION_BLOCK_ROWS)
+        occupied = stop[rows] > first[rows]
+        if not occupied.any():
+            continue
+        # the box around the block's runs; its cells past a run can be
+        # unphysical (sqrt of a negative det, nu_plus = 0) and are masked
+        box = slice(first[rows][occupied].min(), stop[rows][occupied].max())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nu_plus, nu_minus = _symplectic_pair(xm, cp_axis[box], vpb_rows[rows, None])
         s_ab = _g_array(nu_plus) + _g_array(nu_minus)
-        secure_dr = key_mi - (s_ab - s_cond_dr[start + rows]) > 0.0
+        secure_dr = key_mi - (s_ab - s_cond_dr[rows, None]) > 0.0
         secure_rr = key_mi - (s_ab - s_cond_rr) > 0.0
+        inside = (first[rows, None] <= col[box]) & (col[box] < stop[rows, None])
         # PHYSICAL_INSECURE, SECURE_DR, SECURE_RR, SECURE_BOTH are 1 + dr + 2 rr
-        cells[start + rows, cols] = 1 + secure_dr + 2 * secure_rr
+        cells[rows, box] = inside * (1 + secure_dr + 2 * secure_rr)
 
     metadata = {
         "V_S": params.V_S,
@@ -426,18 +437,20 @@ def region_to_json(region: RegionMap) -> str:
     }
     # "cells" sorts first among the keys, so its text goes right after "{".
     rest = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return '{"cells":' + _cells_json(region.cells) + "," + rest[1:] + "\n"
+    return "".join(('{"cells":[', _cells_json(region.cells), ",", rest[1:], "\n"))
 
 
 def _cells_json(cells: np.ndarray) -> str:
-    """Compact JSON of a grid of single-digit codes, built byte by byte:
-    each row is "[d,d,...,d]" followed by a "," that the last row drops."""
+    """Compact JSON of a grid of single-digit codes but for its opening "[",
+    built two bytes at a time: each row is the words "[d", ",d", ..., ",d",
+    "],", and the last row ends in "]]", which closes the grid."""
     rows, cols = cells.shape
-    buf = np.full((rows, 2 * cols + 2), ord(","), dtype=np.uint8)
-    buf[:, 0] = ord("[")
-    buf[:, 1:2 * cols:2] = cells + ord("0")
-    buf[:, 2 * cols] = ord("]")
-    return "[" + buf.tobytes()[:-1].decode() + "]"
+    words = np.empty((rows, cols + 1), dtype="<u2")
+    words[:, :cols] = (cells.astype("<u2") << 8) + (ord(",") | ord("0") << 8)
+    words[:, 0] += ord("[") - ord(",")
+    words[:, cols] = ord("]") | ord(",") << 8
+    words[-1, cols] = ord("]") | ord("]") << 8
+    return str(memoryview(words), "ascii")
 
 
 def write_region_json(region: RegionMap, path) -> None:

@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from udcvqkd import (
     ChannelParams,
@@ -288,33 +291,27 @@ class TestScanRegion:
             scan_region(self.params, self.chan_x, region_grid(-0.1, 0.4),
                         RegionMode.SYMMETRIC_NOISE)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3, 1e300])
     def test_rejects_bad_physicality_tolerance(self, bad):
-        # nan and inf would mark every cell unphysical, and a negative
-        # tolerance would shrink the region, all without complaint
+        # nan and inf would mark every cell unphysical, a negative
+        # tolerance would shrink the region, and 1e300 overflows
+        # det(X + tol), all without complaint
         with pytest.raises(ConfigError):
             scan_region(self.params, self.chan_x, region_grid(0.9, 1.8), RegionMode.FREE_VPB,
                         physicality_tol=bad)
 
-    @pytest.mark.parametrize("x_points", [2, 31, 32, 33, 97])
-    @pytest.mark.parametrize("mode,x_range", [
-        (RegionMode.FREE_VPB, (0.7, 2.2)),
-        (RegionMode.SYMMETRIC_NOISE, (0.0, 0.5)),
-    ])
-    def test_blocked_scan_matches_row_by_row_evaluation(self, x_points, mode, x_range):
-        # rows are classified REGION_BLOCK_ROWS at a time; one row at a time
-        # with a float V_p_B must give the same cells, block edges included
-        params = ProtocolParams(V_S=0.8, V_M=30.0)
-        eta, eps = self.chan_x
-        grid = region_grid(*x_range, cp_min=-5.0, cp_max=0.0, x_points=x_points,
-                           cp_points=45)
-        region = scan_region(params, self.chan_x, grid, mode)
+    @staticmethod
+    def row_by_row_cells(params, chan_x, region, mode, strict=False):
+        """The cells of region, one row at a time with a float V_p_B and one
+        cell at a time through the kernel."""
+        eta, eps = chan_x
         xm = _x_moments(params, eta, eps)
         key_mi = mutual_information(params, ChannelParams.symmetric(eta, eps))
         s_cond_rr = _g(_conditional_nu(xm, 1.0, RR))
         want = np.zeros_like(region.cells)
         for i, x in enumerate(region.x_axis):
-            v_p_b = float(x) if mode is RegionMode.FREE_VPB else symmetric_vpB(params, eta, x)
+            v_p_b = (float(x) if mode is RegionMode.FREE_VPB
+                     else symmetric_vpB(params, eta, float(x), strict))
             physical = _physical(xm, region.cp_axis, v_p_b, PHYSICALITY_TOL)
             for j in np.flatnonzero(physical):
                 nu_plus, nu_minus = _symplectic_pair(xm, region.cp_axis[j:j + 1], v_p_b)
@@ -327,9 +324,63 @@ class TestScanRegion:
                     else RegionClass.SECURE_RR if k_rr > 0
                     else RegionClass.PHYSICAL_INSECURE
                 )
-        assert np.array_equal(region.cells, want)
+        return want
+
+    @pytest.mark.parametrize("x_points", [2, 31, 32, 33, 97])
+    @pytest.mark.parametrize("mode,x_range", [
+        (RegionMode.FREE_VPB, (0.7, 2.2)),
+        (RegionMode.SYMMETRIC_NOISE, (0.0, 0.5)),
+    ])
+    def test_blocked_scan_matches_row_by_row_evaluation(self, x_points, mode, x_range):
+        # rows are classified REGION_BLOCK_ROWS at a time; one row at a time
+        # with a float V_p_B must give the same cells, block edges included
+        params = ProtocolParams(V_S=0.8, V_M=30.0)
+        grid = region_grid(*x_range, cp_min=-5.0, cp_max=0.0, x_points=x_points,
+                           cp_points=45)
+        region = scan_region(params, self.chan_x, grid, mode)
+        assert np.array_equal(region.cells,
+                              self.row_by_row_cells(params, self.chan_x, region, mode))
         assert region.cells.dtype == np.int8
         assert len(np.unique(region.cells)) >= 3
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.sampled_from(list(RegionMode)),
+        st.booleans(),
+        st.floats(min_value=0.5, max_value=2.0),
+        st.floats(min_value=0.5, max_value=0.95),
+        st.integers(min_value=2, max_value=75),
+        st.integers(min_value=2, max_value=40),
+        st.floats(min_value=-6.0, max_value=0.0),
+        st.floats(min_value=0.1, max_value=6.0),
+    )
+    @example(RegionMode.SYMMETRIC_NOISE, True, 0.8, 0.9, 33, 7, -3.0, 2.0)
+    def test_scan_matches_row_by_row_evaluation_anywhere(
+            self, mode, strict, v_s, eta, x_points, cp_points, cp_min, cp_width):
+        # both modes, the strict-paper V_p_B (sub-vacuum rows are empty), row
+        # counts off the block size and C_p ranges that clip the parabola on
+        # either side or hold it whole
+        params = ProtocolParams(V_S=v_s, V_M=30.0)
+        chan_x = (eta, 0.03)
+        x_range = (0.7, 2.2) if mode is RegionMode.FREE_VPB else (0.0, 0.5)
+        grid = region_grid(*x_range, cp_min=cp_min, cp_max=cp_min + cp_width,
+                           x_points=x_points, cp_points=cp_points, strict_paper_vpb=strict)
+        region = scan_region(params, chan_x, grid, mode)
+        want = self.row_by_row_cells(params, chan_x, region, mode, strict)
+        assert np.array_equal(region.cells, want)
+
+    def test_scan_leaks_no_floating_point_warnings(self):
+        # the kernel runs over each block's bounding box, whose cells past a
+        # row's run take the square root of a negative det
+        params = ProtocolParams(V_S=0.8, V_M=30.0)
+        for mode, x_range in ((RegionMode.FREE_VPB, (0.7, 2.2)),
+                              (RegionMode.SYMMETRIC_NOISE, (0.0, 0.5))):
+            grid = region_grid(*x_range, cp_min=-5.0, cp_max=0.0, x_points=97, cp_points=45)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                region = scan_region(params, self.chan_x, grid, mode)
+            physical = region.cells != RegionClass.UNPHYSICAL
+            assert physical.any() and not physical[:, 0].all()
 
     def test_thread_count_does_not_change_cells(self):
         grid1 = region_grid(0.9, 1.8)
