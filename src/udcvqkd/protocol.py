@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DomainError,
     NonPositiveDefinite,
     UnphysicalObservation,
@@ -273,55 +272,6 @@ def _g(nu: float) -> float:
     return (math.log1p(m) + m * math.log1p(1.0 / m)) * LOG2E
 
 
-def _g_array(nu: np.ndarray) -> np.ndarray:
-    """_g over a numpy array; nu <= 1 or NaN gives 0, without warnings."""
-    m = 0.5 * (nu - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(m > 0.0, (np.log1p(m) + m * np.log1p(1.0 / m)) * LOG2E, 0.0)
-
-
-def _uncertainty_terms(xm: _XMoments, c_p, v_p_b, tol: float):
-    """(n11, n22, n12) of _physical's 2x2 test.  n12 is nondecreasing in
-    c_p; ConfigError when det(X + tol) overflows (tol about 1e154)."""
-    v, c_x, v_x_b, b = xm
-    det_x = v * b + tol * (v + v_x_b + tol)
-    if not math.isfinite(det_x):
-        raise ConfigError(f"physicality tolerance {tol!r} overflows det(X + tol)")
-    n11 = (v + tol) * det_x - (v_x_b + tol)
-    n22 = (v_p_b + tol) * det_x - (v + tol)
-    n12 = c_p * det_x + c_x
-    return n11, n22, n12
-
-
-def _physical(xm: _XMoments, c_p, v_p_b: float, tol: float):
-    """Uncertainty-principle test of the shared state: gamma + i.Omega >= -tol.
-
-    With X and P the x and p blocks of gamma this is exactly
-    (P + tol) - (X + tol)^-1 >= 0, a 2x2 test, done here multiplied through
-    by det(X + tol) = v b + tol (v + v_x_b + tol).  At tol = 0 it is
-    physicality_parabola, which key_rate and holevo_bound use; the region
-    maps use the tolerance.  c_p is a float or a numpy array.
-    """
-    n11, n22, n12 = _uncertainty_terms(xm, c_p, v_p_b, tol)
-    return (n11 >= 0.0) & (n22 >= 0.0) & (n12 * n12 <= n11 * n22)
-
-
-def _physical_runs(xm: _XMoments, c_p: np.ndarray, v_p_b: np.ndarray, tol: float):
-    """_physical(xm, c_p, v_p_b[:, None], tol) as runs of columns
-    [first[i], stop[i]), for an increasing c_p axis: n12**2 falls to its
-    argmin k and rises after it (rounding is monotone), so the cells under
-    n11 n22 end the falling part and start the rising one.  Rows with a
-    negative n11 or n22, or n11 n22 = 0 * inf, are empty."""
-    n11, n22, n12 = _uncertainty_terms(xm, c_p, v_p_b, tol)
-    q = n12 * n12
-    k = int(np.argmin(q))
-    bound = n11 * n22
-    bound = np.where((n11 >= 0.0) & (n22 >= 0.0) & (bound >= 0.0), bound, -1.0)
-    first = k + 1 - np.searchsorted(q[k::-1], bound, side="right")
-    stop = k + np.searchsorted(q[k:], bound, side="right")
-    return first, np.maximum(stop, first)
-
-
 def apply_channel(
     params: ProtocolParams, chan: ChannelParams, C_p: float
 ) -> CovMatrix:
@@ -370,8 +320,11 @@ def physicality_parabola(
 
         (C_p - C0)**2 <= coeff * (V_p_B - V0).
 
-    This is _physical's n12**2 <= n11 n22 at tol = 0 over (v b)**2, with
-    n11 = v**2 b - v_x_b written as V_M ((1 - eta_x) + eta_x eps_x) / V_S,
+    With X and P the x and p blocks of the shared state, gamma + i.Omega >= 0
+    is exactly P - X^-1 >= 0, a 2x2 test; multiplied through by
+    det X = v b, it reads n12**2 <= n11 n22 with n11 = v**2 b - v_x_b,
+    n22 = V_p_B v b - v and n12 = C_p v b + c_x, and this is that test over
+    (v b)**2.  n11 is written as V_M ((1 - eta_x) + eta_x eps_x) / V_S,
     which does not cancel (0 on a lossless, noiseless channel).  Only the
     x-quadrature channel parameters enter.
     """

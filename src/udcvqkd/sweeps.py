@@ -1,11 +1,12 @@
 """Parameter-space sweeps: region maps, loss curves, noise frontiers.
 
-Region maps binary-search each row's run of physical C_p cells, then run
-the closed-form two-mode kernel, broadcast, over the box around the runs
-of each block of REGION_BLOCK_ROWS rows, and write cell codes to JSON two
-bytes at a time; curves and root searches call key_rate point by point,
-the root searches by regula falsi through the bracketing helper that the
-worst-case C_p search uses.
+Region maps take each row's run of physical C_p cells from the parabola
+that physicality_interval and key_rate use, by two binary searches on the
+C_p axis, then run the closed-form two-mode kernel, broadcast, over the
+box around the runs of each block of REGION_BLOCK_ROWS rows, and write
+cell codes to JSON two bytes at a time; curves and root searches call
+key_rate point by point, the root searches by regula falsi through the
+bracketing helper that the worst-case C_p search uses.
 Everything runs on the calling thread, so output is deterministic; the
 threads settings are accepted for compatibility and have no effect.
 Region maps serialize to JSON and curves to CSV, schemas documented in the
@@ -23,16 +24,16 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NoPositiveRate, NoRoot, UnphysicalObservation
-from .gaussian import PHYSICALITY_TOL
 from .protocol import (
+    LOG2E,
+    VERTEX_SLACK,
     ChannelParams,
     ProtocolParams,
     ReconciliationDirection,
     _bracket_sign_change,
     _conditional_nu,
     _g,
-    _g_array,
-    _physical_runs,
+    _parabola,
     _symplectic_pair,
     _x_moments,
     key_rate,
@@ -154,12 +155,18 @@ class Curve:
             raise ConfigError("abscissa must be strictly increasing")
 
 
+def _g_array(nu: np.ndarray) -> np.ndarray:
+    """protocol._g over a numpy array; nu <= 1 or NaN gives 0, without warnings."""
+    m = 0.5 * (nu - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(m > 0.0, (np.log1p(m) + m * np.log1p(1.0 / m)) * LOG2E, 0.0)
+
+
 def scan_region(
     params: ProtocolParams,
     chan_x: tuple[float, float],
     grid: SweepConfig,
     mode: RegionMode,
-    physicality_tol: float = PHYSICALITY_TOL,
 ) -> RegionMap:
     """Classify every grid cell by physicality and pointwise key-rate signs.
 
@@ -167,13 +174,11 @@ def scan_region(
     unmodulated-quadrature variance itself; in SYMMETRIC_NOISE mode it is
     the excess noise eps_p of a channel with eta_p = eta_x, and V_p_B
     follows the symmetric-channel convention (honoring strict_paper_vpb).
-    Secure cells are decided by the sign of the key rate at that exact
-    (V_p_B or eps_p, C_p), with no smoothing of boundary cells.
-    physicality_tol must be nonnegative and below about 1e154, where
-    det(X + tol) overflows; ConfigError otherwise.
+    A cell is physical exactly when its C_p lies in
+    physicality_interval(params, chan, V_p_B) for its row, the definition
+    key_rate uses.  Secure cells are decided by the sign of the key rate at
+    that exact (V_p_B or eps_p, C_p), with no smoothing of boundary cells.
     """
-    if not 0.0 <= physicality_tol < math.inf:
-        raise ConfigError("physicality_tol must be nonnegative and finite")
     eta_x, eps_x = chan_x
     chan = ChannelParams(eta_x=eta_x, eta_p=eta_x, eps_x=eps_x, eps_p=eps_x)
     x_axis = np.linspace(grid.x_min, grid.x_max, grid.x_points)
@@ -197,7 +202,13 @@ def scan_region(
     # _conditional_nu's DIRECT sqrt(b V_p_B) in one pass; _g stays scalar,
     # as np.log1p need not round like math.log1p.
     s_cond_dr = np.array([_g(nu) for nu in np.sqrt(xm.b * vpb_rows).tolist()])
-    first, stop = _physical_runs(xm, cp_axis, vpb_rows, physicality_tol)
+    # physicality_interval for every row at once, as columns [first, stop)
+    v0, c0, coeff = _parabola(xm, params, chan)
+    dv = vpb_rows - v0
+    half = np.sqrt(max(coeff, 0.0) * np.maximum(dv, 0.0))
+    first = np.searchsorted(cp_axis, c0 - half, "left")
+    stop = np.searchsorted(cp_axis, c0 + half, "right")
+    stop[dv < -VERTEX_SLACK * max(1.0, abs(v0))] = 0
     col = np.arange(grid.cp_points)
 
     cells = np.zeros((grid.x_points, grid.cp_points), dtype=np.int8)
@@ -226,7 +237,6 @@ def scan_region(
         "eps_x": eps_x,
         "mode": mode.value,
         "strict_paper_vpb": grid.strict_paper_vpb,
-        "physicality_tol": physicality_tol,
     }
     return RegionMap(x_axis=x_axis, cp_axis=cp_axis, cells=cells, mode=mode, metadata=metadata)
 

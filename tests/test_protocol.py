@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udcvqkd import (
@@ -44,13 +44,10 @@ from udcvqkd.protocol import (
     _bracket_sign_change,
     _conditional_nu,
     _entropy_slope,
-    _g_array,
-    _physical,
-    _physical_runs,
     _symplectic_pair,
-    _uncertainty_terms,
     _x_moments,
 )
+from udcvqkd.sweeps import _g_array
 
 DR = ReconciliationDirection.DIRECT
 RR = ReconciliationDirection.REVERSE
@@ -283,9 +280,20 @@ class TestPhysicalityBound:
             for direction in (DR, RR):
                 key_rate(params, chan, v_p_b, direction)
 
+    @staticmethod
+    def uncertainty_2x2(xm, c_p, v_p_b):
+        """gamma + i.Omega >= 0 as P - X^-1 >= 0 for the x and p blocks X
+        and P, multiplied through by det X = v b."""
+        v, c_x, v_x_b, b = xm
+        n11 = v * v * b - v_x_b
+        n22 = v_p_b * v * b - v
+        n12 = c_p * v * b + c_x
+        return n11 >= 0.0 and n22 >= 0.0 and n12 * n12 <= n11 * n22
+
     def test_interval_is_the_exact_uncertainty_test(self):
-        # _physical at tol = 0 holds at the interval midpoint and fails just
-        # beyond either end: the parabola is that test, not an approximation.
+        # the 2x2 uncertainty test holds at the interval midpoint and fails
+        # just beyond either end: the parabola is that test, not an
+        # approximation.
         # holevo_bound, checked in every tenth draw, accepts exactly the
         # interval.
         rng = np.random.default_rng(139)
@@ -299,9 +307,9 @@ class TestPhysicalityBound:
             lo, hi = physicality_interval(params, chan, v_p_b)
             xm = _x_moments(params, eta, eps)
             step = 1e-6 * (hi - lo)
-            assert _physical(xm, 0.5 * (lo + hi), v_p_b, 0.0)
-            assert not _physical(xm, lo - step, v_p_b, 0.0)
-            assert not _physical(xm, hi + step, v_p_b, 0.0)
+            assert self.uncertainty_2x2(xm, 0.5 * (lo + hi), v_p_b)
+            assert not self.uncertainty_2x2(xm, lo - step, v_p_b)
+            assert not self.uncertainty_2x2(xm, hi + step, v_p_b)
             if i % 10:
                 continue
             direction = DR if i % 20 else RR
@@ -310,65 +318,6 @@ class TestPhysicalityBound:
             for c_p in (lo - step, hi + step):
                 with pytest.raises(UnphysicalState):
                     holevo_bound(params, chan, c_p, v_p_b, direction)
-
-
-class TestPhysicalRuns:
-    """_physical_runs, by which region maps find their physical cells,
-    against the dense _physical mask."""
-
-    @staticmethod
-    def runs_mask(xm, cp_axis, vpb, tol):
-        with np.errstate(over="ignore", invalid="ignore"):
-            first, stop = _physical_runs(xm, cp_axis, vpb, tol)
-            want = _physical(xm, cp_axis, vpb[:, None], tol)
-        assert ((0 <= first) & (first <= stop) & (stop <= len(cp_axis))).all()
-        cols = np.arange(len(cp_axis))
-        runs = (first[:, None] <= cols) & (cols < stop[:, None])
-        assert np.array_equal(runs, want)
-        return runs
-
-    @settings(deadline=None, max_examples=100)
-    @given(
-        st.floats(min_value=-1.5, max_value=1.5),
-        st.floats(min_value=-1.0, max_value=17.0),
-        st.floats(min_value=0.01, max_value=1.0),
-        st.floats(min_value=0.0, max_value=0.3),
-        st.sampled_from([0.0, 1e-9, 1e-3, 1e10, 1e150]),
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.integers(min_value=2, max_value=60),
-        st.lists(st.floats(min_value=-1.0, max_value=3.0), min_size=1, max_size=40),
-    )
-    @example(0.0, 1.0, 0.9, 0.03, 1e-9, -2.0, 2.0, 41, [1.0, -0.5, 2.0, -0.1, 0.5])
-    @example(0.0, 1.0, 0.9, 0.03, 0.0, 0.5, 2.5, 41, [1.0, -0.5, 2.0, 0.0, 0.5])
-    def test_runs_equal_the_dense_mask(self, log_vs, log_vm, eta, eps, tol, a, b, cols, rows):
-        # C_p axes from a to b parabola half-widths (at V_p_B = 2 V0) about
-        # C0: across the vertex and C0, or on one side of them; V_p_B rows
-        # in any order around the vertex V0, so empty rows fall between
-        # occupied ones
-        params = ProtocolParams(V_S=10.0**log_vs, V_M=10.0**log_vm)
-        v0, c0, coeff = physicality_parabola(params, ChannelParams.symmetric(eta, eps))
-        half = max(math.sqrt(coeff * v0), 1e-9 * abs(c0), 1e-300)
-        lo, hi = min(a, b), max(a, b) + (a == b)
-        cp_axis = np.linspace(c0 + lo * half, c0 + hi * half, cols)
-        vpb = v0 * (1.0 + np.array(rows))
-        self.runs_mask(_x_moments(params, eta, eps), cp_axis, vpb, tol)
-
-    def test_lossless_noiseless_rows_up_to_1e300(self):
-        # n11 is 0 here, and n22 overflows on the top rows, so n11 n22 is
-        # 0 * inf = NaN there: the dense test marks them empty, as must the
-        # runs; with a tolerance n11 is positive and those rows are full
-        params = ProtocolParams(V_S=1.0, V_M=4e16)
-        xm = _x_moments(params, 1.0, 0.0)
-        v0, c0, _ = physicality_parabola(params, ChannelParams.symmetric(1.0, 0.0))
-        vpb = np.geomspace(1e-3 * v0, 1e300, 60)
-        cp_axis = np.linspace(c0 - 1.0, c0 + 1.0, 41)
-        with np.errstate(over="ignore", invalid="ignore"):
-            n11, n22, _ = _uncertainty_terms(xm, c0, vpb, 0.0)
-            nan_rows = np.isnan(n11 * n22)
-        assert n11 == 0.0 and nan_rows.any()
-        assert not self.runs_mask(xm, cp_axis, vpb, 0.0)[nan_rows].any()
-        assert self.runs_mask(xm, cp_axis, vpb, 1e-9)[nan_rows].all()
 
 
 class TestConditionalStates:

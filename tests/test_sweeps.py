@@ -22,6 +22,7 @@ from udcvqkd import (
     RegionMap,
     RegionMode,
     SweepConfig,
+    UnphysicalObservation,
     UnphysicalState,
     apply_channel,
     condition_on_homodyne,
@@ -31,7 +32,6 @@ from udcvqkd import (
     entropy_g,
     eta_to_db,
     holevo_bound,
-    is_physical,
     key_rate,
     keyrate_vs_attenuation,
     max_attenuation,
@@ -48,15 +48,14 @@ from udcvqkd import (
     write_region_json,
 )
 from udcvqkd import __version__, sweeps
-from udcvqkd.gaussian import PHYSICALITY_TOL, _min_uncertainty_eig
+from udcvqkd.gaussian import _min_uncertainty_eig
 from udcvqkd.protocol import (
     _conditional_nu,
     _g,
-    _g_array,
-    _physical,
     _symplectic_pair,
     _x_moments,
 )
+from udcvqkd.sweeps import _g_array
 
 DR = ReconciliationDirection.DIRECT
 RR = ReconciliationDirection.REVERSE
@@ -158,26 +157,29 @@ class TestScanRegion:
                     expected = RegionClass.PHYSICAL_INSECURE
             assert region.cells[i, j] == expected
 
-    def test_tolerance_band_cell_is_physical_only_in_the_map(self):
-        # known limitation: the map tests cells with physicality_tol, while
-        # key_rate and holevo_bound use the tol = 0 interval, so a cell
-        # 1e-9 beyond the interval is physical in the map and not pointwise.
-        # When the maps adopt the interval this cell turns UNPHYSICAL.
+    def test_cell_just_beyond_the_interval_is_unphysical_in_the_map_too(self):
+        # the map, key_rate and holevo_bound share one definition of
+        # physical: a cell at the interval end is physical, and a cell 1e-9
+        # beyond it is unphysical in the map and pointwise alike
         chan = ChannelParams.symmetric(*self.chan_x)
         v_p_b = 1.5
         hi = physicality_interval(self.params, chan, v_p_b)[1]
+        at_end = scan_region(self.params, self.chan_x,
+                             region_grid(v_p_b, v_p_b + 0.1, points=2, cp_min=hi, cp_max=hi + 1.0),
+                             RegionMode.FREE_VPB)
+        assert at_end.cp_axis[0] == hi and at_end.cells[0, 0] != RegionClass.UNPHYSICAL
         grid = region_grid(v_p_b, v_p_b + 0.1, points=2, cp_min=hi + 1e-9, cp_max=hi + 1.0)
         region = scan_region(self.params, self.chan_x, grid, RegionMode.FREE_VPB)
-        assert region.cp_axis[0] > hi and region.cells[0, 1] == RegionClass.UNPHYSICAL
-        assert region.cells[0, 0] != RegionClass.UNPHYSICAL
+        assert region.cp_axis[0] > hi
+        assert (region.cells[0] == RegionClass.UNPHYSICAL).all()
         with pytest.raises(UnphysicalState):
             holevo_bound(self.params, chan, float(region.cp_axis[0]), v_p_b, DR)
 
     @pytest.mark.parametrize("v_s,v_m", [(1.0, 10.0), (0.5, 1e4)])
     def test_physicality_mask_matches_uncertainty_eigenvalue(self, v_s, v_m):
-        # the map's 2x2 block test against the smallest eigenvalue of
+        # the map's interval runs against the smallest eigenvalue of
         # gamma + i.Omega, on a wide grid and on a zoom around the parabola
-        # vertex, where the tolerance decides a band of cells
+        # vertex
         params = ProtocolParams(V_S=v_s, V_M=v_m)
         chan = ChannelParams.symmetric(*self.chan_x)
         v0, c0, _ = physicality_parabola(params, chan)
@@ -187,25 +189,34 @@ class TestScanRegion:
                         cp_min=c0 - 2e-3, cp_max=c0 + 2e-3),
         ]
         for grid in grids:
-            masks = []
-            for tol in (0.0, 1e-9, 1e-6):
-                region = scan_region(params, self.chan_x, grid, RegionMode.FREE_VPB,
-                                     physicality_tol=tol)
-                mats = np.empty((grid.x_points, grid.cp_points, 4, 4))
-                mats[:] = apply_channel(params, chan, 0.0).mat
-                mats[:, :, 3, 3] = region.x_axis[:, np.newaxis]
-                mats[:, :, 1, 3] = mats[:, :, 3, 1] = region.cp_axis[np.newaxis, :]
-                want = _min_uncertainty_eig(mats) >= -tol
-                assert np.array_equal(region.cells != RegionClass.UNPHYSICAL, want)
-                masks.append(want)
-            assert masks[0].any() and not masks[0].all()
-        assert masks[0].sum() < masks[1].sum() < masks[2].sum()
+            region = scan_region(params, self.chan_x, grid, RegionMode.FREE_VPB)
+            mats = np.empty((grid.x_points, grid.cp_points, 4, 4))
+            mats[:] = apply_channel(params, chan, 0.0).mat
+            mats[:, :, 3, 3] = region.x_axis[:, np.newaxis]
+            mats[:, :, 1, 3] = mats[:, :, 3, 1] = region.cp_axis[np.newaxis, :]
+            want = _min_uncertainty_eig(mats) >= 0.0
+            assert np.array_equal(region.cells != RegionClass.UNPHYSICAL, want)
+            assert want.any() and not want.all()
 
-    def test_everything_below_vertex_is_unphysical(self):
-        v0 = physicality_parabola(self.params, ChannelParams.symmetric(*self.chan_x))[0]
-        grid = region_grid(0.5, v0 - 1e-3)
-        region = scan_region(self.params, self.chan_x, grid, RegionMode.FREE_VPB)
+    @pytest.mark.parametrize("v_m,chan_x,grid_of", [
+        (10.0, (0.9, 0.03), lambda v0, c0: region_grid(0.5, v0 - 1e-3)),
+        # the x block's smallest eigenvalue is about 6e-9 here, so an
+        # absolute tolerance of 1e-9 on gamma + i.Omega admitted 202 of
+        # these 303 cells
+        (1e17, (0.5, 0.0), lambda v0, c0: region_grid(
+            0.85 * v0, 0.95 * v0, x_points=3, cp_points=101, cp_min=c0 - 0.5, cp_max=c0 + 0.5)),
+        # rows just below the vertex, beyond VERTEX_SLACK, with a cell at C0
+        (10.0, (0.9, 0.03), lambda v0, c0: region_grid(
+            v0 - 1e-6, v0 - 1e-9, points=3, cp_min=c0, cp_max=c0 + 1.0)),
+    ], ids=["vm10", "vm1e17", "c0-under-vertex"])
+    def test_everything_below_vertex_is_unphysical(self, v_m, chan_x, grid_of):
+        params = ProtocolParams(V_S=1.0, V_M=v_m)
+        chan = ChannelParams.symmetric(*chan_x)
+        v0, c0, _ = physicality_parabola(params, chan)
+        region = scan_region(params, chan_x, grid_of(v0, c0), RegionMode.FREE_VPB)
         assert (region.cells == RegionClass.UNPHYSICAL).all()
+        with pytest.raises(UnphysicalObservation):
+            key_rate(params, chan, float(region.x_axis[-1]), DR)
 
     def test_secure_cells_are_physical(self):
         grid = region_grid(0.9, 1.8)
@@ -238,9 +249,8 @@ class TestScanRegion:
         eps_p = float(region.x_axis[i])
         c_p = float(region.cp_axis[j])
         v_p_b = symmetric_vpB(self.params, self.chan_x[0], eps_p)
-        mat = apply_channel(self.params, chan, c_p).mat.copy()
-        mat[3, 3] = v_p_b
-        if not is_physical(CovMatrix(mat)):
+        interval = physicality_interval(self.params, chan, v_p_b)
+        if interval is None or not interval[0] <= c_p <= interval[1]:
             expected = RegionClass.UNPHYSICAL
         else:
             k_dr = mi - holevo_bound(self.params, chan, c_p, v_p_b, DR)
@@ -291,29 +301,24 @@ class TestScanRegion:
             scan_region(self.params, self.chan_x, region_grid(-0.1, 0.4),
                         RegionMode.SYMMETRIC_NOISE)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3, 1e300])
-    def test_rejects_bad_physicality_tolerance(self, bad):
-        # nan and inf would mark every cell unphysical, a negative
-        # tolerance would shrink the region, and 1e300 overflows
-        # det(X + tol), all without complaint
-        with pytest.raises(ConfigError):
-            scan_region(self.params, self.chan_x, region_grid(0.9, 1.8), RegionMode.FREE_VPB,
-                        physicality_tol=bad)
-
     @staticmethod
     def row_by_row_cells(params, chan_x, region, mode, strict=False):
-        """The cells of region, one row at a time with a float V_p_B and one
-        cell at a time through the kernel."""
+        """The cells of region, one row at a time with a float V_p_B and its
+        physicality_interval, and one cell at a time through the kernel."""
         eta, eps = chan_x
+        chan = ChannelParams.symmetric(eta, eps)
         xm = _x_moments(params, eta, eps)
-        key_mi = mutual_information(params, ChannelParams.symmetric(eta, eps))
+        key_mi = mutual_information(params, chan)
         s_cond_rr = _g(_conditional_nu(xm, 1.0, RR))
         want = np.zeros_like(region.cells)
         for i, x in enumerate(region.x_axis):
             v_p_b = (float(x) if mode is RegionMode.FREE_VPB
                      else symmetric_vpB(params, eta, float(x), strict))
-            physical = _physical(xm, region.cp_axis, v_p_b, PHYSICALITY_TOL)
-            for j in np.flatnonzero(physical):
+            interval = physicality_interval(params, chan, v_p_b)
+            if interval is None:
+                continue
+            lo, hi = interval
+            for j in np.flatnonzero((lo <= region.cp_axis) & (region.cp_axis <= hi)):
                 nu_plus, nu_minus = _symplectic_pair(xm, region.cp_axis[j:j + 1], v_p_b)
                 s_ab = float(_g_array(nu_plus)[0] + _g_array(nu_minus)[0])
                 k_dr = key_mi - (s_ab - _g(_conditional_nu(xm, v_p_b, DR)))
@@ -353,21 +358,72 @@ class TestScanRegion:
         st.integers(min_value=2, max_value=40),
         st.floats(min_value=-6.0, max_value=0.0),
         st.floats(min_value=0.1, max_value=6.0),
+        st.floats(min_value=-1.0, max_value=17.0),
     )
-    @example(RegionMode.SYMMETRIC_NOISE, True, 0.8, 0.9, 33, 7, -3.0, 2.0)
+    @example(RegionMode.SYMMETRIC_NOISE, True, 0.8, 0.9, 33, 7, -3.0, 2.0, math.log10(30.0))
+    @example(RegionMode.FREE_VPB, False, 1.0, 0.5, 33, 40, -4.0, 4.0, 17.0)
     def test_scan_matches_row_by_row_evaluation_anywhere(
-            self, mode, strict, v_s, eta, x_points, cp_points, cp_min, cp_width):
+            self, mode, strict, v_s, eta, x_points, cp_points, cp_min, cp_width, log_vm):
         # both modes, the strict-paper V_p_B (sub-vacuum rows are empty), row
-        # counts off the block size and C_p ranges that clip the parabola on
-        # either side or hold it whole
-        params = ProtocolParams(V_S=v_s, V_M=30.0)
+        # counts off the block size, V_M from 0.1 to 1e17, and C_p ranges
+        # that clip the parabola on either side or hold it whole: C0 and the
+        # interval widths grow as V_M**0.25, so the C_p axis is scaled by
+        # (V_M / 30)**0.25.  A cell is nonzero exactly when its C_p lies in
+        # its row's physicality_interval.
+        v_m = 10.0**log_vm
+        params = ProtocolParams(V_S=v_s, V_M=v_m)
         chan_x = (eta, 0.03)
         x_range = (0.7, 2.2) if mode is RegionMode.FREE_VPB else (0.0, 0.5)
-        grid = region_grid(*x_range, cp_min=cp_min, cp_max=cp_min + cp_width,
+        scale = (v_m / 30.0) ** 0.25
+        grid = region_grid(*x_range, cp_min=cp_min * scale, cp_max=(cp_min + cp_width) * scale,
                            x_points=x_points, cp_points=cp_points, strict_paper_vpb=strict)
         region = scan_region(params, chan_x, grid, mode)
         want = self.row_by_row_cells(params, chan_x, region, mode, strict)
         assert np.array_equal(region.cells, want)
+
+    @pytest.mark.parametrize("mode", list(RegionMode))
+    def test_cells_are_nonzero_exactly_inside_the_row_interval(self, mode):
+        # one definition of physical: over fuzzed maps, V_M from 0.1 to
+        # 1e17, a cell is nonzero exactly when its C_p lies in
+        # physicality_interval at its row's V_p_B
+        rng = np.random.default_rng(149 if mode is RegionMode.FREE_VPB else 151)
+        for _ in range(200):
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-1.0, 1.0),
+                                    V_M=10.0 ** rng.uniform(-1.0, 17.0))
+            eta, eps = rng.uniform(0.05, 1.0), 10.0 ** rng.uniform(-4.0, -1.0)
+            strict = bool(rng.integers(2))
+            chan = ChannelParams.symmetric(eta, eps)
+            v0, c0, coeff = physicality_parabola(params, chan)
+            half = max(math.sqrt(coeff * v0), 1e-9 * abs(c0))
+            x_range = (0.5 * v0, 2.5 * v0) if mode is RegionMode.FREE_VPB else (0.0, 1.0)
+            grid = region_grid(*x_range, x_points=int(rng.integers(2, 70)),
+                               cp_points=int(rng.integers(2, 50)), strict_paper_vpb=strict,
+                               cp_min=c0 - half * rng.uniform(-1.0, 2.0),
+                               cp_max=c0 + half * rng.uniform(1.0, 2.0))
+            region = scan_region(params, (eta, eps), grid, mode)
+            for x, row in zip(region.x_axis.tolist(), region.cells):
+                v_p_b = x if mode is RegionMode.FREE_VPB else symmetric_vpB(params, eta, x, strict)
+                interval = physicality_interval(params, chan, v_p_b)
+                inside = (np.zeros(len(row), dtype=bool) if interval is None
+                          else (interval[0] <= region.cp_axis) & (region.cp_axis <= interval[1]))
+                assert np.array_equal(row != RegionClass.UNPHYSICAL, inside)
+
+    @pytest.mark.parametrize("v_m", [10.0, 1e8, 1e17])
+    def test_interval_ends_are_the_run_ends(self, v_m):
+        # both ends of the interval are physical cells, and the next float
+        # beyond either end is not
+        params = ProtocolParams(V_S=0.7, V_M=v_m)
+        chan = ChannelParams.symmetric(*self.chan_x)
+        v_p_b = 1.5 * physicality_parabola(params, chan)[0]
+        lo, hi = physicality_interval(params, chan, v_p_b)
+        ends = region_grid(v_p_b, 2.0 * v_p_b, points=9, cp_min=lo, cp_max=hi)
+        row = scan_region(params, self.chan_x, ends, RegionMode.FREE_VPB).cells[0]
+        assert (row != RegionClass.UNPHYSICAL).all()
+        beyond = region_grid(v_p_b, 2.0 * v_p_b, points=9,
+                             cp_min=math.nextafter(lo, -math.inf),
+                             cp_max=math.nextafter(hi, math.inf))
+        row = scan_region(params, self.chan_x, beyond, RegionMode.FREE_VPB).cells[0]
+        assert list(row != RegionClass.UNPHYSICAL) == [False] + [True] * 7 + [False]
 
     def test_scan_leaks_no_floating_point_warnings(self):
         # the kernel runs over each block's bounding box, whose cells past a
