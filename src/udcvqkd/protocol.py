@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -66,6 +67,10 @@ class ProtocolParams:
     beta: float = 1.0
 
     def __post_init__(self):
+        # the links of this chain are the checks below, which run only to
+        # name the failing field
+        if 0.0 < self.V_S < math.inf > self.V_M >= 0.0 < self.beta <= 1.0:
+            return
         _check_finite(V_S=self.V_S, V_M=self.V_M, beta=self.beta)
         if not self.V_S > 0.0:
             raise DomainError("V_S must be positive")
@@ -94,6 +99,10 @@ class ChannelParams:
     eps_p: float = 0.0
 
     def __post_init__(self):
+        # the links of this chain are the checks below, which run only to
+        # name the failing field
+        if 0.0 < self.eta_x <= 1.0 >= self.eta_p > 0.0 <= self.eps_x < math.inf > self.eps_p >= 0.0:
+            return
         _check_finite(eta_x=self.eta_x, eta_p=self.eta_p, eps_x=self.eps_x, eps_p=self.eps_p)
         for name in ("eta_x", "eta_p"):
             if not 0.0 < getattr(self, name) <= 1.0:
@@ -105,7 +114,7 @@ class ChannelParams:
     @classmethod
     def symmetric(cls, eta: float, eps: float = 0.0) -> "ChannelParams":
         """Phase-insensitive channel: same transmittance and noise in x and p."""
-        return cls(eta_x=eta, eta_p=eta, eps_x=eps, eps_p=eps)
+        return cls(eta, eta, eps, eps)
 
 
 class ReconciliationDirection(enum.Enum):
@@ -173,12 +182,7 @@ class _XMoments(NamedTuple):
 def _x_moments(params: ProtocolParams, eta_x: float, eps_x: float) -> _XMoments:
     v = params.tmsv_variance
     b = _x_noise(params.V_S, eta_x, eps_x)
-    return _XMoments(
-        v=v,
-        c_x=math.sqrt(eta_x * params.V_M) * math.sqrt(v),
-        v_x_b=b + eta_x * params.V_M,
-        b=b,
-    )
+    return _XMoments(v, math.sqrt(eta_x * params.V_M) * math.sqrt(v), b + eta_x * params.V_M, b)
 
 
 def _x_noise(V_S: float, eta_x: float, eps_x: float) -> float:
@@ -193,7 +197,26 @@ def _x_noise(V_S: float, eta_x: float, eps_x: float) -> float:
     return (1.0 - eta_x) + eta_x * (V_S + eps_x)
 
 
-def _symplectic_pair(xm: _XMoments, c_p, v_p_b: float):
+def _observe(xm: _XMoments, V_p_B):
+    """The C_p-free products of the two-mode invariants at V_p_B.
+
+    Built once per worst-case search, or once per block of map rows with
+    V_p_B a (rows, 1) column; _symplectic_pair and _entropy_slope add the
+    C_p terms.  The tuple holds v, v_x_b, v**2 + v_x_b V_p_B (Delta
+    without its 2 c_x C_p), v V_p_B, v b, (v**2 - v_x_b V_p_B)**2,
+    c_x V_p_B, c_x v, 2 c_x (dDelta/dC_p) and -2 v b (d det/dC_p is
+    -2 v b C_p).  Each is rounded in the order the kernels formed it in
+    line, so their results do not change by a bit.  It is a plain tuple
+    because the kernels unpack it, and CPython unpacks an exact tuple
+    faster than a NamedTuple.
+    """
+    v, c_x, v_x_b, b = xm
+    diag = v * v - v_x_b * V_p_B
+    return (v, v_x_b, v * v + v_x_b * V_p_B, v * V_p_B, v * b, diag * diag,
+            c_x * V_p_B, c_x * v, 2.0 * c_x, -2.0 * v * b)
+
+
+def _symplectic_pair(ob: tuple, c_p):
     """Symplectic eigenvalues (nu_plus, nu_minus) of the shared state.
 
     Closed form for two modes (Serafini, Illuminati & De Siena, J. Phys. B
@@ -204,20 +227,21 @@ def _symplectic_pair(xm: _XMoments, c_p, v_p_b: float):
     Their split nu_plus**2 - nu_minus**2 is taken from the entries of X P,
     (a - d)**2 + 4 b c, not from Delta**2 - 4 det, which cancels to
     sqrt(rounding) on near-pure states; nu_minus**2 is det / nu_plus**2,
-    which does not cancel under strong modulation.  c_p is a float or a
-    numpy array; the state must be positive definite.
+    which does not cancel under strong modulation.  ob is _observe's
+    tuple of the products without c_p; c_p is a float or a numpy array
+    that broadcasts against its V_p_B.  The state must be positive
+    definite.
     """
-    v, c_x, v_x_b, b = xm
-    delta = v * v + v_x_b * v_p_b + 2.0 * c_x * c_p
-    det = v * b * (v * v_p_b - c_p * c_p)
-    diag = v * v - v_x_b * v_p_b
-    off = (v * c_p + c_x * v_p_b) * (c_x * v + v_x_b * c_p)
-    split = abs(diag * diag + 4.0 * off) ** 0.5
+    v, v_x_b, delta0, v_vpb, vb, diag_sq, cx_vpb, cx_v, d_delta, _ = ob
+    delta = delta0 + d_delta * c_p
+    det = vb * (v_vpb - c_p * c_p)
+    off = (v * c_p + cx_vpb) * (cx_v + v_x_b * c_p)
+    split = abs(diag_sq + 4.0 * off) ** 0.5
     nu_plus_sq = 0.5 * (delta + split)
     return nu_plus_sq ** 0.5, (det / nu_plus_sq) ** 0.5
 
 
-def _entropy_slope(xm: _XMoments, c_p: float, v_p_b: float) -> float:
+def _entropy_slope(ob: tuple, c_p: float) -> float:
     """d/dC_p of the joint entropy g(nu_plus) + g(nu_minus), in bits.
 
     With s, t = nu_plus**2, nu_minus**2 and f(x) = g(sqrt(x)), the slope is
@@ -232,18 +256,16 @@ def _entropy_slope(xm: _XMoments, c_p: float, v_p_b: float) -> float:
     f'(x) = log2(e) log1p(2/(nu - 1)) / (4 nu).  A mode at nu <= 1 has
     unbounded slope with the sign of its d(nu**2); with both modes there
     the state is pure to rounding and the slope is 0.  s and t come from
-    the same invariants as in _symplectic_pair, written out here because
+    _observe's tuple ob as in _symplectic_pair, written out here because
     this runs about ten times per key_rate.
     """
-    v, c_x, v_x_b, b = xm
-    delta = v * v + v_x_b * v_p_b + 2.0 * c_x * c_p
-    det = v * b * (v * v_p_b - c_p * c_p)
-    diag = v * v - v_x_b * v_p_b
-    off = (v * c_p + c_x * v_p_b) * (c_x * v + v_x_b * c_p)
-    s = 0.5 * (delta + abs(diag * diag + 4.0 * off) ** 0.5)
+    v, v_x_b, delta0, v_vpb, vb, diag_sq, cx_vpb, cx_v, d_delta, minus_2vb = ob
+    delta = delta0 + d_delta * c_p
+    det = vb * (v_vpb - c_p * c_p)
+    off = (v * c_p + cx_vpb) * (cx_v + v_x_b * c_p)
+    s = 0.5 * (delta + abs(diag_sq + 4.0 * off) ** 0.5)
     t = det / s
-    d_delta = 2.0 * c_x
-    d_det = -2.0 * v * b * c_p
+    d_det = minus_2vb * c_p
     if t <= 1.0:
         return 0.0 if s <= 1.0 else math.copysign(math.inf, d_det - t * d_delta)
     nu_t = t ** 0.5
@@ -303,8 +325,12 @@ def mutual_information(params: ProtocolParams, chan: ChannelParams) -> float:
     (1/2) log2[1 + eta_x V_M / (1 + eta_x (V_S + eps_x - 1))]; identical
     for direct and reverse reconciliation.
     """
-    snr = chan.eta_x * params.V_M / _x_noise(params.V_S, chan.eta_x, chan.eps_x)
-    mi = 0.5 * math.log2(1.0 + snr)
+    return _mutual_information(params, chan.eta_x, _x_noise(params.V_S, chan.eta_x, chan.eps_x))
+
+
+def _mutual_information(params: ProtocolParams, eta_x: float, b: float) -> float:
+    """mutual_information from Bob's x variance b given Alice's data."""
+    mi = 0.5 * math.log2(1.0 + eta_x * params.V_M / b)
     if not math.isfinite(mi):
         raise _not_finite("mutual information")
     return mi
@@ -354,8 +380,8 @@ def physicality_interval(
 
 def _interval(parabola, V_p_B: float):
     """physicality_interval from its parabola."""
-    _check_finite(V_p_B=V_p_B)
-    if not V_p_B > 0.0:
+    if not 0.0 < V_p_B < math.inf:
+        _check_finite(V_p_B=V_p_B)
         raise DomainError("V_p_B must be positive")
     v0, c0, coeff = parabola
     dv = V_p_B - v0
@@ -424,7 +450,7 @@ def holevo_bound(
     C_p = min(max(C_p, interval[0]), interval[1])
     if not xm.v * V_p_B > C_p * C_p:
         raise NonPositiveDefinite("covariance matrix is not positive definite")
-    nu_plus, nu_minus = _symplectic_pair(xm, C_p, V_p_B)
+    nu_plus, nu_minus = _symplectic_pair(_observe(xm, V_p_B), C_p)
     nu_cond = _conditional_nu(xm, V_p_B, direction)
     s_cond = entropy_g(max(nu_cond, 1.0))
     chi = _floor_holevo(_g(nu_plus) + _g(nu_minus) - s_cond)
@@ -506,9 +532,10 @@ def _worst_case_correlation(
     interval 1e-11 wide.  Both endpoints stay candidates.
     """
     s_cond = entropy_g(_conditional_nu(xm, V_p_B, direction))
+    ob = _observe(xm, V_p_B)
 
     def joint_entropy(cp: float) -> float:
-        nu_plus, nu_minus = _symplectic_pair(xm, cp, V_p_B)
+        nu_plus, nu_minus = _symplectic_pair(ob, cp)
         return _g(nu_plus) + _g(nu_minus)
 
     ulp = math.ulp(max(abs(lo), abs(hi)))
@@ -517,23 +544,22 @@ def _worst_case_correlation(
     a, b = lo + half, hi - half
     refined = 0.5 * (lo + hi)
     if a < b:
-        fa = _entropy_slope(xm, a, V_p_B)
-        fb = _entropy_slope(xm, b, V_p_B)
+        fa = _entropy_slope(ob, a)
+        fb = _entropy_slope(ob, b)
         if not fa > 0.0:
             refined = a
         elif not fb < 0.0:
             refined = b
         else:
-            a, b = _bracket_sign_change(lambda cp: _entropy_slope(xm, cp, V_p_B),
-                                        a, fa, b, fb, xtol)
+            a, b = _bracket_sign_change(partial(_entropy_slope, ob), a, fa, b, fb, xtol)
             refined = 0.5 * (a + b)
 
-    candidates = [
-        (lo, joint_entropy(lo)),
-        (hi, joint_entropy(hi)),
-        (refined, joint_entropy(refined)),
-    ]
-    cp, s_ab = max(candidates, key=lambda pair: pair[1])
+    # the first of the candidates lo, hi, refined whose entropy is largest
+    cp, s_ab = lo, joint_entropy(lo)
+    for x in (hi, refined):
+        s_x = joint_entropy(x)
+        if s_x > s_ab:
+            cp, s_ab = x, s_x
     return cp, _floor_holevo(s_ab - s_cond)
 
 
@@ -555,7 +581,7 @@ def key_rate(
         raise UnphysicalObservation(
             f"V_p_B={V_p_B!r} lies below the physicality parabola vertex"
         )
-    mi = mutual_information(params, chan)
+    mi = _mutual_information(params, chan.eta_x, xm.b)
     try:
         worst_cp, chi = _worst_case_correlation(xm, V_p_B, direction, *interval)
     except (ZeroDivisionError, TypeError) as exc:
@@ -566,14 +592,7 @@ def key_rate(
         ) from exc
     if not math.isfinite(chi):
         raise _not_finite("worst-case Holevo bound")
-    return SecurityAssessment(
-        mutual_info=mi,
-        holevo=chi,
-        key_rate=params.beta * mi - chi,
-        worst_Cp=worst_cp,
-        Cp_interval=interval,
-        physical=True,
-    )
+    return SecurityAssessment(mi, chi, params.beta * mi - chi, worst_cp, interval, True)
 
 
 def symmetric_vpB(

@@ -33,6 +33,8 @@ from .protocol import (
     _bracket_sign_change,
     _conditional_nu,
     _g,
+    _not_finite,
+    _observe,
     _parabola,
     _symplectic_pair,
     _x_moments,
@@ -187,18 +189,20 @@ def scan_region(
     if mode is RegionMode.FREE_VPB:
         if grid.x_min <= 0:
             raise ConfigError("V_p_B axis must be strictly positive")
-        vpb_of = float
+        vpb_rows = x_axis
     elif mode is RegionMode.SYMMETRIC_NOISE:
         if grid.x_min < 0:
             raise ConfigError("excess-noise axis must be nonnegative")
-        vpb_of = lambda x: symmetric_vpB(params, eta_x, x, grid.strict_paper_vpb)
+        # symmetric_vpB's arithmetic for every row; chan has checked eta_x
+        vpb_rows = eta_x * (1.0 / params.V_S + x_axis)
+        if not grid.strict_paper_vpb:
+            vpb_rows += 1.0 - eta_x
     else:
         raise ConfigError(f"unknown region mode {mode!r}")
 
     key_mi = params.beta * mutual_information(params, chan)
     xm = _x_moments(params, eta_x, eps_x)
     s_cond_rr = _g(_conditional_nu(xm, 1.0, ReconciliationDirection.REVERSE))
-    vpb_rows = np.array([vpb_of(x) for x in x_axis.tolist()])
     # _conditional_nu's DIRECT sqrt(b V_p_B) in one pass; _g stays scalar,
     # as np.log1p need not round like math.log1p.
     s_cond_dr = np.array([_g(nu) for nu in np.sqrt(xm.b * vpb_rows).tolist()])
@@ -210,6 +214,15 @@ def scan_region(
     stop = np.searchsorted(cp_axis, c0 + half, "right")
     stop[dv < -VERTEX_SLACK * max(1.0, abs(v0))] = 0
     col = np.arange(grid.cp_points)
+    # key_rate raises where the kernel's C_p-free products overflow, and so
+    # does a map with a physical cell in such a row.  The rows run in
+    # increasing V_p_B, and each product grows with V_p_B or, for
+    # (v**2 - v_x_b V_p_B)**2, with V_p_B's distance from v**2 / v_x_b, so
+    # the first and last occupied rows hold their largest values.
+    occupied_rows = np.flatnonzero(stop > first)
+    for i in occupied_rows[[0, -1]] if occupied_rows.size else ():
+        if not all(math.isfinite(p) for p in _observe(xm, float(vpb_rows[i]))):
+            raise _not_finite("two-mode kernel")
 
     cells = np.zeros((grid.x_points, grid.cp_points), dtype=np.int8)
     for start in range(0, grid.x_points, REGION_BLOCK_ROWS):
@@ -220,8 +233,9 @@ def scan_region(
         # the box around the block's runs; its cells past a run can be
         # unphysical (sqrt of a negative det, nu_plus = 0) and are masked
         box = slice(first[rows][occupied].min(), stop[rows][occupied].max())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nu_plus, nu_minus = _symplectic_pair(xm, cp_axis[box], vpb_rows[rows, None])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            nu_plus, nu_minus = _symplectic_pair(_observe(xm, vpb_rows[rows, None]),
+                                                 cp_axis[box])
         s_ab = _g_array(nu_plus) + _g_array(nu_minus)
         secure_dr = key_mi - (s_ab - s_cond_dr[rows, None]) > 0.0
         secure_rr = key_mi - (s_ab - s_cond_rr) > 0.0

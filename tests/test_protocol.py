@@ -44,6 +44,7 @@ from udcvqkd.protocol import (
     _bracket_sign_change,
     _conditional_nu,
     _entropy_slope,
+    _observe,
     _symplectic_pair,
     _x_moments,
 )
@@ -51,6 +52,7 @@ from udcvqkd.sweeps import _g_array
 
 DR = ReconciliationDirection.DIRECT
 RR = ReconciliationDirection.REVERSE
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 LOG2E = math.log2(math.e)
 
@@ -107,6 +109,55 @@ class TestParams:
             symmetric_vpB(params, 0.5, bad)
         with pytest.raises(DomainError):
             physicality_interval(params, ChannelParams.symmetric(0.5, 0.0), bad)
+
+    @pytest.mark.parametrize("make,fields,message", [
+        *[(ProtocolParams, {name: bad}, f"{name} must be finite, got {bad!r}")
+          for name in ("V_S", "V_M", "beta") for bad in NON_FINITE],
+        (ProtocolParams, {"V_S": 0.0}, "V_S must be positive"),
+        (ProtocolParams, {"V_S": -0.5}, "V_S must be positive"),
+        (ProtocolParams, {"V_M": -0.5}, "V_M must be nonnegative"),
+        (ProtocolParams, {"beta": 0.0}, "beta must lie in (0, 1]"),
+        (ProtocolParams, {"beta": -0.5}, "beta must lie in (0, 1]"),
+        (ProtocolParams, {"beta": 1.5}, "beta must lie in (0, 1]"),
+        # every field is checked for finiteness before any range
+        (ProtocolParams, {"V_S": 0.0, "beta": math.nan}, "beta must be finite, got nan"),
+        *[(ChannelParams, {name: bad}, f"{name} must be finite, got {bad!r}")
+          for name in ("eta_x", "eta_p", "eps_x", "eps_p") for bad in NON_FINITE],
+        *[(ChannelParams, {name: bad}, f"{name} must lie in (0, 1]")
+          for name in ("eta_x", "eta_p") for bad in (0.0, -0.5, 1.5)],
+        (ChannelParams, {"eps_x": -0.5}, "eps_x must be nonnegative"),
+        (ChannelParams, {"eps_p": -0.5}, "eps_p must be nonnegative"),
+        (ChannelParams, {"eta_p": 1.5, "eps_x": math.inf}, "eps_x must be finite, got inf"),
+        (ChannelParams, {"eta_p": 0.0, "eps_x": -0.5}, "eta_p must lie in (0, 1]"),
+    ])
+    def test_rejection_messages(self, make, fields, message):
+        valid = ({"V_S": 1.0, "V_M": 10.0, "beta": 1.0} if make is ProtocolParams
+                 else {"eta_x": 0.5, "eta_p": 0.5, "eps_x": 0.0, "eps_p": 0.0})
+        with pytest.raises(DomainError) as info:
+            make(**{**valid, **fields})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad,message", [
+        *[(bad, f"V_p_B must be finite, got {bad!r}") for bad in NON_FINITE],
+        (0.0, "V_p_B must be positive"),
+        (-0.0, "V_p_B must be positive"),
+        (-1.0, "V_p_B must be positive"),
+    ])
+    def test_observation_rejection_messages(self, bad, message):
+        params = ProtocolParams(V_S=1.0, V_M=10.0)
+        chan = ChannelParams.symmetric(0.5, 0.0)
+        for call in (lambda: physicality_interval(params, chan, bad),
+                     lambda: key_rate(params, chan, bad, DR),
+                     lambda: holevo_bound(params, chan, 0.0, bad, RR)):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_accepts_the_edges_of_each_range(self):
+        ProtocolParams(V_S=5e-324, V_M=0.0, beta=1.0)
+        ProtocolParams(V_S=1e308, V_M=1e308, beta=5e-324)
+        ChannelParams(eta_x=1.0, eta_p=5e-324, eps_x=0.0, eps_p=1e308)
+        ChannelParams.symmetric(1.0, 0.0)
 
     def test_zero_transmittance_excluded(self):
         with pytest.raises(DomainError):
@@ -526,7 +577,7 @@ class TestTwoModeKernel:
             mat = apply_channel(params, chan, c_p).mat.copy()
             mat[3, 3] = v_p_b
             want = symplectic_eigenvalues(CovMatrix(mat))
-            got = _symplectic_pair(_x_moments(params, eta, eps), c_p, v_p_b)
+            got = _symplectic_pair(_observe(_x_moments(params, eta, eps), v_p_b), c_p)
             assert got == pytest.approx(tuple(want), rel=1e-9)
             checked += 1
 
@@ -538,7 +589,8 @@ class TestTwoModeKernel:
             for v_m in (1.0, 20.0, 1e4, 1e6):
                 params = ProtocolParams(V_S=v_s, V_M=v_m)
                 v_p_b = symmetric_vpB(params, 1.0, 0.0)
-                nus = _symplectic_pair(_x_moments(params, 1.0, 0.0), pure_cp(params), v_p_b)
+                nus = _symplectic_pair(_observe(_x_moments(params, 1.0, 0.0), v_p_b),
+                                       pure_cp(params))
                 scale = 1e-15 * params.tmsv_variance**2
                 assert nus == pytest.approx((1.0, 1.0), abs=scale)
 
@@ -572,7 +624,7 @@ class TestTwoModeKernel:
         v_p_b = symmetric_vpB(params, eta, eps) + extra
         a = key_rate(params, chan, v_p_b, direction)
         xm = _x_moments(params, eta, eps)
-        nu_plus, nu_minus = _symplectic_pair(xm, np.linspace(*a.Cp_interval, 1001), v_p_b)
+        nu_plus, nu_minus = _symplectic_pair(_observe(xm, v_p_b), np.linspace(*a.Cp_interval, 1001))
         s_cond = entropy_g(_conditional_nu(xm, v_p_b, direction))
         chi = _g_array(nu_plus) + _g_array(nu_minus) - s_cond
         assert a.holevo >= chi.max() - 1e-12
@@ -591,7 +643,7 @@ class TestTwoModeKernel:
                 with mpmath.workdps(50):
                     want = mpmath.diff(
                         lambda c: _mp_joint_entropy(params, chan, c, v_p_b), mpmath.mpf(c_p))
-                assert _entropy_slope(xm, c_p, v_p_b) == pytest.approx(float(want), rel=1e-8)
+                assert _entropy_slope(_observe(xm, v_p_b), c_p) == pytest.approx(float(want), rel=1e-8)
 
     def test_slope_is_finite_where_the_eigenvalues_meet(self):
         # nu_+ = nu_- at v_p_b = v**2/v_x_b, c_p = -c_x v/v_x_b, where the
@@ -603,9 +655,9 @@ class TestTwoModeKernel:
         c_star = -xm.c_x * xm.v / xm.v_x_b
         lo, hi = physicality_interval(params, chan, v_p_b)
         assert lo < c_star < hi
-        nu_plus, nu_minus = _symplectic_pair(xm, c_star, v_p_b)
+        nu_plus, nu_minus = _symplectic_pair(_observe(xm, v_p_b), c_star)
         assert nu_plus == pytest.approx(nu_minus, rel=1e-12)
-        slope = _entropy_slope(xm, c_star, v_p_b)
+        slope = _entropy_slope(_observe(xm, v_p_b), c_star)
         with mpmath.workdps(50):
             want = mpmath.diff(
                 lambda c: _mp_joint_entropy(params, chan, c, v_p_b), mpmath.mpf(c_star))
@@ -626,7 +678,7 @@ class TestTwoModeKernel:
         assert a.worst_Cp == hi
         assert a.holevo == holevo_bound(params, chan, hi, v_p_b, direction)
         xm = _x_moments(params, 0.9, 0.0)
-        nu_plus, nu_minus = _symplectic_pair(xm, np.linspace(lo, hi, 1001), v_p_b)
+        nu_plus, nu_minus = _symplectic_pair(_observe(xm, v_p_b), np.linspace(lo, hi, 1001))
         s_cond = entropy_g(_conditional_nu(xm, v_p_b, direction))
         chi = _g_array(nu_plus) + _g_array(nu_minus) - s_cond
         assert a.holevo >= chi.max() - 1e-12
@@ -657,6 +709,8 @@ class TestTwoModeKernel:
             slopes.append(0)
             kernels.append(0)
             key_rate(params, chan, v_p_b, DR if rng.uniform() < 0.5 else RR)
+        # the patched names are the ones the search calls
+        assert sum(slopes) > 0 and sum(kernels) > 0
         assert np.mean(slopes) <= 20
         assert max(slopes) <= 60
         assert max(kernels) <= 3
@@ -730,6 +784,29 @@ class TestKeyRate:
         assert abs(a.key_rate - (0.9 * a.mutual_info - a.holevo)) <= 1e-12
         lo, hi = a.Cp_interval
         assert lo <= a.worst_Cp <= hi
+
+    def test_holevo_bound_at_the_worst_correlation_is_the_reported_holevo(self):
+        # holevo_bound reads the same observation and kernel as the search,
+        # so at worst_Cp it gives the reported figure to the last bit
+        rng = np.random.default_rng(211)
+        checked = 0
+        for _ in range(4000):
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-1.0, 1.0),
+                                    V_M=10.0 ** rng.uniform(-2.0, 8.0))
+            eta_x, eta_p = rng.uniform(0.02, 1.0, size=2)
+            eps_x, eps_p = rng.choice([0.0, rng.uniform(0.0, 0.2)], size=2)
+            chan = (ChannelParams.symmetric(eta_x, eps_x) if rng.uniform() < 0.5
+                    else ChannelParams(eta_x, eta_p, eps_x, eps_p))
+            v_p_b = (symmetric_vpB(params, chan.eta_p, chan.eps_p)
+                     + rng.choice([0.0, 10.0 ** rng.uniform(-9.0, 1.0)]))
+            direction = DR if rng.uniform() < 0.5 else RR
+            try:
+                a = key_rate(params, chan, v_p_b, direction)
+            except UnphysicalObservation:
+                continue
+            assert holevo_bound(params, chan, a.worst_Cp, v_p_b, direction) == a.holevo
+            checked += 1
+        assert checked > 3000
 
     def test_worst_case_dominates_interior_samples(self):
         rng = np.random.default_rng(61)

@@ -12,6 +12,7 @@ from udcvqkd import (
     ConfigError,
     CovMatrix,
     Curve,
+    DomainError,
     NoPositiveRate,
     NoRoot,
     ProtocolParams,
@@ -52,6 +53,7 @@ from udcvqkd.gaussian import _min_uncertainty_eig
 from udcvqkd.protocol import (
     _conditional_nu,
     _g,
+    _observe,
     _symplectic_pair,
     _x_moments,
 )
@@ -218,6 +220,25 @@ class TestScanRegion:
         with pytest.raises(UnphysicalObservation):
             key_rate(params, chan, float(region.x_axis[-1]), DR)
 
+    def test_overflowing_rows_raise_like_key_rate(self):
+        # diag**2 in the kernel overflows from V_p_B of about 1e154 here,
+        # where key_rate raises DomainError; the map raises it too, and no
+        # numpy RuntimeWarning leaks
+        params = ProtocolParams(V_S=1.0, V_M=10.0)
+        chan_x = (0.9, 0.03)
+        chan = ChannelParams.symmetric(*chan_x)
+        grid = region_grid(1.0, 1e300, points=5, cp_min=-5.0, cp_max=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="two-mode kernel is not finite"):
+                scan_region(params, chan_x, grid, RegionMode.FREE_VPB)
+            with pytest.raises(DomainError):
+                key_rate(params, chan, 2.5e299, DR)
+            below = scan_region(params, chan_x, region_grid(1.0, 1e153, points=5, cp_min=-5.0,
+                                                            cp_max=5.0), RegionMode.FREE_VPB)
+        assert (below.cells[1:] != RegionClass.UNPHYSICAL).all()
+        key_rate(params, chan, 1e153, DR)
+
     def test_secure_cells_are_physical(self):
         grid = region_grid(0.9, 1.8)
         region = scan_region(self.params, self.chan_x, grid, RegionMode.FREE_VPB)
@@ -319,7 +340,7 @@ class TestScanRegion:
                 continue
             lo, hi = interval
             for j in np.flatnonzero((lo <= region.cp_axis) & (region.cp_axis <= hi)):
-                nu_plus, nu_minus = _symplectic_pair(xm, region.cp_axis[j:j + 1], v_p_b)
+                nu_plus, nu_minus = _symplectic_pair(_observe(xm, v_p_b), region.cp_axis[j:j + 1])
                 s_ab = float(_g_array(nu_plus)[0] + _g_array(nu_minus)[0])
                 k_dr = key_mi - (s_ab - _g(_conditional_nu(xm, v_p_b, DR)))
                 k_rr = key_mi - (s_ab - s_cond_rr)
