@@ -9,7 +9,7 @@ Produces, under --outdir, one file per direction and V_S:
   max_noise_{dir}_vs{V_S}.csv      maximal tolerable symmetric noise versus attenuation
 
 Run `python scripts/reproduce_figures.py --fast` for a quick smoke pass.
---threads is accepted for compatibility and has no effect.
+Everything runs on the calling thread.
 """
 
 import argparse
@@ -44,32 +44,30 @@ SWEEP_VS = (0.5, 1.0, 2.0)
 FRONTIER_TOL = 1e-6
 
 
-def region_maps(outdir: pathlib.Path, points: int, threads: int) -> None:
+def region_maps(outdir: pathlib.Path, points: int) -> None:
     for v_s in REGION_VS:
         params = ProtocolParams(V_S=v_s, V_M=REGION_VM)
         grid = SweepConfig(
             x_min=0.85, x_max=2.0, cp_min=-2.8, cp_max=-0.5,
-            x_points=points, cp_points=points, threads=threads,
+            x_points=points, cp_points=points,
         )
         region = scan_region(params, (REGION_ETA_X, REGION_EPS_X), grid, RegionMode.FREE_VPB)
         write_region_json(region, outdir / f"region_vpb_vs{v_s:g}.json")
 
         grid = SweepConfig(
             x_min=0.0, x_max=0.6, cp_min=-2.8, cp_max=-0.5,
-            x_points=points, cp_points=points, threads=threads,
+            x_points=points, cp_points=points,
         )
         region = scan_region(params, (REGION_ETA_X, REGION_EPS_X), grid, RegionMode.SYMMETRIC_NOISE)
         write_region_json(region, outdir / f"region_epsp_vs{v_s:g}.json")
 
 
-def loss_curves(outdir: pathlib.Path, step: float, threads: int) -> None:
+def loss_curves(outdir: pathlib.Path, step: float) -> None:
     grid = db_grid(0.0, 3.0, step)
     for direction in ReconciliationDirection:
         for v_s in SWEEP_VS:
             params = ProtocolParams(V_S=v_s, V_M=SWEEP_VM)
-            curve = keyrate_vs_attenuation(
-                params, SWEEP_EPS, grid, direction, threads=threads
-            )
+            curve = keyrate_vs_attenuation(params, SWEEP_EPS, grid, direction)
             write_curve_csv(curve, outdir / f"keyrate_vs_loss_{direction.value}_vs{v_s:g}.csv")
 
 
@@ -103,7 +101,6 @@ def noise_frontiers(outdir: pathlib.Path, step: float) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="figure_data")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--fast", action="store_true",
                         help="coarse grids for a quick smoke pass")
     args = parser.parse_args(argv)
@@ -115,9 +112,9 @@ def main(argv=None) -> int:
     curve_step = 0.1 if args.fast else 0.02
     frontier_step = 0.25 if args.fast else 0.1
 
-    region_maps(outdir, points, args.threads)
+    region_maps(outdir, points)
     print(f"wrote region maps for V_S in {REGION_VS}")
-    loss_curves(outdir, curve_step, args.threads)
+    loss_curves(outdir, curve_step)
     print(f"wrote key-rate curves for V_S in {SWEEP_VS}")
     noise_frontiers(outdir, frontier_step)
     print(f"wrote noise frontiers for V_S in {SWEEP_VS}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -52,48 +51,48 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
-# Option name -> (converter, default). Defaults of None mean "required if
-# the subcommand uses it"; argparse stores None for everything so values
-# from --config can fill the gaps before defaults apply.
-_CONVERTERS = {
-    "vs": float,
-    "vm": float,
-    "beta": float,
-    "eta": float,
-    "eta_db": float,
-    "eps": float,
-    "dir": str,
-    "db": str,
-    "mode": str,
-    "x_range": str,
-    "cp_range": str,
-    "output": str,
-    "format": str,
-    "threads": int,
-    "tol": float,
-    "strict_paper_vpb": _parse_bool,
+# Option name -> (converter, default, argparse keywords), one row per
+# option; the flag is "--" + name with "-" for "_".  A default of None
+# means "required if the subcommand uses it"; argparse stores None for
+# everything so values from --config can fill the gaps before defaults
+# apply.  choices are checked on the merged value, config file or flag.
+_OPTIONS = {
+    "vs": (float, None, {"help": "signal variance V_S"}),
+    "vm": (float, None, {"help": "modulation variance V_M"}),
+    "beta": (float, 1.0, {"help": "reconciliation efficiency (default 1)"}),
+    "eta": (float, None, {"help": "channel transmittance (linear)"}),
+    "eta_db": (float, None, {"help": "channel attenuation in dB (primary form)"}),
+    "eps": (float, 0.0, {"help": "symmetric excess noise (default 0)"}),
+    "dir": (str, None, {"choices": ["dr", "rr"], "help": "reconciliation direction"}),
+    "db": (str, None, {"help": "attenuation grid start:stop:step in dB"}),
+    "mode": (str, None, {"choices": ["vpb", "eps-p"],
+                         "help": "first region axis: V_p_B itself or symmetric eps_p"}),
+    "x_range": (str, None, {"help": "first axis lo:hi[:points] (points default 400)"}),
+    "cp_range": (str, None, {"help": "C_p axis lo:hi[:points]; use --cp-range=-2:-1 "
+                                     "for negative bounds (points default 400)"}),
+    "tol": (float, 1e-6, {"help": "root tolerance: width of the final regula falsi bracket"}),
+    "strict_paper_vpb": (_parse_bool, False, {
+        "action": "store_const", "const": True,
+        "help": "drop the vacuum term from Bob's p variance"}),
+    "output": (str, None, {"help": "write result to this path"}),
+    "format": (str, "csv", {"choices": ["csv", "json"], "help": "curve format"}),
 }
 
 _SUBCOMMAND_OPTIONS = {
     "keyrate": ["vs", "vm", "beta", "eta", "eta_db", "eps", "dir",
                 "strict_paper_vpb", "output"],
     "region": ["vs", "vm", "beta", "eta", "eta_db", "eps", "mode",
-               "x_range", "cp_range", "strict_paper_vpb", "threads", "output"],
+               "x_range", "cp_range", "strict_paper_vpb", "output"],
     "sweep-loss": ["vs", "vm", "beta", "eps", "dir", "db",
-                   "strict_paper_vpb", "threads", "output", "format"],
+                   "strict_paper_vpb", "output", "format"],
     "max-noise": ["vs", "vm", "beta", "eta", "eta_db", "dir", "tol",
                   "strict_paper_vpb", "output"],
     "asymptotic": ["vs", "eta", "eta_db", "output"],
 }
 
-_DEFAULTS = {
-    "beta": 1.0,
-    "eps": 0.0,
-    "format": "csv",
-    "threads": os.cpu_count() or 1,
-    "tol": 1e-6,
-    "strict_paper_vpb": False,
-}
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,47 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value file; flags override it")
-        options = _SUBCOMMAND_OPTIONS[name]
-        if "vs" in options:
-            p.add_argument("--vs", type=float, help="signal variance V_S")
-        if "vm" in options:
-            p.add_argument("--vm", type=float, help="modulation variance V_M")
-        if "beta" in options:
-            p.add_argument("--beta", type=float, help="reconciliation efficiency (default 1)")
-        if "eta" in options:
-            p.add_argument("--eta", type=float, help="channel transmittance (linear)")
-            p.add_argument("--eta-db", type=float, dest="eta_db",
-                           help="channel attenuation in dB (primary form)")
-        if "eps" in options:
-            p.add_argument("--eps", type=float, help="symmetric excess noise (default 0)")
-        if "dir" in options:
-            p.add_argument("--dir", choices=["dr", "rr"], help="reconciliation direction")
-        if "db" in options:
-            p.add_argument("--db", help="attenuation grid start:stop:step in dB")
-        if "mode" in options:
-            p.add_argument("--mode", choices=["vpb", "eps-p"],
-                           help="first region axis: V_p_B itself or symmetric eps_p")
-        if "x_range" in options:
-            p.add_argument("--x-range", dest="x_range",
-                           help="first axis lo:hi[:points] (points default 400)")
-        if "cp_range" in options:
-            p.add_argument("--cp-range", dest="cp_range",
-                           help="C_p axis lo:hi[:points]; use --cp-range=-2:-1 "
-                           "for negative bounds (points default 400)")
-        if "tol" in options:
-            p.add_argument("--tol", type=float,
-                           help="root tolerance: width of the final regula falsi bracket")
-        if "strict_paper_vpb" in options:
-            p.add_argument("--strict-paper-vpb", dest="strict_paper_vpb",
-                           action="store_const", const=True,
-                           help="drop the vacuum term from Bob's p variance")
-        if "threads" in options:
-            p.add_argument("--threads", type=int,
-                           help="accepted for compatibility; has no effect")
-        if "output" in options:
-            p.add_argument("--output", help="write result to this path")
-        if "format" in options:
-            p.add_argument("--format", choices=["csv", "json"], help="curve format")
+        for option in _SUBCOMMAND_OPTIONS[name]:
+            convert, _, keywords = _OPTIONS[option]
+            if "action" not in keywords:
+                keywords = {"type": convert, **keywords}
+            p.add_argument(_flag(option), dest=option, **keywords)
         return p
 
     add("keyrate", "worst-case key rate at one parameter point (JSON)")
@@ -171,10 +134,10 @@ def _load_config(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 key = key.strip().replace("-", "_")
-                if key not in _CONVERTERS:
+                if key not in _OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _CONVERTERS[key](value.strip())
+                    values[key] = _OPTIONS[key][0](value.strip())
                 except ConfigError:
                     raise
                 except ValueError as exc:
@@ -188,11 +151,16 @@ def _merge(args: argparse.Namespace) -> dict:
     config = _load_config(args.config) if args.config else {}
     merged = {}
     for name in _SUBCOMMAND_OPTIONS[args.command]:
+        _, default, keywords = _OPTIONS[name]
         value = getattr(args, name, None)
         if value is None:
             value = config.get(name)
         if value is None:
-            value = _DEFAULTS.get(name)
+            value = default
+        choices = keywords.get("choices")
+        if choices and value is not None and value not in choices:
+            raise ConfigError(f"{_flag(name)}: invalid choice {value!r} "
+                              f"(choose from {', '.join(choices)})")
         merged[name] = value
     return merged
 
@@ -200,7 +168,7 @@ def _merge(args: argparse.Namespace) -> dict:
 def _require(opts: dict, *names: str) -> None:
     missing = [n for n in names if opts.get(n) is None]
     if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
+        flags = ", ".join(_flag(n) for n in missing)
         raise ConfigError(f"missing required option(s): {flags}")
 
 
@@ -271,7 +239,6 @@ def _cmd_keyrate(opts: dict) -> int:
         "key_rate_bits": assessment.key_rate,
         "worst_Cp": assessment.worst_Cp,
         "Cp_interval": list(assessment.Cp_interval),
-        "physical": assessment.physical,
     }
     _emit(_json_text(obj), opts.get("output"))
     return 0
@@ -291,7 +258,6 @@ def _cmd_region(opts: dict) -> int:
         x_points=x_points,
         cp_points=cp_points,
         strict_paper_vpb=opts["strict_paper_vpb"],
-        threads=opts["threads"],
     )
     region = scan_region(params, (eta, opts["eps"]), grid, RegionMode(opts["mode"]))
     _emit(region_to_json(region), opts.get("output"))
@@ -307,7 +273,6 @@ def _cmd_sweep_loss(opts: dict) -> int:
         _parse_db_grid(opts["db"]),
         ReconciliationDirection(opts["dir"]),
         strict_paper_vpb=opts["strict_paper_vpb"],
-        threads=opts["threads"],
     )
     text = curve_to_csv(curve) if opts["format"] == "csv" else curve_to_json(curve)
     _emit(text, opts.get("output"))

@@ -137,7 +137,6 @@ class SecurityAssessment:
     key_rate: float
     worst_Cp: float
     Cp_interval: tuple[float, float]
-    physical: bool
 
 
 def build_eb_state(params: ProtocolParams) -> CovMatrix:
@@ -592,7 +591,7 @@ def key_rate(
         ) from exc
     if not math.isfinite(chi):
         raise _not_finite("worst-case Holevo bound")
-    return SecurityAssessment(mi, chi, params.beta * mi - chi, worst_cp, interval, True)
+    return SecurityAssessment(mi, chi, params.beta * mi - chi, worst_cp, interval)
 
 
 def symmetric_vpB(

@@ -7,8 +7,7 @@ box around the runs of each block of REGION_BLOCK_ROWS rows, and write
 cell codes to JSON two bytes at a time; curves and root searches call
 key_rate point by point, the root searches by regula falsi through the
 bracketing helper that the worst-case C_p search uses.
-Everything runs on the calling thread, so output is deterministic; the
-threads settings are accepted for compatibility and have no effect.
+Everything runs on the calling thread, so output is deterministic.
 Region maps serialize to JSON and curves to CSV, schemas documented in the
 README.
 """
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NoPositiveRate, NoRoot, UnphysicalObservation
+from .errors import ConfigError, DomainError, NoPositiveRate, NoRoot, UnphysicalObservation
 from .protocol import (
     LOG2E,
     VERTEX_SLACK,
@@ -56,7 +55,12 @@ def db_to_eta(db: float) -> float:
 
 
 def eta_to_db(eta: float) -> float:
-    """Linear transmittance to channel attenuation in dB."""
+    """Linear transmittance to channel attenuation in dB.
+
+    Raises DomainError unless eta is positive.
+    """
+    if not eta > 0.0:
+        raise DomainError(f"transmittance must be positive, got {eta!r}")
     return -10.0 * math.log10(eta) + 0.0
 
 
@@ -94,8 +98,9 @@ class SweepConfig:
     """Grid ranges, resolutions, tolerances, and convention flags.
 
     x ranges cover V_p_B (FREE_VPB mode) or eps_p (SYMMETRIC_NOISE mode);
-    cp ranges cover the unknown p correlation.  threads is validated but
-    has no effect: sweeps run on the calling thread.
+    cp ranges cover the unknown p correlation.  threads has no effect, as
+    sweeps run on the calling thread; it stays, validated, only because
+    perfbench/workloads.py still passes it.
     """
 
     x_min: float
@@ -278,16 +283,13 @@ def keyrate_vs_attenuation(
     db_values,
     direction: ReconciliationDirection,
     strict_paper_vpb: bool = False,
-    threads: int = 1,
 ) -> Curve:
     """Worst-case key rate along a grid of channel attenuations (dB).
 
     The channel is symmetric with excess noise eps in both quadratures.
     Grid points whose observed p variance admits no physical state are
-    left out of the curve.  threads must be at least 1 and has no effect.
+    left out of the curve.  Points run in order on the calling thread.
     """
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
     db_values = [float(v) for v in db_values]
     if any(b <= a for a, b in zip(db_values, db_values[1:])):
         raise ConfigError("dB grid must be strictly increasing")
@@ -438,11 +440,6 @@ def curve_to_json(curve: Curve) -> str:
         "ordinate": list(curve.ordinate),
     }
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def write_curve_json(curve: Curve, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(curve_to_json(curve))
 
 
 def region_to_json(region: RegionMap) -> str:

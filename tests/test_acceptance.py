@@ -281,7 +281,7 @@ def test_acceptance_7_region_structure_and_speed():
     t0 = time.perf_counter()
     grid = SweepConfig(
         x_min=0.85, x_max=2.0, cp_min=-2.8, cp_max=-0.5,
-        x_points=400, cp_points=400, threads=4,
+        x_points=400, cp_points=400,
     )
     region = scan_region(ProtocolParams(V_S=1.0, V_M=10.0), (0.9, 0.03), grid,
                          RegionMode.FREE_VPB)
@@ -298,21 +298,21 @@ def test_acceptance_8_deterministic_outputs(tmp_path):
     params = ProtocolParams(V_S=1.0, V_M=10.0)
 
     region_texts = []
-    for threads in (1, 4, 1, 4):
+    for _ in range(4):
         grid = SweepConfig(
             x_min=0.9, x_max=1.8, cp_min=-2.4, cp_max=-0.8,
-            x_points=120, cp_points=120, threads=threads,
+            x_points=120, cp_points=120,
         )
         region = scan_region(params, (0.9, 0.03), grid, RegionMode.FREE_VPB)
         region_texts.append(region_to_json(region))
     if len(set(region_texts)) != 1:
-        failures.append("region JSON differs across repeats or thread counts")
+        failures.append("region JSON differs across repeats")
 
     noise_texts = []
-    for threads in (1, 3, 1, 3):
+    for _ in range(4):
         grid = SweepConfig(
             x_min=0.0, x_max=0.4, cp_min=-2.4, cp_max=-0.8,
-            x_points=80, cp_points=80, threads=threads,
+            x_points=80, cp_points=80,
         )
         region = scan_region(params, (0.9, 0.03), grid, RegionMode.SYMMETRIC_NOISE)
         noise_texts.append(region_to_json(region))
@@ -320,10 +320,10 @@ def test_acceptance_8_deterministic_outputs(tmp_path):
         failures.append("symmetric-noise region JSON differs across runs")
 
     curve_texts = []
-    for threads in (1, 3, 1, 3):
+    for _ in range(4):
         curve = keyrate_vs_attenuation(
             ProtocolParams(V_S=2.0, V_M=100.0), 0.03,
-            [0.0, 0.5, 1.0, 1.5, 2.0], DR, threads=threads,
+            [0.0, 0.5, 1.0, 1.5, 2.0], DR,
         )
         curve_texts.append(curve_to_csv(curve))
     if len(set(curve_texts)) != 1:
@@ -341,7 +341,7 @@ def test_acceptance_8_deterministic_outputs(tmp_path):
         path = tmp_path / f"region_run{run}.json"
         grid = SweepConfig(
             x_min=0.9, x_max=1.8, cp_min=-2.4, cp_max=-0.8,
-            x_points=64, cp_points=64, threads=run * 2,
+            x_points=64, cp_points=64,
         )
         write_region_json(scan_region(params, (0.9, 0.03), grid, RegionMode.FREE_VPB), path)
         paths.append(path.read_bytes())

@@ -16,7 +16,7 @@ from udcvqkd import (
     symmetric_vpB,
 )
 from udcvqkd import sweeps
-from udcvqkd.cli import main
+from udcvqkd.cli import _OPTIONS, _SUBCOMMAND_OPTIONS, main
 
 
 def run(capsys, *argv):
@@ -38,7 +38,6 @@ class TestKeyrateCommand:
         assert obj["mutual_info_bits"] == mi
         assert obj["holevo_bits"] <= 1e-9
         assert obj["key_rate_bits"] == pytest.approx(mi, abs=1e-9)
-        assert obj["physical"] is True
 
     def test_bit_identical_to_library_call(self, capsys):
         code, out, _ = run(
@@ -129,6 +128,30 @@ class TestArgumentErrors:
         assert out == ""
         assert "ConfigError:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["max-noise", "--vs", "1", "--vm", "10", "--dir", "rr", "--eta", "0"],
+        ["max-noise", "--vs", "1", "--vm", "10", "--dir", "rr", "--eta", "-0.5"],
+        ["asymptotic", "--vs", "1", "--eta", "0"],
+    ])
+    def test_non_positive_transmittance_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DomainError:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "--vs", "1", "--vm", "10", "--eta", "0.9", "--mode", "vpb",
+         "--x-range", "0.9:1.6:8", "--cp-range=-2.2:-1.0:8", "--threads", "2"],
+        ["sweep-loss", "--vs", "1", "--vm", "10", "--dir", "rr", "--db", "0:1:0.5",
+         "--threads", "2"],
+    ])
+    def test_threads_flag_is_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -251,26 +274,12 @@ class TestRegionCommand:
             capsys, "region", "--vs", "1", "--vm", "10", "--eta", "0.9",
             "--eps", "0.03", "--mode", "vpb",
             "--x-range", "0.9:1.6:20", "--cp-range=-2.2:-1.0:20",
-            "--output", str(out_path), "--threads", "2",
+            "--output", str(out_path),
         )
         assert code == 0
         obj = json.loads(out_path.read_text())
         assert obj["mode"] == "vpb"
         assert len(obj["cells"]) == 20
-
-    def test_thread_count_does_not_change_output(self, capsys, tmp_path):
-        blobs = []
-        for threads in ("1", "3"):
-            out_path = tmp_path / f"region{threads}.json"
-            code, _, _ = run(
-                capsys, "region", "--vs", "1", "--vm", "10", "--eta", "0.9",
-                "--eps", "0.03", "--mode", "eps-p",
-                "--x-range", "0:0.4:16", "--cp-range=-2.2:-1.0:16",
-                "--output", str(out_path), "--threads", threads,
-            )
-            assert code == 0
-            blobs.append(out_path.read_bytes())
-        assert blobs[0] == blobs[1]
 
 
 class TestConfigFile:
@@ -300,13 +309,36 @@ class TestConfigFile:
         assert json.loads(out_default)["params"]["V_M"] == 100.0
         assert json.loads(out_override)["params"]["V_M"] == 50.0
 
-    def test_unknown_key_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("line", ["flux_capacitance=1", "threads=1"])
+    def test_unknown_key_rejected(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("flux_capacitance=1\n")
+        cfg.write_text(line + "\n")
         code, _, err = run(capsys, "keyrate", "--config", str(cfg))
         assert code == 2
         assert "unknown key" in err
 
+    # every option with choices, on every subcommand that takes it
+    @pytest.mark.parametrize("command,name", [
+        (command, name)
+        for command, names in _SUBCOMMAND_OPTIONS.items()
+        for name in names if "choices" in _OPTIONS[name][2]
+    ])
+    def test_config_value_outside_choices_rejected(self, capsys, tmp_path, command, name):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{name}=xx\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "ConfigError:" in err
+        assert "invalid choice 'xx'" in err
+        assert "Traceback" not in err
+
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "keyrate", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
+
+
+def test_option_table_has_no_missing_or_dead_rows():
+    used = {name for names in _SUBCOMMAND_OPTIONS.values() for name in names}
+    assert used - set(_OPTIONS) == set(), "subcommand option without an _OPTIONS row"
+    assert set(_OPTIONS) - used == set(), "_OPTIONS row no subcommand uses"

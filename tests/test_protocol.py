@@ -780,7 +780,6 @@ class TestKeyRate:
         chan = ChannelParams.symmetric(0.8, 0.03)
         v_p_b = symmetric_vpB(params, 0.8, 0.03)
         a = key_rate(params, chan, v_p_b, DR)
-        assert a.physical
         assert abs(a.key_rate - (0.9 * a.mutual_info - a.holevo)) <= 1e-12
         lo, hi = a.Cp_interval
         assert lo <= a.worst_Cp <= hi
