@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str) -> dict:
+    """key=value lines of the options that command takes."""
     values = {}
     try:
         with open(path) as fh:
@@ -136,6 +137,8 @@ def _load_config(path: str) -> dict:
                 key = key.strip().replace("-", "_")
                 if key not in _OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key not in _SUBCOMMAND_OPTIONS[command]:
+                    raise ConfigError(f"{path}:{lineno}: {command} does not take key {key!r}")
                 try:
                     values[key] = _OPTIONS[key][0](value.strip())
                 except ConfigError:
@@ -148,7 +151,7 @@ def _load_config(path: str) -> dict:
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    config = _load_config(args.config) if args.config else {}
+    config = _load_config(args.config, args.command) if args.config else {}
     merged = {}
     for name in _SUBCOMMAND_OPTIONS[args.command]:
         _, default, keywords = _OPTIONS[name]

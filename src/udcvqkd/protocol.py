@@ -230,14 +230,29 @@ def _symplectic_pair(ob: tuple, c_p):
     tuple of the products without c_p; c_p is a float or a numpy array
     that broadcasts against its V_p_B.  The state must be positive
     definite.
+
+    Every step but abs is an augmented assignment, so arrays of the
+    broadcast shape are allocated four times and otherwise updated in
+    place.  Floats take the operations of vb * (v_vpb - c_p**2),
+    0.5 * (delta + split) and (det / nu_plus**2) ** 0.5 in the same order,
+    with operands swapped, which leaves a product or sum of two floats
+    unchanged.
     """
     v, v_x_b, delta0, v_vpb, vb, diag_sq, cx_vpb, cx_v, d_delta, _ = ob
-    delta = delta0 + d_delta * c_p
-    det = vb * (v_vpb - c_p * c_p)
-    off = (v * c_p + cx_vpb) * (cx_v + v_x_b * c_p)
-    split = abs(diag_sq + 4.0 * off) ** 0.5
-    nu_plus_sq = 0.5 * (delta + split)
-    return nu_plus_sq ** 0.5, (det / nu_plus_sq) ** 0.5
+    det = v_vpb - c_p * c_p
+    det *= vb
+    split = v * c_p + cx_vpb
+    split *= cx_v + v_x_b * c_p
+    split *= 4.0
+    split += diag_sq
+    split = abs(split)
+    split **= 0.5
+    split += delta0 + d_delta * c_p
+    split *= 0.5
+    det /= split
+    det **= 0.5
+    split **= 0.5
+    return split, det
 
 
 def _entropy_slope(ob: tuple, c_p: float) -> float:

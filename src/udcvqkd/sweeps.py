@@ -2,9 +2,11 @@
 
 Region maps take each row's run of physical C_p cells from the parabola
 that physicality_interval and key_rate use, by two binary searches on the
-C_p axis, then run the closed-form two-mode kernel, broadcast, over the
-box around the runs of each block of REGION_BLOCK_ROWS rows, and write
-cell codes to JSON two bytes at a time; curves and root searches call
+C_p axis, then run key_rate's closed-form two-mode kernel, broadcast, over
+the box around the runs of each block of REGION_BLOCK_ROWS rows.  The
+kernel and the entropies update their arrays in place, cells are
+classified as int8 codes, and the JSON text is written into one byte
+buffer, cell codes two bytes at a time; curves and root searches call
 key_rate point by point, the root searches by regula falsi through the
 bracketing helper that the worst-case C_p search uses.
 Everything runs on the calling thread, so output is deterministic.
@@ -139,6 +141,8 @@ class RegionMap:
     def __post_init__(self):
         if np.any(np.diff(self.x_axis) <= 0) or np.any(np.diff(self.cp_axis) <= 0):
             raise ConfigError("region axes must be strictly increasing")
+        if not (len(self.x_axis) and len(self.cp_axis)):
+            raise ConfigError("region axes must be nonempty")
         if self.cells.shape != (len(self.x_axis), len(self.cp_axis)):
             raise ConfigError("cell grid does not match the axes")
         if self.cells.size and not 0 <= self.cells.min() <= self.cells.max() <= max(RegionClass):
@@ -162,11 +166,27 @@ class Curve:
             raise ConfigError("abscissa must be strictly increasing")
 
 
-def _g_array(nu: np.ndarray) -> np.ndarray:
-    """protocol._g over a numpy array; nu <= 1 or NaN gives 0, without warnings."""
-    m = 0.5 * (nu - 1.0)
+def _g_array(nu: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """protocol._g over a float64 array, computed in nu's own storage and
+    returned; nu <= 1 or NaN gives 0, without warnings.
+
+    work, a float64 array of nu's shape, holds the m log1p(1/m) term; one
+    is allocated when it is not given.  Each element takes _g's operations
+    in _g's order, but through np.log1p, which need not round like
+    math.log1p.
+    """
+    zero = ~(nu > 1.0)
+    nu -= 1.0
+    nu *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(m > 0.0, (np.log1p(m) + m * np.log1p(1.0 / m)) * LOG2E, 0.0)
+        work = np.divide(1.0, nu, out=work)
+        np.log1p(work, out=work)
+        work *= nu
+        np.log1p(nu, out=nu)
+        nu += work
+    nu *= LOG2E
+    nu[zero] = 0.0
+    return nu
 
 
 def scan_region(
@@ -241,12 +261,24 @@ def scan_region(
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             nu_plus, nu_minus = _symplectic_pair(_observe(xm, vpb_rows[rows, None]),
                                                  cp_axis[box])
-        s_ab = _g_array(nu_plus) + _g_array(nu_minus)
-        secure_dr = key_mi - (s_ab - s_cond_dr[rows, None]) > 0.0
-        secure_rr = key_mi - (s_ab - s_cond_rr) > 0.0
-        inside = (first[rows, None] <= col[box]) & (col[box] < stop[rows, None])
+        work = np.empty_like(nu_plus)
+        s_ab = _g_array(nu_plus, work)
+        s_ab += _g_array(nu_minus, work)
+        # key_mi - (s_ab - s_cond) > 0 exactly when s_ab - s_cond < key_mi,
+        # as key_mi is finite and a difference of finite floats is 0 only
+        # when they are equal
+        np.subtract(s_ab, s_cond_dr[rows, None], out=work)
+        s_ab -= s_cond_rr
         # PHYSICAL_INSECURE, SECURE_DR, SECURE_RR, SECURE_BOTH are 1 + dr + 2 rr
-        cells[rows, box] = inside * (1 + secure_dr + 2 * secure_rr)
+        code = cells[rows, box]
+        np.less(work, key_mi, out=code.view(np.bool_))
+        secure_rr = np.less(s_ab, key_mi).view(np.int8)
+        secure_rr <<= 1
+        code += secure_rr
+        code += 1
+        inside = first[rows, None] <= col[box]
+        inside &= col[box] < stop[rows, None]
+        code *= inside
 
     metadata = {
         "V_S": params.V_S,
@@ -446,7 +478,10 @@ def region_to_json(region: RegionMap) -> str:
     """JSON text: axes arrays plus row-major cell codes 0-4.
 
     cells[i][j] classifies (x_axis[i], cp_axis[j]); the legend maps codes
-    to names.
+    to names.  The text is written into one byte buffer and decoded once:
+    '{"cells":[', each row as "[d,d,...,d]," two bytes a cell (the last row
+    ends in "]]", which closes the grid), then "," and the other keys,
+    which sort after "cells", as json.dumps writes them.
     """
     obj = {
         "tool": f"udcvqkd {__version__}",
@@ -456,22 +491,23 @@ def region_to_json(region: RegionMap) -> str:
         "cp_axis": region.cp_axis.tolist(),
         "legend": {str(int(c)): c.name.lower() for c in RegionClass},
     }
-    # "cells" sorts first among the keys, so its text goes right after "{".
-    rest = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return "".join(('{"cells":[', _cells_json(region.cells), ",", rest[1:], "\n"))
-
-
-def _cells_json(cells: np.ndarray) -> str:
-    """Compact JSON of a grid of single-digit codes but for its opening "[",
-    built two bytes at a time: each row is the words "[d", ",d", ..., ",d",
-    "],", and the last row ends in "]]", which closes the grid."""
-    rows, cols = cells.shape
-    words = np.empty((rows, cols + 1), dtype="<u2")
-    words[:, :cols] = (cells.astype("<u2") << 8) + (ord(",") | ord("0") << 8)
+    rest = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
+    head = b'{"cells":['
+    rows, cols = region.cells.shape
+    end = len(head) + rows * (2 * cols + 2)
+    text = np.empty(end + len(rest) + 1, dtype=np.uint8)
+    text[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    # a cell's "," or "[" and its digit as one little-endian word
+    words = text[len(head):end].view("<u2").reshape(rows, cols + 1)
+    np.left_shift(region.cells, 8, out=words[:, :cols], dtype="<u2", casting="unsafe")
+    words[:, :cols] += ord(",") | ord("0") << 8
     words[:, 0] += ord("[") - ord(",")
     words[:, cols] = ord("]") | ord(",") << 8
     words[-1, cols] = ord("]") | ord("]") << 8
-    return str(memoryview(words), "ascii")
+    text[end] = ord(",")
+    text[end + 1:-1] = np.frombuffer(rest, dtype=np.uint8, offset=1)
+    text[-1] = ord("\n")
+    return str(memoryview(text), "ascii")
 
 
 def write_region_json(region: RegionMap, path) -> None:

@@ -317,6 +317,17 @@ class TestConfigFile:
         assert code == 2
         assert "unknown key" in err
 
+    # tol and format are options of other subcommands, not of keyrate
+    @pytest.mark.parametrize("line", ["tol=5", "format=xml"])
+    def test_key_of_another_subcommand_rejected(self, capsys, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("vs=2\nvm=100\neta_db=0.5\ndir=dr\n" + line + "\n")
+        code, out, err = run(capsys, "keyrate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        key = line.partition("=")[0]
+        assert f"ConfigError: {cfg}:5: keyrate does not take key {key!r}" in err
+
     # every option with choices, on every subcommand that takes it
     @pytest.mark.parametrize("command,name", [
         (command, name)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -580,6 +581,50 @@ class TestTwoModeKernel:
             got = _symplectic_pair(_observe(_x_moments(params, eta, eps), v_p_b), c_p)
             assert got == pytest.approx(tuple(want), rel=1e-9)
             checked += 1
+
+    @staticmethod
+    def expression_form(ob, c_p):
+        """_symplectic_pair as it was before its augmented assignments."""
+        v, v_x_b, delta0, v_vpb, vb, diag_sq, cx_vpb, cx_v, d_delta, _ = ob
+        delta = delta0 + d_delta * c_p
+        det = vb * (v_vpb - c_p * c_p)
+        off = (v * c_p + cx_vpb) * (cx_v + v_x_b * c_p)
+        split = abs(diag_sq + 4.0 * off) ** 0.5
+        nu_plus_sq = 0.5 * (delta + split)
+        return nu_plus_sq ** 0.5, (det / nu_plus_sq) ** 0.5
+
+    def test_floats_match_the_expression_form(self):
+        # observed states with C_p inside and outside the physical interval
+        # (complex nu_minus), arbitrary tuples, and degenerate ones whose
+        # nu_plus**2 is 0
+        rng = random.Random(2024)
+        draws = []
+        while len(draws) < 2500:
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-1.0, 1.0),
+                                    V_M=10.0 ** rng.uniform(-2.0, 8.0))
+            eta, eps = rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.2)
+            v_p_b = symmetric_vpB(params, eta, eps) + rng.uniform(-0.1, 1.0)
+            interval = physicality_interval(params, ChannelParams.symmetric(eta, eps), v_p_b)
+            lo, hi = interval if interval else (-1.0, 1.0)
+            c_p = lo + (hi - lo) * rng.uniform(-0.5, 1.5)
+            draws.append((_observe(_x_moments(params, eta, eps), v_p_b), c_p))
+        while len(draws) < 4980:
+            ob = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+                       for _ in range(10))
+            draws.append((ob, rng.uniform(-10.0, 10.0)))
+        for zero in ((0.0,) * 10, (1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)):
+            draws += [(zero, 0.0), (zero, -0.0)] * 5
+        raised = 0
+        for ob, c_p in draws:
+            try:
+                want = self.expression_form(ob, c_p)
+            except ZeroDivisionError:
+                raised += 1
+                with pytest.raises(ZeroDivisionError):
+                    _symplectic_pair(ob, c_p)
+                continue
+            assert _symplectic_pair(ob, c_p) == want
+        assert len(draws) == 5000 and raised >= 20
 
     def test_pure_state_is_exact_to_rounding(self):
         # on a lossless noiseless channel nu_+ = nu_- = 1; the error stays

@@ -51,6 +51,7 @@ from udcvqkd import (
 from udcvqkd import __version__, sweeps
 from udcvqkd.gaussian import _min_uncertainty_eig
 from udcvqkd.protocol import (
+    LOG2E,
     _conditional_nu,
     _g,
     _observe,
@@ -90,6 +91,50 @@ class TestHelpers:
             db_grid(0.0, 1.0, 0.0)
         with pytest.raises(ConfigError):
             db_grid(1.0, 0.0, 0.1)
+
+
+def scalar_g_with_np_log1p(nu: float) -> float:
+    """protocol._g's arithmetic, element by element, through np.log1p."""
+    if nu <= 1.0:
+        return 0.0
+    m = 0.5 * (nu - 1.0)
+    return float((np.log1p(m) + m * np.log1p(1.0 / m)) * LOG2E)
+
+
+class TestGArray:
+    @staticmethod
+    def fuzzed_nu(seed):
+        rng = np.random.default_rng(seed)
+        special = [0.0, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51,
+                   math.nan, math.inf, 1e300, np.finfo(float).max]
+        nu = np.concatenate([special, 10.0 ** rng.uniform(-3.0, 300.0, 2000),
+                             1.0 + 10.0 ** rng.uniform(-16.0, 0.0, 1000),
+                             rng.uniform(0.0, 1.0, 200)])
+        rng.shuffle(nu)
+        return nu.reshape(2, -1)
+
+    @pytest.mark.parametrize("with_work", [False, True])
+    def test_in_place_and_equal_to_scalar_g(self, with_work):
+        nu = self.fuzzed_nu(3)
+        values = nu.ravel().tolist()
+        work = np.empty_like(nu) if with_work else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _g_array(nu, work)
+        assert out is nu
+        got = out.ravel().tolist()
+        for x, g in zip(values, got):
+            if math.isnan(x):
+                assert g == 0.0
+            elif math.isinf(x):
+                # _g(inf) is inf * log1p(0), NaN, and so is the array's
+                assert math.isnan(g) and math.isnan(_g(x))
+            else:
+                # bit for bit the scalar arithmetic, with numpy's log1p,
+                # which may round an ulp away from math.log1p
+                want = scalar_g_with_np_log1p(x)
+                assert g == want and math.copysign(1.0, g) == math.copysign(1.0, want)
+                assert g == pytest.approx(_g(x), rel=4e-16, abs=0.0)
 
 
 class TestConfigValidation:
@@ -785,7 +830,7 @@ class TestWriters:
         }
         return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
-    @pytest.mark.parametrize("shape", [(2, 2), (33, 7), (64, 5), (401, 3)])
+    @pytest.mark.parametrize("shape", [(2, 2), (33, 7), (64, 5), (401, 3), (1, 1)])
     def test_region_json_matches_reference_encoder(self, shape):
         rng = np.random.default_rng(shape[0])
         cells = rng.integers(0, 5, size=shape).astype(np.int8)
@@ -806,6 +851,14 @@ class TestWriters:
                              RegionMode.FREE_VPB)
         assert len(np.unique(region.cells)) >= 3
         assert region_to_json(region) == self.reference_region_json(region)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_region_map_rejects_empty_axes(self, shape):
+        # unchecked, a (0, 3) map makes region_to_json raise IndexError
+        # and a (3, 0) map encodes to invalid JSON
+        with pytest.raises(ConfigError, match="nonempty"):
+            RegionMap(x_axis=np.arange(float(shape[0])), cp_axis=np.arange(float(shape[1])),
+                      cells=np.zeros(shape, dtype=np.int8), mode=RegionMode.FREE_VPB)
 
     @pytest.mark.parametrize("code", [-1, 5, 10])
     def test_region_map_rejects_unknown_codes(self, code):
