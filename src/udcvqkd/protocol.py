@@ -308,6 +308,13 @@ def _g(nu: float) -> float:
     return (math.log1p(m) + m * math.log1p(1.0 / m)) * LOG2E
 
 
+def _joint_entropy(ob: tuple, c_p: float) -> float:
+    """Entropy in bits of the shared two-mode state at c_p, from _observe's
+    tuple ob; a mode at nu <= 1 counts as pure."""
+    nu_plus, nu_minus = _symplectic_pair(ob, c_p)
+    return _g(nu_plus) + _g(nu_minus)
+
+
 def apply_channel(
     params: ProtocolParams, chan: ChannelParams, C_p: float
 ) -> CovMatrix:
@@ -320,7 +327,7 @@ def apply_channel(
     the channel's vacuum contribution included.
     """
     xm = _x_moments(params, chan.eta_x, chan.eps_x)
-    v_p_b = chan.eta_p * (1.0 / params.V_S + chan.eps_p) + 1.0 - chan.eta_p
+    v_p_b = _vpb(params, chan.eta_p, chan.eps_p, False)
     return CovMatrix(
         np.array(
             [
@@ -418,6 +425,17 @@ def _conditional_nu(
     return xm.v * math.sqrt(xm.b / xm.v_x_b)
 
 
+def _conditional_entropy(
+    xm: _XMoments, V_p_B: float, direction: ReconciliationDirection
+) -> float:
+    """Entropy in bits of the state left after the reference side's
+    homodyne measurement; an eigenvalue rounded below 1 counts as a pure
+    mode, so this is _g of _conditional_nu, bit for bit."""
+    # entropy_g is looked up in this module's globals: perfbench traces
+    # protocol.entropy_g by name
+    return entropy_g(max(_conditional_nu(xm, V_p_B, direction), 1.0))
+
+
 def _floor_holevo(chi: float) -> float:
     """Clamp rounding below zero; beyond HOLEVO_FLOOR_TOL the inputs are
     past double precision (g has infinite slope at 1, so rounding in a
@@ -449,7 +467,9 @@ def holevo_bound(
     on a lossless channel) land a few ulps off an end, so C_p is accepted
     8 ulps beyond the interval at V_p_B + 8 ulps and moved to the nearer
     end.  A symplectic eigenvalue there about 1e-8 below 1 (V_M >= 1e7)
-    counts as a pure mode.  Raises UnphysicalState for any other C_p,
+    counts as a pure mode, and so does a conditional eigenvalue rounded
+    below 1 (V_p_B up to VERTEX_SLACK below the vertex), the rule key_rate
+    and region maps share.  Raises UnphysicalState for any other C_p,
     NonPositiveDefinite for a singular state and DomainError when V_p_B
     is not positive and finite.
     """
@@ -464,10 +484,8 @@ def holevo_bound(
     C_p = min(max(C_p, interval[0]), interval[1])
     if not xm.v * V_p_B > C_p * C_p:
         raise NonPositiveDefinite("covariance matrix is not positive definite")
-    nu_plus, nu_minus = _symplectic_pair(_observe(xm, V_p_B), C_p)
-    nu_cond = _conditional_nu(xm, V_p_B, direction)
-    s_cond = entropy_g(max(nu_cond, 1.0))
-    chi = _floor_holevo(_g(nu_plus) + _g(nu_minus) - s_cond)
+    chi = _floor_holevo(_joint_entropy(_observe(xm, V_p_B), C_p)
+                        - _conditional_entropy(xm, V_p_B, direction))
     if not math.isfinite(chi):
         raise _not_finite("Holevo bound")
     return chi
@@ -545,13 +563,8 @@ def _worst_case_correlation(
     C_p: near a pure state the entropy can vary by 5e-11 across an
     interval 1e-11 wide.  Both endpoints stay candidates.
     """
-    s_cond = entropy_g(_conditional_nu(xm, V_p_B, direction))
+    s_cond = _conditional_entropy(xm, V_p_B, direction)
     ob = _observe(xm, V_p_B)
-
-    def joint_entropy(cp: float) -> float:
-        nu_plus, nu_minus = _symplectic_pair(ob, cp)
-        return _g(nu_plus) + _g(nu_minus)
-
     ulp = math.ulp(max(abs(lo), abs(hi)))
     xtol = max(WORST_CASE_XTOL * min(1.0, hi - lo), 8.0 * ulp)
     half = 0.5 * xtol
@@ -569,9 +582,9 @@ def _worst_case_correlation(
             refined = 0.5 * (a + b)
 
     # the first of the candidates lo, hi, refined whose entropy is largest
-    cp, s_ab = lo, joint_entropy(lo)
+    cp, s_ab = lo, _joint_entropy(ob, lo)
     for x in (hi, refined):
-        s_x = joint_entropy(x)
+        s_x = _joint_entropy(ob, x)
         if s_x > s_ab:
             cp, s_ab = x, s_x
     return cp, _floor_holevo(s_ab - s_cond)
@@ -586,8 +599,10 @@ def key_rate(
     """Worst-case asymptotic key rate for an observed p variance.
 
     K = beta * I - max over physical C_p of the Holevo bound.  May be
-    negative.  Raises UnphysicalObservation when no physical state matches
-    the observed V_p_B.
+    negative.  holevo equals holevo_bound at worst_Cp: the conditional
+    entropy takes an eigenvalue rounded below 1 (V_p_B up to VERTEX_SLACK
+    below the vertex) as a pure mode.  Raises UnphysicalObservation when no
+    physical state matches the observed V_p_B.
     """
     xm = _x_moments(params, chan.eta_x, chan.eps_x)
     interval = _interval(_parabola(xm, params, chan), V_p_B)
@@ -627,8 +642,13 @@ def symmetric_vpB(
         raise DomainError("eta must lie in (0, 1]")
     if not eps_p >= 0.0:
         raise DomainError("eps_p must be nonnegative")
+    return _vpb(params, eta, eps_p, strict_paper)
+
+
+def _vpb(params: ProtocolParams, eta: float, eps_p: float | np.ndarray, strict: bool):
+    """symmetric_vpB without its checks, for a float or an array of eps_p."""
     out = eta * (1.0 / params.V_S + eps_p)
-    return out if strict_paper else out + (1.0 - eta)
+    return out if strict else out + (1.0 - eta)
 
 
 def _check_eta_open(eta: float) -> None:

@@ -32,16 +32,16 @@ from .protocol import (
     ProtocolParams,
     ReconciliationDirection,
     _bracket_sign_change,
-    _conditional_nu,
+    _conditional_entropy,
     _g,
     _not_finite,
     _observe,
     _parabola,
     _symplectic_pair,
+    _vpb,
     _x_moments,
     key_rate,
     mutual_information,
-    symmetric_vpB,
 )
 
 NOISE_CAP = 10.0
@@ -129,7 +129,8 @@ class SweepConfig:
 class RegionMap:
     """Classified 2-D grid: x axis (V_p_B or eps_p) by C_p axis.
 
-    cells[i, j] is the RegionClass code at (x_axis[i], cp_axis[j]).
+    cells, an integer array, holds at [i, j] the RegionClass code at
+    (x_axis[i], cp_axis[j]).
     """
 
     x_axis: np.ndarray
@@ -145,6 +146,8 @@ class RegionMap:
             raise ConfigError("region axes must be nonempty")
         if self.cells.shape != (len(self.x_axis), len(self.cp_axis)):
             raise ConfigError("cell grid does not match the axes")
+        if not np.issubdtype(self.cells.dtype, np.integer):
+            raise ConfigError("cells must be an integer array")
         if self.cells.size and not 0 <= self.cells.min() <= self.cells.max() <= max(RegionClass):
             raise ConfigError("cells must hold RegionClass codes")
 
@@ -218,18 +221,17 @@ def scan_region(
     elif mode is RegionMode.SYMMETRIC_NOISE:
         if grid.x_min < 0:
             raise ConfigError("excess-noise axis must be nonnegative")
-        # symmetric_vpB's arithmetic for every row; chan has checked eta_x
-        vpb_rows = eta_x * (1.0 / params.V_S + x_axis)
-        if not grid.strict_paper_vpb:
-            vpb_rows += 1.0 - eta_x
+        # symmetric_vpB for every row; chan has checked eta_x
+        vpb_rows = _vpb(params, eta_x, x_axis, grid.strict_paper_vpb)
     else:
         raise ConfigError(f"unknown region mode {mode!r}")
 
     key_mi = params.beta * mutual_information(params, chan)
     xm = _x_moments(params, eta_x, eps_x)
-    s_cond_rr = _g(_conditional_nu(xm, 1.0, ReconciliationDirection.REVERSE))
-    # _conditional_nu's DIRECT sqrt(b V_p_B) in one pass; _g stays scalar,
-    # as np.log1p need not round like math.log1p.
+    s_cond_rr = _conditional_entropy(xm, 1.0, ReconciliationDirection.REVERSE)
+    # _conditional_entropy's DIRECT rule, sqrt(b V_p_B) in one pass and then
+    # _g, which equals it bit for bit; _g stays scalar, as np.log1p need not
+    # round like math.log1p.
     s_cond_dr = np.array([_g(nu) for nu in np.sqrt(xm.b * vpb_rows).tolist()])
     # physicality_interval for every row at once, as columns [first, stop)
     v0, c0, coeff = _parabola(xm, params, chan)
@@ -302,7 +304,8 @@ def _worst_case_rate(
     """Worst-case key rate on a symmetric channel, None when the observed
     p variance admits no physical state (possible in strict-paper mode)."""
     chan = ChannelParams.symmetric(eta, eps)
-    v_p_b = symmetric_vpB(params, eta, eps, strict_paper_vpb)
+    # symmetric_vpB, whose checks ChannelParams has made
+    v_p_b = _vpb(params, eta, eps, strict_paper_vpb)
     try:
         return key_rate(params, chan, v_p_b, direction).key_rate
     except UnphysicalObservation:

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import mpmath
 import numpy as np
@@ -42,9 +43,12 @@ from udcvqkd import (
 )
 from udcvqkd import protocol
 from udcvqkd.protocol import (
+    VERTEX_SLACK,
     _bracket_sign_change,
+    _conditional_entropy,
     _conditional_nu,
     _entropy_slope,
+    _g,
     _observe,
     _symplectic_pair,
     _x_moments,
@@ -225,6 +229,19 @@ class TestApplyChannel:
         out = apply_channel(params, chan, C_p=pure_cp(params))
         assert out.mat == pytest.approx(eb.mat, abs=1e-12)
 
+    def test_p_variance_is_symmetric_vpB(self):
+        # Bob's p variance has one rule; written as
+        # eta_p (1/V_S + eps_p) + 1 - eta_p it rounded differently on about
+        # a third of these draws
+        rng = np.random.default_rng(307)
+        for _ in range(5000):
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-2.0, 4.0),
+                                    V_M=10.0 ** rng.uniform(-1.0, 6.0))
+            eta = rng.uniform(0.01, 1.0)
+            eps = rng.choice([0.0, rng.uniform(0.0, 0.5)])
+            state = apply_channel(params, ChannelParams.symmetric(eta, eps), C_p=0.0)
+            assert state.mat[3, 3] == symmetric_vpB(params, eta, eps)
+
 
 class TestMutualInformation:
     def test_zero_without_modulation(self):
@@ -397,6 +414,36 @@ class TestConditionalStates:
             got_rr = condition_on_homodyne(state, QuadratureSelector(Quadrature.X, 1))
             assert got_dr.mat == pytest.approx(after_alice, abs=1e-10)
             assert got_rr.mat == pytest.approx(after_bob, abs=1e-10)
+
+
+class TestConditionalEntropy:
+    @staticmethod
+    def bits(x: float) -> bytes:
+        return struct.pack("<d", x)
+
+    def test_clamped_entropy_g_is_g_bit_for_bit(self):
+        # key_rate and holevo_bound take entropy_g(max(nu, 1.0)), region
+        # maps _g(nu): one rule only while these agree to the bit
+        rng = np.random.default_rng(331)
+        special = [0.0, -0.0, -1.0, 5e-324, 1.0, math.nextafter(1.0, 0.0),
+                   math.nextafter(1.0, 2.0), 1.0 - 1e-9, 1.0 - 2e-9, 1.0 + 1e-15,
+                   math.nan, math.inf, -math.inf, 1e300, 1.7e308]
+        nus = (special + (10.0 ** rng.uniform(-3.0, 300.0, 20000)).tolist()
+               + (1.0 + rng.uniform(-1e-8, 1e-8, 5000)).tolist())
+        for nu in nus:
+            assert self.bits(entropy_g(max(nu, 1.0))) == self.bits(_g(nu)), nu
+
+    def test_conditional_entropy_is_g_of_the_eigenvalue(self):
+        rng = np.random.default_rng(337)
+        for _ in range(2000):
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-2.0, 4.0),
+                                    V_M=10.0 ** rng.uniform(-1.0, 8.0))
+            eta, eps = rng.uniform(0.01, 1.0), rng.choice([0.0, rng.uniform(0.0, 0.5)])
+            xm = _x_moments(params, eta, eps)
+            v_p_b = (1.0 + rng.uniform(-1e-8, 1.0)) / xm.b
+            for direction in (DR, RR):
+                assert self.bits(_conditional_entropy(xm, v_p_b, direction)) == self.bits(
+                    _g(_conditional_nu(xm, v_p_b, direction)))
 
 
 class TestHolevoBound:
@@ -882,6 +929,25 @@ class TestKeyRate:
         v_p_b = symmetric_vpB(params, 0.9, 0.0, strict_paper=True)
         with pytest.raises(UnphysicalObservation):
             key_rate(params, chan, v_p_b, DR)
+
+    @pytest.mark.parametrize("v_s", [3e3, 1e4])
+    @pytest.mark.parametrize("eta", [1.0, 0.9])
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_observation_in_the_slack_below_a_small_vertex(self, v_s, eta, eps):
+        # V0 = 1/b is below 1, so VERTEX_SLACK is absolute there, and with
+        # b above about 2000 it puts the DR conditional eigenvalue
+        # sqrt(b V_p_B) more than 1e-9 below 1.  physicality_interval
+        # accepts the observation; the eigenvalue counts as a pure mode, as
+        # in holevo_bound and region maps, where it used to raise DomainError
+        params = ProtocolParams(V_S=v_s, V_M=10.0)
+        chan = ChannelParams.symmetric(eta, eps)
+        v0 = physicality_parabola(params, chan)[0]
+        v_p_b = v0 - 0.9 * VERTEX_SLACK * max(1.0, abs(v0))
+        assert physicality_interval(params, chan, v_p_b) is not None
+        assert _conditional_nu(_x_moments(params, eta, eps), v_p_b, DR) < 1.0 - 1e-9
+        a = key_rate(params, chan, v_p_b, DR)
+        assert math.isfinite(a.key_rate)
+        assert a.holevo == holevo_bound(params, chan, a.worst_Cp, v_p_b, DR)
 
     def test_lossless_channel_with_tiny_signal_variance(self):
         # b = 1 - eta + eta V_S and v_x_b = b + eta V_M keep V_S = 1e-8 at

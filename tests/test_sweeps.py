@@ -52,10 +52,11 @@ from udcvqkd import __version__, sweeps
 from udcvqkd.gaussian import _min_uncertainty_eig
 from udcvqkd.protocol import (
     LOG2E,
-    _conditional_nu,
+    _conditional_entropy,
     _g,
     _observe,
     _symplectic_pair,
+    _vpb,
     _x_moments,
 )
 from udcvqkd.sweeps import _g_array
@@ -377,11 +378,11 @@ class TestScanRegion:
         chan = ChannelParams.symmetric(eta, eps)
         xm = _x_moments(params, eta, eps)
         key_mi = mutual_information(params, chan)
-        s_cond_rr = _g(_conditional_nu(xm, 1.0, RR))
+        s_cond_rr = _conditional_entropy(xm, 1.0, RR)
         want = np.zeros_like(region.cells)
         for i, x in enumerate(region.x_axis):
             v_p_b = (float(x) if mode is RegionMode.FREE_VPB
-                     else symmetric_vpB(params, eta, float(x), strict))
+                     else _vpb(params, eta, float(x), strict))
             interval = physicality_interval(params, chan, v_p_b)
             if interval is None:
                 continue
@@ -389,7 +390,7 @@ class TestScanRegion:
             for j in np.flatnonzero((lo <= region.cp_axis) & (region.cp_axis <= hi)):
                 nu_plus, nu_minus = _symplectic_pair(_observe(xm, v_p_b), region.cp_axis[j:j + 1])
                 s_ab = float(_g_array(nu_plus)[0] + _g_array(nu_minus)[0])
-                k_dr = key_mi - (s_ab - _g(_conditional_nu(xm, v_p_b, DR)))
+                k_dr = key_mi - (s_ab - _conditional_entropy(xm, v_p_b, DR))
                 k_rr = key_mi - (s_ab - s_cond_rr)
                 want[i, j] = (
                     RegionClass.SECURE_BOTH if (k_dr > 0 and k_rr > 0)
@@ -867,6 +868,23 @@ class TestWriters:
         with pytest.raises(ConfigError):
             RegionMap(x_axis=np.arange(3.0), cp_axis=np.arange(2.0), cells=cells,
                              mode=RegionMode.FREE_VPB)
+
+    def test_region_map_rejects_non_integer_cells(self):
+        # a float 2.5 lies in the code range, and region_to_json would
+        # write it as code 2
+        cells = np.zeros((3, 2))
+        cells[1, 1] = 2.5
+        with pytest.raises(ConfigError, match="integer array"):
+            RegionMap(x_axis=np.arange(3.0), cp_axis=np.arange(2.0), cells=cells,
+                      mode=RegionMode.FREE_VPB)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_region_map_accepts_integer_cells(self, dtype):
+        cells = np.arange(6, dtype=dtype).reshape(3, 2) % 5
+        region = RegionMap(x_axis=np.arange(3.0), cp_axis=np.arange(2.0), cells=cells,
+                           mode=RegionMode.FREE_VPB)
+        assert region.cells.dtype == dtype
+        assert '"cells":[[0,1],[2,3],[4,0]]' in region_to_json(region)
 
     def test_repeated_scans_are_byte_identical(self, tmp_path):
         params = ProtocolParams(V_S=1.0, V_M=10.0)
