@@ -2,124 +2,47 @@
 
 Covariance-matrix machinery, worst-case key rates for squeezed, coherent,
 and antisqueezed signal states, and parameter-space sweeps that emit
-machine-readable figure data.
+machine-readable figure data.  Each public name is imported from its
+module on first use (PEP 562), so importing the package loads nothing,
+and numpy loads only with the covariance-matrix oracle or a region map.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    NoPositiveRate,
-    NoRoot,
-    NonPositiveDefinite,
-    NumericalDegeneracy,
-    SingularConditioning,
-    ToolkitError,
-    UnphysicalObservation,
-    UnphysicalState,
-)
-from .gaussian import (
-    CovMatrix,
-    Quadrature,
-    QuadratureSelector,
-    condition_on_homodyne,
-    entropy_g,
-    is_physical,
-    symplectic_eigenvalues,
-    symplectic_form,
-    von_neumann_entropy,
-)
-from .protocol import (
-    ChannelParams,
-    ProtocolParams,
-    ReconciliationDirection,
-    SecurityAssessment,
-    apply_channel,
-    asymptotic_key_rate_dr,
-    asymptotic_key_rate_dr_coherent,
-    asymptotic_key_rate_rr,
-    asymptotic_key_rate_rr_coherent,
-    build_eb_state,
-    holevo_bound,
-    key_rate,
-    mutual_information,
-    physicality_interval,
-    physicality_parabola,
-    symmetric_vpB,
-)
-from .sweeps import (
-    Curve,
-    RegionClass,
-    RegionMap,
-    RegionMode,
-    SweepConfig,
-    curve_to_csv,
-    curve_to_json,
-    db_grid,
-    db_to_eta,
-    eta_to_db,
-    keyrate_vs_attenuation,
-    max_attenuation,
-    max_tolerable_noise,
-    region_to_json,
-    scan_region,
-    write_curve_csv,
-    write_region_json,
-)
+_EXPORTS = {
+    "errors": (
+        "ConfigError", "DomainError", "NoPositiveRate", "NoRoot", "NonPositiveDefinite",
+        "NumericalDegeneracy", "SingularConditioning", "ToolkitError",
+        "UnphysicalObservation", "UnphysicalState",
+    ),
+    "gaussian": (
+        "CovMatrix", "Quadrature", "QuadratureSelector", "apply_channel", "build_eb_state",
+        "condition_on_homodyne", "is_physical", "symplectic_eigenvalues", "symplectic_form",
+        "von_neumann_entropy",
+    ),
+    "protocol": (
+        "ChannelParams", "ProtocolParams", "ReconciliationDirection", "SecurityAssessment",
+        "asymptotic_key_rate_dr", "asymptotic_key_rate_dr_coherent", "asymptotic_key_rate_rr",
+        "asymptotic_key_rate_rr_coherent", "entropy_g", "holevo_bound", "key_rate",
+        "mutual_information", "physicality_interval", "physicality_parabola", "symmetric_vpB",
+    ),
+    "sweeps": (
+        "Curve", "RegionClass", "RegionMap", "RegionMode", "SweepConfig", "curve_to_csv",
+        "curve_to_json", "db_grid", "db_to_eta", "eta_to_db", "keyrate_vs_attenuation",
+        "max_attenuation", "max_tolerable_noise", "region_to_json", "scan_region",
+        "write_curve_csv", "write_region_json",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "DomainError",
-    "NoPositiveRate",
-    "NoRoot",
-    "NonPositiveDefinite",
-    "NumericalDegeneracy",
-    "SingularConditioning",
-    "ToolkitError",
-    "UnphysicalObservation",
-    "UnphysicalState",
-    "CovMatrix",
-    "Quadrature",
-    "QuadratureSelector",
-    "condition_on_homodyne",
-    "entropy_g",
-    "is_physical",
-    "symplectic_eigenvalues",
-    "symplectic_form",
-    "von_neumann_entropy",
-    "ChannelParams",
-    "ProtocolParams",
-    "ReconciliationDirection",
-    "SecurityAssessment",
-    "apply_channel",
-    "asymptotic_key_rate_dr",
-    "asymptotic_key_rate_dr_coherent",
-    "asymptotic_key_rate_rr",
-    "asymptotic_key_rate_rr_coherent",
-    "build_eb_state",
-    "holevo_bound",
-    "key_rate",
-    "mutual_information",
-    "physicality_interval",
-    "physicality_parabola",
-    "symmetric_vpB",
-    "Curve",
-    "RegionClass",
-    "RegionMap",
-    "RegionMode",
-    "SweepConfig",
-    "curve_to_csv",
-    "curve_to_json",
-    "db_grid",
-    "db_to_eta",
-    "eta_to_db",
-    "keyrate_vs_attenuation",
-    "max_attenuation",
-    "max_tolerable_noise",
-    "region_to_json",
-    "scan_region",
-    "write_curve_csv",
-    "write_region_json",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

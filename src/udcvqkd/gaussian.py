@@ -1,9 +1,13 @@
-"""Gaussian-state linear algebra on covariance matrices.
+"""Covariance-matrix oracle: generic Gaussian-state linear algebra.
 
 All states are zero-mean, so an n-mode Gaussian state is fully described
 by its 2n x 2n covariance matrix in shot-noise units (vacuum variance 1)
-with quadrature ordering (x1, p1, x2, p2, ...).  Everything here is a pure
-function of its inputs and safe to call concurrently.
+with quadrature ordering (x1, p1, x2, p2, ...).  The tests compare the
+closed forms of protocol against these eigensolver computations, on the
+states that build_eb_state and apply_channel assemble from protocol's
+parameters; neither key_rate nor the region maps call this module.
+Everything here is a pure function of its inputs and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -15,18 +19,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DomainError,
     NonPositiveDefinite,
     NumericalDegeneracy,
     SingularConditioning,
 )
+from .protocol import (
+    NU_CLAMP_TOL,
+    ChannelParams,
+    ProtocolParams,
+    _vpb,
+    _x_moments,
+    entropy_g,
+)
 
 SYMMETRY_TOL = 1e-12
-NU_CLAMP_TOL = 1e-9
 PAIRING_TOL = 1e-8
 PHYSICALITY_TOL = 1e-9
 CONDITIONING_TOL = 1e-12
-LOG2E = math.log2(math.e)
 
 
 class Quadrature(enum.Enum):
@@ -68,6 +77,54 @@ class CovMatrix:
     @property
     def n_modes(self) -> int:
         return self.mat.shape[0] // 2
+
+
+def build_eb_state(params: ProtocolParams) -> CovMatrix:
+    """Entanglement-based two-mode state equivalent to the modulated source.
+
+    A two-mode squeezed vacuum of variance V = sqrt(1 + V_M/V_S) with one
+    mode squeezed so that homodyning x on mode A conditionally prepares
+    diag(V_S, 1/V_S) in mode B, while mode B alone carries
+    diag(V_S + V_M, 1/V_S), the modulated signal sent into the channel.
+    The state is pure by construction.
+    """
+    v = params.tmsv_variance
+    c_x = math.sqrt(v * params.V_M)
+    c_p = -math.sqrt(params.V_M / v) / params.V_S
+    mat = np.array(
+        [
+            [v, 0.0, c_x, 0.0],
+            [0.0, v, 0.0, c_p],
+            [c_x, 0.0, params.V_S + params.V_M, 0.0],
+            [0.0, c_p, 0.0, 1.0 / params.V_S],
+        ]
+    )
+    return CovMatrix(mat)
+
+
+def apply_channel(
+    params: ProtocolParams, chan: ChannelParams, C_p: float
+) -> CovMatrix:
+    """State shared between the parties after the phase-sensitive channel.
+
+    The x side is fixed by the channel; the p correlation C_p is supplied
+    by the caller because the trusted parties cannot measure it
+    (physicality of the result is tested separately, not here).  Bob's p
+    variance is modeled as eta_p (1/V_S + eps_p) + 1 - eta_p, i.e. with
+    the channel's vacuum contribution included.
+    """
+    xm = _x_moments(params, chan.eta_x, chan.eps_x)
+    v_p_b = _vpb(params, chan.eta_p, chan.eps_p, False)
+    return CovMatrix(
+        np.array(
+            [
+                [xm.v, 0.0, xm.c_x, 0.0],
+                [0.0, xm.v, 0.0, C_p],
+                [xm.c_x, 0.0, xm.v_x_b, 0.0],
+                [0.0, C_p, 0.0, v_p_b],
+            ]
+        )
+    )
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -117,22 +174,6 @@ def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
     nus = pairs[:, 0].copy()
     nus[(nus >= 1.0 - NU_CLAMP_TOL) & (nus < 1.0)] = 1.0
     return nus
-
-
-def entropy_g(nu: float) -> float:
-    """Entropy in bits of one bosonic mode with symplectic eigenvalue nu.
-
-    ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), evaluated as
-    log2(1 + m) + m log2(1 + 1/m) with m = (nu - 1)/2, which does not
-    cancel at large nu; exactly 0 at nu = 1.  Values within 1e-9 below 1
-    are treated as 1.
-    """
-    if nu < 1.0 - NU_CLAMP_TOL:
-        raise DomainError(f"symplectic eigenvalue {nu!r} is below 1")
-    if nu <= 1.0:
-        return 0.0
-    m = 0.5 * (nu - 1.0)
-    return (math.log1p(m) + m * math.log1p(1.0 / m)) * LOG2E
 
 
 def von_neumann_entropy(gamma: CovMatrix) -> float:

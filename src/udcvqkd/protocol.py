@@ -7,7 +7,11 @@ channel is unknown to the trusted parties, so security is evaluated at the
 value of that correlation, allowed by the uncertainty principle, that
 maximizes the eavesdropper's Holevo information.
 
-All operations are pure functions with no shared state.
+The shared state is two modes with decoupled quadratures, six scalars,
+so everything here is closed-form arithmetic with the math module; the
+covariance-matrix oracle in gaussian, which the tests compare against,
+is built on this module and not used by it.  All operations are pure
+functions with no shared state.
 """
 
 from __future__ import annotations
@@ -18,17 +22,16 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
     DomainError,
     NonPositiveDefinite,
     UnphysicalObservation,
     UnphysicalState,
 )
-from .gaussian import CovMatrix, entropy_g
 
 LOG2E = math.log2(math.e)
+# Symplectic eigenvalues this far below 1 are a pure mode to rounding.
+NU_CLAMP_TOL = 1e-9
 
 # Numerical policy for the worst-case correlation search: the final
 # bracket is WORST_CASE_XTOL wide, or that fraction of a narrower interval.
@@ -137,29 +140,6 @@ class SecurityAssessment:
     key_rate: float
     worst_Cp: float
     Cp_interval: tuple[float, float]
-
-
-def build_eb_state(params: ProtocolParams) -> CovMatrix:
-    """Entanglement-based two-mode state equivalent to the modulated source.
-
-    A two-mode squeezed vacuum of variance V = sqrt(1 + V_M/V_S) with one
-    mode squeezed so that homodyning x on mode A conditionally prepares
-    diag(V_S, 1/V_S) in mode B, while mode B alone carries
-    diag(V_S + V_M, 1/V_S), the modulated signal sent into the channel.
-    The state is pure by construction.
-    """
-    v = params.tmsv_variance
-    c_x = math.sqrt(v * params.V_M)
-    c_p = -math.sqrt(params.V_M / v) / params.V_S
-    mat = np.array(
-        [
-            [v, 0.0, c_x, 0.0],
-            [0.0, v, 0.0, c_p],
-            [c_x, 0.0, params.V_S + params.V_M, 0.0],
-            [0.0, c_p, 0.0, 1.0 / params.V_S],
-        ]
-    )
-    return CovMatrix(mat)
 
 
 class _XMoments(NamedTuple):
@@ -308,36 +288,22 @@ def _g(nu: float) -> float:
     return (math.log1p(m) + m * math.log1p(1.0 / m)) * LOG2E
 
 
+def entropy_g(nu: float) -> float:
+    """Entropy in bits of one bosonic mode with symplectic eigenvalue nu.
+
+    _g(nu), exactly 0 at nu = 1.  Values within NU_CLAMP_TOL below 1 are
+    a pure mode; lower ones raise DomainError.
+    """
+    if nu < 1.0 - NU_CLAMP_TOL:
+        raise DomainError(f"symplectic eigenvalue {nu!r} is below 1")
+    return _g(nu)
+
+
 def _joint_entropy(ob: tuple, c_p: float) -> float:
     """Entropy in bits of the shared two-mode state at c_p, from _observe's
     tuple ob; a mode at nu <= 1 counts as pure."""
     nu_plus, nu_minus = _symplectic_pair(ob, c_p)
     return _g(nu_plus) + _g(nu_minus)
-
-
-def apply_channel(
-    params: ProtocolParams, chan: ChannelParams, C_p: float
-) -> CovMatrix:
-    """State shared between the parties after the phase-sensitive channel.
-
-    The x side is fixed by the channel; the p correlation C_p is supplied
-    by the caller because the trusted parties cannot measure it
-    (physicality of the result is tested separately, not here).  Bob's p
-    variance is modeled as eta_p (1/V_S + eps_p) + 1 - eta_p, i.e. with
-    the channel's vacuum contribution included.
-    """
-    xm = _x_moments(params, chan.eta_x, chan.eps_x)
-    v_p_b = _vpb(params, chan.eta_p, chan.eps_p, False)
-    return CovMatrix(
-        np.array(
-            [
-                [xm.v, 0.0, xm.c_x, 0.0],
-                [0.0, xm.v, 0.0, C_p],
-                [xm.c_x, 0.0, xm.v_x_b, 0.0],
-                [0.0, C_p, 0.0, v_p_b],
-            ]
-        )
-    )
 
 
 def mutual_information(params: ProtocolParams, chan: ChannelParams) -> float:
@@ -432,7 +398,7 @@ def _conditional_entropy(
     homodyne measurement; an eigenvalue rounded below 1 counts as a pure
     mode, so this is _g of _conditional_nu, bit for bit."""
     # entropy_g is looked up in this module's globals: perfbench traces
-    # protocol.entropy_g by name
+    # protocol.entropy_g, which gaussian.entropy_g is, by name
     return entropy_g(max(_conditional_nu(xm, V_p_B, direction), 1.0))
 
 
@@ -645,7 +611,7 @@ def symmetric_vpB(
     return _vpb(params, eta, eps_p, strict_paper)
 
 
-def _vpb(params: ProtocolParams, eta: float, eps_p: float | np.ndarray, strict: bool):
+def _vpb(params: ProtocolParams, eta: float, eps_p, strict: bool):
     """symmetric_vpB without its checks, for a float or an array of eps_p."""
     out = eta * (1.0 / params.V_S + eps_p)
     return out if strict else out + (1.0 - eta)
@@ -663,15 +629,17 @@ def asymptotic_key_rate_dr(V_S: float, eta: float) -> float:
     Closed form for a symmetric noiseless channel.  It is an upper bound on
     the strong-modulation limit of the worst-case key_rate, which maximizes
     the Holevo bound over the whole interval; the two approach each other
-    as V_S -> 1 (degenerate interval) and as eta -> 1.  Diverges at
-    V_S = 1; use the coherent variant there.
+    as V_S -> 1 (degenerate interval) and as eta -> 1.  The form is
+    continuous at V_S = 1 and there equals the coherent variant to
+    rounding; V_S = 1 itself is served by asymptotic_key_rate_dr_coherent.
     """
     _check_eta_open(eta)
     _check_finite(V_S=V_S)
     if not V_S > 0.0:
         raise DomainError("V_S must be positive")
     if V_S == 1.0:
-        raise DomainError("V_S = 1 has a separate closed form (coherent variant)")
+        raise DomainError("V_S = 1 is served by the coherent variant, "
+                          "asymptotic_key_rate_dr_coherent")
     # With c = sqrt(1 + u), u = eta (1 - eta) (V_S - 1)**2 / V_S and
     # s = eta |1 - V_S|, the rate is log2(e) (c atanh(1/c) - 1) + log2(s / (1 + s)).
     # c atanh(1/c) and log2(s) diverge as u -> 0 (eta -> 0, or V_S -> 1)
@@ -704,16 +672,18 @@ def asymptotic_key_rate_rr(V_S: float, eta: float) -> float:
     Closed form for a symmetric noiseless channel.  It is an upper bound on
     the strong-modulation limit of the worst-case key_rate, which maximizes
     the Holevo bound over the whole interval; the two approach each other
-    as V_S -> 1 (degenerate interval) and as eta -> 1.  Diverges at
-    V_S = 1 (the |1 - V_S| term) and as the conditional eigenvalue D
-    approaches 1; use the coherent variant at V_S = 1.
+    as V_S -> 1 (degenerate interval) and as eta -> 1.  Diverges as the
+    conditional eigenvalue D approaches 1.  The form is continuous at
+    V_S = 1 and there equals the coherent variant to rounding; V_S = 1
+    itself is served by asymptotic_key_rate_rr_coherent.
     """
     _check_eta_open(eta)
     _check_finite(V_S=V_S)
     if not V_S > 0.0:
         raise DomainError("V_S must be positive")
     if V_S == 1.0:
-        raise DomainError("V_S = 1 has a separate closed form (coherent variant)")
+        raise DomainError("V_S = 1 is served by the coherent variant, "
+                          "asymptotic_key_rate_rr_coherent")
     # D = sqrt((1 + eta (V_S - 1)) / (eta V_S)) overflows as eta V_S -> 0,
     # so work with r = 1/D: (D/2) log2((D + 1)/(D - 1)) is
     # log2(e) log1p(2r / (1 - r)) / (2r), which tends to log2(e) as r -> 0.

@@ -9,8 +9,9 @@ classified as int8 codes, and the JSON text is written into one byte
 buffer, cell codes two bytes at a time; curves and root searches call
 key_rate point by point, the root searches by regula falsi through the
 bracketing helper that the worst-case C_p search uses.
-Everything runs on the calling thread, so output is deterministic.
-Region maps serialize to JSON and curves to CSV, schemas documented in the
+Everything runs on the calling thread, so output is deterministic.  Only
+the region-map code imports numpy, inside its functions, so curves and
+roots run without loading it.  Region maps serialize to JSON and curves to CSV, schemas documented in the
 README.
 """
 
@@ -20,8 +21,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ConfigError, DomainError, NoPositiveRate, NoRoot, UnphysicalObservation
@@ -43,6 +43,9 @@ from .protocol import (
     key_rate,
     mutual_information,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NOISE_CAP = 10.0
 DB_CAP = 60.0
@@ -140,6 +143,8 @@ class RegionMap:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        import numpy as np
+
         if np.any(np.diff(self.x_axis) <= 0) or np.any(np.diff(self.cp_axis) <= 0):
             raise ConfigError("region axes must be strictly increasing")
         if not (len(self.x_axis) and len(self.cp_axis)):
@@ -178,6 +183,8 @@ def _g_array(nu: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     in _g's order, but through np.log1p, which need not round like
     math.log1p.
     """
+    import numpy as np
+
     zero = ~(nu > 1.0)
     nu -= 1.0
     nu *= 0.5
@@ -209,6 +216,8 @@ def scan_region(
     key_rate uses.  Secure cells are decided by the sign of the key rate at
     that exact (V_p_B or eps_p, C_p), with no smoothing of boundary cells.
     """
+    import numpy as np
+
     eta_x, eps_x = chan_x
     chan = ChannelParams(eta_x=eta_x, eta_p=eta_x, eps_x=eps_x, eps_p=eps_x)
     x_axis = np.linspace(grid.x_min, grid.x_max, grid.x_points)
@@ -486,6 +495,8 @@ def region_to_json(region: RegionMap) -> str:
     ends in "]]", which closes the grid), then "," and the other keys,
     which sort after "cells", as json.dumps writes them.
     """
+    import numpy as np
+
     obj = {
         "tool": f"udcvqkd {__version__}",
         "mode": region.mode.value,

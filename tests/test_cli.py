@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -353,3 +356,34 @@ def test_option_table_has_no_missing_or_dead_rows():
     used = {name for names in _SUBCOMMAND_OPTIONS.values() for name in names}
     assert used - set(_OPTIONS) == set(), "subcommand option without an _OPTIONS row"
     assert set(_OPTIONS) - used == set(), "_OPTIONS row no subcommand uses"
+
+
+# Run in a fresh interpreter, where only these calls can have loaded numpy.
+LAZY_NUMPY_SCRIPT = """
+import sys
+from udcvqkd import cli
+for argv in (
+    ["keyrate", "--vs", "0.5", "--vm", "10", "--eta-db", "1", "--eps", "0.01", "--dir", "rr"],
+    ["max-noise", "--vs", "0.5", "--vm", "10", "--eta-db", "1", "--dir", "rr"],
+    ["sweep-loss", "--vs", "0.5", "--vm", "10", "--dir", "dr", "--db", "0:2:1"],
+    ["asymptotic", "--vs", "0.5", "--eta", "0.5"],
+):
+    assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules
+assert cli.main(["region", "--vs", "1", "--vm", "10", "--eta", "0.9", "--mode", "vpb",
+                 "--x-range", "1:2:4", "--cp-range=-3:0:4"]) == 0
+assert "numpy" in sys.modules
+import udcvqkd
+from udcvqkd import *
+from udcvqkd import gaussian, protocol
+assert all(name in globals() for name in udcvqkd.__all__)
+assert gaussian.entropy_g is protocol.entropy_g
+"""
+
+
+def test_scalar_commands_never_load_numpy():
+    src = os.path.dirname(os.path.dirname(sweeps.__file__))
+    done = subprocess.run([sys.executable, "-c", LAZY_NUMPY_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -433,6 +433,18 @@ class TestConditionalEntropy:
         for nu in nus:
             assert self.bits(entropy_g(max(nu, 1.0))) == self.bits(_g(nu)), nu
 
+    def test_entropy_g_within_two_ulps_of_50_digit_value(self):
+        # the one scalar formula, against the log1p form at 50 digits;
+        # m = (nu - 1)/2 is exact in both, so only g's own rounding shows
+        rng = np.random.default_rng(347)
+        nus = [1.0 + 2.0 ** -52, 1.5, 2.0, 3.0] + (
+            1.0 + 10.0 ** rng.uniform(-15.0, 300.0, 20000)).tolist()
+        with mpmath.workdps(50):
+            for nu in nus:
+                m = (mpmath.mpf(nu) - 1) / 2
+                exact = (mpmath.log1p(m) + m * mpmath.log1p(1 / m)) / mpmath.log(2)
+                assert abs(entropy_g(nu) - exact) <= 2.0 ** -51 * exact, nu
+
     def test_conditional_entropy_is_g_of_the_eigenvalue(self):
         rng = np.random.default_rng(337)
         for _ in range(2000):
@@ -1019,6 +1031,16 @@ class TestAsymptoticRates:
             asymptotic_key_rate_dr(1.0, 0.5)
         with pytest.raises(DomainError):
             asymptotic_key_rate_rr(1.0, 0.5)
+
+    def test_general_forms_meet_the_coherent_ones_at_unit_signal_variance(self):
+        # V_S = 1 goes to the coherent variants, and the general forms are
+        # continuous there
+        for eta in np.linspace(0.01, 0.99, 50):
+            for v_s in (1.0 - 1e-9, 1.0 + 1e-9):
+                assert asymptotic_key_rate_dr(v_s, eta) == pytest.approx(
+                    asymptotic_key_rate_dr_coherent(eta), rel=1e-7, abs=1e-7)
+                assert asymptotic_key_rate_rr(v_s, eta) == pytest.approx(
+                    asymptotic_key_rate_rr_coherent(eta), rel=1e-7, abs=1e-7)
 
     @pytest.mark.parametrize("v_s", [math.inf, math.nan, 0.0, -1.0])
     def test_signal_variance_must_be_positive_and_finite(self, v_s):
