@@ -24,9 +24,9 @@ _EXPORTS = {
     ),
     "protocol": (
         "ChannelParams", "ProtocolParams", "ReconciliationDirection", "SecurityAssessment",
-        "asymptotic_key_rate_dr", "asymptotic_key_rate_dr_coherent", "asymptotic_key_rate_rr",
-        "asymptotic_key_rate_rr_coherent", "entropy_g", "holevo_bound", "key_rate",
-        "mutual_information", "physicality_interval", "physicality_parabola", "symmetric_vpB",
+        "asymptotic_key_rate_dr", "asymptotic_key_rate_rr", "entropy_g", "holevo_bound",
+        "key_rate", "mutual_information", "physicality_interval", "physicality_parabola",
+        "symmetric_vpB",
     ),
     "sweeps": (
         "Curve", "RegionClass", "RegionMap", "RegionMode", "SweepConfig", "curve_to_csv",

@@ -19,9 +19,7 @@ from .protocol import (
     ProtocolParams,
     ReconciliationDirection,
     asymptotic_key_rate_dr,
-    asymptotic_key_rate_dr_coherent,
     asymptotic_key_rate_rr,
-    asymptotic_key_rate_rr_coherent,
     key_rate,
     symmetric_vpB,
 )
@@ -53,9 +51,11 @@ def _parse_bool(text: str) -> bool:
 
 # Option name -> (converter, default, argparse keywords), one row per
 # option; the flag is "--" + name with "-" for "_".  A default of None
-# means "required if the subcommand uses it"; argparse stores None for
-# everything so values from --config can fill the gaps before defaults
-# apply.  choices are checked on the merged value, config file or flag.
+# means "no default": each subcommand's _require call names the options
+# it needs, _resolve_eta asks for exactly one of eta and eta_db, and an
+# unset output means stdout.  argparse stores None for everything so
+# values from --config can fill the gaps before defaults apply.  choices
+# are checked on the merged value, config file or flag.
 _OPTIONS = {
     "vs": (float, None, {"help": "signal variance V_S"}),
     "vm": (float, None, {"help": "modulation variance V_M"}),
@@ -314,14 +314,13 @@ def _cmd_asymptotic(opts: dict) -> int:
     _require(opts, "vs")
     eta = _resolve_eta(opts)
     vs = opts["vs"]
-    coherent = vs == 1.0
     obj = {
         "tool": _TOOL,
         "params": {"V_S": vs, "eta": eta, "attenuation_db": eta_to_db(eta)},
-        "dr": asymptotic_key_rate_dr_coherent(eta) if coherent else asymptotic_key_rate_dr(vs, eta),
-        "rr": asymptotic_key_rate_rr_coherent(eta) if coherent else asymptotic_key_rate_rr(vs, eta),
-        "dr_coherent": asymptotic_key_rate_dr_coherent(eta),
-        "rr_coherent": asymptotic_key_rate_rr_coherent(eta),
+        "dr": asymptotic_key_rate_dr(vs, eta),
+        "rr": asymptotic_key_rate_rr(vs, eta),
+        "dr_coherent": asymptotic_key_rate_dr(1.0, eta),
+        "rr_coherent": asymptotic_key_rate_rr(1.0, eta),
     }
     _emit(_json_text(obj), opts.get("output"))
     return 0

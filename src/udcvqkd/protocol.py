@@ -617,29 +617,26 @@ def _vpb(params: ProtocolParams, eta: float, eps_p, strict: bool):
     return out if strict else out + (1.0 - eta)
 
 
-def _check_eta_open(eta: float) -> None:
+def _check_asymptotic(V_S: float, eta: float) -> None:
     if not 0.0 < eta < 1.0:
         raise DomainError("eta must lie strictly inside (0, 1)")
+    _check_finite(V_S=V_S)
+    if not V_S > 0.0:
+        raise DomainError("V_S must be positive")
 
 
 def asymptotic_key_rate_dr(V_S: float, eta: float) -> float:
     """Strong-modulation limit of the direct-reconciliation key rate with
     C_p pinned at the upper end of the physical interval.
 
-    Closed form for a symmetric noiseless channel.  It is an upper bound on
-    the strong-modulation limit of the worst-case key_rate, which maximizes
-    the Holevo bound over the whole interval; the two approach each other
-    as V_S -> 1 (degenerate interval) and as eta -> 1.  The form is
-    continuous at V_S = 1 and there equals the coherent variant to
-    rounding; V_S = 1 itself is served by asymptotic_key_rate_dr_coherent.
+    Closed form for a symmetric noiseless channel and any signal state.
+    It is an upper bound on the strong-modulation limit of the worst-case
+    key_rate, which maximizes the Holevo bound over the whole interval;
+    the two approach each other as V_S -> 1 and as eta -> 1, and are equal
+    at V_S = 1, where the interval is degenerate.  For a coherent source
+    (V_S = 1) it is log2(2 eta) - log2(eta (1 - eta)) / 2 - log2(e).
     """
-    _check_eta_open(eta)
-    _check_finite(V_S=V_S)
-    if not V_S > 0.0:
-        raise DomainError("V_S must be positive")
-    if V_S == 1.0:
-        raise DomainError("V_S = 1 is served by the coherent variant, "
-                          "asymptotic_key_rate_dr_coherent")
+    _check_asymptotic(V_S, eta)
     # With c = sqrt(1 + u), u = eta (1 - eta) (V_S - 1)**2 / V_S and
     # s = eta |1 - V_S|, the rate is log2(e) (c atanh(1/c) - 1) + log2(s / (1 + s)).
     # c atanh(1/c) and log2(s) diverge as u -> 0 (eta -> 0, or V_S -> 1)
@@ -653,59 +650,42 @@ def asymptotic_key_rate_dr(V_S: float, eta: float) -> float:
     return LOG2E * (diverging + rest - 1.0 - math.log1p(eta * abs(1.0 - V_S)))
 
 
-def asymptotic_key_rate_dr_coherent(eta: float) -> float:
-    """Strong-modulation direct-reconciliation limit for coherent states
-    with C_p pinned at the upper end of the physical interval.
-
-    An upper bound on the strong-modulation limit of the worst-case
-    key_rate on a symmetric noiseless channel, and equal to it: at V_S = 1
-    the interval is degenerate.
-    """
-    _check_eta_open(eta)
-    return math.log2(2.0 * eta) - 0.5 * math.log2(eta * (1.0 - eta)) - LOG2E
+# 1/17, 1/15, ..., 1/3: Horner coefficients of atanh(r)/r - 1, which is
+# sum_k r^(2k) / (2k + 1) for k >= 1.
+_ATANH_EXCESS = tuple(1.0 / (2 * k + 1) for k in range(8, 0, -1))
 
 
 def asymptotic_key_rate_rr(V_S: float, eta: float) -> float:
     """Strong-modulation limit of the reverse-reconciliation key rate with
     C_p pinned at the upper end of the physical interval.
 
-    Closed form for a symmetric noiseless channel.  It is an upper bound on
-    the strong-modulation limit of the worst-case key_rate, which maximizes
-    the Holevo bound over the whole interval; the two approach each other
-    as V_S -> 1 (degenerate interval) and as eta -> 1.  Diverges as the
-    conditional eigenvalue D approaches 1.  The form is continuous at
-    V_S = 1 and there equals the coherent variant to rounding; V_S = 1
-    itself is served by asymptotic_key_rate_rr_coherent.
+    Closed form for a symmetric noiseless channel and any signal state.
+    It is an upper bound on the strong-modulation limit of the worst-case
+    key_rate, which maximizes the Holevo bound over the whole interval;
+    the two approach each other as V_S -> 1 and as eta -> 1, and are equal
+    at V_S = 1, where the interval is degenerate.  It grows without bound
+    as eta -> 1, where the conditional eigenvalue D approaches 1.  For a
+    coherent source (V_S = 1) it is (atanh(sqrt(eta)) / sqrt(eta) - 1) / ln 2,
+    about eta log2(e) / 3 for small eta.
     """
-    _check_eta_open(eta)
-    _check_finite(V_S=V_S)
-    if not V_S > 0.0:
-        raise DomainError("V_S must be positive")
-    if V_S == 1.0:
-        raise DomainError("V_S = 1 is served by the coherent variant, "
-                          "asymptotic_key_rate_rr_coherent")
+    _check_asymptotic(V_S, eta)
     # D = sqrt((1 + eta (V_S - 1)) / (eta V_S)) overflows as eta V_S -> 0,
-    # so work with r = 1/D: (D/2) log2((D + 1)/(D - 1)) is
-    # log2(e) log1p(2r / (1 - r)) / (2r), which tends to log2(e) as r -> 0.
-    # 1 - r = (1 - eta) / (den (1 + r)) does not cancel as r -> 1.
+    # so work with r = 1/D: (D/2) ln((D + 1)/(D - 1)) is atanh(r) / r,
+    # which tends to 1 as r -> 0.  Below r^2 = 0.01 the excess over 1 is
+    # summed as its series, where the logarithm would cancel; above it,
+    # 2 atanh(r) = log1p(2r / (1 - r)) with 1 - r = (1 - eta) / (den (1 + r)),
+    # which does not cancel as r -> 1.
     den = (1.0 - eta) + eta * V_S
     r = math.sqrt(eta * V_S / den)
-    if r >= 1.0 / (1.0 + 1e-12):
-        raise DomainError(f"conditional eigenvalue D={1.0 / r!r} too close to 1")
-    x = 2.0 * r * (1.0 + r) * den / (1.0 - eta)
-    half_d_log = math.log1p(x) / (2.0 * r) if r > 0.0 else 1.0
-    return LOG2E * (half_d_log - 1.0) - math.log2(1.0 + eta * abs(1.0 - V_S))
-
-
-def asymptotic_key_rate_rr_coherent(eta: float) -> float:
-    """Strong-modulation reverse-reconciliation limit for coherent states
-    with C_p pinned at the upper end of the physical interval.
-
-    An upper bound on the strong-modulation limit of the worst-case
-    key_rate on a symmetric noiseless channel, and equal to it: at V_S = 1
-    the interval is degenerate.  (1/ln 2) [arctanh(sqrt(eta))/sqrt(eta) - 1];
-    approaches eta * log2(e) / 3 for small eta and diverges as eta -> 1.
-    """
-    _check_eta_open(eta)
-    root = math.sqrt(eta)
-    return (math.atanh(root) / root - 1.0) / math.log(2.0)
+    r2 = r * r
+    if r2 < 0.01:
+        excess = 0.0
+        for coef in _ATANH_EXCESS:
+            excess = (excess + coef) * r2
+    else:
+        x = 2.0 * r * (1.0 + r) * den / (1.0 - eta)
+        excess = math.log1p(x) / (2.0 * r) - 1.0
+    rate = LOG2E * excess - math.log2(1.0 + eta * abs(1.0 - V_S))
+    if not math.isfinite(rate):
+        raise _not_finite("reverse-reconciliation rate")
+    return rate

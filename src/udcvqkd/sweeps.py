@@ -11,8 +11,8 @@ key_rate point by point, the root searches by regula falsi through the
 bracketing helper that the worst-case C_p search uses.
 Everything runs on the calling thread, so output is deterministic.  Only
 the region-map code imports numpy, inside its functions, so curves and
-roots run without loading it.  Region maps serialize to JSON and curves to CSV, schemas documented in the
-README.
+roots run without loading it.  Region maps serialize to JSON and curves
+to CSV, schemas documented in the README.
 """
 
 from __future__ import annotations

@@ -23,9 +23,7 @@ from udcvqkd import (
     SweepConfig,
     apply_channel,
     asymptotic_key_rate_dr,
-    asymptotic_key_rate_dr_coherent,
     asymptotic_key_rate_rr,
-    asymptotic_key_rate_rr_coherent,
     build_eb_state,
     condition_on_homodyne,
     holevo_bound,
@@ -202,16 +200,13 @@ def test_acceptance_4_asymptotic_oracle():
                     f"{worst.key_rate:.6f}"
                 )
 
-    for v_s in (0.5, 2.0):
+    for v_s in (0.5, 1.0, 2.0):
         for eta in (0.3, 0.6, 0.9):
             check(v_s, eta, DR, asymptotic_key_rate_dr(v_s, eta))
             check(v_s, eta, RR, asymptotic_key_rate_rr(v_s, eta))
-    for eta in (0.3, 0.6, 0.9):
-        check(1.0, eta, DR, asymptotic_key_rate_dr_coherent(eta))
-        check(1.0, eta, RR, asymptotic_key_rate_rr_coherent(eta))
 
     eta = 1e-3
-    low_eta_ratio = asymptotic_key_rate_rr_coherent(eta) / (eta * LOG2E / 3.0)
+    low_eta_ratio = asymptotic_key_rate_rr(1.0, eta) / (eta * LOG2E / 3.0)
     if abs(low_eta_ratio - 1.0) > 0.05:
         failures.append(f"low-eta reverse-coherent ratio {low_eta_ratio:.4f} off by > 5%")
 

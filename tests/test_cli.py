@@ -12,8 +12,8 @@ from udcvqkd import (
     ChannelParams,
     ProtocolParams,
     ReconciliationDirection,
-    asymptotic_key_rate_dr_coherent,
-    asymptotic_key_rate_rr_coherent,
+    asymptotic_key_rate_dr,
+    asymptotic_key_rate_rr,
     key_rate,
     mutual_information,
     symmetric_vpB,
@@ -178,10 +178,23 @@ class TestAsymptoticCommand:
         obj = json.loads(out)
         assert obj["dr"] == pytest.approx(-0.44270, abs=1e-4)
         assert obj["rr"] == pytest.approx(0.35556, abs=1e-4)
-        assert obj["dr"] == asymptotic_key_rate_dr_coherent(0.5)
-        assert obj["rr"] == asymptotic_key_rate_rr_coherent(0.5)
+        assert obj["dr"] == asymptotic_key_rate_dr(1.0, 0.5)
+        assert obj["rr"] == asymptotic_key_rate_rr(1.0, 0.5)
         assert obj["dr_coherent"] == obj["dr"]
         assert obj["rr_coherent"] == obj["rr"]
+
+    def test_unit_signal_variance_follows_the_nearby_domain(self, capsys):
+        # V_S = 1 and V_S = 1 + 1e-9 take the same form, so near eta = 1
+        # both return the diverging reverse rate; 24.47234245838989 is
+        # (atanh(sqrt(eta)) / sqrt(eta) - 1) / ln 2 to 60 digits
+        rates = {}
+        for v_s in ("1", "1.000000001"):
+            code, out, err = run(capsys, "asymptotic", "--vs", v_s,
+                                 "--eta", "0.999999999999999")
+            assert code == 0, err
+            rates[v_s] = json.loads(out)["rr"]
+        assert rates["1.000000001"] == pytest.approx(rates["1"], rel=1e-9)
+        assert rates["1"] == pytest.approx(24.47234245838989, rel=1e-13)
 
     @pytest.mark.parametrize("v_s,eta", [("0.5", "1e-300"), ("1e-300", "1e-17"),
                                          ("2", "5e-324"), ("1e-300", "0.9999999999999999")])

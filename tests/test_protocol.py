@@ -5,7 +5,7 @@ import struct
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udcvqkd import (
@@ -23,9 +23,7 @@ from udcvqkd import (
     UnphysicalState,
     apply_channel,
     asymptotic_key_rate_dr,
-    asymptotic_key_rate_dr_coherent,
     asymptotic_key_rate_rr,
-    asymptotic_key_rate_rr_coherent,
     build_eb_state,
     condition_on_homodyne,
     entropy_g,
@@ -534,7 +532,6 @@ class TestHolevoBound:
         # rounds to about 1 - 6e-9, e.g. at (V_S, eta) = (0.5, 0.9) for
         # V_M = 1e7 and (2.0, 0.3), (2.0, 0.6) for V_M = 1e8
         closed = {DR: asymptotic_key_rate_dr, RR: asymptotic_key_rate_rr}
-        coherent = {DR: asymptotic_key_rate_dr_coherent, RR: asymptotic_key_rate_rr_coherent}
         for v_s in (0.5, 1.0, 2.0):
             for eta in (0.3, 0.6, 0.9):
                 params = ProtocolParams(V_S=v_s, V_M=v_m)
@@ -547,11 +544,7 @@ class TestHolevoBound:
                     chi_hi = holevo_bound(params, chan, hi, v_p_b, direction)
                     assert math.isfinite(chi_lo) and chi_lo >= 0.0
                     # the closed forms are the strong-modulation rate at hi
-                    limit = (
-                        coherent[direction](eta)
-                        if v_s == 1.0
-                        else closed[direction](v_s, eta)
-                    )
+                    limit = closed[direction](v_s, eta)
                     assert mi - chi_hi == pytest.approx(limit, abs=1e-5)
 
     def test_boundary_rounding_allowance_does_not_admit_outside_points(self):
@@ -1001,24 +994,24 @@ class TestSymmetricVpB:
 
 class TestAsymptoticRates:
     def test_coherent_reference_values(self):
-        assert asymptotic_key_rate_dr_coherent(0.5) == pytest.approx(
+        assert asymptotic_key_rate_dr(1.0, 0.5) == pytest.approx(
             1.0 - LOG2E, abs=1e-12
         )
-        assert asymptotic_key_rate_dr_coherent(0.9) == pytest.approx(
+        assert asymptotic_key_rate_dr(1.0, 0.9) == pytest.approx(
             1.1422674598321931, abs=1e-12
         )
-        assert asymptotic_key_rate_rr_coherent(0.5) == pytest.approx(
+        assert asymptotic_key_rate_rr(1.0, 0.5) == pytest.approx(
             0.35555288572532473, abs=1e-12
         )
 
     def test_low_transmittance_reverse_approximation(self):
         eta = 1e-3
         approx = eta * LOG2E / 3.0
-        assert abs(asymptotic_key_rate_rr_coherent(eta) / approx - 1.0) <= 0.05
+        assert abs(asymptotic_key_rate_rr(1.0, eta) / approx - 1.0) <= 0.05
 
     def test_reverse_coherent_increases_toward_unit_transmittance(self):
         etas = np.linspace(0.05, 0.999, 40)
-        vals = [asymptotic_key_rate_rr_coherent(e) for e in etas]
+        vals = [asymptotic_key_rate_rr(1.0, e) for e in etas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_direct_rate_monotone_in_transmittance(self):
@@ -1026,21 +1019,38 @@ class TestAsymptoticRates:
         vals = [asymptotic_key_rate_dr(2.0, e) for e in etas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_coherent_point_rejected_by_general_forms(self):
-        with pytest.raises(DomainError):
-            asymptotic_key_rate_dr(1.0, 0.5)
-        with pytest.raises(DomainError):
-            asymptotic_key_rate_rr(1.0, 0.5)
-
     def test_general_forms_meet_the_coherent_ones_at_unit_signal_variance(self):
-        # V_S = 1 goes to the coherent variants, and the general forms are
-        # continuous there
+        # the forms are continuous at V_S = 1
         for eta in np.linspace(0.01, 0.99, 50):
             for v_s in (1.0 - 1e-9, 1.0 + 1e-9):
                 assert asymptotic_key_rate_dr(v_s, eta) == pytest.approx(
-                    asymptotic_key_rate_dr_coherent(eta), rel=1e-7, abs=1e-7)
+                    asymptotic_key_rate_dr(1.0, eta), rel=1e-7, abs=1e-7)
                 assert asymptotic_key_rate_rr(v_s, eta) == pytest.approx(
-                    asymptotic_key_rate_rr_coherent(eta), rel=1e-7, abs=1e-7)
+                    asymptotic_key_rate_rr(1.0, eta), rel=1e-7, abs=1e-7)
+
+    def test_unit_signal_variance_matches_high_precision(self):
+        # at V_S = 1 the reverse form is (atanh(r)/r - 1) / ln 2 with
+        # r = sqrt(eta), which cancels as eta -> 0 unless summed as a series.
+        # The direct form changes sign at eta of about 0.649, where a float
+        # sum of its order-one terms has no relative accuracy, so its error
+        # is measured against at least 1e-2
+        rng = random.Random(40)
+        etas = [10.0 ** rng.uniform(-300.0, math.log10(0.5)) for _ in range(300)]
+        etas += [1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.5)) for _ in range(300)]
+        for eta in etas:
+            # atanh(r)/r - 1 is about eta/3: keep 40 digits past the cancellation
+            with mpmath.workdps(40 - int(math.log10(eta))):
+                e = mpmath.mpf(eta)
+                root = mpmath.sqrt(e)
+                want_dr = (mpmath.log(2 * e) - mpmath.log(e * (1 - e)) / 2 - 1) / mpmath.log(2)
+                want_rr = (mpmath.atanh(root) / root - 1) / mpmath.log(2)
+                err_dr = abs(asymptotic_key_rate_dr(1.0, eta) - want_dr)
+                err_rr = abs(asymptotic_key_rate_rr(1.0, eta) - want_rr)
+                assert err_dr <= 1e-13 * max(abs(want_dr), 1e-2), eta
+                assert err_rr <= 1e-13 * abs(want_rr), eta
+        for eta in (5e-324, 1e-320, 1e-310, 2.0 ** -1023):  # subnormal
+            assert math.isfinite(asymptotic_key_rate_dr(1.0, eta))
+            assert math.isfinite(asymptotic_key_rate_rr(1.0, eta))
 
     @pytest.mark.parametrize("v_s", [math.inf, math.nan, 0.0, -1.0])
     def test_signal_variance_must_be_positive_and_finite(self, v_s):
@@ -1049,11 +1059,11 @@ class TestAsymptoticRates:
                 func(v_s, 0.5)
 
     def test_transmittance_domain_is_open(self):
-        for func in (asymptotic_key_rate_dr_coherent, asymptotic_key_rate_rr_coherent):
+        for func in (asymptotic_key_rate_dr, asymptotic_key_rate_rr):
             with pytest.raises(DomainError):
-                func(0.0)
+                func(1.0, 0.0)
             with pytest.raises(DomainError):
-                func(1.0)
+                func(1.0, 1.0)
 
     @pytest.mark.parametrize("v_s", [1e-300, 1e-100, 1e-17, 1e-3, 0.5, 1.0 - 1e-9, 1.0 + 1e-9,
                                      2.0, 1e3, 1e17, 1e100, 1e200, 1e300])
@@ -1070,28 +1080,35 @@ class TestAsymptoticRates:
             got_dr = asymptotic_key_rate_dr(v_s, eta)
             assert abs(got_dr - want_dr) <= 1e-12 * max(1.0, abs(want_dr)), (v_s, eta)
 
-            d = mpmath.sqrt((1 + e * (vs - 1)) / (e * vs))
-            if d - 1 <= 2e-12:
+            # the reverse form raises only where its float x overflows
+            den = (1.0 - eta) + eta * v_s
+            r = math.sqrt(eta * v_s / den)
+            if math.isinf(2.0 * r * (1.0 + r) * den / (1.0 - eta)):
                 with pytest.raises(DomainError):
                     asymptotic_key_rate_rr(v_s, eta)
                 continue
+            d = mpmath.sqrt((1 + e * (vs - 1)) / (e * vs))
             want_rr = (d / 2 * mpmath.log((d + 1) / (d - 1)) - mpmath.log(1 + s) - 1) / log2
             got_rr = asymptotic_key_rate_rr(v_s, eta)
             assert abs(got_rr - want_rr) <= 1e-12 * max(1.0, abs(want_rr)), (v_s, eta)
         mpmath.mp.dps = 15
 
-    def test_reverse_rate_diverges_near_unit_transmittance(self):
-        with pytest.raises(DomainError):
-            asymptotic_key_rate_rr(2.0, 1.0 - 1e-15)
+    def test_reverse_rate_near_unit_transmittance_matches_high_precision(self):
+        # D - 1 is about 2.5e-16 here; the form does not cancel as D -> 1
+        with mpmath.workdps(60):
+            e, vs = mpmath.mpf(1.0 - 1e-15), mpmath.mpf(2.0)
+            d = mpmath.sqrt((1 + e * (vs - 1)) / (e * vs))
+            want = (d / 2 * mpmath.log((d + 1) / (d - 1)) - mpmath.log(1 + e) - 1) / mpmath.log(2)
+            assert abs(asymptotic_key_rate_rr(2.0, 1.0 - 1e-15) - want) <= 1e-13 * want
 
     def test_general_forms_reduce_to_coherent_in_the_limit(self):
         for v_s in (1.0 - 1e-5, 1.0 + 1e-5):
             for eta in (0.3, 0.6, 0.9):
                 assert asymptotic_key_rate_dr(v_s, eta) == pytest.approx(
-                    asymptotic_key_rate_dr_coherent(eta), abs=1e-4
+                    asymptotic_key_rate_dr(1.0, eta), abs=1e-4
                 )
                 assert asymptotic_key_rate_rr(v_s, eta) == pytest.approx(
-                    asymptotic_key_rate_rr_coherent(eta), abs=1e-4
+                    asymptotic_key_rate_rr(1.0, eta), abs=1e-4
                 )
 
     @pytest.mark.parametrize(
@@ -1119,8 +1136,8 @@ class TestAsymptoticRates:
         v_p_b = symmetric_vpB(params, eta, 0.0)
         k_dr = key_rate(params, chan, v_p_b, DR).key_rate
         k_rr = key_rate(params, chan, v_p_b, RR).key_rate
-        assert k_dr == pytest.approx(asymptotic_key_rate_dr_coherent(eta), abs=1e-3)
-        assert k_rr == pytest.approx(asymptotic_key_rate_rr_coherent(eta), abs=1e-3)
+        assert k_dr == pytest.approx(asymptotic_key_rate_dr(1.0, eta), abs=1e-3)
+        assert k_rr == pytest.approx(asymptotic_key_rate_rr(1.0, eta), abs=1e-3)
 
 
 # Log-uniform magnitudes across the double range, and transmittances near
@@ -1145,8 +1162,6 @@ def _entry_points(v_s, v_m, eta, eps, v_p_b, c_p, direction):
         "holevo_bound": lambda: holevo_bound(params, chan, c_p, v_p_b, direction),
         "asymptotic_key_rate_dr": lambda: asymptotic_key_rate_dr(v_s, eta),
         "asymptotic_key_rate_rr": lambda: asymptotic_key_rate_rr(v_s, eta),
-        "asymptotic_key_rate_dr_coherent": lambda: asymptotic_key_rate_dr_coherent(eta),
-        "asymptotic_key_rate_rr_coherent": lambda: asymptotic_key_rate_rr_coherent(eta),
         "keyrate_vs_attenuation": lambda: keyrate_vs_attenuation(
             params, eps, [0.0, db], direction).ordinate,
         "max_attenuation": lambda: max_attenuation(params, eps, direction, tol=1e-2),
@@ -1156,6 +1171,9 @@ def _entry_points(v_s, v_m, eta, eps, v_p_b, c_p, direction):
 
 @pytest.mark.parametrize("name", sorted(_entry_points(1.0, 1.0, 0.5, 0.0, 1.0, 0.0, DR)))
 @settings(deadline=None, max_examples=100)
+# a log-uniform V_S never draws the coherent source exactly
+@example(v_s=1.0, v_m=1.0, eta=1e-12, eps=0.0, v_p_b=1.0, c_p=0.0, direction=DR)
+@example(v_s=1.0, v_m=1e6, eta=1.0 - 1e-15, eps=0.0, v_p_b=1.0, c_p=0.0, direction=RR)
 @given(
     v_s=MAGNITUDE,
     v_m=st.one_of(st.just(0.0), MAGNITUDE),
