@@ -1052,6 +1052,16 @@ class TestAsymptoticRates:
             assert math.isfinite(asymptotic_key_rate_dr(1.0, eta))
             assert math.isfinite(asymptotic_key_rate_rr(1.0, eta))
 
+    def test_unit_signal_variance_follows_the_nearby_domain(self):
+        # near eta = 1 the conditional eigenvalue D of the reverse form tends
+        # to 1; V_S = 1 and its neighbours return the same finite rate there
+        for eta in (1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15, 1.0 - 1e-16):
+            for func in (asymptotic_key_rate_dr, asymptotic_key_rate_rr):
+                at_one = func(1.0, eta)
+                assert math.isfinite(at_one), (func, eta)
+                for v_s in (1.0 - 1e-9, 1.0 + 1e-9):
+                    assert func(v_s, eta) == pytest.approx(at_one, rel=1e-9), (func, v_s, eta)
+
     @pytest.mark.parametrize("v_s", [math.inf, math.nan, 0.0, -1.0])
     def test_signal_variance_must_be_positive_and_finite(self, v_s):
         for func in (asymptotic_key_rate_dr, asymptotic_key_rate_rr):
