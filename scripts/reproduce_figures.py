@@ -17,16 +17,13 @@ import pathlib
 import sys
 
 from udcvqkd import (
-    Curve,
-    NoPositiveRate,
-    NoRoot,
     ProtocolParams,
     ReconciliationDirection,
     RegionMode,
     SweepConfig,
     db_grid,
     keyrate_vs_attenuation,
-    max_tolerable_noise,
+    noise_frontier,
     scan_region,
     write_curve_csv,
     write_region_json,
@@ -76,25 +73,7 @@ def noise_frontiers(outdir: pathlib.Path, step: float) -> None:
     for direction in ReconciliationDirection:
         for v_s in SWEEP_VS:
             params = ProtocolParams(V_S=v_s, V_M=SWEEP_VM)
-            kept_db, kept_eps = [], []
-            for db in db_values:
-                try:
-                    eps_max = max_tolerable_noise(params, db, direction, tol=FRONTIER_TOL)
-                except (NoPositiveRate, NoRoot):
-                    continue
-                kept_db.append(db)
-                kept_eps.append(eps_max)
-            curve = Curve(
-                abscissa=tuple(kept_db),
-                ordinate=tuple(kept_eps),
-                x_name="attenuation_db",
-                y_name="eps_max",
-                metadata={
-                    "V_S": v_s, "V_M": SWEEP_VM, "beta": 1.0,
-                    "direction": direction.value, "strict_paper_vpb": False,
-                    "tol": FRONTIER_TOL,
-                },
-            )
+            curve = noise_frontier(params, db_values, direction, tol=FRONTIER_TOL)
             write_curve_csv(curve, outdir / f"max_noise_{direction.value}_vs{v_s:g}.csv")
 
 

@@ -1,10 +1,11 @@
 """Security analysis for unidimensional continuous-variable QKD.
 
-Covariance-matrix machinery, worst-case key rates for squeezed, coherent,
-and antisqueezed signal states, and parameter-space sweeps that emit
-machine-readable figure data.  Each public name is imported from its
-module on first use (PEP 562), so importing the package loads nothing,
-and numpy loads only with the covariance-matrix oracle or a region map.
+The worst-case key rate for squeezed, coherent, and antisqueezed signal
+states, parameter-space sweeps of it that emit machine-readable figure
+data, and the covariance-matrix oracle the tests compare it against.
+Each public name is imported from its module on first use (PEP 562), so
+importing the package loads nothing, and numpy loads only with the
+covariance-matrix oracle or a region map.
 """
 
 import importlib
@@ -31,8 +32,8 @@ _EXPORTS = {
     "sweeps": (
         "Curve", "RegionClass", "RegionMap", "RegionMode", "SweepConfig", "curve_to_csv",
         "curve_to_json", "db_grid", "db_to_eta", "eta_to_db", "keyrate_vs_attenuation",
-        "max_attenuation", "max_tolerable_noise", "region_to_json", "scan_region",
-        "write_curve_csv", "write_region_json",
+        "max_attenuation", "max_tolerable_noise", "noise_frontier", "region_to_json",
+        "scan_region", "write_curve_csv", "write_region_json",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -82,11 +82,9 @@ _SUBCOMMAND_OPTIONS = {
     "keyrate": ["vs", "vm", "beta", "eta", "eta_db", "eps", "dir",
                 "strict_paper_vpb", "output"],
     "region": ["vs", "vm", "beta", "eta", "eta_db", "eps", "mode",
-               "x_range", "cp_range", "strict_paper_vpb", "output"],
-    "sweep-loss": ["vs", "vm", "beta", "eps", "dir", "db",
-                   "strict_paper_vpb", "output", "format"],
-    "max-noise": ["vs", "vm", "beta", "eta", "eta_db", "dir", "tol",
-                  "strict_paper_vpb", "output"],
+               "x_range", "cp_range", "output"],
+    "sweep-loss": ["vs", "vm", "beta", "eps", "dir", "db", "output", "format"],
+    "max-noise": ["vs", "vm", "beta", "eta", "eta_db", "dir", "tol", "output"],
     "asymptotic": ["vs", "eta", "eta_db", "output"],
 }
 
@@ -260,7 +258,6 @@ def _cmd_region(opts: dict) -> int:
         cp_max=cp_hi,
         x_points=x_points,
         cp_points=cp_points,
-        strict_paper_vpb=opts["strict_paper_vpb"],
     )
     region = scan_region(params, (eta, opts["eps"]), grid, RegionMode(opts["mode"]))
     _emit(region_to_json(region), opts.get("output"))
@@ -275,7 +272,6 @@ def _cmd_sweep_loss(opts: dict) -> int:
         opts["eps"],
         _parse_db_grid(opts["db"]),
         ReconciliationDirection(opts["dir"]),
-        strict_paper_vpb=opts["strict_paper_vpb"],
     )
     text = curve_to_csv(curve) if opts["format"] == "csv" else curve_to_json(curve)
     _emit(text, opts.get("output"))
@@ -291,7 +287,6 @@ def _cmd_max_noise(opts: dict) -> int:
         eta_to_db(eta),
         ReconciliationDirection(opts["dir"]),
         tol=opts["tol"],
-        strict_paper_vpb=opts["strict_paper_vpb"],
     )
     obj = {
         "tool": _TOOL,
@@ -302,7 +297,6 @@ def _cmd_max_noise(opts: dict) -> int:
             "attenuation_db": eta_to_db(eta),
             "direction": opts["dir"],
             "tol": opts["tol"],
-            "strict_paper_vpb": opts["strict_paper_vpb"],
         },
         "eps_max": eps_max,
     }

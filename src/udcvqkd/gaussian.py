@@ -114,7 +114,7 @@ def apply_channel(
     the channel's vacuum contribution included.
     """
     xm = _x_moments(params, chan.eta_x, chan.eps_x)
-    v_p_b = _vpb(params, chan.eta_p, chan.eps_p, False)
+    v_p_b = _vpb(params, chan.eta_p, chan.eps_p)
     return CovMatrix(
         np.array(
             [

@@ -601,20 +601,23 @@ def symmetric_vpB(
     Default restores the channel's vacuum contribution:
     eta (1/V_S + eps_p) + 1 - eta.  With strict_paper the vacuum term is
     dropped, which can yield a sub-vacuum variance for a lossy noiseless
-    channel; it is provided for comparison only.
+    channel; it is provided for comparison at single points only, and the
+    sweeps always keep the vacuum term.
     """
     _check_finite(eta=eta, eps_p=eps_p)
     if not 0.0 < eta <= 1.0:
         raise DomainError("eta must lie in (0, 1]")
     if not eps_p >= 0.0:
         raise DomainError("eps_p must be nonnegative")
-    return _vpb(params, eta, eps_p, strict_paper)
+    if strict_paper:
+        return eta * (1.0 / params.V_S + eps_p)
+    return _vpb(params, eta, eps_p)
 
 
-def _vpb(params: ProtocolParams, eta: float, eps_p, strict: bool):
-    """symmetric_vpB without its checks, for a float or an array of eps_p."""
-    out = eta * (1.0 / params.V_S + eps_p)
-    return out if strict else out + (1.0 - eta)
+def _vpb(params: ProtocolParams, eta: float, eps_p):
+    """symmetric_vpB with the vacuum term and without its checks, for a
+    float or an array of eps_p."""
+    return eta * (1.0 / params.V_S + eps_p) + (1.0 - eta)
 
 
 def _check_asymptotic(V_S: float, eta: float) -> None:
@@ -684,8 +687,10 @@ def asymptotic_key_rate_rr(V_S: float, eta: float) -> float:
             excess = (excess + coef) * r2
     else:
         x = 2.0 * r * (1.0 + r) * den / (1.0 - eta)
-        excess = math.log1p(x) / (2.0 * r) - 1.0
-    rate = LOG2E * excess - math.log2(1.0 + eta * abs(1.0 - V_S))
-    if not math.isfinite(rate):
-        raise _not_finite("reverse-reconciliation rate")
-    return rate
+        # x overflows for V_S of about 5e291 and more as eta -> 1, where
+        # log1p(x) = log(x) to rounding is taken as a sum of logs
+        log1p_x = math.log1p(x) if x < math.inf else (
+            math.log(2.0 * r * (1.0 + r)) + math.log(den) - math.log1p(-eta))
+        excess = log1p_x / (2.0 * r) - 1.0
+    # every term is finite for any finite V_S > 0 and eta in (0, 1)
+    return LOG2E * excess - math.log2(1.0 + eta * abs(1.0 - V_S))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import ConfigError, DomainError, NoPositiveRate, NoRoot, UnphysicalObservation
+from .errors import ConfigError, DomainError, NoPositiveRate, NoRoot
 from .protocol import (
     LOG2E,
     VERTEX_SLACK,
@@ -100,7 +100,7 @@ class RegionMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid ranges, resolutions, tolerances, and convention flags.
+    """Region-map grid: axis ranges and resolutions.
 
     x ranges cover V_p_B (FREE_VPB mode) or eps_p (SYMMETRIC_NOISE mode);
     cp ranges cover the unknown p correlation.  threads has no effect, as
@@ -114,7 +114,6 @@ class SweepConfig:
     cp_max: float
     x_points: int = 400
     cp_points: int = 400
-    strict_paper_vpb: bool = False
     threads: int = 1
 
     def __post_init__(self):
@@ -209,8 +208,8 @@ def scan_region(
 
     chan_x is (eta_x, eps_x).  In FREE_VPB mode the first axis is Bob's
     unmodulated-quadrature variance itself; in SYMMETRIC_NOISE mode it is
-    the excess noise eps_p of a channel with eta_p = eta_x, and V_p_B
-    follows the symmetric-channel convention (honoring strict_paper_vpb).
+    the excess noise eps_p of a channel with eta_p = eta_x, and V_p_B is
+    symmetric_vpB's, vacuum term included.
     A cell is physical exactly when its C_p lies in
     physicality_interval(params, chan, V_p_B) for its row, the definition
     key_rate uses.  Secure cells are decided by the sign of the key rate at
@@ -231,7 +230,7 @@ def scan_region(
         if grid.x_min < 0:
             raise ConfigError("excess-noise axis must be nonnegative")
         # symmetric_vpB for every row; chan has checked eta_x
-        vpb_rows = _vpb(params, eta_x, x_axis, grid.strict_paper_vpb)
+        vpb_rows = _vpb(params, eta_x, x_axis)
     else:
         raise ConfigError(f"unknown region mode {mode!r}")
 
@@ -298,7 +297,6 @@ def scan_region(
         "eta_x": eta_x,
         "eps_x": eps_x,
         "mode": mode.value,
-        "strict_paper_vpb": grid.strict_paper_vpb,
     }
     return RegionMap(x_axis=x_axis, cp_axis=cp_axis, cells=cells, mode=mode, metadata=metadata)
 
@@ -308,17 +306,29 @@ def _worst_case_rate(
     eta: float,
     eps: float,
     direction: ReconciliationDirection,
-    strict_paper_vpb: bool,
-) -> float | None:
-    """Worst-case key rate on a symmetric channel, None when the observed
-    p variance admits no physical state (possible in strict-paper mode)."""
+) -> float:
+    """Worst-case key rate on a symmetric channel.
+
+    Its observed p variance, vacuum term included, is never below the
+    parabola vertex: V_p_B b = (1 - eta + eta/V_S + eta eps)
+    (1 - eta + eta V_S + eta eps) >= 1 by Cauchy-Schwarz.
+    """
     chan = ChannelParams.symmetric(eta, eps)
     # symmetric_vpB, whose checks ChannelParams has made
-    v_p_b = _vpb(params, eta, eps, strict_paper_vpb)
-    try:
-        return key_rate(params, chan, v_p_b, direction).key_rate
-    except UnphysicalObservation:
-        return None
+    return key_rate(params, chan, _vpb(params, eta, eps), direction).key_rate
+
+
+def _db_axis(db_values) -> list[float]:
+    db_values = [float(v) for v in db_values]
+    if any(b <= a for a, b in zip(db_values, db_values[1:])):
+        raise ConfigError("dB grid must be strictly increasing")
+    return db_values
+
+
+def _curve_metadata(params: ProtocolParams, direction: ReconciliationDirection,
+                    **extra) -> dict:
+    return {"V_S": params.V_S, "V_M": params.V_M, "beta": params.beta,
+            "direction": direction.value, **extra}
 
 
 def keyrate_vs_attenuation(
@@ -326,73 +336,66 @@ def keyrate_vs_attenuation(
     eps: float,
     db_values,
     direction: ReconciliationDirection,
-    strict_paper_vpb: bool = False,
 ) -> Curve:
     """Worst-case key rate along a grid of channel attenuations (dB).
 
-    The channel is symmetric with excess noise eps in both quadratures.
-    Grid points whose observed p variance admits no physical state are
-    left out of the curve.  Points run in order on the calling thread.
+    The channel is symmetric with excess noise eps in both quadratures;
+    every grid point is kept.  Points run in order on the calling thread.
     """
-    db_values = [float(v) for v in db_values]
-    if any(b <= a for a, b in zip(db_values, db_values[1:])):
-        raise ConfigError("dB grid must be strictly increasing")
+    db_values = _db_axis(db_values)
+    rates = [_worst_case_rate(params, db_to_eta(db), eps, direction) for db in db_values]
+    return Curve(tuple(db_values), tuple(rates), "attenuation_db", "key_rate_bits",
+                 _curve_metadata(params, direction, eps=eps))
 
-    rates = [
-        _worst_case_rate(params, db_to_eta(db), eps, direction, strict_paper_vpb)
-        for db in db_values
-    ]
-    kept = [(db, k) for db, k in zip(db_values, rates) if k is not None]
-    metadata = {
-        "V_S": params.V_S,
-        "V_M": params.V_M,
-        "beta": params.beta,
-        "eps": eps,
-        "direction": direction.value,
-        "strict_paper_vpb": strict_paper_vpb,
-    }
-    return Curve(
-        abscissa=tuple(db for db, _ in kept),
-        ordinate=tuple(k for _, k in kept),
-        x_name="attenuation_db",
-        y_name="key_rate_bits",
-        metadata=metadata,
-    )
+
+def noise_frontier(
+    params: ProtocolParams,
+    db_values,
+    direction: ReconciliationDirection,
+    tol: float,
+) -> Curve:
+    """max_tolerable_noise along a grid of channel attenuations (dB).
+
+    Grid points where the rate is not positive even at eps = 0
+    (NoPositiveRate) or is still positive at the noise cap (NoRoot) are
+    left out of the curve.
+    """
+    kept = []
+    for db in _db_axis(db_values):
+        try:
+            kept.append((db, max_tolerable_noise(params, db, direction, tol)))
+        except (NoPositiveRate, NoRoot):
+            continue
+    return Curve(tuple(db for db, _ in kept), tuple(eps for _, eps in kept),
+                 "attenuation_db", "eps_max", _curve_metadata(params, direction, tol=tol))
 
 
 def _zero_crossing(rate, first: float, cap: float, tol: float, label) -> float:
     """A zero crossing of rate(x) on [0, cap], by regula falsi.
 
-    rate returns None for observations with no physical state, which count
-    as negative (-inf to the search); label(x) names the point x in error
-    messages.  The upper bracket doubles from first up to cap, and the
-    last probe with a positive rate is the lower end.  _bracket_sign_change
-    then closes the bracket until it is at most tol wide, or until its
-    ends are adjacent floats (a tol below their spacing).  Returns its
-    midpoint.
+    label(x) names the point x in error messages.  The upper bracket
+    doubles from first up to cap, and the last probe with a positive rate
+    is the lower end.  _bracket_sign_change then closes the bracket until
+    it is at most tol wide, or until its ends are adjacent floats (a tol
+    below their spacing).  Returns its midpoint.
 
     Raises NoPositiveRate when rate(0) <= 0 and NoRoot when rate(cap) is
     still nonnegative.
     """
     if not 0.0 < tol < math.inf:
         raise ConfigError("tolerance must be positive and finite")
-
-    def signed(x: float) -> float:
-        k = rate(x)
-        return -math.inf if k is None else k
-
     k0 = rate(0.0)
-    if k0 is None or k0 <= 0.0:
+    if k0 <= 0.0:
         raise NoPositiveRate(f"key rate at {label(0.0)} is {k0!r}")
     lo, k_lo = 0.0, k0
     hi = first
-    while (k := signed(hi)) >= 0.0:
+    while (k := rate(hi)) >= 0.0:
         if hi >= cap:
             raise NoRoot(f"key rate still positive at {label(cap)}")
         if k > 0.0:
             lo, k_lo = hi, k
         hi = min(hi * 2.0, cap)
-    lo, hi = _bracket_sign_change(signed, lo, k_lo, hi, k, tol)
+    lo, hi = _bracket_sign_change(rate, lo, k_lo, hi, k, tol)
     return 0.5 * (lo + hi)
 
 
@@ -401,7 +404,6 @@ def max_tolerable_noise(
     dB: float,
     direction: ReconciliationDirection,
     tol: float = 1e-6,
-    strict_paper_vpb: bool = False,
 ) -> float:
     """Largest symmetric excess noise with a positive worst-case key rate.
 
@@ -414,8 +416,8 @@ def max_tolerable_noise(
     """
     eta = db_to_eta(dB)
 
-    def rate(eps: float) -> float | None:
-        return _worst_case_rate(params, eta, eps, direction, strict_paper_vpb)
+    def rate(eps: float) -> float:
+        return _worst_case_rate(params, eta, eps, direction)
 
     return _zero_crossing(rate, 0.1, NOISE_CAP, tol, lambda eps: f"eps={eps} for {dB} dB")
 
@@ -425,21 +427,19 @@ def max_attenuation(
     eps: float,
     direction: ReconciliationDirection,
     tol: float = 1e-4,
-    strict_paper_vpb: bool = False,
 ) -> float:
     """Attenuation (dB) at which the worst-case key rate crosses zero.
 
     Regula falsi (_zero_crossing) on a symmetric channel with fixed excess
     noise; the upper bracket doubles from 0.5 dB up to a 60 dB cap, and
-    the result lies within tol of the crossing.  Observations with no
-    physical state (strict-paper mode) count as insecure.
+    the result lies within tol of the crossing.
 
     Raises NoPositiveRate when K <= 0 already at 0 dB and NoRoot when the
     rate is still positive at the cap.
     """
 
-    def rate(db: float) -> float | None:
-        return _worst_case_rate(params, db_to_eta(db), eps, direction, strict_paper_vpb)
+    def rate(db: float) -> float:
+        return _worst_case_rate(params, db_to_eta(db), eps, direction)
 
     return _zero_crossing(rate, 0.5, DB_CAP, tol, lambda db: f"{db} dB")
 

@@ -144,17 +144,20 @@ class TestArgumentErrors:
         assert err.startswith("DomainError:")
         assert "Traceback" not in err
 
+    # every sweep runs on the calling thread, and keeps the channel's
+    # vacuum term: only keyrate takes --strict-paper-vpb
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--strict-paper-vpb"]])
     @pytest.mark.parametrize("argv", [
         ["region", "--vs", "1", "--vm", "10", "--eta", "0.9", "--mode", "vpb",
-         "--x-range", "0.9:1.6:8", "--cp-range=-2.2:-1.0:8", "--threads", "2"],
-        ["sweep-loss", "--vs", "1", "--vm", "10", "--dir", "rr", "--db", "0:1:0.5",
-         "--threads", "2"],
+         "--x-range", "0.9:1.6:8", "--cp-range=-2.2:-1.0:8"],
+        ["sweep-loss", "--vs", "1", "--vm", "10", "--dir", "rr", "--db", "0:1:0.5"],
+        ["max-noise", "--vs", "2", "--vm", "100", "--eta-db", "0.2", "--dir", "dr"],
     ])
-    def test_threads_flag_is_rejected(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+    def test_threads_flag_is_rejected(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, *flag)
         assert code == 2
         assert out == ""
-        assert "--threads" in err
+        assert flag[0] in err
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -333,16 +336,26 @@ class TestConfigFile:
         assert code == 2
         assert "unknown key" in err
 
-    # tol and format are options of other subcommands, not of keyrate
-    @pytest.mark.parametrize("line", ["tol=5", "format=xml"])
-    def test_key_of_another_subcommand_rejected(self, capsys, tmp_path, line):
+    # tol and format are options of other subcommands, not of keyrate, and
+    # strict_paper_vpb is keyrate's alone
+    @pytest.mark.parametrize("command,line", [
+        ("keyrate", "tol=5"), ("keyrate", "format=xml"), ("region", "strict_paper_vpb=1"),
+        ("sweep-loss", "strict_paper_vpb=1"), ("max-noise", "strict_paper_vpb=1"),
+    ])
+    def test_key_of_another_subcommand_rejected(self, capsys, tmp_path, command, line):
+        config = {
+            "keyrate": "vs=2\nvm=100\neta_db=0.5\ndir=dr\n",
+            "region": "vs=1\nvm=10\neta=0.9\nmode=vpb\nx_range=0.9:1.6:8\ncp_range=-2.2:-1.0:8\n",
+            "sweep-loss": "vs=1\nvm=10\ndir=rr\ndb=0:1:0.5\n",
+            "max-noise": "vs=2\nvm=100\neta_db=0.2\ndir=dr\n",
+        }[command]
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("vs=2\nvm=100\neta_db=0.5\ndir=dr\n" + line + "\n")
-        code, out, err = run(capsys, "keyrate", "--config", str(cfg))
+        cfg.write_text(config + line + "\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 2
         assert out == ""
-        key = line.partition("=")[0]
-        assert f"ConfigError: {cfg}:5: keyrate does not take key {key!r}" in err
+        key, lineno = line.partition("=")[0], config.count("\n") + 1
+        assert f"ConfigError: {cfg}:{lineno}: {command} does not take key {key!r}" in err
 
     # every option with choices, on every subcommand that takes it
     @pytest.mark.parametrize("command,name", [

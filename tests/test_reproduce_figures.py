@@ -2,7 +2,11 @@ import importlib.util
 import json
 import pathlib
 
+import numpy as np
 import pytest
+
+from conftest import split_insecure_rows
+from udcvqkd import RegionClass
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
 
@@ -21,11 +25,15 @@ def test_threads_flag_is_rejected(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def test_fast_run_writes_every_figure_file(tmp_path):
-    script = load_script()
-    assert script.main(["--fast", "--outdir", str(tmp_path)]) == 0
+@pytest.fixture(scope="module")
+def fast_run(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("figures")
+    assert load_script().main(["--fast", "--outdir", str(outdir)]) == 0
+    return outdir
 
-    files = sorted(tmp_path.iterdir())
+
+def test_fast_run_writes_every_figure_file(fast_run):
+    files = sorted(fast_run.iterdir())
     assert len(files) == 18
     regions = [f for f in files if f.suffix == ".json"]
     curves = [f for f in files if f.suffix == ".csv"]
@@ -36,3 +44,13 @@ def test_fast_run_writes_every_figure_file(tmp_path):
         assert all(len(row) == 120 for row in cells)
     for path in curves:
         assert path.read_text().startswith("# tool=")
+
+
+def test_insecure_cells_form_one_run_per_row(fast_run):
+    # every row of the six maps, with insecure cells in most of them
+    maps = sorted(fast_run.glob("region_*.json"))
+    assert len(maps) == 6
+    for path in maps:
+        cells = np.array(json.loads(path.read_text())["cells"])
+        assert (cells == RegionClass.PHYSICAL_INSECURE).sum() > 100, path.name
+        assert split_insecure_rows(cells) == [], path.name

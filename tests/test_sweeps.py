@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import split_insecure_rows
 from udcvqkd import (
     ChannelParams,
     ConfigError,
@@ -38,6 +39,7 @@ from udcvqkd import (
     max_attenuation,
     max_tolerable_noise,
     mutual_information,
+    noise_frontier,
     physicality_interval,
     physicality_parabola,
     region_to_json,
@@ -371,7 +373,7 @@ class TestScanRegion:
                         RegionMode.SYMMETRIC_NOISE)
 
     @staticmethod
-    def row_by_row_cells(params, chan_x, region, mode, strict=False):
+    def row_by_row_cells(params, chan_x, region, mode):
         """The cells of region, one row at a time with a float V_p_B and its
         physicality_interval, and one cell at a time through the kernel."""
         eta, eps = chan_x
@@ -382,7 +384,7 @@ class TestScanRegion:
         want = np.zeros_like(region.cells)
         for i, x in enumerate(region.x_axis):
             v_p_b = (float(x) if mode is RegionMode.FREE_VPB
-                     else _vpb(params, eta, float(x), strict))
+                     else _vpb(params, eta, float(x)))
             interval = physicality_interval(params, chan, v_p_b)
             if interval is None:
                 continue
@@ -420,7 +422,6 @@ class TestScanRegion:
     @settings(deadline=None, max_examples=25)
     @given(
         st.sampled_from(list(RegionMode)),
-        st.booleans(),
         st.floats(min_value=0.5, max_value=2.0),
         st.floats(min_value=0.5, max_value=0.95),
         st.integers(min_value=2, max_value=75),
@@ -429,11 +430,11 @@ class TestScanRegion:
         st.floats(min_value=0.1, max_value=6.0),
         st.floats(min_value=-1.0, max_value=17.0),
     )
-    @example(RegionMode.SYMMETRIC_NOISE, True, 0.8, 0.9, 33, 7, -3.0, 2.0, math.log10(30.0))
-    @example(RegionMode.FREE_VPB, False, 1.0, 0.5, 33, 40, -4.0, 4.0, 17.0)
+    @example(RegionMode.SYMMETRIC_NOISE, 0.8, 0.9, 33, 7, -3.0, 2.0, math.log10(30.0))
+    @example(RegionMode.FREE_VPB, 1.0, 0.5, 33, 40, -4.0, 4.0, 17.0)
     def test_scan_matches_row_by_row_evaluation_anywhere(
-            self, mode, strict, v_s, eta, x_points, cp_points, cp_min, cp_width, log_vm):
-        # both modes, the strict-paper V_p_B (sub-vacuum rows are empty), row
+            self, mode, v_s, eta, x_points, cp_points, cp_min, cp_width, log_vm):
+        # both modes, FREE_VPB rows below the vertex (empty rows), row
         # counts off the block size, V_M from 0.1 to 1e17, and C_p ranges
         # that clip the parabola on either side or hold it whole: C0 and the
         # interval widths grow as V_M**0.25, so the C_p axis is scaled by
@@ -445,9 +446,9 @@ class TestScanRegion:
         x_range = (0.7, 2.2) if mode is RegionMode.FREE_VPB else (0.0, 0.5)
         scale = (v_m / 30.0) ** 0.25
         grid = region_grid(*x_range, cp_min=cp_min * scale, cp_max=(cp_min + cp_width) * scale,
-                           x_points=x_points, cp_points=cp_points, strict_paper_vpb=strict)
+                           x_points=x_points, cp_points=cp_points)
         region = scan_region(params, chan_x, grid, mode)
-        want = self.row_by_row_cells(params, chan_x, region, mode, strict)
+        want = self.row_by_row_cells(params, chan_x, region, mode)
         assert np.array_equal(region.cells, want)
 
     @pytest.mark.parametrize("mode", list(RegionMode))
@@ -460,22 +461,46 @@ class TestScanRegion:
             params = ProtocolParams(V_S=10.0 ** rng.uniform(-1.0, 1.0),
                                     V_M=10.0 ** rng.uniform(-1.0, 17.0))
             eta, eps = rng.uniform(0.05, 1.0), 10.0 ** rng.uniform(-4.0, -1.0)
-            strict = bool(rng.integers(2))
             chan = ChannelParams.symmetric(eta, eps)
             v0, c0, coeff = physicality_parabola(params, chan)
             half = max(math.sqrt(coeff * v0), 1e-9 * abs(c0))
             x_range = (0.5 * v0, 2.5 * v0) if mode is RegionMode.FREE_VPB else (0.0, 1.0)
             grid = region_grid(*x_range, x_points=int(rng.integers(2, 70)),
-                               cp_points=int(rng.integers(2, 50)), strict_paper_vpb=strict,
+                               cp_points=int(rng.integers(2, 50)),
                                cp_min=c0 - half * rng.uniform(-1.0, 2.0),
                                cp_max=c0 + half * rng.uniform(1.0, 2.0))
             region = scan_region(params, (eta, eps), grid, mode)
             for x, row in zip(region.x_axis.tolist(), region.cells):
-                v_p_b = x if mode is RegionMode.FREE_VPB else symmetric_vpB(params, eta, x, strict)
+                v_p_b = x if mode is RegionMode.FREE_VPB else symmetric_vpB(params, eta, x)
                 interval = physicality_interval(params, chan, v_p_b)
                 inside = (np.zeros(len(row), dtype=bool) if interval is None
                           else (interval[0] <= region.cp_axis) & (region.cp_axis <= interval[1]))
                 assert np.array_equal(row != RegionClass.UNPHYSICAL, inside)
+
+    @pytest.mark.parametrize("mode", list(RegionMode))
+    def test_insecure_cells_form_one_run_per_row(self, mode):
+        # S_AB is concave in C_p: over fuzzed maps, V_M from 0.1 to 1e12,
+        # whose C_p axis spans the widest row's interval, each direction's
+        # insecure cells form one run in every row
+        rng = np.random.default_rng(163 if mode is RegionMode.FREE_VPB else 167)
+        insecure = 0
+        for _ in range(100):
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-1.0, 1.0),
+                                    V_M=10.0 ** rng.uniform(-1.0, 12.0))
+            eta, eps = rng.uniform(0.05, 1.0), 10.0 ** rng.uniform(-4.0, -1.0)
+            chan = ChannelParams.symmetric(eta, eps)
+            v0 = physicality_parabola(params, chan)[0]
+            if mode is RegionMode.FREE_VPB:
+                x_range, top = (0.5 * v0, 2.5 * v0), 2.5 * v0
+            else:
+                x_range, top = (0.0, 1.0), symmetric_vpB(params, eta, 1.0)
+            lo, hi = physicality_interval(params, chan, top)
+            grid = region_grid(*x_range, points=60, cp_min=lo - 0.1 * (hi - lo),
+                               cp_max=hi + 0.1 * (hi - lo))
+            cells = scan_region(params, (eta, eps), grid, mode).cells
+            insecure += (cells == RegionClass.PHYSICAL_INSECURE).sum()
+            assert split_insecure_rows(cells) == [], (params, eta, eps)
+        assert insecure > 10_000
 
     @pytest.mark.parametrize("v_m", [10.0, 1e8, 1e17])
     def test_interval_ends_are_the_run_ends(self, v_m):
@@ -535,13 +560,19 @@ class TestKeyrateVsAttenuation:
             v_p_b = symmetric_vpB(params, eta, 0.03)
             assert k == key_rate(params, chan, v_p_b, DR).key_rate
 
-    def test_unphysical_points_are_left_out(self):
-        # strict-paper p variance is unphysical for any lossy coherent run
+    def test_coherent_pure_loss_curve_keeps_every_point(self):
+        # V_S = 1 and eps = 0 put V_p_B on the parabola vertex at every
+        # attenuation, where the physical interval is one point
         params = ProtocolParams(V_S=1.0, V_M=10.0)
-        curve = keyrate_vs_attenuation(
-            params, 0.0, [0.0, 0.5, 1.0], DR, strict_paper_vpb=True
-        )
-        assert curve.abscissa == (0.0,)
+        grid = db_grid(0.0, 30.0, 0.5)
+        for direction in (DR, RR):
+            curve = keyrate_vs_attenuation(params, 0.0, grid, direction)
+            assert curve.abscissa == tuple(grid)
+            assert all(math.isfinite(k) for k in curve.ordinate)
+        for db in grid:
+            eta = db_to_eta(db)
+            v0 = physicality_parabola(params, ChannelParams.symmetric(eta, 0.0))[0]
+            assert symmetric_vpB(params, eta, 0.0) == pytest.approx(v0, rel=1e-15, abs=0.0)
 
     def test_rejects_unsorted_grid(self):
         params = ProtocolParams(V_S=1.0, V_M=10.0)
@@ -578,6 +609,31 @@ class TestMaxTolerableNoise:
     def test_no_positive_rate_at_high_loss(self):
         with pytest.raises(NoPositiveRate):
             max_tolerable_noise(ProtocolParams(V_S=0.5, V_M=100.0), 1.0, DR)
+
+
+class TestNoiseFrontier:
+    def test_matches_pointwise_roots_and_skips_points_without_one(self, monkeypatch):
+        # 2 dB has no positive DR rate even at eps = 0 (NoPositiveRate);
+        # 0.5 dB is made to end at the noise cap (NoRoot)
+        params = ProtocolParams(V_S=1.0, V_M=100.0)
+        find = sweeps.max_tolerable_noise
+
+        def stubbed(params, db, direction, tol):
+            if db == 0.5:
+                raise NoRoot("stub")
+            return find(params, db, direction, tol)
+
+        monkeypatch.setattr(sweeps, "max_tolerable_noise", stubbed)
+        curve = noise_frontier(params, [0.2, 0.5, 1.0, 2.0], DR, tol=1e-5)
+        assert curve.abscissa == (0.2, 1.0)
+        assert curve.ordinate == tuple(find(params, db, DR, tol=1e-5) for db in (0.2, 1.0))
+        assert (curve.x_name, curve.y_name) == ("attenuation_db", "eps_max")
+        assert curve.metadata == {"V_S": 1.0, "V_M": 100.0, "beta": 1.0,
+                                  "direction": "dr", "tol": 1e-5}
+
+    def test_rejects_unsorted_grid(self):
+        with pytest.raises(ConfigError):
+            noise_frontier(ProtocolParams(V_S=1.0, V_M=100.0), [1.0, 0.5], DR, 1e-6)
 
 
 def independent_dr_rate(v_s, v_m, eta, eps, grid_points=201):
