@@ -341,12 +341,12 @@ def physicality_parabola(
     which does not cancel (0 on a lossless, noiseless channel).  Only the
     x-quadrature channel parameters enter.
     """
-    return _parabola(_x_moments(params, chan.eta_x, chan.eps_x), params, chan)
+    return _parabola(_x_moments(params, chan.eta_x, chan.eps_x), params, chan.eta_x, chan.eps_x)
 
 
-def _parabola(xm: _XMoments, params: ProtocolParams, chan: ChannelParams):
+def _parabola(xm: _XMoments, params: ProtocolParams, eta_x: float, eps_x: float):
     vb = xm.v * xm.b
-    n11 = params.V_M * ((1.0 - chan.eta_x) + chan.eta_x * chan.eps_x) / params.V_S
+    n11 = params.V_M * ((1.0 - eta_x) + eta_x * eps_x) / params.V_S
     v0, c0, coeff = 1.0 / xm.b, -xm.c_x / vb, n11 / vb
     if not (math.isfinite(v0) and math.isfinite(c0) and math.isfinite(coeff)):
         raise _not_finite("physicality parabola")
@@ -440,7 +440,7 @@ def holevo_bound(
     is not positive and finite.
     """
     xm = _x_moments(params, chan.eta_x, chan.eps_x)
-    parabola = _parabola(xm, params, chan)
+    parabola = _parabola(xm, params, chan.eta_x, chan.eps_x)
     interval = _interval(parabola, V_p_B)
     if interval is not None:
         lo, hi = _interval(parabola, V_p_B + 8.0 * math.ulp(V_p_B))
@@ -509,12 +509,46 @@ def _bracket_sign_change(f, a: float, fa: float, b: float, fb: float,
     return a, b
 
 
+def _warm_bracket(f, a: float, b: float, c: float, w: float):
+    """A bracket of the decreasing f's sign change in [a, b], walked out
+    from [c - w, c + w] with c in [a, b].
+
+    A side whose value has the wrong sign moves out to 8 w, then 64 w,
+    then to the end of [a, b], and the point it left becomes the other
+    side.  Returns (l, fl, r, fr) for the cold search's end rules: l is a
+    or fl > 0, and r is b or fr < 0.  An inside point where f is 0 or NaN
+    closes the search on itself, as in _bracket_sign_change, and is
+    returned as l and r.
+    """
+    l = max(c - w, a)
+    fl = f(l)
+    if fl > 0.0:
+        for d in (w, 8.0 * w, 64.0 * w, math.inf):
+            r = min(c + d, b)
+            fr = f(r)
+            if not fr > 0.0 or r == b:
+                break
+            l, fl = r, fr
+        return (l, fl, r, fr) if fr < 0.0 or r == b else (r, fr, r, fr)
+    if not fl < 0.0 or l == a:
+        return l, fl, l, fl
+    r, fr = l, fl
+    for d in (8.0 * w, 64.0 * w, math.inf):
+        l = max(c - d, a)
+        fl = f(l)
+        if not fl < 0.0 or l == a:
+            break
+        r, fr = l, fl
+    return (l, fl, r, fr) if fl > 0.0 or l == a else (l, fl, l, fl)
+
+
 def _worst_case_correlation(
     xm: _XMoments,
     V_p_B: float,
     direction: ReconciliationDirection,
     lo: float,
     hi: float,
+    start: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Maximize the Holevo bound over the physical correlation interval.
 
@@ -528,6 +562,12 @@ def _worst_case_correlation(
     WORST_CASE_XTOL times min(1, hi - lo), but not below a few ulps of
     C_p: near a pure state the entropy can vary by 5e-11 across an
     interval 1e-11 wide.  Both endpoints stay candidates.
+
+    start = (t, step) guesses where the maximum lies, at lo + t (hi - lo).
+    The bracket is then walked out (_warm_bracket) from that point with
+    half-width max(min(step, 0.25) (hi - lo), 2 xtol), and the end rules
+    above apply where it reaches an end.  The result can differ from the
+    cold search's in the last digits, within the final bracket.
     """
     s_cond = _conditional_entropy(xm, V_p_B, direction)
     ob = _observe(xm, V_p_B)
@@ -537,14 +577,20 @@ def _worst_case_correlation(
     a, b = lo + half, hi - half
     refined = 0.5 * (lo + hi)
     if a < b:
-        fa = _entropy_slope(ob, a)
-        fb = _entropy_slope(ob, b)
+        slope = partial(_entropy_slope, ob)
+        if start is None:
+            fa, fb = slope(a), slope(b)
+        else:
+            t, step = start
+            c = min(max(lo + t * (hi - lo), a), b)
+            w = max(min(step, 0.25) * (hi - lo), 2.0 * xtol)
+            a, fa, b, fb = _warm_bracket(slope, a, b, c, w)
         if not fa > 0.0:
             refined = a
         elif not fb < 0.0:
             refined = b
         else:
-            a, b = _bracket_sign_change(partial(_entropy_slope, ob), a, fa, b, fb, xtol)
+            a, b = _bracket_sign_change(slope, a, fa, b, fb, xtol)
             refined = 0.5 * (a + b)
 
     # the first of the candidates lo, hi, refined whose entropy is largest
@@ -568,17 +614,36 @@ def key_rate(
     negative.  holevo equals holevo_bound at worst_Cp: the conditional
     entropy takes an eigenvalue rounded below 1 (V_p_B up to VERTEX_SLACK
     below the vertex) as a pure mode.  Raises UnphysicalObservation when no
-    physical state matches the observed V_p_B.
+    physical state matches the observed V_p_B.  The sweeps call its core,
+    _key_rate, which builds no records.
     """
-    xm = _x_moments(params, chan.eta_x, chan.eps_x)
-    interval = _interval(_parabola(xm, params, chan), V_p_B)
+    mi, chi, worst_cp, interval = _key_rate(params, chan.eta_x, chan.eps_x, V_p_B, direction)
+    return SecurityAssessment(mi, chi, params.beta * mi - chi, worst_cp, interval)
+
+
+def _key_rate(
+    params: ProtocolParams,
+    eta_x: float,
+    eps_x: float,
+    V_p_B: float,
+    direction: ReconciliationDirection,
+    start: tuple[float, float] | None = None,
+) -> tuple[float, float, float, tuple[float, float]]:
+    """key_rate's checks and search, on an (eta_x, eps_x) that the caller
+    has checked as ChannelParams does.
+
+    Returns (mutual_info, holevo, worst_Cp, Cp_interval); start goes to
+    _worst_case_correlation, and without it the result is key_rate's.
+    """
+    xm = _x_moments(params, eta_x, eps_x)
+    interval = _interval(_parabola(xm, params, eta_x, eps_x), V_p_B)
     if interval is None:
         raise UnphysicalObservation(
             f"V_p_B={V_p_B!r} lies below the physicality parabola vertex"
         )
-    mi = _mutual_information(params, chan.eta_x, xm.b)
+    mi = _mutual_information(params, eta_x, xm.b)
     try:
-        worst_cp, chi = _worst_case_correlation(xm, V_p_B, direction, *interval)
+        worst_cp, chi = _worst_case_correlation(xm, V_p_B, direction, *interval, start)
     except (ZeroDivisionError, TypeError) as exc:
         # a zero nu_plus**2, or a complex nu_minus from a determinant that
         # rounding made negative: the inputs are beyond double precision
@@ -587,7 +652,7 @@ def key_rate(
         ) from exc
     if not math.isfinite(chi):
         raise _not_finite("worst-case Holevo bound")
-    return SecurityAssessment(mi, chi, params.beta * mi - chi, worst_cp, interval)
+    return mi, chi, worst_cp, interval
 
 
 def symmetric_vpB(
@@ -628,6 +693,20 @@ def _check_asymptotic(V_S: float, eta: float) -> None:
         raise DomainError("V_S must be positive")
 
 
+# 1/17, 1/15, ..., 1/3: Horner coefficients of atanh(r)/r - 1, which is
+# sum_k r^(2k) / (2k + 1) for k >= 1.
+_ATANH_EXCESS = tuple(1.0 / (2 * k + 1) for k in range(8, 0, -1))
+
+
+def _atanh_excess(r2: float) -> float:
+    """atanh(r)/r - 1 for r**2 = r2 < 0.01, where the logarithm would
+    cancel: eight terms of its series, by Horner's rule."""
+    excess = 0.0
+    for coef in _ATANH_EXCESS:
+        excess = (excess + coef) * r2
+    return excess
+
+
 def asymptotic_key_rate_dr(V_S: float, eta: float) -> float:
     """Strong-modulation limit of the direct-reconciliation key rate with
     C_p pinned at the upper end of the physical interval.
@@ -642,20 +721,20 @@ def asymptotic_key_rate_dr(V_S: float, eta: float) -> float:
     _check_asymptotic(V_S, eta)
     # With c = sqrt(1 + u), u = eta (1 - eta) (V_S - 1)**2 / V_S and
     # s = eta |1 - V_S|, the rate is log2(e) (c atanh(1/c) - 1) + log2(s / (1 + s)).
-    # c atanh(1/c) and log2(s) diverge as u -> 0 (eta -> 0, or V_S -> 1)
-    # and cancel: atanh(1/c) + ln s = ln(1 + c) + ln(eta V_S / (1 - eta)) / 2.
+    # Where r**2 = 1/c**2 < 0.01 that is log2(e) (atanh(r)/r - 1 - log1p(1/s)),
+    # two small terms (about 1/(3u) and 1/s at large V_S) summed directly.
+    # Elsewhere c atanh(1/c) and log2(s) diverge as u -> 0 (eta -> 0, or
+    # V_S -> 1) and cancel: atanh(1/c) + ln s = ln(1 + c) + ln(eta V_S / (1 - eta)) / 2.
     # What is left, (c - 1) atanh(1/c), vanishes with u.
     u = eta * (1.0 - eta) * (V_S - 1.0) * (1.0 - 1.0 / V_S)
+    r2 = 1.0 / (1.0 + u)
+    if r2 < 0.01:
+        return LOG2E * (_atanh_excess(r2) - math.log1p(1.0 / (eta * abs(1.0 - V_S))))
     c = math.sqrt(1.0 + u)
     c_minus_1 = u / (1.0 + c)
     rest = 0.5 * c_minus_1 * math.log1p(2.0 / c_minus_1) if c_minus_1 > 1e-300 else 0.0
     diverging = math.log1p(c) + 0.5 * (math.log(eta) + math.log(V_S) - math.log1p(-eta))
     return LOG2E * (diverging + rest - 1.0 - math.log1p(eta * abs(1.0 - V_S)))
-
-
-# 1/17, 1/15, ..., 1/3: Horner coefficients of atanh(r)/r - 1, which is
-# sum_k r^(2k) / (2k + 1) for k >= 1.
-_ATANH_EXCESS = tuple(1.0 / (2 * k + 1) for k in range(8, 0, -1))
 
 
 def asymptotic_key_rate_rr(V_S: float, eta: float) -> float:
@@ -682,9 +761,7 @@ def asymptotic_key_rate_rr(V_S: float, eta: float) -> float:
     r = math.sqrt(eta * V_S / den)
     r2 = r * r
     if r2 < 0.01:
-        excess = 0.0
-        for coef in _ATANH_EXCESS:
-            excess = (excess + coef) * r2
+        excess = _atanh_excess(r2)
     else:
         x = 2.0 * r * (1.0 + r) * den / (1.0 - eta)
         # x overflows for V_S of about 5e291 and more as eta -> 1, where

@@ -6,9 +6,10 @@ C_p axis, then run key_rate's closed-form two-mode kernel, broadcast, over
 the box around the runs of each block of REGION_BLOCK_ROWS rows.  The
 kernel and the entropies update their arrays in place, cells are
 classified as int8 codes, and the JSON text is written into one byte
-buffer, cell codes two bytes at a time; curves and root searches call
-key_rate point by point, the root searches by regula falsi through the
-bracketing helper that the worst-case C_p search uses.
+buffer, cell codes two bytes at a time.  Curves call key_rate's core,
+protocol._key_rate, point by point.  Root searches probe it by regula
+falsi through the bracketing helper that the worst-case C_p search uses,
+and each probe's C_p search starts at the last probe's worst case.
 Everything runs on the calling thread, so output is deterministic.  Only
 the region-map code imports numpy, inside its functions, so curves and
 roots run without loading it.  Region maps serialize to JSON and curves
@@ -34,13 +35,14 @@ from .protocol import (
     _bracket_sign_change,
     _conditional_entropy,
     _g,
+    _key_rate,
     _not_finite,
     _observe,
     _parabola,
     _symplectic_pair,
     _vpb,
     _x_moments,
-    key_rate,
+    key_rate,  # not called here: perfbench's tracer wraps sweeps.key_rate by name
     mutual_information,
 )
 
@@ -242,7 +244,7 @@ def scan_region(
     # round like math.log1p.
     s_cond_dr = np.array([_g(nu) for nu in np.sqrt(xm.b * vpb_rows).tolist()])
     # physicality_interval for every row at once, as columns [first, stop)
-    v0, c0, coeff = _parabola(xm, params, chan)
+    v0, c0, coeff = _parabola(xm, params, eta_x, eps_x)
     dv = vpb_rows - v0
     half = np.sqrt(max(coeff, 0.0) * np.maximum(dv, 0.0))
     first = np.searchsorted(cp_axis, c0 - half, "left")
@@ -301,21 +303,46 @@ def scan_region(
     return RegionMap(x_axis=x_axis, cp_axis=cp_axis, cells=cells, mode=mode, metadata=metadata)
 
 
-def _worst_case_rate(
+def _symmetric_rate(
     params: ProtocolParams,
     eta: float,
     eps: float,
     direction: ReconciliationDirection,
-) -> float:
-    """Worst-case key rate on a symmetric channel.
+    start: tuple[float, float] | None = None,
+) -> tuple[float, float | None]:
+    """Worst-case key rate on a symmetric channel whose eta and eps are
+    checked, and where its worst case lies: t = (worst_Cp - lo)/(hi - lo)
+    in its C_p interval, None when the interval is a point.
 
     Its observed p variance, vacuum term included, is never below the
     parabola vertex: V_p_B b = (1 - eta + eta/V_S + eta eps)
     (1 - eta + eta V_S + eta eps) >= 1 by Cauchy-Schwarz.
     """
-    chan = ChannelParams.symmetric(eta, eps)
-    # symmetric_vpB, whose checks ChannelParams has made
-    return key_rate(params, chan, _vpb(params, eta, eps), direction).key_rate
+    # symmetric_vpB, whose checks the caller has made
+    mi, chi, worst_cp, (lo, hi) = _key_rate(params, eta, eps, _vpb(params, eta, eps),
+                                            direction, start)
+    return params.beta * mi - chi, (worst_cp - lo) / (hi - lo) if hi > lo else None
+
+
+def _rate_walk(params: ProtocolParams, direction: ReconciliationDirection, channel):
+    """The worst-case key rate at channel(x) = (eta, eps), a checked
+    symmetric channel, for the probes x of one root search.
+
+    Each probe's C_p search starts where the last probe's worst case lay,
+    with the last change in its place t as the step
+    (protocol._worst_case_correlation); the first two probes, and any after
+    a point interval, search cold.
+    """
+    last_t = start = None
+
+    def rate(x: float) -> float:
+        nonlocal last_t, start
+        k, t = _symmetric_rate(params, *channel(x), direction, start)
+        start = None if t is None or last_t is None else (t, abs(t - last_t))
+        last_t = t
+        return k
+
+    return rate
 
 
 def _db_axis(db_values) -> list[float]:
@@ -343,7 +370,11 @@ def keyrate_vs_attenuation(
     every grid point is kept.  Points run in order on the calling thread.
     """
     db_values = _db_axis(db_values)
-    rates = [_worst_case_rate(params, db_to_eta(db), eps, direction) for db in db_values]
+    rates = []
+    for db in db_values:
+        eta = db_to_eta(db)
+        ChannelParams.symmetric(eta, eps)  # key_rate's checks
+        rates.append(_symmetric_rate(params, eta, eps, direction)[0])
     return Curve(tuple(db_values), tuple(rates), "attenuation_db", "key_rate_bits",
                  _curve_metadata(params, direction, eps=eps))
 
@@ -370,20 +401,27 @@ def noise_frontier(
                  "attenuation_db", "eps_max", _curve_metadata(params, direction, tol=tol))
 
 
-def _zero_crossing(rate, first: float, cap: float, tol: float, label) -> float:
-    """A zero crossing of rate(x) on [0, cap], by regula falsi.
+def _zero_crossing(params: ProtocolParams, direction: ReconciliationDirection, channel,
+                   first: float, cap: float, tol: float, label) -> float:
+    """A zero crossing on [0, cap] of the worst-case key rate at
+    channel(x) = (eta, eps), by regula falsi.
 
-    label(x) names the point x in error messages.  The upper bracket
-    doubles from first up to cap, and the last probe with a positive rate
-    is the lower end.  _bracket_sign_change then closes the bracket until
-    it is at most tol wide, or until its ends are adjacent floats (a tol
-    below their spacing).  Returns its midpoint.
+    channel(0) is checked as ChannelParams.symmetric does, and every
+    channel(x) with x in [0, cap] must then be valid.  The rate is probed
+    through one _rate_walk, so each probe's C_p search starts at the last
+    probe's worst case.  label(x) names the point x in error messages.
+    The upper bracket doubles from first up to cap, and the last probe
+    with a positive rate is the lower end.  _bracket_sign_change then
+    closes the bracket until it is at most tol wide, or until its ends are
+    adjacent floats (a tol below their spacing).  Returns its midpoint.
 
-    Raises NoPositiveRate when rate(0) <= 0 and NoRoot when rate(cap) is
-    still nonnegative.
+    Raises NoPositiveRate when the rate at 0 is not positive and NoRoot
+    when the rate at cap is still nonnegative.
     """
     if not 0.0 < tol < math.inf:
         raise ConfigError("tolerance must be positive and finite")
+    ChannelParams.symmetric(*channel(0.0))
+    rate = _rate_walk(params, direction, channel)
     k0 = rate(0.0)
     if k0 <= 0.0:
         raise NoPositiveRate(f"key rate at {label(0.0)} is {k0!r}")
@@ -409,17 +447,16 @@ def max_tolerable_noise(
 
     Regula falsi (_zero_crossing) for the root of K(eps) = 0 at fixed
     attenuation; the upper bracket doubles from 0.1 up to a cap of 10
-    shot-noise units.  The result lies within tol of the crossing.
+    shot-noise units.  The result lies within tol of the crossing.  Each
+    probe's C_p search starts at the last probe's worst case, so the
+    result can move within tol of a search whose probes all start cold.
 
     Raises NoPositiveRate when K(0) <= 0 and NoRoot when the cap is
     reached without a sign change.
     """
     eta = db_to_eta(dB)
-
-    def rate(eps: float) -> float:
-        return _worst_case_rate(params, eta, eps, direction)
-
-    return _zero_crossing(rate, 0.1, NOISE_CAP, tol, lambda eps: f"eps={eps} for {dB} dB")
+    return _zero_crossing(params, direction, lambda eps: (eta, eps), 0.1, NOISE_CAP, tol,
+                          lambda eps: f"eps={eps} for {dB} dB")
 
 
 def max_attenuation(
@@ -432,16 +469,15 @@ def max_attenuation(
 
     Regula falsi (_zero_crossing) on a symmetric channel with fixed excess
     noise; the upper bracket doubles from 0.5 dB up to a 60 dB cap, and
-    the result lies within tol of the crossing.
+    the result lies within tol of the crossing.  Each probe's C_p search
+    starts at the last probe's worst case, so the result can move within
+    tol of a search whose probes all start cold.
 
     Raises NoPositiveRate when K <= 0 already at 0 dB and NoRoot when the
     rate is still positive at the cap.
     """
-
-    def rate(db: float) -> float:
-        return _worst_case_rate(params, db_to_eta(db), eps, direction)
-
-    return _zero_crossing(rate, 0.5, DB_CAP, tol, lambda db: f"{db} dB")
+    return _zero_crossing(params, direction, lambda db: (db_to_eta(db), eps), 0.5, DB_CAP,
+                          tol, lambda db: f"{db} dB")
 
 
 def _fmt(value) -> str:

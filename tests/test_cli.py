@@ -260,13 +260,14 @@ class TestMaxNoiseCommand:
 
     def test_tolerance_below_float_spacing_returns(self, capsys, monkeypatch):
         calls = []
+        probe = sweeps._key_rate
 
         def counted(*args):
             calls.append(None)
             assert len(calls) <= 2000, "bisection did not terminate"
-            return key_rate(*args)
+            return probe(*args)
 
-        monkeypatch.setattr(sweeps, "key_rate", counted)
+        monkeypatch.setattr(sweeps, "_key_rate", counted)
         argv = ["max-noise", "--vs", "1", "--vm", "10", "--dir", "rr", "--eta", "0.9"]
         start = time.perf_counter()
         code, out, _ = run(capsys, *argv, "--tol", "1e-300")

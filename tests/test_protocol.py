@@ -48,8 +48,10 @@ from udcvqkd.protocol import (
     _conditional_nu,
     _entropy_slope,
     _g,
+    _key_rate,
     _observe,
     _symplectic_pair,
+    _worst_case_correlation,
     _x_moments,
 )
 from udcvqkd.sweeps import _g_array
@@ -579,37 +581,72 @@ def _mp_g(nu):
 def _mp_joint_entropy(params, chan, c_p, v_p_b):
     """g(nu_+) + g(nu_-) at the working precision, with nu_+-**2 the roots
     of x**2 - Delta x + det(gamma) for the shared state gamma."""
-    v_s, v_m, eta, eps, vpb = (
-        mpmath.mpf(x) for x in (params.V_S, params.V_M, chan.eta_x, chan.eps_x, v_p_b)
-    )
-    v = mpmath.sqrt(1 + v_m / v_s)
-    cx = mpmath.sqrt(eta * v_m * v)
-    vxb = eta * (v_s + v_m + eps) + 1 - eta
+    v, cx, vxb = _mp_moments(params, chan)
+    vpb = mpmath.mpf(v_p_b)
     delta = v**2 + vxb * vpb + 2 * cx * c_p
     det = (v * vxb - cx**2) * (v * vpb - c_p**2)
     split = mpmath.sqrt(delta**2 - 4 * det)
     return _mp_g(mpmath.sqrt((delta + split) / 2)) + _mp_g(mpmath.sqrt((delta - split) / 2))
 
 
+def _mp_moments(params, chan):
+    """v, c_x and v_x_b at the working precision from the float inputs."""
+    v_s, v_m, eta, eps = (mpmath.mpf(x) for x in (params.V_S, params.V_M, chan.eta_x, chan.eps_x))
+    v = mpmath.sqrt(1 + v_m / v_s)
+    return v, mpmath.sqrt(eta * v_m * v), eta * (v_s + v_m + eps) + 1 - eta
+
+
+def _mp_conditional_entropy(params, chan, v_p_b, direction):
+    """Entropy of the state left after the reference side's homodyne, at
+    the working precision."""
+    v, cx, vxb = _mp_moments(params, chan)
+    if direction is DR:
+        return _mp_g(mpmath.sqrt((vxb - cx**2 / v) * mpmath.mpf(v_p_b)))
+    return _mp_g(mpmath.sqrt((v - cx**2 / vxb) * v))
+
+
 def _mp_holevo(params, chan, c_p, v_p_b, direction):
     """Holevo information at 50 digits from the float inputs, with the
     symplectic spectrum taken from the eigenvalues of i.Omega.gamma."""
     with mpmath.workdps(50):
-        v_s, v_m, eta, eps, cp, vpb = (
-            mpmath.mpf(x) for x in (params.V_S, params.V_M, chan.eta_x, chan.eps_x, c_p, v_p_b)
-        )
-        v = mpmath.sqrt(1 + v_m / v_s)
-        cx = mpmath.sqrt(eta * v_m * v)
-        vxb = eta * (v_s + v_m + eps) + 1 - eta
+        v, cx, vxb = _mp_moments(params, chan)
+        cp, vpb = mpmath.mpf(c_p), mpmath.mpf(v_p_b)
         gamma = mpmath.matrix([[v, 0, cx, 0], [0, v, 0, cp], [cx, 0, vxb, 0], [0, cp, 0, vpb]])
         omega = mpmath.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
         spectrum = mpmath.eig(mpmath.mpc(0, 1) * omega * gamma, left=False, right=False)
         nus = sorted(abs(ev) for ev in spectrum)  # (nu_-, nu_-, nu_+, nu_+)
-        if direction is DR:
-            nu_cond = mpmath.sqrt((vxb - cx**2 / v) * vpb)
+        return (_mp_g(nus[0]) + _mp_g(nus[2])
+                - _mp_conditional_entropy(params, chan, v_p_b, direction))
+
+
+def _mp_key_rate(params, chan, v_p_b, direction, c_p=None, interval=None):
+    """The key rate at 60 digits: at the float correlation c_p, or at the
+    joint entropy's maximum over the float interval, taken by a 110-step
+    golden section (the entropy is concave in C_p) with both ends as
+    candidates."""
+    with mpmath.workdps(60):
+        v, cx, vxb = _mp_moments(params, chan)
+        mutual_info = mpmath.log(vxb / (vxb - cx**2 / v), 2) / 2
+        if c_p is not None:
+            s_ab = _mp_joint_entropy(params, chan, mpmath.mpf(c_p), v_p_b)
         else:
-            nu_cond = mpmath.sqrt((v - cx**2 / vxb) * v)
-        return _mp_g(nus[0]) + _mp_g(nus[2]) - _mp_g(nu_cond)
+            a, b = (mpmath.mpf(x) for x in interval)
+            inv_golden = (mpmath.sqrt(5) - 1) / 2
+            c, d = b - inv_golden * (b - a), a + inv_golden * (b - a)
+            s_c, s_d = (_mp_joint_entropy(params, chan, x, v_p_b) for x in (c, d))
+            for _ in range(110):
+                if s_c < s_d:
+                    a, c, s_c = c, d, s_d
+                    d = a + inv_golden * (b - a)
+                    s_d = _mp_joint_entropy(params, chan, d, v_p_b)
+                else:
+                    b, d, s_d = d, c, s_c
+                    c = b - inv_golden * (b - a)
+                    s_c = _mp_joint_entropy(params, chan, c, v_p_b)
+            ends = (_mp_joint_entropy(params, chan, x, v_p_b) for x in interval)
+            s_ab = max(s_c, s_d, *ends)
+        chi = s_ab - _mp_conditional_entropy(params, chan, v_p_b, direction)
+        return params.beta * mutual_info - chi
 
 
 class TestTwoModeKernel:
@@ -812,6 +849,95 @@ class TestTwoModeKernel:
         assert np.mean(slopes) <= 20
         assert max(slopes) <= 60
         assert max(kernels) <= 3
+
+
+class TestWorstCaseSearch:
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    # V_M = 1e9, where rounding makes the slope infinite next to an end
+    @example(log_vs=0.3, log_vm=9.0, eta=0.7, eps=0.02, extra=0.1, direction=DR, t=0.5,
+             log_step=-3.0)
+    # on the vertex: pure loss on a coherent source, a point interval
+    @example(log_vs=0.0, log_vm=2.0, eta=0.6, eps=0.0, extra=0.0, direction=RR, t=0.0,
+             log_step=0.0)
+    # the worst case at the upper end, searched from the lower one
+    @example(log_vs=math.log10(0.8), log_vm=2.0, eta=0.9, eps=0.0, extra=0.0, direction=DR,
+             t=0.0, log_step=-12.0)
+    @given(
+        log_vs=st.floats(min_value=-1.0, max_value=1.0),
+        log_vm=st.floats(min_value=-1.0, max_value=12.0),
+        eta=st.floats(min_value=0.05, max_value=1.0),
+        eps=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.1)),
+        extra=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+        direction=st.sampled_from([DR, RR]),
+        t=st.floats(min_value=0.0, max_value=1.0),
+        log_step=st.floats(min_value=-12.0, max_value=0.0),
+    )
+    def test_worst_case_matches_60_digit_maximum(self, log_vs, log_vm, eta, eps, extra,
+                                                 direction, t, log_step):
+        # the cold search and one started at (t, step): an interior worst
+        # case against the 60-digit maximum over the float interval, an
+        # endpoint one against the 60-digit rate at that end, where the
+        # entropy's square-root edge amplifies the end's own rounding
+        params = ProtocolParams(V_S=10.0**log_vs, V_M=10.0**log_vm)
+        chan = ChannelParams.symmetric(eta, eps)
+        v_p_b = symmetric_vpB(params, eta, eps) + extra
+        cold = key_rate(params, chan, v_p_b, direction)
+        mi, chi, worst_cp, interval = _key_rate(params, eta, eps, v_p_b, direction,
+                                                (t, 10.0**log_step))
+        maximum = None
+        for rate, worst in ((cold.key_rate, cold.worst_Cp), (params.beta * mi - chi, worst_cp)):
+            if worst in interval:
+                want = _mp_key_rate(params, chan, v_p_b, direction, c_p=worst)
+            else:
+                if maximum is None:
+                    maximum = _mp_key_rate(params, chan, v_p_b, direction, interval=interval)
+                want = maximum
+            assert abs(rate - want) <= 1e-12 * max(1.0, abs(rate)), (rate, float(want))
+
+    def test_started_search_matches_the_cold_one(self, monkeypatch):
+        # starts anywhere, at the wrong end and on the cold worst case, with
+        # steps from 1e-12 to 1.  The bound is the cold search's own error
+        # near an end: a worst case 3.7e-11 inside an interval end, with
+        # xtol 6.2e-11, lay 1.8e-13 below the 60-digit maximum cold and
+        # 4.1e-14 below it started, and such draws are about 1 in 30 000
+        calls = [0]
+        slope = protocol._entropy_slope
+
+        def counted_slope(*args):
+            calls[0] += 1
+            return slope(*args)
+
+        def search(*args):
+            calls[0] = 0
+            return (*_worst_case_correlation(*args), calls[0])
+
+        monkeypatch.setattr(protocol, "_entropy_slope", counted_slope)
+        rng = random.Random(1709)
+        cold_calls, started_calls = [], []
+        while len(cold_calls) < 4000:
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-2.0, 2.0),
+                                    V_M=10.0 ** rng.uniform(-2.0, 9.0))
+            eta, eps = rng.uniform(0.0, 1.0) or 1.0, rng.choice([0.0, rng.uniform(0.0, 0.2)])
+            v_p_b = symmetric_vpB(params, eta, eps) + rng.choice([0.0, 10.0 ** rng.uniform(-6, 0)])
+            direction = rng.choice([DR, RR])
+            xm = _x_moments(params, eta, eps)
+            lo, hi = physicality_interval(params, ChannelParams.symmetric(eta, eps), v_p_b)
+            if not hi > lo:
+                continue
+            cp, chi, count = search(xm, v_p_b, direction, lo, hi)
+            cold_calls.append(count)
+            scale = max(1.0, abs(mutual_information(params, ChannelParams.symmetric(eta, eps))
+                                 - chi))
+            t = (cp - lo) / (hi - lo)
+            for start_t in (rng.uniform(0.0, 1.0), 1.0 - round(t), t):
+                start = (start_t, 10.0 ** rng.uniform(-12.0, 0.0))
+                cp_started, chi_started, count = search(xm, v_p_b, direction, lo, hi, start)
+                started_calls.append(count)
+                assert abs(chi_started - chi) <= 2e-13 * scale, (params, eta, eps, v_p_b, start)
+                if cp in (lo, hi) or cp_started in (lo, hi):
+                    assert cp_started == cp, (params, eta, eps, v_p_b, start)
+        assert max(started_calls) <= max(cold_calls) + 3
+        assert np.mean(started_calls) <= np.mean(cold_calls)
 
 
 def recorded(f):
@@ -1115,6 +1241,30 @@ class TestAsymptoticRates:
                 want_rr = (d / 2 * mpmath.log((d + 1) / (d - 1)) - mpmath.log(1 + s) - 1) / log2
                 got_rr = asymptotic_key_rate_rr(v_s, eta)
                 assert abs(got_rr - want_rr) <= 1e-12 * max(1.0, abs(want_rr)), (v_s, eta)
+
+    def test_direct_rate_at_large_u_is_relatively_accurate(self):
+        # where r**2 = 1/(1 + u) < 0.01 the direct rate is a difference of
+        # two small terms, about 1/(3u) and 1/s; the logarithms of size
+        # ln V_S that the form used there left 4.1e-14 at (1e100, 0.3),
+        # where the rate is -2.5e-100.  At large V_S the rate changes sign
+        # at eta = 2/3, where one ulp of eta moves it by its own size, so
+        # the grid keeps away from there.
+        checked = 0
+        with mpmath.workdps(700):
+            log2 = mpmath.log(2)
+            for v_s in (1e-300, 1e-100, 1e-17, 1e-5, 1e5, 1e17, 1e100, 1e200, 1e300):
+                for eta in (1e-300, 1e-100, 1e-6, 0.01, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-9,
+                            1.0 - 1e-16):
+                    vs, e = mpmath.mpf(v_s), mpmath.mpf(eta)
+                    c2 = (1 + e * (1 / vs - 1)) * (1 + e * (vs - 1))
+                    if not c2 > 100:
+                        continue
+                    c, s = mpmath.sqrt(c2), e * abs(1 - vs)
+                    want = (c * mpmath.atanh(1 / c) - 1 + mpmath.log(s / (1 + s))) / log2
+                    got = asymptotic_key_rate_dr(v_s, eta)
+                    assert abs(got - want) <= 1e-13 * abs(want), (v_s, eta, got, float(want))
+                    checked += 1
+        assert checked >= 50
 
     def test_reverse_rate_near_unit_transmittance_matches_high_precision(self):
         # D - 1 is about 2.5e-16 here; the form does not cancel as D -> 1

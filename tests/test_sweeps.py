@@ -50,7 +50,7 @@ from udcvqkd import (
     write_curve_csv,
     write_region_json,
 )
-from udcvqkd import __version__, sweeps
+from udcvqkd import __version__, protocol, sweeps
 from udcvqkd.gaussian import _min_uncertainty_eig
 from udcvqkd.protocol import (
     LOG2E,
@@ -697,16 +697,38 @@ def independent_dr_rate(v_s, v_m, eta, eps, grid_points=201):
 
 
 def count_key_rate_calls(monkeypatch, limit=2000):
-    """Count the root finders' key_rate calls; stop a runaway loop at limit."""
+    """Count the root finders' key-rate probes, the calls of key_rate's core
+    sweeps._key_rate; stop a runaway loop at limit."""
     calls = []
+    probe = sweeps._key_rate
 
     def counted(*args, **kwargs):
         calls.append(None)
         assert len(calls) <= limit, "root search did not terminate"
-        return key_rate(*args, **kwargs)
+        return probe(*args, **kwargs)
 
-    monkeypatch.setattr(sweeps, "key_rate", counted)
+    monkeypatch.setattr(sweeps, "_key_rate", counted)
     return calls
+
+
+def figure_set_roots(counter: list) -> list[tuple]:
+    """(params, direction, find, fixed, tol, root, count) for each root of
+    the figure set that exists, with count the growth of counter during
+    its search."""
+    roots = []
+    for direction in ReconciliationDirection:
+        for v_s in (0.5, 1.0, 2.0):
+            params = ProtocolParams(V_S=v_s, V_M=100.0)
+            searches = [(max_tolerable_noise, db, 1e-6) for db in db_grid(0.1, 1.2, 0.1)]
+            searches += [(max_attenuation, eps, 1e-4) for eps in (0.0, 0.01, 0.03, 0.05)]
+            for find, fixed, tol in searches:
+                start = len(counter)
+                try:
+                    root = find(params, fixed, direction, tol=tol)
+                except (NoPositiveRate, NoRoot):
+                    continue
+                roots.append((params, direction, find, fixed, tol, root, len(counter) - start))
+    return roots
 
 
 class TestZeroCrossing:
@@ -744,19 +766,7 @@ class TestZeroCrossing:
         # attenuation limits at four noise levels, for every source and
         # both directions; bisection needs 19.5 key_rate calls per root
         calls = count_key_rate_calls(monkeypatch)
-        roots = []
-        for direction in ReconciliationDirection:
-            for v_s in (0.5, 1.0, 2.0):
-                params = ProtocolParams(V_S=v_s, V_M=100.0)
-                searches = [(max_tolerable_noise, db, 1e-6) for db in db_grid(0.1, 1.2, 0.1)]
-                searches += [(max_attenuation, eps, 1e-4) for eps in (0.0, 0.01, 0.03, 0.05)]
-                for find, fixed, tol in searches:
-                    start = len(calls)
-                    try:
-                        root = find(params, fixed, direction, tol=tol)
-                    except (NoPositiveRate, NoRoot):
-                        continue
-                    roots.append((params, direction, find, fixed, tol, root, len(calls) - start))
+        roots = figure_set_roots(calls)
         assert len(roots) == 88
         assert sum(r[-1] for r in roots) / len(roots) <= 10
         monkeypatch.undo()
@@ -771,6 +781,37 @@ class TestZeroCrossing:
             below = rate(params, direction, find, fixed, max(root - tol, 0.0))
             above = rate(params, direction, find, fixed, root + tol)
             assert below >= 0.0 > above, (params, direction, find.__name__, fixed, root)
+
+    def test_figure_set_roots_within_slope_budget(self, monkeypatch):
+        # each probe's C_p search starts at the last probe's worst case;
+        # with every search cold the figure set takes 78.75 slope calls per
+        # root, and the key_rate probes per root do not change
+        slopes = []
+        slope = protocol._entropy_slope
+
+        def counted(*args):
+            slopes.append(None)
+            return slope(*args)
+
+        monkeypatch.setattr(protocol, "_entropy_slope", counted)
+        roots = figure_set_roots(slopes)
+        assert len(roots) == 88
+        assert sum(r[-1] for r in roots) / len(roots) <= 66
+
+    def test_figure_set_roots_move_within_tolerance_of_cold_probes(self, monkeypatch):
+        # a warm-started C_p search closes on another final bracket, so the
+        # probes' rates and the roots move, but by less than tol
+        started = figure_set_roots([])
+        probe = sweeps._key_rate
+
+        def cold(params, eta, eps, v_p_b, direction, start=None):
+            return probe(params, eta, eps, v_p_b, direction)
+
+        monkeypatch.setattr(sweeps, "_key_rate", cold)
+        for warm, want in zip(started, figure_set_roots([]), strict=True):
+            params, direction, find, fixed, tol, root, _ = warm
+            assert want[:5] == warm[:5]
+            assert abs(root - want[5]) <= tol, (params, direction, find.__name__, fixed)
 
 
 class TestMaxAttenuation:
