@@ -1,11 +1,12 @@
 """Security analysis for unidimensional continuous-variable QKD.
 
 The worst-case key rate for squeezed, coherent, and antisqueezed signal
-states, parameter-space sweeps of it that emit machine-readable figure
-data, and the covariance-matrix oracle the tests compare it against.
-Each public name is imported from its module on first use (PEP 562), so
-importing the package loads nothing, and numpy loads only with the
-covariance-matrix oracle or a region map.
+states, and parameter-space sweeps of it that emit machine-readable
+figure data.  Each public name is imported from its module on first use
+(PEP 562), so importing the package, or all its names, loads nothing,
+and numpy loads only with a region map.  The covariance-matrix oracle
+the tests compare the key rate against is udcvqkd.gaussian; none of its
+names are exported here.
 """
 
 import importlib
@@ -15,13 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "ConfigError", "DomainError", "NoPositiveRate", "NoRoot", "NonPositiveDefinite",
-        "NumericalDegeneracy", "SingularConditioning", "ToolkitError",
-        "UnphysicalObservation", "UnphysicalState",
-    ),
-    "gaussian": (
-        "CovMatrix", "Quadrature", "QuadratureSelector", "apply_channel", "build_eb_state",
-        "condition_on_homodyne", "is_physical", "symplectic_eigenvalues", "symplectic_form",
-        "von_neumann_entropy",
+        "ToolkitError", "UnphysicalObservation", "UnphysicalState",
     ),
     "protocol": (
         "ChannelParams", "ProtocolParams", "ReconciliationDirection", "SecurityAssessment",

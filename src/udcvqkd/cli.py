@@ -1,9 +1,10 @@
 """Command-line frontend.
 
 Thin dispatch over the library: every number printed or written comes
-straight from a library call, so CLI results match direct API use
-bit for bit.  Exit codes: 0 success, 1 domain error (error name on
-stderr), 2 argument or configuration error (usage on stderr).
+straight from a library call or is an input echoed as given, so CLI
+results match direct API use bit for bit.  Exit codes: 0 success, 1
+domain error (error name on stderr), 2 argument or configuration error
+(usage on stderr).
 """
 
 from __future__ import annotations
@@ -173,11 +174,17 @@ def _require(opts: dict, *names: str) -> None:
         raise ConfigError(f"missing required option(s): {flags}")
 
 
-def _resolve_eta(opts: dict) -> float:
+def _resolve_eta(opts: dict) -> tuple[float, float | None]:
+    """The transmittance, and the dB value as given (None for --eta)."""
     eta, eta_db = opts.get("eta"), opts.get("eta_db")
     if (eta is None) == (eta_db is None):
         raise ConfigError("exactly one of --eta or --eta-db is required")
-    return eta if eta is not None else db_to_eta(eta_db)
+    return (eta, None) if eta_db is None else (db_to_eta(eta_db), eta_db)
+
+
+def _db(eta: float, eta_db: float | None) -> float:
+    """The dB value as given, not round-tripped through eta, else eta's."""
+    return eta_to_db(eta) if eta_db is None else eta_db
 
 
 def _parse_axis(text: str, default_points: int = 400) -> tuple[float, float, int]:
@@ -217,7 +224,7 @@ def _json_text(obj: dict) -> str:
 
 def _cmd_keyrate(opts: dict) -> int:
     _require(opts, "vs", "vm", "dir")
-    eta = _resolve_eta(opts)
+    eta, eta_db = _resolve_eta(opts)
     params = ProtocolParams(V_S=opts["vs"], V_M=opts["vm"], beta=opts["beta"])
     chan = ChannelParams.symmetric(eta, opts["eps"])
     v_p_b = symmetric_vpB(params, eta, opts["eps"], opts["strict_paper_vpb"])
@@ -229,7 +236,7 @@ def _cmd_keyrate(opts: dict) -> int:
             "V_M": params.V_M,
             "beta": params.beta,
             "eta": eta,
-            "attenuation_db": eta_to_db(eta),
+            "attenuation_db": _db(eta, eta_db),
             "eps": opts["eps"],
             "direction": opts["dir"],
             "strict_paper_vpb": opts["strict_paper_vpb"],
@@ -247,7 +254,7 @@ def _cmd_keyrate(opts: dict) -> int:
 
 def _cmd_region(opts: dict) -> int:
     _require(opts, "vs", "vm", "mode", "x_range", "cp_range")
-    eta = _resolve_eta(opts)
+    eta, _ = _resolve_eta(opts)
     params = ProtocolParams(V_S=opts["vs"], V_M=opts["vm"], beta=opts["beta"])
     x_lo, x_hi, x_points = _parse_axis(opts["x_range"])
     cp_lo, cp_hi, cp_points = _parse_axis(opts["cp_range"])
@@ -280,11 +287,12 @@ def _cmd_sweep_loss(opts: dict) -> int:
 
 def _cmd_max_noise(opts: dict) -> int:
     _require(opts, "vs", "vm", "dir")
-    eta = _resolve_eta(opts)
+    eta, eta_db = _resolve_eta(opts)
     params = ProtocolParams(V_S=opts["vs"], V_M=opts["vm"], beta=opts["beta"])
+    db = _db(eta, eta_db)
     eps_max = max_tolerable_noise(
         params,
-        eta_to_db(eta),
+        db,
         ReconciliationDirection(opts["dir"]),
         tol=opts["tol"],
     )
@@ -294,7 +302,7 @@ def _cmd_max_noise(opts: dict) -> int:
             "V_S": params.V_S,
             "V_M": params.V_M,
             "beta": params.beta,
-            "attenuation_db": eta_to_db(eta),
+            "attenuation_db": db,
             "direction": opts["dir"],
             "tol": opts["tol"],
         },
@@ -306,11 +314,11 @@ def _cmd_max_noise(opts: dict) -> int:
 
 def _cmd_asymptotic(opts: dict) -> int:
     _require(opts, "vs")
-    eta = _resolve_eta(opts)
+    eta, eta_db = _resolve_eta(opts)
     vs = opts["vs"]
     obj = {
         "tool": _TOOL,
-        "params": {"V_S": vs, "eta": eta, "attenuation_db": eta_to_db(eta)},
+        "params": {"V_S": vs, "eta": eta, "attenuation_db": _db(eta, eta_db)},
         "dr": asymptotic_key_rate_dr(vs, eta),
         "rr": asymptotic_key_rate_rr(vs, eta),
         "dr_coherent": asymptotic_key_rate_dr(1.0, eta),

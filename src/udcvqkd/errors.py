@@ -13,16 +13,8 @@ class NonPositiveDefinite(ToolkitError):
     """A covariance matrix has a nonpositive ordinary eigenvalue."""
 
 
-class NumericalDegeneracy(ToolkitError):
-    """The +/-nu pairing of a symplectic spectrum failed beyond tolerance."""
-
-
 class DomainError(ToolkitError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class SingularConditioning(ToolkitError):
-    """Homodyne conditioning on a quadrature with (near-)zero variance."""
 
 
 class UnphysicalState(ToolkitError):

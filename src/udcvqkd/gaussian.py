@@ -5,9 +5,10 @@ by its 2n x 2n covariance matrix in shot-noise units (vacuum variance 1)
 with quadrature ordering (x1, p1, x2, p2, ...).  The tests compare the
 closed forms of protocol against these eigensolver computations, on the
 states that build_eb_state and apply_channel assemble from protocol's
-parameters; neither key_rate nor the region maps call this module.
-Everything here is a pure function of its inputs and safe to call
-concurrently.
+parameters; neither key_rate nor the region maps call this module.  It
+is reached as udcvqkd.gaussian and is not part of the package's exported
+names, so importing those never loads numpy.  Everything here is a pure
+function of its inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -18,24 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonPositiveDefinite,
-    NumericalDegeneracy,
-    SingularConditioning,
-)
-from .protocol import (
-    NU_CLAMP_TOL,
-    ChannelParams,
-    ProtocolParams,
-    _vpb,
-    _x_moments,
-    entropy_g,
-)
+from .errors import NonPositiveDefinite, ToolkitError
+from .protocol import NU_CLAMP_TOL, ChannelParams, ProtocolParams, _x_moments, entropy_g
 
 SYMMETRY_TOL = 1e-12
 PAIRING_TOL = 1e-8
 PHYSICALITY_TOL = 1e-9
 CONDITIONING_TOL = 1e-12
+
+
+class NumericalDegeneracy(ToolkitError):
+    """The +/-nu pairing of a symplectic spectrum failed beyond tolerance."""
+
+
+class SingularConditioning(ToolkitError):
+    """Homodyne conditioning on a quadrature with (near-)zero variance."""
 
 
 class Quadrature(enum.Enum):
@@ -103,25 +101,23 @@ def build_eb_state(params: ProtocolParams) -> CovMatrix:
 
 
 def apply_channel(
-    params: ProtocolParams, chan: ChannelParams, C_p: float
+    params: ProtocolParams, chan: ChannelParams, C_p: float, V_p_B: float
 ) -> CovMatrix:
     """State shared between the parties after the phase-sensitive channel.
 
-    The x side is fixed by the channel; the p correlation C_p is supplied
-    by the caller because the trusted parties cannot measure it
-    (physicality of the result is tested separately, not here).  Bob's p
-    variance is modeled as eta_p (1/V_S + eps_p) + 1 - eta_p, i.e. with
-    the channel's vacuum contribution included.
+    The x side is fixed by the channel.  The p side is what the trusted
+    parties know of it, as key_rate and holevo_bound take it: Bob's
+    observed p variance V_p_B, and a correlation C_p that they cannot
+    measure (physicality of the result is tested separately, not here).
     """
     xm = _x_moments(params, chan.eta_x, chan.eps_x)
-    v_p_b = _vpb(params, chan.eta_p, chan.eps_p)
     return CovMatrix(
         np.array(
             [
                 [xm.v, 0.0, xm.c_x, 0.0],
                 [0.0, xm.v, 0.0, C_p],
                 [xm.c_x, 0.0, xm.v_x_b, 0.0],
-                [0.0, C_p, 0.0, v_p_b],
+                [0.0, C_p, 0.0, V_p_B],
             ]
         )
     )

@@ -88,36 +88,36 @@ class ProtocolParams:
         return math.sqrt(1.0 + self.V_M / self.V_S)
 
 
+def _check_channel(eta_name: str, eta: float, eps_name: str, eps: float) -> None:
+    """Check a transmittance and an excess noise, naming the caller's fields."""
+    _check_finite(**{eta_name: eta, eps_name: eps})
+    if not 0.0 < eta <= 1.0:
+        raise DomainError(f"{eta_name} must lie in (0, 1]")
+    if not eps >= 0.0:
+        raise DomainError(f"{eps_name} must be nonnegative")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
-    """Per-quadrature transmittances and input-referred excess noises.
-
-    Transmittances must lie in (0, 1]; the zero-transmittance limit is
-    excluded.  Excess noise is in shot-noise units.
+    """The modulated (x) quadrature's channel: transmittance in (0, 1], zero
+    excluded, and input-referred excess noise in shot-noise units.  The p
+    channel is unknown to the trusted parties, who see only Bob's p
+    variance V_p_B, which key_rate and the bounds take on its own.
     """
 
     eta_x: float
-    eta_p: float
     eps_x: float = 0.0
-    eps_p: float = 0.0
 
     def __post_init__(self):
-        # the links of this chain are the checks below, which run only to
-        # name the failing field
-        if 0.0 < self.eta_x <= 1.0 >= self.eta_p > 0.0 <= self.eps_x < math.inf > self.eps_p >= 0.0:
+        # _check_channel runs only to name the failing field
+        if 0.0 < self.eta_x <= 1.0 and 0.0 <= self.eps_x < math.inf:
             return
-        _check_finite(eta_x=self.eta_x, eta_p=self.eta_p, eps_x=self.eps_x, eps_p=self.eps_p)
-        for name in ("eta_x", "eta_p"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise DomainError(f"{name} must lie in (0, 1]")
-        for name in ("eps_x", "eps_p"):
-            if not getattr(self, name) >= 0.0:
-                raise DomainError(f"{name} must be nonnegative")
+        _check_channel("eta_x", self.eta_x, "eps_x", self.eps_x)
 
     @classmethod
     def symmetric(cls, eta: float, eps: float = 0.0) -> "ChannelParams":
-        """Phase-insensitive channel: same transmittance and noise in x and p."""
-        return cls(eta, eta, eps, eps)
+        """x side of a phase-insensitive channel; the p side is symmetric_vpB."""
+        return cls(eta, eps)
 
 
 class ReconciliationDirection(enum.Enum):
@@ -667,16 +667,14 @@ def symmetric_vpB(
     eta (1/V_S + eps_p) + 1 - eta.  With strict_paper the vacuum term is
     dropped, which can yield a sub-vacuum variance for a lossy noiseless
     channel; it is provided for comparison at single points only, and the
-    sweeps always keep the vacuum term.
+    sweeps always keep the vacuum term.  Raises DomainError where it
+    overflows, as 1/V_S does for V_S below about 5.6e-309.
     """
-    _check_finite(eta=eta, eps_p=eps_p)
-    if not 0.0 < eta <= 1.0:
-        raise DomainError("eta must lie in (0, 1]")
-    if not eps_p >= 0.0:
-        raise DomainError("eps_p must be nonnegative")
-    if strict_paper:
-        return eta * (1.0 / params.V_S + eps_p)
-    return _vpb(params, eta, eps_p)
+    _check_channel("eta", eta, "eps_p", eps_p)
+    v_p_b = eta * (1.0 / params.V_S + eps_p) if strict_paper else _vpb(params, eta, eps_p)
+    if not math.isfinite(v_p_b):
+        raise _not_finite("Bob's p variance")
+    return v_p_b
 
 
 def _vpb(params: ProtocolParams, eta: float, eps_p):
@@ -725,11 +723,17 @@ def asymptotic_key_rate_dr(V_S: float, eta: float) -> float:
     # two small terms (about 1/(3u) and 1/s at large V_S) summed directly.
     # Elsewhere c atanh(1/c) and log2(s) diverge as u -> 0 (eta -> 0, or
     # V_S -> 1) and cancel: atanh(1/c) + ln s = ln(1 + c) + ln(eta V_S / (1 - eta)) / 2.
-    # What is left, (c - 1) atanh(1/c), vanishes with u.
+    # What is left, (c - 1) atanh(1/c), vanishes with u.  Below V_S and s
+    # of about 5.6e-309, 1/V_S and 1/s overflow: u is then formed without
+    # 1/V_S, and log1p(1/s) is taken as log1p(s) - log(s).
     u = eta * (1.0 - eta) * (V_S - 1.0) * (1.0 - 1.0 / V_S)
+    if u == math.inf:
+        u = eta * (1.0 - eta) * (V_S - 1.0) * (V_S - 1.0) / V_S
     r2 = 1.0 / (1.0 + u)
     if r2 < 0.01:
-        return LOG2E * (_atanh_excess(r2) - math.log1p(1.0 / (eta * abs(1.0 - V_S))))
+        s = eta * abs(1.0 - V_S)
+        log1p_inv_s = math.log1p(1.0 / s) if 1.0 / s < math.inf else math.log1p(s) - math.log(s)
+        return LOG2E * (_atanh_excess(r2) - log1p_inv_s)
     c = math.sqrt(1.0 + u)
     c_minus_1 = u / (1.0 + c)
     rest = 0.5 * c_minus_1 * math.log1p(2.0 / c_minus_1) if c_minus_1 > 1e-300 else 0.0

@@ -208,10 +208,10 @@ def scan_region(
 ) -> RegionMap:
     """Classify every grid cell by physicality and pointwise key-rate signs.
 
-    chan_x is (eta_x, eps_x).  In FREE_VPB mode the first axis is Bob's
-    unmodulated-quadrature variance itself; in SYMMETRIC_NOISE mode it is
-    the excess noise eps_p of a channel with eta_p = eta_x, and V_p_B is
-    symmetric_vpB's, vacuum term included.
+    chan_x is (eta_x, eps_x), the ChannelParams fields.  In FREE_VPB mode
+    the first axis is Bob's unmodulated-quadrature variance V_p_B itself;
+    in SYMMETRIC_NOISE mode it is the p excess noise eps_p, and V_p_B is
+    symmetric_vpB(params, eta_x, eps_p), vacuum term included.
     A cell is physical exactly when its C_p lies in
     physicality_interval(params, chan, V_p_B) for its row, the definition
     key_rate uses.  Secure cells are decided by the sign of the key rate at
@@ -220,7 +220,7 @@ def scan_region(
     import numpy as np
 
     eta_x, eps_x = chan_x
-    chan = ChannelParams(eta_x=eta_x, eta_p=eta_x, eps_x=eps_x, eps_p=eps_x)
+    chan = ChannelParams(eta_x, eps_x)
     x_axis = np.linspace(grid.x_min, grid.x_max, grid.x_points)
     cp_axis = np.linspace(grid.cp_min, grid.cp_max, grid.cp_points)
 

@@ -1,6 +1,6 @@
 import numpy as np
 
-from udcvqkd import CovMatrix
+from udcvqkd.gaussian import CovMatrix
 
 
 def random_symmetric(rng, n_modes: int, scale: float = 1.0) -> np.ndarray:

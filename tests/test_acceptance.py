@@ -13,21 +13,14 @@ import numpy as np
 
 from udcvqkd import (
     ChannelParams,
-    CovMatrix,
     NoRoot,
     ProtocolParams,
-    Quadrature,
-    QuadratureSelector,
     ReconciliationDirection,
     RegionMode,
     SweepConfig,
-    apply_channel,
     asymptotic_key_rate_dr,
     asymptotic_key_rate_rr,
-    build_eb_state,
-    condition_on_homodyne,
     holevo_bound,
-    is_physical,
     key_rate,
     keyrate_vs_attenuation,
     max_attenuation,
@@ -37,8 +30,16 @@ from udcvqkd import (
     region_to_json,
     scan_region,
     symmetric_vpB,
-    von_neumann_entropy,
     write_region_json,
+)
+from udcvqkd.gaussian import (
+    Quadrature,
+    QuadratureSelector,
+    apply_channel,
+    build_eb_state,
+    condition_on_homodyne,
+    is_physical,
+    von_neumann_entropy,
 )
 from udcvqkd.sweeps import curve_to_csv
 
@@ -91,19 +92,16 @@ def test_acceptance_2_conditional_state_closed_forms():
             V_S=math.exp(rng.uniform(math.log(0.2), math.log(5.0))),
             V_M=rng.uniform(0.1, 100.0),
         )
-        chan = ChannelParams(
-            eta_x=rng.uniform(0.1, 1.0),
-            eta_p=rng.uniform(0.1, 1.0),
-            eps_x=rng.uniform(0.0, 0.3),
-            eps_p=rng.uniform(0.0, 0.3),
-        )
-        v_p_b = chan.eta_p * (1.0 / params.V_S + chan.eps_p) + 1.0 - chan.eta_p
+        eta_x, eta_p, eps_x, eps_p = (rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0),
+                                      rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3))
+        chan = ChannelParams(eta_x, eps_x)
+        v_p_b = eta_p * (1.0 / params.V_S + eps_p) + 1.0 - eta_p
         interval = physicality_interval(params, chan, v_p_b)
         if interval is not None and interval[1] > interval[0]:
             c_p = rng.uniform(interval[0], interval[1])
         else:
             c_p = physicality_parabola(params, chan)[1]
-        state = apply_channel(params, chan, c_p)
+        state = apply_channel(params, chan, c_p, v_p_b)
 
         b = chan.eta_x * (params.V_S + chan.eps_x - 1.0) + 1.0
         v = params.tmsv_variance
@@ -134,9 +132,7 @@ def test_acceptance_3_physicality_parabola():
         lo, hi = physicality_interval(params, chan, v_p_b)
 
         def state_at(c_p):
-            mat = apply_channel(params, chan, c_p).mat.copy()
-            mat[3, 3] = v_p_b
-            return CovMatrix(mat)
+            return apply_channel(params, chan, c_p, v_p_b)
 
         if not (is_physical(state_at(lo)) and is_physical(state_at(hi))):
             failures.append(f"draw {i}: interval endpoint flagged unphysical")

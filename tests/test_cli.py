@@ -287,6 +287,24 @@ class TestMaxNoiseCommand:
         assert "NoPositiveRate" in err
 
 
+@pytest.mark.parametrize("command,argv", [
+    ("keyrate", ["--vm", "100", "--eps", "0.03", "--dir", "dr"]),
+    ("max-noise", ["--vm", "100", "--dir", "dr"]),
+    ("asymptotic", []),
+])
+def test_attenuation_is_echoed_as_given(capsys, command, argv):
+    # 0.5 dB to eta and back is 0.49999999999999983 dB
+    assert sweeps.eta_to_db(sweeps.db_to_eta(0.5)) != 0.5
+    code, out, _ = run(capsys, command, "--vs", "2", "--eta-db", "0.5", *argv)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["params"]["attenuation_db"] == 0.5
+    if command == "max-noise":
+        params = ProtocolParams(V_S=2.0, V_M=100.0)
+        assert obj["eps_max"] == sweeps.max_tolerable_noise(
+            params, 0.5, ReconciliationDirection.DIRECT)
+
+
 class TestRegionCommand:
     def test_writes_region_json(self, capsys, tmp_path):
         out_path = tmp_path / "region.json"
@@ -397,13 +415,18 @@ for argv in (
 ):
     assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules
+import udcvqkd
+from udcvqkd import *
+assert all(name in globals() for name in udcvqkd.__all__)
+assert "numpy" not in sys.modules
 assert cli.main(["region", "--vs", "1", "--vm", "10", "--eta", "0.9", "--mode", "vpb",
                  "--x-range", "1:2:4", "--cp-range=-3:0:4"]) == 0
 assert "numpy" in sys.modules
-import udcvqkd
-from udcvqkd import *
 from udcvqkd import gaussian, protocol
-assert all(name in globals() for name in udcvqkd.__all__)
+oracle = {name for name, value in vars(gaussian).items()
+          if getattr(value, "__module__", None) == gaussian.__name__}
+assert "apply_channel" in oracle and "SingularConditioning" in oracle
+assert not oracle & set(udcvqkd.__all__), oracle & set(udcvqkd.__all__)
 assert gaussian.entropy_g is protocol.entropy_g
 """
 

@@ -6,15 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_pd_cm, random_physical_cm
-from udcvqkd import (
+from udcvqkd import DomainError, NonPositiveDefinite, entropy_g
+from udcvqkd.gaussian import (
     CovMatrix,
-    DomainError,
-    NonPositiveDefinite,
     Quadrature,
     QuadratureSelector,
     SingularConditioning,
     condition_on_homodyne,
-    entropy_g,
     is_physical,
     symplectic_eigenvalues,
     symplectic_form,

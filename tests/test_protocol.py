@@ -10,22 +10,16 @@ from hypothesis import strategies as st
 
 from udcvqkd import (
     ChannelParams,
-    CovMatrix,
     DomainError,
     NoPositiveRate,
     ProtocolParams,
-    Quadrature,
-    QuadratureSelector,
     ReconciliationDirection,
     SecurityAssessment,
     ToolkitError,
     UnphysicalObservation,
     UnphysicalState,
-    apply_channel,
     asymptotic_key_rate_dr,
     asymptotic_key_rate_rr,
-    build_eb_state,
-    condition_on_homodyne,
     entropy_g,
     holevo_bound,
     key_rate,
@@ -37,10 +31,17 @@ from udcvqkd import (
     physicality_interval,
     physicality_parabola,
     symmetric_vpB,
+)
+from udcvqkd import protocol
+from udcvqkd.gaussian import (
+    Quadrature,
+    QuadratureSelector,
+    apply_channel,
+    build_eb_state,
+    condition_on_homodyne,
     symplectic_eigenvalues,
     von_neumann_entropy,
 )
-from udcvqkd import protocol
 from udcvqkd.protocol import (
     VERTEX_SLACK,
     _bracket_sign_change,
@@ -104,8 +105,8 @@ class TestParams:
             ProtocolParams(V_S=1.0, V_M=bad)
         with pytest.raises(DomainError):
             ProtocolParams(V_S=1.0, V_M=1.0, beta=bad)
-        for name in ("eta_x", "eta_p", "eps_x", "eps_p"):
-            kwargs = {"eta_x": 0.5, "eta_p": 0.5, "eps_x": 0.0, "eps_p": 0.0, name: bad}
+        for name in ("eta_x", "eps_x"):
+            kwargs = {"eta_x": 0.5, "eps_x": 0.0, name: bad}
             with pytest.raises(DomainError):
                 ChannelParams(**kwargs)
         params = ProtocolParams(V_S=1.0, V_M=1.0)
@@ -128,17 +129,16 @@ class TestParams:
         # every field is checked for finiteness before any range
         (ProtocolParams, {"V_S": 0.0, "beta": math.nan}, "beta must be finite, got nan"),
         *[(ChannelParams, {name: bad}, f"{name} must be finite, got {bad!r}")
-          for name in ("eta_x", "eta_p", "eps_x", "eps_p") for bad in NON_FINITE],
-        *[(ChannelParams, {name: bad}, f"{name} must lie in (0, 1]")
-          for name in ("eta_x", "eta_p") for bad in (0.0, -0.5, 1.5)],
+          for name in ("eta_x", "eps_x") for bad in NON_FINITE],
+        *[(ChannelParams, {"eta_x": bad}, "eta_x must lie in (0, 1]")
+          for bad in (0.0, -0.5, 1.5)],
         (ChannelParams, {"eps_x": -0.5}, "eps_x must be nonnegative"),
-        (ChannelParams, {"eps_p": -0.5}, "eps_p must be nonnegative"),
-        (ChannelParams, {"eta_p": 1.5, "eps_x": math.inf}, "eps_x must be finite, got inf"),
-        (ChannelParams, {"eta_p": 0.0, "eps_x": -0.5}, "eta_p must lie in (0, 1]"),
+        (ChannelParams, {"eta_x": 1.5, "eps_x": math.inf}, "eps_x must be finite, got inf"),
+        (ChannelParams, {"eta_x": 0.0, "eps_x": -0.5}, "eta_x must lie in (0, 1]"),
     ])
     def test_rejection_messages(self, make, fields, message):
         valid = ({"V_S": 1.0, "V_M": 10.0, "beta": 1.0} if make is ProtocolParams
-                 else {"eta_x": 0.5, "eta_p": 0.5, "eps_x": 0.0, "eps_p": 0.0})
+                 else {"eta_x": 0.5, "eps_x": 0.0})
         with pytest.raises(DomainError) as info:
             make(**{**valid, **fields})
         assert str(info.value) == message
@@ -162,30 +162,33 @@ class TestParams:
     def test_accepts_the_edges_of_each_range(self):
         ProtocolParams(V_S=5e-324, V_M=0.0, beta=1.0)
         ProtocolParams(V_S=1e308, V_M=1e308, beta=5e-324)
-        ChannelParams(eta_x=1.0, eta_p=5e-324, eps_x=0.0, eps_p=1e308)
+        ChannelParams(eta_x=1.0, eps_x=0.0)
+        ChannelParams(eta_x=5e-324, eps_x=1e308)
         ChannelParams.symmetric(1.0, 0.0)
 
     def test_zero_transmittance_excluded(self):
         with pytest.raises(DomainError):
-            ChannelParams(eta_x=0.0, eta_p=0.5)
+            ChannelParams(eta_x=0.0)
         with pytest.raises(DomainError):
-            ChannelParams(eta_x=1.2, eta_p=0.5)
+            ChannelParams(eta_x=1.2)
         with pytest.raises(DomainError):
-            ChannelParams(eta_x=0.5, eta_p=0.5, eps_x=-0.01)
+            ChannelParams(eta_x=0.5, eps_x=-0.01)
 
     def test_symmetric_constructor(self):
         chan = ChannelParams.symmetric(0.8, 0.05)
-        assert (chan.eta_x, chan.eta_p, chan.eps_x, chan.eps_p) == (0.8, 0.8, 0.05, 0.05)
+        assert (chan.eta_x, chan.eps_x) == (0.8, 0.05)
+        assert chan == ChannelParams(0.8, 0.05)
 
     def test_observed_stats_consistency(self):
         params = ProtocolParams(V_S=0.7, V_M=12.0)
-        chan = ChannelParams(eta_x=0.85, eta_p=0.6, eps_x=0.04, eps_p=0.02)
+        chan = ChannelParams(eta_x=0.85, eps_x=0.04)
+        eta_p, eps_p = 0.6, 0.02
         v_x_b = _x_moments(params, chan.eta_x, chan.eps_x).v_x_b
         expected = chan.eta_x * (params.V_S + params.V_M + chan.eps_x) + 1 - chan.eta_x
         assert v_x_b == pytest.approx(expected, abs=1e-12)
-        v_p_b = symmetric_vpB(params, chan.eta_p, chan.eps_p)
-        strict = symmetric_vpB(params, chan.eta_p, chan.eps_p, strict_paper=True)
-        assert v_p_b - strict == pytest.approx(1 - chan.eta_p, abs=1e-12)
+        v_p_b = symmetric_vpB(params, eta_p, eps_p)
+        strict = symmetric_vpB(params, eta_p, eps_p, strict_paper=True)
+        assert v_p_b - strict == pytest.approx(1 - eta_p, abs=1e-12)
 
 
 class TestBuildEbState:
@@ -219,29 +222,18 @@ class TestApplyChannel:
         # 0.9 * (1 + 10 + 0.03) + 0.1
         params = ProtocolParams(V_S=1.0, V_M=10.0)
         chan = ChannelParams.symmetric(0.9, 0.03)
-        state = apply_channel(params, chan, C_p=-1.0)
+        state = apply_channel(params, chan, C_p=-1.0, V_p_B=1.5)
         assert state.mat[2, 2] == pytest.approx(10.027, abs=1e-9)
         assert state.mat[1, 3] == -1.0
+        assert state.mat[3, 3] == 1.5
 
     def test_identity_channel_reproduces_source_state(self):
         params = ProtocolParams(V_S=0.6, V_M=7.0)
         chan = ChannelParams.symmetric(1.0, 0.0)
         eb = build_eb_state(params)
-        out = apply_channel(params, chan, C_p=pure_cp(params))
+        out = apply_channel(params, chan, C_p=pure_cp(params),
+                            V_p_B=symmetric_vpB(params, 1.0, 0.0))
         assert out.mat == pytest.approx(eb.mat, abs=1e-12)
-
-    def test_p_variance_is_symmetric_vpB(self):
-        # Bob's p variance has one rule; written as
-        # eta_p (1/V_S + eps_p) + 1 - eta_p it rounded differently on about
-        # a third of these draws
-        rng = np.random.default_rng(307)
-        for _ in range(5000):
-            params = ProtocolParams(V_S=10.0 ** rng.uniform(-2.0, 4.0),
-                                    V_M=10.0 ** rng.uniform(-1.0, 6.0))
-            eta = rng.uniform(0.01, 1.0)
-            eps = rng.choice([0.0, rng.uniform(0.0, 0.5)])
-            state = apply_channel(params, ChannelParams.symmetric(eta, eps), C_p=0.0)
-            assert state.mat[3, 3] == symmetric_vpB(params, eta, eps)
 
 
 class TestMutualInformation:
@@ -398,18 +390,15 @@ class TestConditionalStates:
                 V_S=math.exp(rng.uniform(math.log(0.2), math.log(5))),
                 V_M=rng.uniform(0.1, 100),
             )
-            chan = ChannelParams(
-                eta_x=rng.uniform(0.1, 1.0),
-                eta_p=rng.uniform(0.1, 1.0),
-                eps_x=rng.uniform(0.0, 0.3),
-                eps_p=rng.uniform(0.0, 0.3),
-            )
-            v_p_b = symmetric_vpB(params, chan.eta_p, chan.eps_p)
+            eta_x, eta_p, eps_x, eps_p = (rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0),
+                                          rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3))
+            chan = ChannelParams(eta_x, eps_x)
+            v_p_b = symmetric_vpB(params, eta_p, eps_p)
             interval = physicality_interval(params, chan, v_p_b)
             if interval is None:
                 continue
             c_p = rng.uniform(*interval) if interval[1] > interval[0] else interval[0]
-            state = apply_channel(params, chan, c_p)
+            state = apply_channel(params, chan, c_p, v_p_b)
             after_alice, after_bob = closed_form_conditionals(params, chan, v_p_b)
             got_dr = condition_on_homodyne(state, QuadratureSelector(Quadrature.X, 0))
             got_rr = condition_on_homodyne(state, QuadratureSelector(Quadrature.X, 1))
@@ -500,7 +489,7 @@ class TestHolevoBound:
             nu = math.sqrt(b * v_p_b)
             interval = physicality_interval(params, chan, v_p_b)
             c_p = 0.5 * (interval[0] + interval[1])
-            state = apply_channel(params, chan, c_p)
+            state = apply_channel(params, chan, c_p, v_p_b)
             cond = condition_on_homodyne(state, QuadratureSelector(Quadrature.X, 0))
             assert nu == pytest.approx(math.sqrt(np.linalg.det(cond.mat)), abs=1e-10)
             assert entropy_g(nu) == pytest.approx(von_neumann_entropy(cond), abs=1e-10)
@@ -516,9 +505,7 @@ class TestHolevoBound:
         assert chi_dr == pytest.approx(1.0431150330421377, abs=1e-9)
         assert chi_rr == pytest.approx(0.9472140584539660, abs=1e-9)
 
-        mat = apply_channel(params, chan, c0).mat.copy()
-        mat[3, 3] = v_p_b
-        joint = CovMatrix(mat)
+        joint = apply_channel(params, chan, c0, v_p_b)
         s_ab = von_neumann_entropy(joint)
         brute_dr = s_ab - von_neumann_entropy(
             condition_on_homodyne(joint, QuadratureSelector(Quadrature.X, 0))
@@ -665,9 +652,7 @@ class TestTwoModeKernel:
             if interval is None:
                 continue
             c_p = rng.uniform(*interval)
-            mat = apply_channel(params, chan, c_p).mat.copy()
-            mat[3, 3] = v_p_b
-            want = symplectic_eigenvalues(CovMatrix(mat))
+            want = symplectic_eigenvalues(apply_channel(params, chan, c_p, v_p_b))
             got = _symplectic_pair(_observe(_x_moments(params, eta, eps), v_p_b), c_p)
             assert got == pytest.approx(tuple(want), rel=1e-9)
             checked += 1
@@ -1018,9 +1003,10 @@ class TestKeyRate:
                                     V_M=10.0 ** rng.uniform(-2.0, 8.0))
             eta_x, eta_p = rng.uniform(0.02, 1.0, size=2)
             eps_x, eps_p = rng.choice([0.0, rng.uniform(0.0, 0.2)], size=2)
-            chan = (ChannelParams.symmetric(eta_x, eps_x) if rng.uniform() < 0.5
-                    else ChannelParams(eta_x, eta_p, eps_x, eps_p))
-            v_p_b = (symmetric_vpB(params, chan.eta_p, chan.eps_p)
+            if rng.uniform() < 0.5:  # a symmetric channel
+                eta_p, eps_p = eta_x, eps_x
+            chan = ChannelParams(eta_x, eps_x)
+            v_p_b = (symmetric_vpB(params, eta_p, eps_p)
                      + rng.choice([0.0, 10.0 ** rng.uniform(-9.0, 1.0)]))
             direction = DR if rng.uniform() < 0.5 else RR
             try:
@@ -1221,12 +1207,15 @@ class TestAsymptoticRates:
             with pytest.raises(DomainError):
                 func(1.0, 1.0)
 
-    @pytest.mark.parametrize("v_s", [1e-300, 1e-100, 1e-17, 1e-3, 0.5, 1.0 - 1e-9, 1.0 + 1e-9,
-                                     2.0, 1e3, 1e17, 1e100, 1e200, 1e292, 1e300])
+    @pytest.mark.parametrize("v_s", [5e-324, 1e-320, 4e-309, 1e-300, 1e-100, 1e-17, 1e-3, 0.5,
+                                     1.0 - 1e-9, 1.0 + 1e-9, 2.0, 1e3, 1e17, 1e100, 1e200,
+                                     1e292, 1e300])
     def test_extreme_inputs_match_high_precision(self, v_s):
         # c -> 1 in the direct form and D -> infinity in the reverse form
         # used to end in math domain errors, divisions by zero and NaN, and
-        # the reverse form's x overflows from V_S of about 5e291 as eta -> 1
+        # the reverse form's x overflows from V_S of about 5e291 as eta -> 1.
+        # Below V_S of about 5.6e-309 1/V_S overflows, and in the direct
+        # form so does 1/s for s = eta |1 - V_S| below about 5.6e-309
         with mpmath.workdps(700):
             log2 = mpmath.log(2)
             for eta in (5e-324, 1e-300, 1e-100, 1e-17, 1e-6, 0.3, 0.9, 1.0 - 1e-9, 1.0 - 1e-16):
@@ -1348,6 +1337,8 @@ def _entry_points(v_s, v_m, eta, eps, v_p_b, c_p, direction):
 # a log-uniform V_S never draws the coherent source exactly
 @example(v_s=1.0, v_m=1.0, eta=1e-12, eps=0.0, v_p_b=1.0, c_p=0.0, direction=DR)
 @example(v_s=1.0, v_m=1e6, eta=1.0 - 1e-15, eps=0.0, v_p_b=1.0, c_p=0.0, direction=RR)
+# 1/V_S and 1/(eta |1 - V_S|) overflow
+@example(v_s=1e-320, v_m=1.0, eta=1e-318, eps=0.0, v_p_b=1.0, c_p=0.0, direction=DR)
 @given(
     v_s=MAGNITUDE,
     v_m=st.one_of(st.just(0.0), MAGNITUDE),

@@ -8,17 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import split_insecure_rows
+from test_protocol import _mp_key_rate
 from udcvqkd import (
     ChannelParams,
     ConfigError,
-    CovMatrix,
     Curve,
     DomainError,
     NoPositiveRate,
     NoRoot,
     ProtocolParams,
-    Quadrature,
-    QuadratureSelector,
     ReconciliationDirection,
     RegionClass,
     RegionMap,
@@ -26,8 +24,6 @@ from udcvqkd import (
     SweepConfig,
     UnphysicalObservation,
     UnphysicalState,
-    apply_channel,
-    condition_on_homodyne,
     curve_to_csv,
     db_grid,
     db_to_eta,
@@ -45,13 +41,20 @@ from udcvqkd import (
     region_to_json,
     scan_region,
     symmetric_vpB,
-    symplectic_eigenvalues,
-    symplectic_form,
     write_curve_csv,
     write_region_json,
 )
 from udcvqkd import __version__, protocol, sweeps
-from udcvqkd.gaussian import _min_uncertainty_eig
+from udcvqkd.gaussian import (
+    CovMatrix,
+    Quadrature,
+    QuadratureSelector,
+    _min_uncertainty_eig,
+    apply_channel,
+    condition_on_homodyne,
+    symplectic_eigenvalues,
+    symplectic_form,
+)
 from udcvqkd.protocol import (
     LOG2E,
     _conditional_entropy,
@@ -243,7 +246,7 @@ class TestScanRegion:
         for grid in grids:
             region = scan_region(params, self.chan_x, grid, RegionMode.FREE_VPB)
             mats = np.empty((grid.x_points, grid.cp_points, 4, 4))
-            mats[:] = apply_channel(params, chan, 0.0).mat
+            mats[:] = apply_channel(params, chan, 0.0, v0).mat
             mats[:, :, 3, 3] = region.x_axis[:, np.newaxis]
             mats[:, :, 1, 3] = mats[:, :, 3, 1] = region.cp_axis[np.newaxis, :]
             want = _min_uncertainty_eig(mats) >= 0.0
@@ -781,6 +784,30 @@ class TestZeroCrossing:
             below = rate(params, direction, find, fixed, max(root - tol, 0.0))
             above = rate(params, direction, find, fixed, root + tol)
             assert below >= 0.0 > above, (params, direction, find.__name__, fixed, root)
+
+    def test_sampled_roots_bracket_the_60_digit_crossing(self):
+        # every eleventh figure-set root, which covers both searches, both
+        # directions and all three sources: the 60-digit worst-case rate,
+        # the maximum over the float C_p interval, is >= 0 at root - tol
+        # and < 0 at root + tol
+        sample = figure_set_roots([])[::11]
+        assert len(sample) == 8
+        assert {(r[1], r[2]) for r in sample} == {
+            (d, f) for d in (DR, RR) for f in (max_tolerable_noise, max_attenuation)}
+        assert {r[0].V_S for r in sample} == {0.5, 1.0, 2.0}
+
+        def rate(params, direction, find, fixed, x):
+            db, eps = (fixed, x) if find is max_tolerable_noise else (x, fixed)
+            eta = db_to_eta(db)
+            chan = ChannelParams.symmetric(eta, eps)
+            v_p_b = symmetric_vpB(params, eta, eps)
+            interval = physicality_interval(params, chan, v_p_b)
+            return _mp_key_rate(params, chan, v_p_b, direction, interval=interval)
+
+        for params, direction, find, fixed, tol, root, _ in sample:
+            below = rate(params, direction, find, fixed, max(root - tol, 0.0))
+            above = rate(params, direction, find, fixed, root + tol)
+            assert below >= 0 > above, (params, direction, find.__name__, fixed, root)
 
     def test_figure_set_roots_within_slope_budget(self, monkeypatch):
         # each probe's C_p search starts at the last probe's worst case;
