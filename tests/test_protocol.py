@@ -128,17 +128,28 @@ class TestParams:
         (ProtocolParams, {"beta": 1.5}, "beta must lie in (0, 1]"),
         # every field is checked for finiteness before any range
         (ProtocolParams, {"V_S": 0.0, "beta": math.nan}, "beta must be finite, got nan"),
-        *[(ChannelParams, {name: bad}, f"{name} must be finite, got {bad!r}")
-          for name in ("eta_x", "eps_x") for bad in NON_FINITE],
-        *[(ChannelParams, {"eta_x": bad}, "eta_x must lie in (0, 1]")
+        # the x channel is ChannelParams, the p channel symmetric_vpB's
+        # (eta, eps_p); each checks its fields as ChannelParams once did all four
+        *[(make, {name: bad}, f"{name} must be finite, got {bad!r}")
+          for make, name in ((ChannelParams, "eta_x"), (symmetric_vpB, "eta"),
+                             (ChannelParams, "eps_x"), (symmetric_vpB, "eps_p"))
+          for bad in NON_FINITE],
+        *[(make, {name: bad}, f"{name} must lie in (0, 1]")
+          for make, name in ((ChannelParams, "eta_x"), (symmetric_vpB, "eta"))
           for bad in (0.0, -0.5, 1.5)],
         (ChannelParams, {"eps_x": -0.5}, "eps_x must be nonnegative"),
+        (symmetric_vpB, {"eps_p": -0.5}, "eps_p must be nonnegative"),
         (ChannelParams, {"eta_x": 1.5, "eps_x": math.inf}, "eps_x must be finite, got inf"),
+        # transmittance before excess noise
+        (symmetric_vpB, {"eta": 0.0, "eps_p": -0.5}, "eta must lie in (0, 1]"),
         (ChannelParams, {"eta_x": 0.0, "eps_x": -0.5}, "eta_x must lie in (0, 1]"),
     ])
     def test_rejection_messages(self, make, fields, message):
-        valid = ({"V_S": 1.0, "V_M": 10.0, "beta": 1.0} if make is ProtocolParams
-                 else {"eta_x": 0.5, "eps_x": 0.0})
+        valid = {
+            ProtocolParams: {"V_S": 1.0, "V_M": 10.0, "beta": 1.0},
+            ChannelParams: {"eta_x": 0.5, "eps_x": 0.0},
+            symmetric_vpB: {"params": ProtocolParams(V_S=1.0, V_M=10.0), "eta": 0.5, "eps_p": 0.0},
+        }[make]
         with pytest.raises(DomainError) as info:
             make(**{**valid, **fields})
         assert str(info.value) == message
