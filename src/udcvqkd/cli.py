@@ -27,13 +27,13 @@ from .protocol import (
 from .sweeps import (
     RegionMode,
     SweepConfig,
+    _noise_root,
     curve_to_csv,
     curve_to_json,
     db_grid,
     db_to_eta,
     eta_to_db,
     keyrate_vs_attenuation,
-    max_tolerable_noise,
     region_to_json,
     scan_region,
 )
@@ -140,8 +140,6 @@ def _load_config(path: str, command: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: {command} does not take key {key!r}")
                 try:
                     values[key] = _OPTIONS[key][0](value.strip())
-                except ConfigError:
-                    raise
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
@@ -290,12 +288,8 @@ def _cmd_max_noise(opts: dict) -> int:
     eta, eta_db = _resolve_eta(opts)
     params = ProtocolParams(V_S=opts["vs"], V_M=opts["vm"], beta=opts["beta"])
     db = _db(eta, eta_db)
-    eps_max = max_tolerable_noise(
-        params,
-        db,
-        ReconciliationDirection(opts["dir"]),
-        tol=opts["tol"],
-    )
+    # at eta itself: --eta taken to dB and back can move by an ulp
+    eps_max = _noise_root(params, eta, ReconciliationDirection(opts["dir"]), opts["tol"], db)
     obj = {
         "tool": _TOOL,
         "params": {

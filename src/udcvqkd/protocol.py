@@ -216,7 +216,9 @@ def _symplectic_pair(ob: tuple, c_p):
     place.  Floats take the operations of vb * (v_vpb - c_p**2),
     0.5 * (delta + split) and (det / nu_plus**2) ** 0.5 in the same order,
     with operands swapped, which leaves a product or sum of two floats
-    unchanged.
+    unchanged.  But a float's ** 0.5 is libm's pow, which need not round
+    like the sqrt numpy takes for an array's, so nu_plus and nu_minus can
+    differ by an ulp between the two.
     """
     v, v_x_b, delta0, v_vpb, vb, diag_sq, cx_vpb, cx_v, d_delta, _ = ob
     det = v_vpb - c_p * c_p
@@ -561,7 +563,10 @@ def _worst_case_correlation(
     _bracket_sign_change closes on the slope's zero.  xtol is
     WORST_CASE_XTOL times min(1, hi - lo), but not below a few ulps of
     C_p: near a pure state the entropy can vary by 5e-11 across an
-    interval 1e-11 wide.  Both endpoints stay candidates.
+    interval 1e-11 wide.  hi stays a candidate, lo does not: at both ends
+    of the interval C0 -+ h, nu_minus = 1 and the entropy is g(nu_plus),
+    nu_plus**2 = v b (v V_p_B - C_p**2), where C0 = -c_x/(v b) < 0 makes
+    lo**2 - hi**2 = -4 C0 h > 0, so lo holds less entropy than hi.
 
     start = (t, step) guesses where the maximum lies, at lo + t (hi - lo).
     The bracket is then walked out (_warm_bracket) from that point with
@@ -593,12 +598,11 @@ def _worst_case_correlation(
             a, b = _bracket_sign_change(slope, a, fa, b, fb, xtol)
             refined = 0.5 * (a + b)
 
-    # the first of the candidates lo, hi, refined whose entropy is largest
-    cp, s_ab = lo, _joint_entropy(ob, lo)
-    for x in (hi, refined):
-        s_x = _joint_entropy(ob, x)
-        if s_x > s_ab:
-            cp, s_ab = x, s_x
+    # the first of the candidates hi, refined whose entropy is larger
+    cp, s_ab = hi, _joint_entropy(ob, hi)
+    s_refined = _joint_entropy(ob, refined)
+    if s_refined > s_ab:
+        cp, s_ab = refined, s_refined
     return cp, _floor_holevo(s_ab - s_cond)
 
 

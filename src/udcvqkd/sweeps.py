@@ -34,7 +34,6 @@ from .protocol import (
     ReconciliationDirection,
     _bracket_sign_change,
     _conditional_entropy,
-    _g,
     _key_rate,
     _not_finite,
     _observe,
@@ -239,10 +238,8 @@ def scan_region(
     key_mi = params.beta * mutual_information(params, chan)
     xm = _x_moments(params, eta_x, eps_x)
     s_cond_rr = _conditional_entropy(xm, 1.0, ReconciliationDirection.REVERSE)
-    # _conditional_entropy's DIRECT rule, sqrt(b V_p_B) in one pass and then
-    # _g, which equals it bit for bit; _g stays scalar, as np.log1p need not
-    # round like math.log1p.
-    s_cond_dr = np.array([_g(nu) for nu in np.sqrt(xm.b * vpb_rows).tolist()])
+    # _conditional_entropy's DIRECT rule, g(sqrt(b V_p_B)), for every row
+    s_cond_dr = _g_array(np.sqrt(xm.b * vpb_rows))
     # physicality_interval for every row at once, as columns [first, stop)
     v0, c0, coeff = _parabola(xm, params, eta_x, eps_x)
     dv = vpb_rows - v0
@@ -454,7 +451,12 @@ def max_tolerable_noise(
     Raises NoPositiveRate when K(0) <= 0 and NoRoot when the cap is
     reached without a sign change.
     """
-    eta = db_to_eta(dB)
+    return _noise_root(params, db_to_eta(dB), direction, tol, dB)
+
+
+def _noise_root(params: ProtocolParams, eta: float, direction: ReconciliationDirection,
+                tol: float, dB: float) -> float:
+    """max_tolerable_noise at transmittance eta, named dB in errors."""
     return _zero_crossing(params, direction, lambda eps: (eta, eps), 0.1, NOISE_CAP, tol,
                           lambda eps: f"eps={eps} for {dB} dB")
 

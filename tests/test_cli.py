@@ -169,6 +169,20 @@ class TestArgumentErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["region", "--vs", "1", "--vm", "10", "--eta", "0.9", "--mode", "vpb",
+         "--x-range", "1:2:x", "--cp-range=-2:-1:8"],
+        ["region", "--vs", "1", "--vm", "10", "--eta", "0.9", "--mode", "vpb",
+         "--x-range", "1", "--cp-range=-2:-1:8"],
+        ["sweep-loss", "--vs", "1", "--vm", "10", "--dir", "dr", "--db", "0:x:1"],
+    ])
+    def test_unparsable_range_is_a_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "ConfigError:" in err
+        assert "Traceback" not in err
+
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0
@@ -277,6 +291,23 @@ class TestMaxNoiseCommand:
         _, coarse, _ = run(capsys, *argv)
         assert json.loads(out)["eps_max"] == pytest.approx(
             json.loads(coarse)["eps_max"], abs=1e-6)
+
+    def test_linear_transmittance_is_searched_as_given(self, capsys, monkeypatch):
+        # 0.52 to dB and back is 0.5200000000000001
+        assert sweeps.db_to_eta(sweeps.eta_to_db(0.52)) != 0.52
+        etas = []
+        probe = sweeps._key_rate
+
+        def recorded(params, eta, *args):
+            etas.append(eta)
+            return probe(params, eta, *args)
+
+        monkeypatch.setattr(sweeps, "_key_rate", recorded)
+        code, out, _ = run(capsys, "max-noise", "--vs", "2", "--vm", "100", "--eta", "0.52",
+                           "--dir", "rr")
+        assert code == 0
+        assert etas and set(etas) == {0.52}
+        assert json.loads(out)["params"]["attenuation_db"] == sweeps.eta_to_db(0.52)
 
     def test_no_positive_rate_maps_to_exit_one(self, capsys):
         code, _, err = run(
@@ -396,6 +427,34 @@ class TestConfigFile:
         code, _, err = run(capsys, "keyrate", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
 
+    @pytest.mark.parametrize("value,flag", [("yes", ["--strict-paper-vpb"]), ("off", [])])
+    def test_boolean_config_value_equivalent_to_flag(self, capsys, tmp_path, value, flag):
+        # a squeezed source, which stays physical without the vacuum term
+        argv = ["keyrate", "--vs", "0.5", "--vm", "100", "--eta-db", "0.5", "--eps", "0.03",
+                "--dir", "dr"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"strict_paper_vpb={value}\n")
+        code_flags, out_flags, _ = run(capsys, *argv, *flag)
+        code_cfg, out_cfg, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code_flags == code_cfg == 0
+        assert out_flags == out_cfg
+        assert json.loads(out_cfg)["params"]["strict_paper_vpb"] is bool(flag)
+
+    # each names the file and the line, as a value that float rejects does
+    @pytest.mark.parametrize("line,message", [
+        ("strict_paper_vpb=maybe", "not a boolean: 'maybe'"),
+        ("vs=abc", "could not convert string to float: 'abc'"),
+        ("vs 2", "expected key=value"),
+    ])
+    def test_bad_config_line_names_file_and_line(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# reference point\nvm=100\n{line}\n")
+        code, out, err = run(capsys, *self.ARGS, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"ConfigError: {cfg}:3: {message}" in err
+        assert "Traceback" not in err
+
 
 def test_option_table_has_no_missing_or_dead_rows():
     used = {name for names in _SUBCOMMAND_OPTIONS.values() for name in names}
@@ -429,6 +488,21 @@ assert "apply_channel" in oracle and "SingularConditioning" in oracle
 assert not oracle & set(udcvqkd.__all__), oracle & set(udcvqkd.__all__)
 assert gaussian.entropy_g is protocol.entropy_g
 """
+
+
+def test_package_runs_as_a_module(capsys):
+    src = os.path.dirname(os.path.dirname(sweeps.__file__))
+    argv = ["keyrate", "--vs", "2", "--vm", "100", "--eta-db", "0.5", "--eps", "0.03",
+            "--dir", "dr"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    for args, want in ((argv, out), (["--version"], None)):
+        done = subprocess.run([sys.executable, "-m", "udcvqkd", *args],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        if want is not None:
+            assert done.stdout == want
 
 
 def test_scalar_commands_never_load_numpy():

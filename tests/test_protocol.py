@@ -52,6 +52,7 @@ from udcvqkd.protocol import (
     _key_rate,
     _observe,
     _symplectic_pair,
+    _warm_bracket,
     _worst_case_correlation,
     _x_moments,
 )
@@ -816,7 +817,8 @@ class TestTwoModeKernel:
 
     def test_slope_evaluations_per_search(self, monkeypatch):
         # a golden section over the same grid takes about 53 kernel calls;
-        # the zero search takes its slope calls plus 3 candidate values
+        # the zero search takes its slope calls plus 2 candidate values, at
+        # hi and at the refined point
         slopes, kernels = [], []
         slope, kernel = protocol._entropy_slope, protocol._symplectic_pair
 
@@ -844,7 +846,7 @@ class TestTwoModeKernel:
         assert sum(slopes) > 0 and sum(kernels) > 0
         assert np.mean(slopes) <= 20
         assert max(slopes) <= 60
-        assert max(kernels) <= 3
+        assert max(kernels) <= 2
 
 
 class TestWorstCaseSearch:
@@ -889,6 +891,27 @@ class TestWorstCaseSearch:
                     maximum = _mp_key_rate(params, chan, v_p_b, direction, interval=interval)
                 want = maximum
             assert abs(rate - want) <= 1e-12 * max(1.0, abs(rate)), (rate, float(want))
+
+    def test_lower_end_holds_less_entropy_than_the_upper(self):
+        # the search's reason to drop lo as a candidate: at both ends
+        # nu_minus = 1 and nu_plus**2 = v b (v V_p_B - C_p**2), and C0 < 0
+        # gives lo the larger C_p**2; checked at 60 digits at the float ends
+        rng = random.Random(1911)
+        checked = 0
+        while checked < 200:
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-1.0, 1.0),
+                                    V_M=10.0 ** rng.uniform(-1.0, 9.0))
+            eta, eps = rng.uniform(0.05, 1.0), rng.choice([0.0, rng.uniform(0.0, 0.1)])
+            chan = ChannelParams.symmetric(eta, eps)
+            v_p_b = symmetric_vpB(params, eta, eps) + rng.choice([0.0, rng.uniform(0.0, 1.0)])
+            lo, hi = physicality_interval(params, chan, v_p_b)
+            if not hi > lo:
+                continue
+            with mpmath.workdps(60):
+                s_lo, s_hi = (_mp_joint_entropy(params, chan, mpmath.mpf(x), v_p_b)
+                              for x in (lo, hi))
+                assert s_lo < s_hi, (params, eta, eps, v_p_b)
+            checked += 1
 
     def test_started_search_matches_the_cold_one(self, monkeypatch):
         # starts anywhere, at the wrong end and on the cold worst case, with
@@ -981,6 +1004,47 @@ class TestBracketSignChange:
         f, points = recorded(lambda x: 0.25 - x)
         assert _bracket_sign_change(f, 0.0, 0.25, 1.0, -0.75, 1e-12) == (0.25, 0.25)
         assert points == [0.25]
+
+
+class TestWarmBracket:
+    # f decreases on [A, B]; the walk starts at C -+ W, then moves a side
+    # out to C -+ 8 W, C -+ 64 W and the end of [A, B], all exact floats
+    A, B, C, W = 0.0, 1.0, 0.5, 2.0**-10
+
+    def walk(self, g):
+        f, points = recorded(g)
+        return _warm_bracket(f, self.A, self.B, self.C, self.W), points
+
+    @pytest.mark.parametrize("value", [0.0, math.nan])
+    @pytest.mark.parametrize("at,probes", [
+        (C - W, [C - W]),
+        (C + W, [C - W, C + W]),
+        (C + 8 * W, [C - W, C + W, C + 8 * W]),
+        (C - 8 * W, [C - W, C - 8 * W]),
+        (C - 64 * W, [C - W, C - 8 * W, C - 64 * W]),
+    ])
+    def test_zero_or_nan_closes_on_that_point(self, at, probes, value):
+        # positive left of at, negative right of it: the walk goes right
+        # from C - W when at lies right of it, and left otherwise
+        bracket, points = self.walk(lambda x: value if x == at else at - x)
+        assert points == probes
+        assert repr(bracket) == repr((at, value, at, value))
+
+    def test_left_walk_reaching_a_returns_a(self):
+        bracket, points = self.walk(lambda x: -1.0 - x)
+        assert points == [self.C - self.W, self.C - 8 * self.W, self.C - 64 * self.W, self.A]
+        assert bracket == (self.A, -1.0, self.C - 64 * self.W, -1.0 - (self.C - 64 * self.W))
+
+    def test_first_probe_at_a_with_a_negative_slope_returns_a(self):
+        f, points = recorded(lambda x: -1.0 - x)
+        assert _warm_bracket(f, 0.0, 1.0, 0.25, 0.5) == (0.0, -1.0, 0.0, -1.0)
+        assert points == [0.0]
+
+    def test_right_walk_reaching_b_returns_b(self):
+        bracket, points = self.walk(lambda x: 2.0 - x)
+        assert points == [self.C - self.W, self.C + self.W, self.C + 8 * self.W,
+                          self.C + 64 * self.W, self.B]
+        assert bracket == (self.C + 64 * self.W, 2.0 - (self.C + 64 * self.W), self.B, 1.0)
 
 
 class TestKeyRate:
