@@ -50,13 +50,45 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
+class _Choice(tuple):
+    """Converter that accepts only the names it holds."""
+
+    def __call__(self, text: str) -> str:
+        if text not in self:
+            raise ConfigError(f"invalid choice {text!r} (choose from {', '.join(self)})")
+        return text
+
+
+def _parse_axis(text: str, default_points: int = 400) -> tuple[float, float, int]:
+    parts = text.split(":")
+    if len(parts) not in (2, 3):
+        raise ConfigError(f"expected lo:hi[:points], got {text!r}")
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+        points = int(parts[2]) if len(parts) == 3 else default_points
+    except ValueError as exc:
+        raise ConfigError(f"bad axis range {text!r}: {exc}") from exc
+    return lo, hi, points
+
+
+def _parse_db_grid(text: str) -> list[float]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"expected start:stop:step, got {text!r}")
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"bad dB grid {text!r}: {exc}") from exc
+    return db_grid(start, stop, step)
+
+
 # Option name -> (converter, default, argparse keywords), one row per
 # option; the flag is "--" + name with "-" for "_".  A default of None
 # means "no default": each subcommand's _require call names the options
 # it needs, _resolve_eta asks for exactly one of eta and eta_db, and an
-# unset output means stdout.  argparse stores None for everything so
-# values from --config can fill the gaps before defaults apply.  choices
-# are checked on the merged value, config file or flag.
+# unset output means stdout.  argparse stores every flag as its text, or
+# None, so values from --config can fill the gaps before defaults apply;
+# _convert turns flag and config text alike into values.
 _OPTIONS = {
     "vs": (float, None, {"help": "signal variance V_S"}),
     "vm": (float, None, {"help": "modulation variance V_M"}),
@@ -64,19 +96,19 @@ _OPTIONS = {
     "eta": (float, None, {"help": "channel transmittance (linear)"}),
     "eta_db": (float, None, {"help": "channel attenuation in dB (primary form)"}),
     "eps": (float, 0.0, {"help": "symmetric excess noise (default 0)"}),
-    "dir": (str, None, {"choices": ["dr", "rr"], "help": "reconciliation direction"}),
-    "db": (str, None, {"help": "attenuation grid start:stop:step in dB"}),
-    "mode": (str, None, {"choices": ["vpb", "eps-p"],
-                         "help": "first region axis: V_p_B itself or symmetric eps_p"}),
-    "x_range": (str, None, {"help": "first axis lo:hi[:points] (points default 400)"}),
-    "cp_range": (str, None, {"help": "C_p axis lo:hi[:points]; use --cp-range=-2:-1 "
-                                     "for negative bounds (points default 400)"}),
+    "dir": (_Choice(("dr", "rr")), None, {"help": "reconciliation direction"}),
+    "db": (_parse_db_grid, None, {"help": "attenuation grid start:stop:step in dB"}),
+    "mode": (_Choice(("vpb", "eps-p")), None,
+             {"help": "first region axis: V_p_B itself or symmetric eps_p"}),
+    "x_range": (_parse_axis, None, {"help": "first axis lo:hi[:points] (points default 400)"}),
+    "cp_range": (_parse_axis, None, {"help": "C_p axis lo:hi[:points]; use --cp-range=-2:-1 "
+                                             "for negative bounds (points default 400)"}),
     "tol": (float, 1e-6, {"help": "root tolerance: width of the final regula falsi bracket"}),
     "strict_paper_vpb": (_parse_bool, False, {
-        "action": "store_const", "const": True,
+        "action": "store_const", "const": "true",
         "help": "drop the vacuum term from Bob's p variance"}),
     "output": (str, None, {"help": "write result to this path"}),
-    "format": (str, "csv", {"choices": ["csv", "json"], "help": "curve format"}),
+    "format": (_Choice(("csv", "json")), "csv", {"help": "curve format"}),
 }
 
 _SUBCOMMAND_OPTIONS = {
@@ -105,11 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(usage=p.format_usage)
         p.add_argument("--config", help="key=value file; flags override it")
         for option in _SUBCOMMAND_OPTIONS[name]:
             convert, _, keywords = _OPTIONS[option]
-            if "action" not in keywords:
-                keywords = {"type": convert, **keywords}
+            if isinstance(convert, _Choice):
+                keywords = {"metavar": "{" + ",".join(convert) + "}", **keywords}
             p.add_argument(_flag(option), dest=option, **keywords)
         return p
 
@@ -138,30 +171,29 @@ def _load_config(path: str, command: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 if key not in _SUBCOMMAND_OPTIONS[command]:
                     raise ConfigError(f"{path}:{lineno}: {command} does not take key {key!r}")
-                try:
-                    values[key] = _OPTIONS[key][0](value.strip())
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                values[key] = _convert(key, value.strip(), f"{path}:{lineno}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return values
 
 
+def _convert(name: str, text: str, where: str):
+    """Option name's value from its text; a bad value is a ConfigError that
+    begins with where the text came from, FILE:LINE or the flag."""
+    try:
+        return _OPTIONS[name][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _merge(args: argparse.Namespace) -> dict:
-    config = _load_config(args.config, args.command) if args.config else {}
-    merged = {}
-    for name in _SUBCOMMAND_OPTIONS[args.command]:
-        _, default, keywords = _OPTIONS[name]
-        value = getattr(args, name, None)
-        if value is None:
-            value = config.get(name)
-        if value is None:
-            value = default
-        choices = keywords.get("choices")
-        if choices and value is not None and value not in choices:
-            raise ConfigError(f"{_flag(name)}: invalid choice {value!r} "
-                              f"(choose from {', '.join(choices)})")
-        merged[name] = value
+    """Flags over config values over defaults; a bad config line fails even under a flag."""
+    names = _SUBCOMMAND_OPTIONS[args.command]
+    merged = {name: _OPTIONS[name][1] for name in names}
+    merged.update(_load_config(args.config, args.command) if args.config else {})
+    for name in names:
+        if getattr(args, name) is not None:
+            merged[name] = _convert(name, getattr(args, name), _flag(name))
     return merged
 
 
@@ -183,29 +215,6 @@ def _resolve_eta(opts: dict) -> tuple[float, float | None]:
 def _db(eta: float, eta_db: float | None) -> float:
     """The dB value as given, not round-tripped through eta, else eta's."""
     return eta_to_db(eta) if eta_db is None else eta_db
-
-
-def _parse_axis(text: str, default_points: int = 400) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise ConfigError(f"expected lo:hi[:points], got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        points = int(parts[2]) if len(parts) == 3 else default_points
-    except ValueError as exc:
-        raise ConfigError(f"bad axis range {text!r}: {exc}") from exc
-    return lo, hi, points
-
-
-def _parse_db_grid(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"expected start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad dB grid {text!r}: {exc}") from exc
-    return db_grid(start, stop, step)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -254,16 +263,9 @@ def _cmd_region(opts: dict) -> int:
     _require(opts, "vs", "vm", "mode", "x_range", "cp_range")
     eta, _ = _resolve_eta(opts)
     params = ProtocolParams(V_S=opts["vs"], V_M=opts["vm"], beta=opts["beta"])
-    x_lo, x_hi, x_points = _parse_axis(opts["x_range"])
-    cp_lo, cp_hi, cp_points = _parse_axis(opts["cp_range"])
-    grid = SweepConfig(
-        x_min=x_lo,
-        x_max=x_hi,
-        cp_min=cp_lo,
-        cp_max=cp_hi,
-        x_points=x_points,
-        cp_points=cp_points,
-    )
+    (x_lo, x_hi, x_points), (cp_lo, cp_hi, cp_points) = opts["x_range"], opts["cp_range"]
+    grid = SweepConfig(x_min=x_lo, x_max=x_hi, cp_min=cp_lo, cp_max=cp_hi,
+                       x_points=x_points, cp_points=cp_points)
     region = scan_region(params, (eta, opts["eps"]), grid, RegionMode(opts["mode"]))
     _emit(region_to_json(region), opts.get("output"))
     return 0
@@ -272,12 +274,8 @@ def _cmd_region(opts: dict) -> int:
 def _cmd_sweep_loss(opts: dict) -> int:
     _require(opts, "vs", "vm", "dir", "db")
     params = ProtocolParams(V_S=opts["vs"], V_M=opts["vm"], beta=opts["beta"])
-    curve = keyrate_vs_attenuation(
-        params,
-        opts["eps"],
-        _parse_db_grid(opts["db"]),
-        ReconciliationDirection(opts["dir"]),
-    )
+    curve = keyrate_vs_attenuation(params, opts["eps"], opts["db"],
+                                   ReconciliationDirection(opts["dir"]))
     text = curve_to_csv(curve) if opts["format"] == "csv" else curve_to_json(curve)
     _emit(text, opts.get("output"))
     return 0
@@ -341,7 +339,7 @@ def main(argv=None) -> int:
         opts = _merge(args)
         return _DISPATCH[args.command](opts)
     except ConfigError as exc:
-        print(parser.format_usage(), file=sys.stderr, end="")
+        print(args.usage(), file=sys.stderr, end="")
         print(f"ConfigError: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:

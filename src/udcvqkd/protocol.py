@@ -512,36 +512,30 @@ def _bracket_sign_change(f, a: float, fa: float, b: float, fb: float,
 
 
 def _warm_bracket(f, a: float, b: float, c: float, w: float):
-    """A bracket of the decreasing f's sign change in [a, b], walked out
-    from [c - w, c + w] with c in [a, b].
+    """A bracket of the decreasing f's sign change in [a, b], from a probe
+    at c in [a, b].
 
-    A side whose value has the wrong sign moves out to 8 w, then 64 w,
-    then to the end of [a, b], and the point it left becomes the other
-    side.  Returns (l, fl, r, fr) for the cold search's end rules: l is a
-    or fl > 0, and r is b or fr < 0.  An inside point where f is 0 or NaN
+    The sign of f(c) tells which side holds the change: the search steps w
+    toward it and, if the sign holds there too, goes to the end of [a, b]
+    on that side.  Returns (l, fl, r, fr) for the cold search's end rules:
+    l is a or fl > 0, and r is b or fr < 0.  A point where f is 0 or NaN
     closes the search on itself, as in _bracket_sign_change, and is
-    returned as l and r.
+    returned as l and r.  c = a with w = inf probes a, then b.
     """
-    l = max(c - w, a)
-    fl = f(l)
-    if fl > 0.0:
-        for d in (w, 8.0 * w, 64.0 * w, math.inf):
-            r = min(c + d, b)
-            fr = f(r)
-            if not fr > 0.0 or r == b:
-                break
-            l, fl = r, fr
-        return (l, fl, r, fr) if fr < 0.0 or r == b else (r, fr, r, fr)
-    if not fl < 0.0 or l == a:
-        return l, fl, l, fl
-    r, fr = l, fl
-    for d in (8.0 * w, 64.0 * w, math.inf):
-        l = max(c - d, a)
-        fl = f(l)
-        if not fl < 0.0 or l == a:
-            break
-        r, fr = l, fl
-    return (l, fl, r, fr) if fl > 0.0 or l == a else (l, fl, l, fl)
+    fc = f(c)
+    s, end = (1.0, b) if fc > 0.0 else (-1.0, a)
+    if c == end or not s * fc > 0.0:
+        return c, fc, c, fc
+    x = c + s * w
+    if not s * (end - x) > 0.0:
+        x = end
+    fx = f(x)
+    if s * fx > 0.0 and x != end:
+        c, fc, x = x, fx, end
+        fx = f(x)
+    if not (fx > 0.0 or fx < 0.0):
+        return x, fx, x, fx
+    return (c, fc, x, fx) if s > 0.0 else (x, fx, c, fc)
 
 
 def _worst_case_correlation(
@@ -568,11 +562,11 @@ def _worst_case_correlation(
     nu_plus**2 = v b (v V_p_B - C_p**2), where C0 = -c_x/(v b) < 0 makes
     lo**2 - hi**2 = -4 C0 h > 0, so lo holds less entropy than hi.
 
-    start = (t, step) guesses where the maximum lies, at lo + t (hi - lo).
-    The bracket is then walked out (_warm_bracket) from that point with
-    half-width max(min(step, 0.25) (hi - lo), 2 xtol), and the end rules
-    above apply where it reaches an end.  The result can differ from the
-    cold search's in the last digits, within the final bracket.
+    _warm_bracket finds the sign change from a probe at c: cold, c is
+    lo + xtol/2 and w is inf, so both ends are probed.  start = (t, step)
+    puts c at lo + t (hi - lo) with w = max(min(step, 0.25) (hi - lo),
+    2 xtol); the result can then differ from the cold search's in the last
+    digits, within the final bracket.
     """
     s_cond = _conditional_entropy(xm, V_p_B, direction)
     ob = _observe(xm, V_p_B)
@@ -583,13 +577,12 @@ def _worst_case_correlation(
     refined = 0.5 * (lo + hi)
     if a < b:
         slope = partial(_entropy_slope, ob)
-        if start is None:
-            fa, fb = slope(a), slope(b)
-        else:
+        c, w = a, math.inf
+        if start is not None:
             t, step = start
             c = min(max(lo + t * (hi - lo), a), b)
             w = max(min(step, 0.25) * (hi - lo), 2.0 * xtol)
-            a, fa, b, fb = _warm_bracket(slope, a, b, c, w)
+        a, fa, b, fb = _warm_bracket(slope, a, b, c, w)
         if not fa > 0.0:
             refined = a
         elif not fb < 0.0:

@@ -19,7 +19,11 @@ from udcvqkd import (
     symmetric_vpB,
 )
 from udcvqkd import sweeps
-from udcvqkd.cli import _OPTIONS, _SUBCOMMAND_OPTIONS, main
+from udcvqkd.cli import _OPTIONS, _SUBCOMMAND_OPTIONS, _Choice, main
+
+# every option with choices, on every subcommand that takes it
+CHOICE_OPTIONS = [("keyrate", "dir"), ("region", "mode"), ("sweep-loss", "dir"),
+                  ("sweep-loss", "format"), ("max-noise", "dir")]
 
 
 def run(capsys, *argv):
@@ -182,6 +186,19 @@ class TestArgumentErrors:
         assert out == ""
         assert "ConfigError:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["keyrate", "--vs", "abc"], "--vs: could not convert string to float: 'abc'"),
+        (["keyrate", "--dir", "xx"], "--dir: invalid choice 'xx' (choose from dr, rr)"),
+        (["region", "--x-range", "1:2:x"], "--x-range: bad axis range '1:2:x'"),
+        (["sweep-loss", "--db", "0:inf:1"], "--db: dB grid bounds and step must be finite"),
+    ])
+    def test_bad_flag_value_names_the_flag(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage: udcvqkd {argv[0]} ")
+        assert f"\nConfigError: {message}" in err
 
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
@@ -354,6 +371,9 @@ class TestRegionCommand:
 class TestConfigFile:
     ARGS = ["keyrate", "--vs", "2", "--vm", "100", "--eta-db", "0.5",
             "--eps", "0.03", "--dir", "dr"]
+    REGION_ARGS = ["region", "--vs", "1", "--vm", "10", "--eta", "0.9", "--mode", "vpb",
+                   "--x-range", "0.9:1.6:8", "--cp-range=-2.2:-1.0:8"]
+    SWEEP_ARGS = ["sweep-loss", "--vs", "1", "--vm", "10", "--dir", "rr", "--db", "0:1:0.5"]
 
     def test_config_equivalent_to_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -407,12 +427,7 @@ class TestConfigFile:
         key, lineno = line.partition("=")[0], config.count("\n") + 1
         assert f"ConfigError: {cfg}:{lineno}: {command} does not take key {key!r}" in err
 
-    # every option with choices, on every subcommand that takes it
-    @pytest.mark.parametrize("command,name", [
-        (command, name)
-        for command, names in _SUBCOMMAND_OPTIONS.items()
-        for name in names if "choices" in _OPTIONS[name][2]
-    ])
+    @pytest.mark.parametrize("command,name", CHOICE_OPTIONS)
     def test_config_value_outside_choices_rejected(self, capsys, tmp_path, command, name):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{name}=xx\n")
@@ -445,6 +460,7 @@ class TestConfigFile:
         ("strict_paper_vpb=maybe", "not a boolean: 'maybe'"),
         ("vs=abc", "could not convert string to float: 'abc'"),
         ("vs 2", "expected key=value"),
+        ("dir=xx", "invalid choice 'xx' (choose from dr, rr)"),
     ])
     def test_bad_config_line_names_file_and_line(self, capsys, tmp_path, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -455,11 +471,31 @@ class TestConfigFile:
         assert f"ConfigError: {cfg}:3: {message}" in err
         assert "Traceback" not in err
 
+    # values that parse only as an axis or a dB grid; the flags give a good
+    # value of the same option, which does not hide the line
+    @pytest.mark.parametrize("argv,line,message", [
+        (REGION_ARGS, "x_range=1:2:x",
+         "bad axis range '1:2:x': invalid literal for int() with base 10: 'x'"),
+        (REGION_ARGS, "cp_range=-2:x", "bad axis range '-2:x': could not convert string "
+                                       "to float: 'x'"),
+        (SWEEP_ARGS, "db=0:inf:1", "dB grid bounds and step must be finite"),
+    ])
+    def test_bad_config_value_names_file_and_line(self, capsys, tmp_path, argv, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# reference point\nvs=1\n{line}\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"ConfigError: {cfg}:3: {message}" in err
+        assert err.startswith(f"usage: udcvqkd {argv[0]} ")
+
 
 def test_option_table_has_no_missing_or_dead_rows():
     used = {name for names in _SUBCOMMAND_OPTIONS.values() for name in names}
     assert used - set(_OPTIONS) == set(), "subcommand option without an _OPTIONS row"
     assert set(_OPTIONS) - used == set(), "_OPTIONS row no subcommand uses"
+    assert CHOICE_OPTIONS == [(command, name) for command, names in _SUBCOMMAND_OPTIONS.items()
+                              for name in names if isinstance(_OPTIONS[name][0], _Choice)]
 
 
 # Run in a fresh interpreter, where only these calls can have loaded numpy.

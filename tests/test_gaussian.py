@@ -62,6 +62,10 @@ class TestCovMatrix:
         with pytest.raises(ValueError):
             CovMatrix(np.eye(3))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="must be square"):
+            CovMatrix(np.ones((2, 4)))
+
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             CovMatrix(np.diag([1.0, 0.0]))

@@ -374,6 +374,9 @@ class TestScanRegion:
         with pytest.raises(ConfigError):
             scan_region(self.params, self.chan_x, region_grid(-0.1, 0.4),
                         RegionMode.SYMMETRIC_NOISE)
+        # the enum's value is not the enum
+        with pytest.raises(ConfigError, match="unknown region mode 'vpb'"):
+            scan_region(self.params, self.chan_x, region_grid(0.5, 1.5), "vpb")
 
     @staticmethod
     def row_by_row_cells(params, chan_x, region, mode):
@@ -823,7 +826,7 @@ class TestZeroCrossing:
         monkeypatch.setattr(protocol, "_entropy_slope", counted)
         roots = figure_set_roots(slopes)
         assert len(roots) == 88
-        assert sum(r[-1] for r in roots) / len(roots) <= 66
+        assert sum(r[-1] for r in roots) / len(roots) <= 61
 
     def test_figure_set_roots_move_within_tolerance_of_cold_probes(self, monkeypatch):
         # a warm-started C_p search closes on another final bracket, so the
@@ -983,6 +986,16 @@ class TestWriters:
         # and a (3, 0) map encodes to invalid JSON
         with pytest.raises(ConfigError, match="nonempty"):
             RegionMap(x_axis=np.arange(float(shape[0])), cp_axis=np.arange(float(shape[1])),
+                      cells=np.zeros(shape, dtype=np.int8), mode=RegionMode.FREE_VPB)
+
+    @pytest.mark.parametrize("x_axis,cp_axis,shape,message", [
+        ([0.0, 2.0, 1.0], [0.0, 1.0], (3, 2), "strictly increasing"),
+        ([0.0, 1.0, 2.0], [1.0, 1.0], (3, 2), "strictly increasing"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0], (2, 3), "does not match the axes"),
+    ])
+    def test_region_map_rejects_bad_axes(self, x_axis, cp_axis, shape, message):
+        with pytest.raises(ConfigError, match=message):
+            RegionMap(x_axis=np.array(x_axis), cp_axis=np.array(cp_axis),
                       cells=np.zeros(shape, dtype=np.int8), mode=RegionMode.FREE_VPB)
 
     @pytest.mark.parametrize("code", [-1, 5, 10])
