@@ -22,12 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .errors import (
-    DomainError,
-    NonPositiveDefinite,
-    UnphysicalObservation,
-    UnphysicalState,
-)
+from .errors import DomainError, UnphysicalObservation, UnphysicalState
 
 LOG2E = math.log2(math.e)
 # Symplectic eigenvalues this far below 1 are a pure mode to rounding.
@@ -41,6 +36,9 @@ HOLEVO_FLOOR_TOL = 1e-9
 # on it, so that exactly-critical channels (e.g. pure loss on a coherent
 # state) survive floating-point rounding.
 VERTEX_SLACK = 1e-12
+# The smallest normal float: 1/m overflows below it, and a mode with
+# m = (nu - 1)/2 below it holds under 1e-304 bits, so it counts as pure.
+M_MIN = 2.0 ** -1022
 
 
 def _check_finite(**values: float) -> None:
@@ -147,8 +145,8 @@ class _XMoments(NamedTuple):
 
     v is Alice's variance (both quadratures), c_x the x correlation, v_x_b
     Bob's x variance, and b = 1 - eta_x + eta_x (V_S + eps_x).  v_x_b is
-    built as b + eta_x V_M, so v * v_x_b - c_x**2 = v * b holds by
-    construction, and the kernel below uses v * b in place of that
+    built as b + eta_x V_M, so det X = v v_x_b - c_x**2 = v b holds by
+    construction, and the kernel below uses v b in place of that
     cancelling difference.
     """
 
@@ -176,136 +174,143 @@ def _x_noise(V_S: float, eta_x: float, eps_x: float) -> float:
     return (1.0 - eta_x) + eta_x * (V_S + eps_x)
 
 
-def _observe(xm: _XMoments, V_p_B):
-    """The C_p-free products of the two-mode invariants at V_p_B.
+def _observe(xm: _XMoments, coeff: float, dv, h, sqrt=math.sqrt):
+    """The delta-free terms of the two-mode kernel at one observation.
 
-    Built once per worst-case search, or once per block of map rows with
-    V_p_B a (rows, 1) column; _symplectic_pair and _entropy_slope add the
-    C_p terms.  The tuple holds v, v_x_b, v**2 + v_x_b V_p_B (Delta
-    without its 2 c_x C_p), v V_p_B, v b, (v**2 - v_x_b V_p_B)**2,
-    c_x V_p_B, c_x v, 2 c_x (dDelta/dC_p) and -2 v b (d det/dC_p is
-    -2 v b C_p).  Each is rounded in the order the kernels formed it in
-    line, so their results do not change by a bit.  It is a plain tuple
-    because the kernels unpack it, and CPython unpacks an exact tuple
-    faster than a NamedTuple.
+    The kernel works in the physicality margins N = P - X^-1 =
+    [[coeff, delta], [delta, dv]] (physicality_parabola): delta = C_p - C0,
+    dv = V_p_B - V0 clamped at 0 and h = sqrt(coeff dv) (_margins), none
+    of which cancels.  Built once per worst-case search, or once per block
+    of map rows with dv and h (rows, 1) columns and sqrt np.sqrt.  The
+    plain tuple, which CPython unpacks faster than a NamedTuple, holds h;
+    t0 / 2, where
+    t0 = (sqrt(v coeff) - sqrt(v_x_b dv))**2 + 2 v b h / (sqrt(v v_x_b) + c_x),
+    so that tr(X N) = v coeff + 2 c_x delta + v_x_b dv is
+    t0 + 2 c_x (h + delta), a sum of terms >= 0 on the interval; c_x; v b;
+    (v coeff - v_x_b dv)**2 / 4; v; c_x dv; c_x coeff; and v_x_b.
     """
     v, c_x, v_x_b, b = xm
-    diag = v * v - v_x_b * V_p_B
-    return (v, v_x_b, v * v + v_x_b * V_p_B, v * V_p_B, v * b, diag * diag,
-            c_x * V_p_B, c_x * v, 2.0 * c_x, -2.0 * v * b)
+    vb = v * b
+    half_t0 = math.sqrt(v * coeff) - sqrt(v_x_b * dv)
+    half_t0 *= 0.5 * half_t0
+    half_t0 += vb * h / (math.sqrt(v * v_x_b) + c_x)
+    diff = 0.5 * (v * coeff - v_x_b * dv)
+    return (h, half_t0, c_x, vb, diff * diff, v, c_x * dv, c_x * coeff, v_x_b)
 
 
-def _symplectic_pair(ob: tuple, c_p):
-    """Symplectic eigenvalues (nu_plus, nu_minus) of the shared state.
+def _symplectic_pair(ob: tuple, delta, sqrt=math.sqrt):
+    """(mu_plus, mu_minus) = nu**2 - 1 for the shared state's symplectic
+    eigenvalues at C_p = C0 + delta, delta in [-h, h].
 
-    Closed form for two modes (Serafini, Illuminati & De Siena, J. Phys. B
-    37, L21 (2004)).  With decoupled quadratures, nu**2 are the
-    eigenvalues of X P, the product of the x and p blocks, whose trace and
-    determinant are the two symplectic invariants
-    Delta = v**2 + v_x_b v_p_b + 2 c_x c_p and det = v b (v v_p_b - c_p**2).
-    Their split nu_plus**2 - nu_minus**2 is taken from the entries of X P,
-    (a - d)**2 + 4 b c, not from Delta**2 - 4 det, which cancels to
-    sqrt(rounding) on near-pure states; nu_minus**2 is det / nu_plus**2,
-    which does not cancel under strong modulation.  ob is _observe's
-    tuple of the products without c_p; c_p is a float or a numpy array
-    that broadcasts against its V_p_B.  The state must be positive
-    definite.
-
-    Every step but abs is an augmented assignment, so arrays of the
-    broadcast shape are allocated four times and otherwise updated in
-    place.  Floats take the operations of vb * (v_vpb - c_p**2),
-    0.5 * (delta + split) and (det / nu_plus**2) ** 0.5 in the same order,
-    with operands swapped, which leaves a product or sum of two floats
-    unchanged.  But a float's ** 0.5 is libm's pow, which need not round
-    like the sqrt numpy takes for an array's, so nu_plus and nu_minus can
-    differ by an ulp between the two.
+    With decoupled quadratures nu**2 are the eigenvalues of X P (Serafini,
+    Illuminati & De Siena, J. Phys. B 37, L21 (2004)), and X P = I + X N:
+    mu sum to tr(X N) (_observe), their product is
+    det X det N = v b (h - delta)(h + delta), 0 at the interval's ends,
+    and their split comes from X N's entries, (a - d)**2 + 4 b c with
+    a - d = v coeff - v_x_b dv and b c = (v delta + c_x dv)(c_x coeff +
+    v_x_b delta); mu_plus is half their sum and half the split's square
+    root, and mu_minus is det / mu_plus.  No term of size V_M cancels,
+    so a pure state (N = 0) gives mu_plus = det = 0 exactly, and mu_minus
+    is 0/0: NaN in an array, an entropy of 0 in the map, and
+    ZeroDivisionError for floats, which _joint_entropy does not reach.
+    delta is a float, or with sqrt np.sqrt an array that broadcasts
+    against ob's columns; both take the same correctly rounded
+    operations, so a float and a 1-element array agree to the bit.
+    Arrays of the broadcast shape are allocated five times and otherwise
+    updated in place.
     """
-    v, v_x_b, delta0, v_vpb, vb, diag_sq, cx_vpb, cx_v, d_delta, _ = ob
-    det = v_vpb - c_p * c_p
+    h, half_t0, c_x, vb, quarter_diff_sq, v, cx_dv, cx_coeff, v_x_b = ob
+    plus = h + delta
+    det = h - delta
     det *= vb
-    split = v * c_p + cx_vpb
-    split *= cx_v + v_x_b * c_p
-    split *= 4.0
-    split += diag_sq
-    split = abs(split)
-    split **= 0.5
-    split += delta0 + d_delta * c_p
-    split *= 0.5
-    det /= split
-    det **= 0.5
-    split **= 0.5
-    return split, det
+    det *= plus
+    plus *= c_x
+    plus += half_t0
+    split = v * delta + cx_dv
+    split *= cx_coeff + v_x_b * delta
+    split += quarter_diff_sq
+    plus += sqrt(abs(split))
+    det /= plus
+    return plus, det
 
 
-def _entropy_slope(ob: tuple, c_p: float) -> float:
-    """d/dC_p of the joint entropy g(nu_plus) + g(nu_minus), in bits.
+def _entropy_slope(ob: tuple, delta: float) -> float:
+    """d/d delta of the joint entropy G(mu_plus) + G(mu_minus) in bits,
+    for delta strictly inside (-h, h), where mu_minus > 0.
 
-    With s, t = nu_plus**2, nu_minus**2 and f(x) = g(sqrt(x)), the slope is
-    f'(s) ds + f'(t) dt.  s + t = Delta and s t = det give
-    ds = (s dDelta - d det)/(s - t) and dt = (d det - t dDelta)/(s - t),
-    with dDelta = 2 c_x and d det = -2 v b c_p; taking dt as dDelta - ds
-    instead cancels under strong modulation, where ds is about dDelta.
-    Where s and t meet (v_p_b = v**2/v_x_b, c_p = -c_x v/v_x_b) the slope
-    is written f'(t) dDelta + D (s dDelta - d det), with the divided
-    difference D = (f'(s) - f'(t))/(s - t) taken as f'' at the midpoint
-    while s - t is below 1e-5 (t - 1), so it stays finite there.
-    f'(x) = log2(e) log1p(2/(nu - 1)) / (4 nu).  A mode at nu <= 1 has
-    unbounded slope with the sign of its d(nu**2); with both modes there
-    the state is pure to rounding and the slope is 0.  s and t come from
-    _observe's tuple ob as in _symplectic_pair, written out here because
+    With s, t = mu_plus, mu_minus the slope is G'(s) ds + G'(t) dt.
+    s + t = tr and s t = det give ds = (s dtr - d det)/(s - t) and
+    dt = (d det - t dtr)/(s - t), with dtr = 2 c_x and
+    d det = -2 v b delta, whose factor 2 is taken out; taking dt as
+    dtr - ds instead cancels under strong modulation, where ds is about
+    dtr.  Where s and t meet
+    (v_p_b = v**2/v_x_b, c_p = -c_x v/v_x_b) the slope is written
+    G'(t) dtr + D (s dtr - d det), with the divided difference
+    D = (G'(s) - G'(t))/(s - t) taken as G'' at the midpoint while s - t is
+    below 1e-5 t, so it stays finite there.
+    G'(mu) = log2(e) log1p(2 (nu + 1)/mu) / (4 nu) with nu = sqrt(1 + mu).
+    s and t come from ob as in _symplectic_pair, written out here because
     this runs about ten times per key_rate.
     """
-    v, v_x_b, delta0, v_vpb, vb, diag_sq, cx_vpb, cx_v, d_delta, minus_2vb = ob
-    delta = delta0 + d_delta * c_p
-    det = vb * (v_vpb - c_p * c_p)
-    off = (v * c_p + cx_vpb) * (cx_v + v_x_b * c_p)
-    s = 0.5 * (delta + abs(diag_sq + 4.0 * off) ** 0.5)
+    h, half_t0, c_x, vb, quarter_diff_sq, v, cx_dv, cx_coeff, v_x_b = ob
+    plus = h + delta
+    det = (h - delta) * vb * plus
+    s = (plus * c_x + half_t0) + math.sqrt(
+        abs(quarter_diff_sq + (v * delta + cx_dv) * (cx_coeff + v_x_b * delta)))
     t = det / s
-    d_det = minus_2vb * c_p
-    if t <= 1.0:
-        return 0.0 if s <= 1.0 else math.copysign(math.inf, d_det - t * d_delta)
-    nu_t = t ** 0.5
-    df_t = math.log1p(2.0 * (nu_t + 1.0) / (t - 1.0)) * LOG2E / (4.0 * nu_t)
-    if s - t > 1e-5 * (t - 1.0):
-        nu_s = s ** 0.5
-        df_s = math.log1p(2.0 * (nu_s + 1.0) / (s - 1.0)) * LOG2E / (4.0 * nu_s)
-        return (df_s * (s * d_delta - d_det) + df_t * (d_det - t * d_delta)) / (s - t)
+    vb_delta = vb * delta
+    nu_t = math.sqrt(1.0 + t)
+    df_t = math.log1p(2.0 * (nu_t + 1.0) / t) * LOG2E / (4.0 * nu_t)
+    if s - t > 1e-5 * t:
+        nu_s = math.sqrt(1.0 + s)
+        df_s = math.log1p(2.0 * (nu_s + 1.0) / s) * LOG2E / (4.0 * nu_s)
+        return 2.0 * (df_s * (s * c_x + vb_delta) - df_t * (t * c_x + vb_delta)) / (s - t)
     x = 0.5 * (s + t)
-    nu = x ** 0.5
-    d2f = -LOG2E * (nu / (x - 1.0) + 0.5 * math.log1p(2.0 * (nu + 1.0) / (x - 1.0))) / (
-        4.0 * nu * x)
-    return df_t * d_delta + d2f * (s * d_delta - d_det)
+    nu = math.sqrt(1.0 + x)
+    d2f = -LOG2E * (nu / x + 0.5 * math.log1p(2.0 * (nu + 1.0) / x)) / (4.0 * nu * (1.0 + x))
+    return 2.0 * (df_t * c_x + d2f * (s * c_x + vb_delta))
 
 
-def _g(nu: float) -> float:
-    """Bosonic entropy in bits, 0 for nu <= 1.
+def _g_mu(mu: float) -> float:
+    """G(mu) = g(sqrt(1 + mu)) in bits, with m = (nu - 1)/2 taken as
+    mu / (2 (nu + 1)), which keeps mu's relative precision near a pure
+    mode, where nu - 1 would round it away."""
+    return _g_m(mu / (2.0 * (math.sqrt(1.0 + mu) + 1.0)))
 
-    log2(1 + m) + m log2(1 + 1/m) with m = (nu - 1)/2: the usual
+
+def _g_m(m: float) -> float:
+    """Bosonic entropy in bits of a mode with m = (nu - 1)/2, 0 for m
+    below M_MIN.
+
+    log2(1 + m) + m log2(1 + 1/m): the usual
     ((nu+1)/2) log2((nu+1)/2) - m log2(m) without its cancellation at
     large nu.
     """
-    if nu <= 1.0:
+    if m < M_MIN:
         return 0.0
-    m = 0.5 * (nu - 1.0)
     return (math.log1p(m) + m * math.log1p(1.0 / m)) * LOG2E
 
 
 def entropy_g(nu: float) -> float:
     """Entropy in bits of one bosonic mode with symplectic eigenvalue nu.
 
-    _g(nu), exactly 0 at nu = 1.  Values within NU_CLAMP_TOL below 1 are
-    a pure mode; lower ones raise DomainError.
+    _g_m((nu - 1)/2), exactly 0 at nu = 1.  Values within NU_CLAMP_TOL
+    below 1 are a pure mode; lower ones raise DomainError.
     """
     if nu < 1.0 - NU_CLAMP_TOL:
         raise DomainError(f"symplectic eigenvalue {nu!r} is below 1")
-    return _g(nu)
+    return _g_m(0.5 * (nu - 1.0))
 
 
-def _joint_entropy(ob: tuple, c_p: float) -> float:
-    """Entropy in bits of the shared two-mode state at c_p, from _observe's
-    tuple ob; a mode at nu <= 1 counts as pure."""
-    nu_plus, nu_minus = _symplectic_pair(ob, c_p)
-    return _g(nu_plus) + _g(nu_minus)
+def _joint_entropy(ob: tuple, c0: float, C_p: float) -> float:
+    """Entropy in bits of the shared two-mode state at C_p, from _observe's
+    tuple ob, at delta = C_p - C0 clipped to [-h, h]; 0 where h and t0
+    are, so that tr(X N) is 0 at the one point: N = 0, a pure state."""
+    h, half_t0 = ob[:2]
+    if not (h or half_t0):
+        return 0.0
+    mu_plus, mu_minus = _symplectic_pair(ob, min(max(C_p - c0, -h), h))
+    return _g_mu(mu_plus) + _g_mu(mu_minus)
 
 
 def mutual_information(params: ProtocolParams, chan: ChannelParams) -> float:
@@ -336,12 +341,12 @@ def physicality_parabola(
         (C_p - C0)**2 <= coeff * (V_p_B - V0).
 
     With X and P the x and p blocks of the shared state, gamma + i.Omega >= 0
-    is exactly P - X^-1 >= 0, a 2x2 test; multiplied through by
-    det X = v b, it reads n12**2 <= n11 n22 with n11 = v**2 b - v_x_b,
-    n22 = V_p_B v b - v and n12 = C_p v b + c_x, and this is that test over
-    (v b)**2.  n11 is written as V_M ((1 - eta_x) + eta_x eps_x) / V_S,
-    which does not cancel (0 on a lossless, noiseless channel).  Only the
-    x-quadrature channel parameters enter.
+    is exactly N = P - X^-1 >= 0, a 2x2 test, and
+    N = [[coeff, C_p - C0], [C_p - C0, V_p_B - V0]]: V0 = 1/b,
+    C0 = -c_x/(v b) and coeff = n11/(v b) with n11 = v**2 b - v_x_b.  n11
+    is written as V_M ((1 - eta_x) + eta_x eps_x) / V_S, which does not
+    cancel (0 on a lossless, noiseless channel).  Only the x-quadrature
+    channel parameters enter.
     """
     return _parabola(_x_moments(params, chan.eta_x, chan.eps_x), params, chan.eta_x, chan.eps_x)
 
@@ -360,59 +365,58 @@ def physicality_interval(
 ) -> tuple[float, float] | None:
     """Allowed range of the unknown p correlation for an observed V_p_B.
 
-    Returns (lo, hi), a degenerate point when the observation sits on the
-    parabola vertex or the curvature vanishes, or None when no physical
-    state is compatible (V_p_B below the vertex).
+    Returns (lo, hi) = C0 -+ h, a degenerate point when the observation
+    sits on the parabola vertex or the curvature vanishes, or None when no
+    physical state is compatible (V_p_B below the vertex).
     """
-    return _interval(physicality_parabola(params, chan), V_p_B)
+    _, c0, _ = parabola = physicality_parabola(params, chan)
+    margins = _margins(parabola, V_p_B)
+    return None if margins is None else (c0 - margins[1], c0 + margins[1])
 
 
-def _interval(parabola, V_p_B: float):
-    """physicality_interval from its parabola."""
+def _margins(parabola, V_p_B: float):
+    """(dv, h): V_p_B's margin dv = V_p_B - V0 over the parabola vertex,
+    clamped at 0, and the C_p interval's half-width h = sqrt(coeff dv);
+    None below the vertex beyond VERTEX_SLACK.  The interval is C0 -+ h,
+    and the kernel takes C_p as C0 + delta with delta in [-h, h]."""
     if not 0.0 < V_p_B < math.inf:
         _check_finite(V_p_B=V_p_B)
         raise DomainError("V_p_B must be positive")
-    v0, c0, coeff = parabola
+    v0, _, coeff = parabola
     dv = V_p_B - v0
     if dv < -VERTEX_SLACK * max(1.0, abs(v0)):
         return None
-    half = math.sqrt(max(coeff, 0.0) * max(dv, 0.0))
-    if not math.isfinite(half):
+    dv = max(dv, 0.0)
+    h = math.sqrt(coeff * dv)
+    if not math.isfinite(h):
         raise _not_finite("physicality interval")
-    return (c0 - half, c0 + half)
-
-
-def _conditional_nu(
-    xm: _XMoments, V_p_B: float, direction: ReconciliationDirection
-) -> float:
-    """Symplectic eigenvalue of the state left after the reference side's
-    homodyne measurement; both conditional states are single-mode and
-    diagonal, so nu is the square root of the determinant."""
-    if direction is ReconciliationDirection.DIRECT:
-        return math.sqrt(xm.b * V_p_B)
-    return xm.v * math.sqrt(xm.b / xm.v_x_b)
+    return dv, h
 
 
 def _conditional_entropy(
-    xm: _XMoments, V_p_B: float, direction: ReconciliationDirection
+    xm: _XMoments, coeff: float, dv: float, direction: ReconciliationDirection
 ) -> float:
     """Entropy in bits of the state left after the reference side's
-    homodyne measurement; an eigenvalue rounded below 1 counts as a pure
-    mode, so this is _g of _conditional_nu, bit for bit."""
-    # entropy_g is looked up in this module's globals: perfbench traces
-    # protocol.entropy_g, which gaussian.entropy_g is, by name
-    return entropy_g(max(_conditional_nu(xm, V_p_B, direction), 1.0))
+    homodyne measurement: single-mode and diagonal, with nu**2 = b V_p_B
+    (DR) or v**2 b / v_x_b (RR), so mu is b dv or
+    n11 / v_x_b = coeff v b / v_x_b.  dv's clamp at 0 (_margins) makes an
+    observation up to VERTEX_SLACK below the vertex a pure mode."""
+    if direction is ReconciliationDirection.DIRECT:
+        return _g_mu(xm.b * dv)
+    return _g_mu(coeff * (xm.v * xm.b) / xm.v_x_b)
 
 
 def _floor_holevo(chi: float) -> float:
-    """Clamp rounding below zero; beyond HOLEVO_FLOOR_TOL the inputs are
-    past double precision (g has infinite slope at 1, so rounding in a
-    near-pure mode is amplified)."""
+    """Clamp rounding below zero.  Beyond HOLEVO_FLOOR_TOL below it, or
+    where chi is not finite, the inputs are past double precision (g has
+    infinite slope at 1, so rounding in a near-pure mode is amplified)."""
     if chi < -HOLEVO_FLOOR_TOL:
         raise DomainError(
             f"Holevo bound evaluated to {chi!r}; conditioning exceeded the "
             "joint entropy beyond numerical tolerance"
         )
+    if not math.isfinite(chi):
+        raise _not_finite("Holevo bound")
     return max(chi, 0.0)
 
 
@@ -427,53 +431,47 @@ def holevo_bound(
 
     Difference between the entropy of the shared two-mode state and the
     entropy conditioned on the reference side's homodyne outcome, both
-    from the closed-form symplectic eigenvalues that key_rate searches
-    over.  Small negative values (within 1e-9) are clamped to zero.
+    from the closed-form kernel that key_rate searches over, at
+    delta = C_p - C0 clipped to [-h, h]; at key_rate's worst_Cp it is
+    key_rate's holevo to the bit.  Small negative values (within 1e-9) are
+    clamped to zero.
 
     C_p is physical when it lies in physicality_interval, up to rounding:
     boundary states computed another way (pure loss, or the source state
     on a lossless channel) land a few ulps off an end, so C_p is accepted
-    8 ulps beyond the interval at V_p_B + 8 ulps and moved to the nearer
-    end.  A symplectic eigenvalue there about 1e-8 below 1 (V_M >= 1e7)
-    counts as a pure mode, and so does a conditional eigenvalue rounded
-    below 1 (V_p_B up to VERTEX_SLACK below the vertex), the rule key_rate
-    and region maps share.  Raises UnphysicalState for any other C_p,
-    NonPositiveDefinite for a singular state and DomainError when V_p_B
-    is not positive and finite.
+    8 ulps beyond the interval at V_p_B + 8 ulps, and the clip moves it to
+    the nearer end.  An observation up to VERTEX_SLACK below the vertex is
+    on it, as in key_rate and region maps.  Raises UnphysicalState for any
+    other C_p and DomainError when V_p_B is not positive and finite.
     """
     xm = _x_moments(params, chan.eta_x, chan.eps_x)
-    parabola = _parabola(xm, params, chan.eta_x, chan.eps_x)
-    interval = _interval(parabola, V_p_B)
-    if interval is not None:
-        lo, hi = _interval(parabola, V_p_B + 8.0 * math.ulp(V_p_B))
-        reach = 8.0 * math.ulp(max(abs(lo), abs(hi)))
-    if interval is None or not lo - reach <= C_p <= hi + reach:
+    _, c0, coeff = parabola = _parabola(xm, params, chan.eta_x, chan.eps_x)
+    margins = _margins(parabola, V_p_B)
+    if margins is not None:
+        reach = _margins(parabola, V_p_B + 8.0 * math.ulp(V_p_B))[1]
+        reach += 8.0 * math.ulp(abs(c0) + reach)
+    if margins is None or not abs(C_p - c0) <= reach:
         raise UnphysicalState(f"two-mode state with C_p={C_p!r}, V_p_B={V_p_B!r} is unphysical")
-    C_p = min(max(C_p, interval[0]), interval[1])
-    if not xm.v * V_p_B > C_p * C_p:
-        raise NonPositiveDefinite("covariance matrix is not positive definite")
-    chi = _floor_holevo(_joint_entropy(_observe(xm, V_p_B), C_p)
-                        - _conditional_entropy(xm, V_p_B, direction))
-    if not math.isfinite(chi):
-        raise _not_finite("Holevo bound")
-    return chi
+    dv, h = margins
+    return _floor_holevo(_joint_entropy(_observe(xm, coeff, dv, h), c0, C_p)
+                         - _conditional_entropy(xm, coeff, dv, direction))
 
 
 def _bracket_sign_change(f, a: float, fa: float, b: float, fb: float,
                          xtol: float) -> tuple[float, float]:
     """Shrink a sign-change bracket of f until it is at most xtol wide.
 
-    Takes fa = f(a) > 0 > f(b) = fb and returns the final (a, b).  Regula
-    falsi with the Anderson-Bjorck end scaling (Illinois, Dowell & Jarratt,
-    BIT 11, 168 (1971), with the adaptive factor of Anderson & Bjorck,
-    BIT 13, 423 (1973)): a point on the same side as the last one scales
-    the kept end's value by 1 - f(x)/f(replaced), or by 1/2 when that is
-    not positive, so a convex f cannot pin one end.  It bisects while an
-    end's value is infinite, and keeps interpolated points xtol/2 inside
-    the bracket, so a step next to the zero closes it.  An exact zero
-    closes the bracket on that point.  When neither that point nor the
-    midpoint lies strictly inside (the ends are adjacent floats, an xtol
-    below their spacing) it stops there.
+    Takes fa = f(a) > 0 > f(b) = fb, or a = b, and returns the final
+    (a, b).  Regula falsi with the Anderson-Bjorck end scaling (Illinois,
+    Dowell & Jarratt, BIT 11, 168 (1971), with the adaptive factor of
+    Anderson & Bjorck, BIT 13, 423 (1973)): a point on the same side as
+    the last one scales the kept end's value by 1 - f(x)/f(replaced), or
+    by 1/2 when that is not positive, so a convex f cannot pin one end.
+    It bisects while an end's value is infinite, and keeps interpolated
+    points xtol/2 inside the bracket, so a step next to the zero closes
+    it.  An exact zero closes the bracket on that point.  When neither
+    that point nor the midpoint lies strictly inside (the ends are
+    adjacent floats, an xtol below their spacing) it stops there.
 
     Where f is nearly flat the scaling factor nears 0 and the next point
     lands beside the kept end, so a bracket reaching far into a flat tail
@@ -517,10 +515,10 @@ def _warm_bracket(f, a: float, b: float, c: float, w: float):
 
     The sign of f(c) tells which side holds the change: the search steps w
     toward it and, if the sign holds there too, goes to the end of [a, b]
-    on that side.  Returns (l, fl, r, fr) for the cold search's end rules:
-    l is a or fl > 0, and r is b or fr < 0.  A point where f is 0 or NaN
-    closes the search on itself, as in _bracket_sign_change, and is
-    returned as l and r.  c = a with w = inf probes a, then b.
+    on that side.  Returns (l, fl, r, fr) with fl > 0 > fr, or l = r at
+    the end of [a, b] where the sign still holds, or at a point where f
+    is 0 or NaN, which closes the search on itself as in
+    _bracket_sign_change.  c = a with w = inf probes a, then b.
     """
     fc = f(c)
     s, end = (1.0, b) if fc > 0.0 else (-1.0, a)
@@ -533,70 +531,60 @@ def _warm_bracket(f, a: float, b: float, c: float, w: float):
     if s * fx > 0.0 and x != end:
         c, fc, x = x, fx, end
         fx = f(x)
-    if not (fx > 0.0 or fx < 0.0):
+    if not s * fx < 0.0:
         return x, fx, x, fx
     return (c, fc, x, fx) if s > 0.0 else (x, fx, c, fc)
 
 
 def _worst_case_correlation(
-    xm: _XMoments,
-    V_p_B: float,
-    direction: ReconciliationDirection,
-    lo: float,
-    hi: float,
-    start: tuple[float, float] | None = None,
+    ob: tuple, c0: float, start: tuple[float, float] | None = None
 ) -> tuple[float, float]:
-    """Maximize the Holevo bound over the physical correlation interval.
+    """Maximize the joint entropy over the physical correlation interval;
+    returns (worst_Cp, S_AB there).
 
-    The conditional entropy does not depend on the correlation, so only
-    the joint entropy is searched.  It is concave in the correlation on
-    the interval (the tests check the result against a dense grid), so its
+    The conditional entropy does not depend on C_p, so this maximum is the
+    Holevo bound's.  The joint entropy is concave in delta = C_p - C0 on
+    [-h, h] (the tests check the result against a dense grid), so its
     slope (_entropy_slope) falls from positive to negative across it.  The
     slope is taken xtol/2 inside each end; if it already points outward
     there, the maximum lies within xtol of that end.  Otherwise
     _bracket_sign_change closes on the slope's zero.  xtol is
-    WORST_CASE_XTOL times min(1, hi - lo), but not below a few ulps of
-    C_p: near a pure state the entropy can vary by 5e-11 across an
-    interval 1e-11 wide.  hi stays a candidate, lo does not: at both ends
-    of the interval C0 -+ h, nu_minus = 1 and the entropy is g(nu_plus),
-    nu_plus**2 = v b (v V_p_B - C_p**2), where C0 = -c_x/(v b) < 0 makes
-    lo**2 - hi**2 = -4 C0 h > 0, so lo holds less entropy than hi.
+    WORST_CASE_XTOL times min(1, 2 h), but not below a few ulps of C_p:
+    near a pure state the entropy can vary by 5e-11 across an interval
+    1e-11 wide.  The upper end hi = C0 + h stays a candidate, the lower
+    one does not: mu_minus = 0 at both, and mu_plus = t0 + 2 c_x (h + delta)
+    is smaller at the lower.  Each candidate's entropy is taken, as
+    holevo_bound takes it, from its C_p, so holevo_bound repeats it to the
+    bit.
 
     _warm_bracket finds the sign change from a probe at c: cold, c is
-    lo + xtol/2 and w is inf, so both ends are probed.  start = (t, step)
-    puts c at lo + t (hi - lo) with w = max(min(step, 0.25) (hi - lo),
-    2 xtol); the result can then differ from the cold search's in the last
-    digits, within the final bracket.
+    xtol/2 - h and w is inf, so both ends are probed.  start = (t, step)
+    puts c at delta = (2 t - 1) h, the place t in the C_p interval, with
+    w = max(min(step, 0.25) 2 h, 2 xtol); the result can then differ from
+    the cold search's in the last digits, within the final bracket.
     """
-    s_cond = _conditional_entropy(xm, V_p_B, direction)
-    ob = _observe(xm, V_p_B)
-    ulp = math.ulp(max(abs(lo), abs(hi)))
-    xtol = max(WORST_CASE_XTOL * min(1.0, hi - lo), 8.0 * ulp)
+    h = ob[0]
+    hi = c0 + h
+    xtol = max(WORST_CASE_XTOL * min(1.0, 2.0 * h), 8.0 * math.ulp(abs(c0) + h))
     half = 0.5 * xtol
-    a, b = lo + half, hi - half
-    refined = 0.5 * (lo + hi)
+    a, b = half - h, h - half
+    refined = 0.0
     if a < b:
         slope = partial(_entropy_slope, ob)
         c, w = a, math.inf
         if start is not None:
             t, step = start
-            c = min(max(lo + t * (hi - lo), a), b)
-            w = max(min(step, 0.25) * (hi - lo), 2.0 * xtol)
-        a, fa, b, fb = _warm_bracket(slope, a, b, c, w)
-        if not fa > 0.0:
-            refined = a
-        elif not fb < 0.0:
-            refined = b
-        else:
-            a, b = _bracket_sign_change(slope, a, fa, b, fb, xtol)
-            refined = 0.5 * (a + b)
+            c = min(max((2.0 * t - 1.0) * h, a), b)
+            w = max(min(step, 0.25) * (2.0 * h), 2.0 * xtol)
+        a, b = _bracket_sign_change(slope, *_warm_bracket(slope, a, b, c, w), xtol)
+        refined = 0.5 * (a + b)
 
     # the first of the candidates hi, refined whose entropy is larger
-    cp, s_ab = hi, _joint_entropy(ob, hi)
-    s_refined = _joint_entropy(ob, refined)
+    cp, s_ab = hi, _joint_entropy(ob, c0, hi)
+    s_refined = _joint_entropy(ob, c0, c0 + refined)
     if s_refined > s_ab:
-        cp, s_ab = refined, s_refined
-    return cp, _floor_holevo(s_ab - s_cond)
+        cp, s_ab = c0 + refined, s_refined
+    return cp, s_ab
 
 
 def key_rate(
@@ -608,11 +596,9 @@ def key_rate(
     """Worst-case asymptotic key rate for an observed p variance.
 
     K = beta * I - max over physical C_p of the Holevo bound.  May be
-    negative.  holevo equals holevo_bound at worst_Cp: the conditional
-    entropy takes an eigenvalue rounded below 1 (V_p_B up to VERTEX_SLACK
-    below the vertex) as a pure mode.  Raises UnphysicalObservation when no
-    physical state matches the observed V_p_B.  The sweeps call its core,
-    _key_rate, which builds no records.
+    negative.  holevo equals holevo_bound at worst_Cp, to the bit.  Raises
+    UnphysicalObservation when no physical state matches the observed
+    V_p_B.  The sweeps call its core, _key_rate, which builds no records.
     """
     mi, chi, worst_cp, interval = _key_rate(params, chan.eta_x, chan.eps_x, V_p_B, direction)
     return SecurityAssessment(mi, chi, params.beta * mi - chi, worst_cp, interval)
@@ -633,23 +619,24 @@ def _key_rate(
     _worst_case_correlation, and without it the result is key_rate's.
     """
     xm = _x_moments(params, eta_x, eps_x)
-    interval = _interval(_parabola(xm, params, eta_x, eps_x), V_p_B)
-    if interval is None:
+    _, c0, coeff = parabola = _parabola(xm, params, eta_x, eps_x)
+    margins = _margins(parabola, V_p_B)
+    if margins is None:
         raise UnphysicalObservation(
             f"V_p_B={V_p_B!r} lies below the physicality parabola vertex"
         )
+    dv, h = margins
     mi = _mutual_information(params, eta_x, xm.b)
     try:
-        worst_cp, chi = _worst_case_correlation(xm, V_p_B, direction, *interval, start)
-    except (ZeroDivisionError, TypeError) as exc:
-        # a zero nu_plus**2, or a complex nu_minus from a determinant that
-        # rounding made negative: the inputs are beyond double precision
+        worst_cp, s_ab = _worst_case_correlation(_observe(xm, coeff, dv, h), c0, start)
+    except ZeroDivisionError as exc:
+        # mu_minus = det / mu_plus rounded to 0 inside the interval, where
+        # mu_plus overflowed or det underflowed
         raise DomainError(
             f"the two-mode kernel lost all precision at V_p_B={V_p_B!r}: {exc}"
         ) from exc
-    if not math.isfinite(chi):
-        raise _not_finite("worst-case Holevo bound")
-    return mi, chi, worst_cp, interval
+    chi = _floor_holevo(s_ab - _conditional_entropy(xm, coeff, dv, direction))
+    return mi, chi, worst_cp, (c0 - h, c0 + h)
 
 
 def symmetric_vpB(

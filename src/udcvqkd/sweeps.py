@@ -28,6 +28,7 @@ from . import __version__
 from .errors import ConfigError, DomainError, NoPositiveRate, NoRoot
 from .protocol import (
     LOG2E,
+    M_MIN,
     VERTEX_SLACK,
     ChannelParams,
     ProtocolParams,
@@ -174,29 +175,33 @@ class Curve:
             raise ConfigError("abscissa must be strictly increasing")
 
 
-def _g_array(nu: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """protocol._g over a float64 array, computed in nu's own storage and
-    returned; nu <= 1 or NaN gives 0, without warnings.
+def _g_mu_array(mu: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """protocol._g_mu over a float64 array, computed in mu's own storage and
+    returned; an element whose m is below M_MIN, or NaN, gives 0, without
+    warnings.
 
-    work, a float64 array of nu's shape, holds the m log1p(1/m) term; one
-    is allocated when it is not given.  Each element takes _g's operations
-    in _g's order, but through np.log1p, which need not round like
-    math.log1p.
+    work, a float64 array of mu's shape, holds m's denominator and then
+    the m log1p(1/m) term; one is allocated when it is not given.  Each
+    element takes _g_mu's operations in _g_mu's order, but through
+    np.log1p, which need not round like math.log1p.
     """
     import numpy as np
 
-    zero = ~(nu > 1.0)
-    nu -= 1.0
-    nu *= 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        work = np.divide(1.0, nu, out=work)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        work = np.add(mu, 1.0, out=work)
+        np.sqrt(work, out=work)
+        work += 1.0
+        work *= 2.0
+        mu /= work
+        zero = ~(mu >= M_MIN)
+        np.divide(1.0, mu, out=work)
         np.log1p(work, out=work)
-        work *= nu
-        np.log1p(nu, out=nu)
-        nu += work
-    nu *= LOG2E
-    nu[zero] = 0.0
-    return nu
+        work *= mu
+        np.log1p(mu, out=mu)
+        mu += work
+    mu *= LOG2E
+    mu[zero] = 0.0
+    return mu
 
 
 def scan_region(
@@ -214,7 +219,9 @@ def scan_region(
     A cell is physical exactly when its C_p lies in
     physicality_interval(params, chan, V_p_B) for its row, the definition
     key_rate uses.  Secure cells are decided by the sign of the key rate at
-    that exact (V_p_B or eps_p, C_p), with no smoothing of boundary cells.
+    that exact (V_p_B or eps_p, C_p), with no smoothing of boundary cells,
+    through key_rate's kernel with dv and h per row and delta = C_p - C0
+    per cell (protocol._observe).
     """
     import numpy as np
 
@@ -237,25 +244,29 @@ def scan_region(
 
     key_mi = params.beta * mutual_information(params, chan)
     xm = _x_moments(params, eta_x, eps_x)
-    s_cond_rr = _conditional_entropy(xm, 1.0, ReconciliationDirection.REVERSE)
-    # _conditional_entropy's DIRECT rule, g(sqrt(b V_p_B)), for every row
-    s_cond_dr = _g_array(np.sqrt(xm.b * vpb_rows))
-    # physicality_interval for every row at once, as columns [first, stop)
+    # protocol._margins and physicality_interval for every row at once, as
+    # columns [first, stop)
     v0, c0, coeff = _parabola(xm, params, eta_x, eps_x)
     dv = vpb_rows - v0
-    half = np.sqrt(max(coeff, 0.0) * np.maximum(dv, 0.0))
+    half = np.sqrt(coeff * np.maximum(dv, 0.0))
     first = np.searchsorted(cp_axis, c0 - half, "left")
     stop = np.searchsorted(cp_axis, c0 + half, "right")
     stop[dv < -VERTEX_SLACK * max(1.0, abs(v0))] = 0
+    np.maximum(dv, 0.0, out=dv)
+    s_cond_rr = _conditional_entropy(xm, coeff, 0.0, ReconciliationDirection.REVERSE)
+    # _conditional_entropy's DIRECT rule, G(b dv), for every row
+    s_cond_dr = _g_mu_array(xm.b * dv)
+    delta = cp_axis - c0
     col = np.arange(grid.cp_points)
-    # key_rate raises where the kernel's C_p-free products overflow, and so
-    # does a map with a physical cell in such a row.  The rows run in
-    # increasing V_p_B, and each product grows with V_p_B or, for
-    # (v**2 - v_x_b V_p_B)**2, with V_p_B's distance from v**2 / v_x_b, so
-    # the first and last occupied rows hold their largest values.
-    occupied_rows = np.flatnonzero(stop > first)
-    for i in occupied_rows[[0, -1]] if occupied_rows.size else ():
-        if not all(math.isfinite(p) for p in _observe(xm, float(vpb_rows[i]))):
+    # key_rate takes the joint entropy at the interval's upper end,
+    # delta = h, and raises where mu_plus overflows there, and so does a
+    # map with a physical cell in such a row.  Over a row's interval
+    # mu_plus and every term of the kernel are largest at that end, so
+    # the row's physical cells are finite where it is.
+    physical = stop > first
+    with np.errstate(over="ignore", invalid="ignore"):
+        ob = _observe(xm, coeff, dv[physical], half[physical], np.sqrt)
+        if not np.isfinite(_symplectic_pair(ob, half[physical], np.sqrt)[0]).all():
             raise _not_finite("two-mode kernel")
 
     cells = np.zeros((grid.x_points, grid.cp_points), dtype=np.int8)
@@ -265,14 +276,14 @@ def scan_region(
         if not occupied.any():
             continue
         # the box around the block's runs; its cells past a run can be
-        # unphysical (sqrt of a negative det, nu_plus = 0) and are masked
+        # unphysical (a negative det or worse) and are masked
         box = slice(first[rows][occupied].min(), stop[rows][occupied].max())
+        ob = _observe(xm, coeff, dv[rows, None], half[rows, None], np.sqrt)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            nu_plus, nu_minus = _symplectic_pair(_observe(xm, vpb_rows[rows, None]),
-                                                 cp_axis[box])
-        work = np.empty_like(nu_plus)
-        s_ab = _g_array(nu_plus, work)
-        s_ab += _g_array(nu_minus, work)
+            mu_plus, mu_minus = _symplectic_pair(ob, delta[box], np.sqrt)
+        work = np.empty_like(mu_plus)
+        s_ab = _g_mu_array(mu_plus, work)
+        s_ab += _g_mu_array(mu_minus, work)
         # key_mi - (s_ab - s_cond) > 0 exactly when s_ab - s_cond < key_mi,
         # as key_mi is finite and a difference of finite floats is 0 only
         # when they are equal

@@ -58,13 +58,15 @@ from udcvqkd.gaussian import (
 from udcvqkd.protocol import (
     LOG2E,
     _conditional_entropy,
-    _g,
+    _g_mu,
+    _margins,
     _observe,
+    _parabola,
     _symplectic_pair,
     _vpb,
     _x_moments,
 )
-from udcvqkd.sweeps import _g_array
+from udcvqkd.sweeps import _g_mu_array
 
 DR = ReconciliationDirection.DIRECT
 RR = ReconciliationDirection.REVERSE
@@ -99,48 +101,47 @@ class TestHelpers:
             db_grid(1.0, 0.0, 0.1)
 
 
-def scalar_g_with_np_log1p(nu: float) -> float:
-    """protocol._g's arithmetic, element by element, through np.log1p."""
-    if nu <= 1.0:
+def scalar_g_mu_with_np_log1p(mu: float) -> float:
+    """protocol._g_mu's arithmetic, element by element, through np.log1p."""
+    m = mu / (2.0 * (math.sqrt(1.0 + mu) + 1.0))
+    if m < 2.0 ** -1022:
         return 0.0
-    m = 0.5 * (nu - 1.0)
     return float((np.log1p(m) + m * np.log1p(1.0 / m)) * LOG2E)
 
 
 class TestGArray:
     @staticmethod
-    def fuzzed_nu(seed):
+    def fuzzed_mu(seed):
         rng = np.random.default_rng(seed)
-        special = [0.0, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51,
-                   math.nan, math.inf, 1e300, np.finfo(float).max]
-        nu = np.concatenate([special, 10.0 ** rng.uniform(-3.0, 300.0, 2000),
-                             1.0 + 10.0 ** rng.uniform(-16.0, 0.0, 1000),
-                             rng.uniform(0.0, 1.0, 200)])
-        rng.shuffle(nu)
-        return nu.reshape(2, -1)
+        special = [-1.0, -0.5, -2.0**-52, 0.0, 5e-324, 2.0**-1022, 2.0**-1020, 2.0**-52,
+                   0.5, 1.0, math.nan, math.inf, 1e300, np.finfo(float).max]
+        mu = np.concatenate([special, 10.0 ** rng.uniform(-320.0, 300.0, 2000),
+                             10.0 ** rng.uniform(-16.0, 0.0, 1000),
+                             rng.uniform(-1.0, 0.0, 200)])
+        rng.shuffle(mu)
+        return mu.reshape(2, -1)
 
     @pytest.mark.parametrize("with_work", [False, True])
-    def test_in_place_and_equal_to_scalar_g(self, with_work):
-        nu = self.fuzzed_nu(3)
-        values = nu.ravel().tolist()
-        work = np.empty_like(nu) if with_work else None
+    def test_in_place_and_equal_to_scalar_g_mu(self, with_work):
+        mu = self.fuzzed_mu(3)
+        values = mu.ravel().tolist()
+        work = np.empty_like(mu) if with_work else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _g_array(nu, work)
-        assert out is nu
+            out = _g_mu_array(mu, work)
+        assert out is mu
         got = out.ravel().tolist()
         for x, g in zip(values, got):
-            if math.isnan(x):
-                assert g == 0.0
-            elif math.isinf(x):
-                # _g(inf) is inf * log1p(0), NaN, and so is the array's
-                assert math.isnan(g) and math.isnan(_g(x))
+            if math.isnan(x) or math.isinf(x):
+                # m is NaN for both, which the array counts as 0 and the
+                # scalar carries through
+                assert g == 0.0 and math.isnan(_g_mu(x))
             else:
                 # bit for bit the scalar arithmetic, with numpy's log1p,
                 # which may round an ulp away from math.log1p
-                want = scalar_g_with_np_log1p(x)
+                want = scalar_g_mu_with_np_log1p(x)
                 assert g == want and math.copysign(1.0, g) == math.copysign(1.0, want)
-                assert g == pytest.approx(_g(x), rel=4e-16, abs=0.0)
+                assert g == pytest.approx(_g_mu(x), rel=4e-16, abs=0.0)
 
 
 class TestConfigValidation:
@@ -274,9 +275,9 @@ class TestScanRegion:
             key_rate(params, chan, float(region.x_axis[-1]), DR)
 
     def test_overflowing_rows_raise_like_key_rate(self):
-        # diag**2 in the kernel overflows from V_p_B of about 1e154 here,
-        # where key_rate raises DomainError; the map raises it too, and no
-        # numpy RuntimeWarning leaks
+        # (v coeff - v_x_b dv)**2 in the kernel overflows from V_p_B of
+        # about 1e154 here, where key_rate raises DomainError; the map
+        # raises it too, and no numpy RuntimeWarning leaks
         params = ProtocolParams(V_S=1.0, V_M=10.0)
         chan_x = (0.9, 0.03)
         chan = ChannelParams.symmetric(*chan_x)
@@ -291,6 +292,27 @@ class TestScanRegion:
                                                             cp_max=5.0), RegionMode.FREE_VPB)
         assert (below.cells[1:] != RegionClass.UNPHYSICAL).all()
         key_rate(params, chan, 1e153, DR)
+        # at V_M = 2e153 the kernel's split overflows at the upper end of
+        # the interval at V_p_B = 100, though its terms are finite, and
+        # key_rate raises; so does the map, where a mu_plus of inf used to
+        # give a joint entropy of 0 and cells marked secure.  At 1e153 both
+        # compute.
+        chan = ChannelParams.symmetric(0.1, 0.0)
+        for v_m in (1e153, 2e153):
+            params = ProtocolParams(V_S=1.0, V_M=v_m)
+            lo, hi = physicality_interval(params, chan, 100.0)
+            grid = region_grid(99.0, 101.0, points=5, cp_min=1.1 * lo, cp_max=1.1 * hi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if v_m > 1e153:
+                    with pytest.raises(DomainError, match="two-mode kernel is not finite"):
+                        scan_region(params, (0.1, 0.0), grid, RegionMode.FREE_VPB)
+                    with pytest.raises(DomainError):
+                        key_rate(params, chan, 100.0, DR)
+                else:
+                    region = scan_region(params, (0.1, 0.0), grid, RegionMode.FREE_VPB)
+                    assert (region.cells[:, 1:-1] == RegionClass.PHYSICAL_INSECURE).all()
+                    assert key_rate(params, chan, 100.0, DR).key_rate < 0.0
 
     def test_secure_cells_are_physical(self):
         grid = region_grid(0.9, 1.8)
@@ -385,8 +407,9 @@ class TestScanRegion:
         eta, eps = chan_x
         chan = ChannelParams.symmetric(eta, eps)
         xm = _x_moments(params, eta, eps)
+        _, c0, coeff = parabola = _parabola(xm, params, eta, eps)
         key_mi = mutual_information(params, chan)
-        s_cond_rr = _conditional_entropy(xm, 1.0, RR)
+        s_cond_rr = _conditional_entropy(xm, coeff, 0.0, RR)
         want = np.zeros_like(region.cells)
         for i, x in enumerate(region.x_axis):
             v_p_b = (float(x) if mode is RegionMode.FREE_VPB
@@ -395,10 +418,12 @@ class TestScanRegion:
             if interval is None:
                 continue
             lo, hi = interval
+            dv, h = _margins(parabola, v_p_b)
+            ob = _observe(xm, coeff, dv, h)
             for j in np.flatnonzero((lo <= region.cp_axis) & (region.cp_axis <= hi)):
-                nu_plus, nu_minus = _symplectic_pair(_observe(xm, v_p_b), region.cp_axis[j:j + 1])
-                s_ab = float(_g_array(nu_plus)[0] + _g_array(nu_minus)[0])
-                k_dr = key_mi - (s_ab - _conditional_entropy(xm, v_p_b, DR))
+                mu_plus, mu_minus = _symplectic_pair(ob, region.cp_axis[j:j + 1] - c0, np.sqrt)
+                s_ab = float(_g_mu_array(mu_plus)[0] + _g_mu_array(mu_minus)[0])
+                k_dr = key_mi - (s_ab - _conditional_entropy(xm, coeff, dv, DR))
                 k_rr = key_mi - (s_ab - s_cond_rr)
                 want[i, j] = (
                     RegionClass.SECURE_BOTH if (k_dr > 0 and k_rr > 0)
