@@ -180,8 +180,8 @@ def _observe(xm: _XMoments, coeff: float, dv, h, sqrt=math.sqrt):
     The kernel works in the physicality margins N = P - X^-1 =
     [[coeff, delta], [delta, dv]] (physicality_parabola): delta = C_p - C0,
     dv = V_p_B - V0 clamped at 0 and h = sqrt(coeff dv) (_margins), none
-    of which cancels.  Built once per worst-case search, or once per block
-    of map rows with dv and h (rows, 1) columns and sqrt np.sqrt.  The
+    of which cancels.  Built once per worst-case search, or once per
+    region map with dv and h arrays over its rows and sqrt np.sqrt.  The
     plain tuple, which CPython unpacks faster than a NamedTuple, holds h;
     t0 / 2, where
     t0 = (sqrt(v coeff) - sqrt(v_x_b dv))**2 + 2 v b h / (sqrt(v v_x_b) + c_x),

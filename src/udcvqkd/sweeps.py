@@ -2,12 +2,14 @@
 
 Region maps take each row's run of physical C_p cells from the parabola
 that physicality_interval and key_rate use, by two binary searches on the
-C_p axis, then run key_rate's closed-form two-mode kernel, broadcast, over
-the box around the runs of each block of REGION_BLOCK_ROWS rows.  The
-kernel and the entropies update their arrays in place, cells are
-classified as int8 codes, and the JSON text is written into one byte
-buffer, cell codes two bytes at a time.  Curves call key_rate's core,
-protocol._key_rate, point by point.  Root searches probe it by regula
+C_p axis.  key_rate's closed-form two-mode kernel then runs in two passes
+over flat arrays of cells: a coarse pass classifies every REGION_STRIDE-th
+cell of each run and its last cell, and a refine pass only the cells
+between two samples whose class can differ; the other cells take their
+samples' class.  The kernel and the entropies update their arrays in
+place, cells are classified as int8 codes, and the JSON text is written
+into one byte buffer, cell codes two bytes at a time.  Curves call
+key_rate's core, protocol._key_rate, point by point.  Root searches probe it by regula
 falsi through the bracketing helper that the worst-case C_p search uses,
 and each probe's C_p search starts at the last probe's worst case.
 Everything runs on the calling thread, so output is deterministic.  Only
@@ -51,9 +53,16 @@ if TYPE_CHECKING:
 
 NOISE_CAP = 10.0
 DB_CAP = 60.0
-# Region maps are classified this many rows at a time: one numpy pass per
-# block instead of per row, with temporaries that stay small at any grid size.
-REGION_BLOCK_ROWS = 32
+# Region maps sample each row's run of physical cells every REGION_STRIDE
+# cells, and run the kernel at a cell between two samples only where the
+# samples' classes differ, border the row's largest joint entropy, or lie
+# within REGION_MARGIN bits of a key-rate threshold (scan_region).
+REGION_STRIDE = 8
+REGION_MARGIN = 1e-9
+# Coarse samples per block of whole rows: one block on a 400x400 map, and
+# at most REGION_STRIDE times this many cells through the kernel per block,
+# so temporaries stay bounded at any grid size.
+REGION_BLOCK_SAMPLES = 1 << 15
 
 
 def db_to_eta(db: float) -> float:
@@ -222,6 +231,20 @@ def scan_region(
     that exact (V_p_B or eps_p, C_p), with no smoothing of boundary cells,
     through key_rate's kernel with dv and h per row and delta = C_p - C0
     per cell (protocol._observe).
+
+    The kernel runs at few of the cells.  S_AB is concave in C_p and the
+    conditional entropies are constant along a row, so each direction's
+    insecure cells are one run inside the row's physical run.  A coarse
+    pass classifies the cells every REGION_STRIDE columns from the run's
+    first cell, and its last cell, over blocks of up to
+    REGION_BLOCK_SAMPLES samples.  Between two samples S_AB is monotone,
+    except in the two intervals next to the row's largest sample, so an
+    interval's inner cells take its samples' code when the two codes agree,
+    the interval does not border that sample and neither sample lies
+    within REGION_MARGIN bits of a threshold, far above the kernel's
+    rounding.  A refine pass runs the kernel at the inner cells of every
+    other interval.  The cells are those of running the kernel at every
+    physical cell, bit for bit.
     """
     import numpy as np
 
@@ -257,48 +280,98 @@ def scan_region(
     # _conditional_entropy's DIRECT rule, G(b dv), for every row
     s_cond_dr = _g_mu_array(xm.b * dv)
     delta = cp_axis - c0
-    col = np.arange(grid.cp_points)
-    # key_rate takes the joint entropy at the interval's upper end,
-    # delta = h, and raises where mu_plus overflows there, and so does a
-    # map with a physical cell in such a row.  Over a row's interval
-    # mu_plus and every term of the kernel are largest at that end, so
-    # the row's physical cells are finite where it is.
+    # the kernel's delta-free terms for every row, gathered per cell by
+    # classify; those of rows without a physical cell may overflow and are
+    # never used.  key_rate takes the joint
+    # entropy at the interval's upper end, delta = h, and raises where
+    # mu_plus overflows there, and so does a map with a physical cell in
+    # such a row.  Over a row's interval mu_plus and every term of the
+    # kernel are largest at that end, so the row's physical cells are
+    # finite where it is.
     physical = stop > first
-    with np.errstate(over="ignore", invalid="ignore"):
-        ob = _observe(xm, coeff, dv[physical], half[physical], np.sqrt)
-        if not np.isfinite(_symplectic_pair(ob, half[physical], np.sqrt)[0]).all():
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ob = _observe(xm, coeff, dv, half, np.sqrt)
+        if not np.isfinite(_symplectic_pair(ob, half, np.sqrt)[0][physical]).all():
             raise _not_finite("two-mode kernel")
 
-    cells = np.zeros((grid.x_points, grid.cp_points), dtype=np.int8)
-    for start in range(0, grid.x_points, REGION_BLOCK_ROWS):
-        rows = slice(start, start + REGION_BLOCK_ROWS)
-        occupied = stop[rows] > first[rows]
-        if not occupied.any():
-            continue
-        # the box around the block's runs; its cells past a run can be
-        # unphysical (a negative det or worse) and are masked
-        box = slice(first[rows][occupied].min(), stop[rows][occupied].max())
-        ob = _observe(xm, coeff, dv[rows, None], half[rows, None], np.sqrt)
+    def classify(rows, cols):
+        """The codes of the cells (rows[k], cols[k]) and their Holevo
+        bounds S_AB - S_cond for DR and for RR, as flat arrays."""
+        cell_ob = tuple(term[rows] if np.ndim(term) else term for term in ob)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            mu_plus, mu_minus = _symplectic_pair(ob, delta[box], np.sqrt)
+            mu_plus, mu_minus = _symplectic_pair(cell_ob, delta[cols], np.sqrt)
         work = np.empty_like(mu_plus)
-        s_ab = _g_mu_array(mu_plus, work)
-        s_ab += _g_mu_array(mu_minus, work)
-        # key_mi - (s_ab - s_cond) > 0 exactly when s_ab - s_cond < key_mi,
-        # as key_mi is finite and a difference of finite floats is 0 only
-        # when they are equal
-        np.subtract(s_ab, s_cond_dr[rows, None], out=work)
-        s_ab -= s_cond_rr
-        # PHYSICAL_INSECURE, SECURE_DR, SECURE_RR, SECURE_BOTH are 1 + dr + 2 rr
-        code = cells[rows, box]
-        np.less(work, key_mi, out=code.view(np.bool_))
-        secure_rr = np.less(s_ab, key_mi).view(np.int8)
+        chi_rr = _g_mu_array(mu_plus, work)
+        chi_rr += _g_mu_array(mu_minus, work)
+        chi_dr = np.subtract(chi_rr, s_cond_dr[rows], out=work)
+        chi_rr -= s_cond_rr
+        # key_mi - chi > 0 exactly when chi < key_mi, as key_mi is finite
+        # and a difference of finite floats is 0 only when they are equal.
+        # PHYSICAL_INSECURE, SECURE_DR, SECURE_RR, SECURE_BOTH are
+        # 1 + dr + 2 rr
+        code = np.less(chi_dr, key_mi).view(np.int8)
+        secure_rr = np.less(chi_rr, key_mi).view(np.int8)
         secure_rr <<= 1
         code += secure_rr
         code += 1
-        inside = first[rows, None] <= col[box]
-        inside &= col[box] < stop[rows, None]
-        code *= inside
+        return code, chi_dr, chi_rr
+
+    cells = np.zeros((grid.x_points, grid.cp_points), dtype=np.int8)
+    # coarse samples of each row's run [first, stop): every REGION_STRIDE
+    # cells from first, and always at stop - 1
+    count = np.where(physical, (stop - first + REGION_STRIDE - 2) // REGION_STRIDE + 1, 0)
+    ends = np.cumsum(count)
+    end = 0
+    while end < grid.x_points:
+        # whole rows, up to REGION_BLOCK_SAMPLES samples, at least one row
+        start, base = end, ends[end] - count[end]
+        end = max(int(np.searchsorted(ends, base + REGION_BLOCK_SAMPLES, "right")), start + 1)
+        held = start + np.flatnonzero(physical[start:end])
+        if not held.size:
+            continue
+        sizes = count[held]
+        rows = held.repeat(sizes)
+        # each row's first sample in the block, and each sample's column
+        starts = ends[held] - sizes - base
+        place = np.arange(rows.size) - starts.repeat(sizes)
+        cols = np.minimum(first[rows] + place * REGION_STRIDE, stop[rows] - 1)
+        code, chi_dr, chi_rr = classify(rows, cols)
+
+        # S_AB is concave along a row: between two samples it is monotone,
+        # except next to the row's largest sample (chi_rr is S_AB less a
+        # constant), so an interval between two samples of one code keeps
+        # that code throughout unless it borders that peak, or one of its
+        # samples lies within REGION_MARGIN of a threshold, where rounding
+        # can decide.  Those intervals, and the ones whose codes differ,
+        # are refined.
+        flag = chi_rr == np.maximum.reduceat(chi_rr, starts).repeat(sizes)
+        flag |= np.abs(chi_dr - key_mi) <= REGION_MARGIN
+        flag |= np.abs(chi_rr - key_mi) <= REGION_MARGIN
+        refine = code[1:] != code[:-1]
+        refine |= flag[1:]
+        refine |= flag[:-1]
+        refine &= rows[1:] == rows[:-1]
+
+        # each sample's code from its column up to the next sample's, as a
+        # cumulative sum of code changes along the row that is 0 from stop
+        # on; summed over the box around the block's runs, transposed, so
+        # that numpy adds whole rows of the box at a time
+        step = code.copy()
+        step[1:] -= code[:-1]
+        step[starts] = code[starts]
+        lo, hi = first[held].min(), stop[held].max()
+        box = np.zeros((hi - lo + 1, end - start), dtype=np.int8)
+        box[cols - lo, rows - start] = step
+        box[stop[held] - lo, held - start] = -code[starts + sizes - 1]
+        np.cumsum(box, axis=0, dtype=np.int8, out=box)
+        cells[start:end, lo:hi] = box[:-1].T
+
+        # the inner cells of the intervals refined, through the kernel
+        inner = np.where(refine, cols[1:] - cols[:-1] - 1, 0)
+        fine_rows = rows[:-1].repeat(inner)
+        fine_cols = (cols[:-1] + 1 - np.cumsum(inner) + inner).repeat(inner)
+        fine_cols += np.arange(fine_cols.size)
+        cells[fine_rows, fine_cols] = classify(fine_rows, fine_cols)[0]
 
     metadata = {
         "V_S": params.V_S,

@@ -1489,6 +1489,8 @@ def _entry_points(v_s, v_m, eta, eps, v_p_b, c_p, direction):
 @example(v_s=1e-320, v_m=1.0, eta=1e-318, eps=0.0, v_p_b=1.0, c_p=0.0, direction=DR)
 # the kernel's split overflows near an interval end, so mu_minus rounds to 0
 @example(v_s=1.0, v_m=2e153, eta=0.1, eps=0.0, v_p_b=100.0, c_p=0.0, direction=DR)
+# mu_minus = det / mu_plus underflows to 0 at the search's end probe
+@example(v_s=2.0, v_m=1e-315, eta=0.3, eps=0.0, v_p_b=0.85, c_p=0.0, direction=DR)
 @given(
     v_s=MAGNITUDE,
     v_m=st.one_of(st.just(0.0), MAGNITUDE),

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import split_insecure_rows
+from conftest import INSECURE_CODES, split_insecure_rows
 from test_protocol import _mp_key_rate
+from test_reproduce_figures import load_script
 from udcvqkd import (
     ChannelParams,
     ConfigError,
@@ -57,6 +58,7 @@ from udcvqkd.gaussian import (
 )
 from udcvqkd.protocol import (
     LOG2E,
+    VERTEX_SLACK,
     _conditional_entropy,
     _g_mu,
     _margins,
@@ -439,8 +441,9 @@ class TestScanRegion:
         (RegionMode.SYMMETRIC_NOISE, (0.0, 0.5)),
     ])
     def test_blocked_scan_matches_row_by_row_evaluation(self, x_points, mode, x_range):
-        # rows are classified REGION_BLOCK_ROWS at a time; one row at a time
-        # with a float V_p_B must give the same cells, block edges included
+        # rows are classified from coarse samples, in blocks of whole rows;
+        # one row at a time with a float V_p_B, and the kernel at every
+        # physical cell, must give the same cells
         params = ProtocolParams(V_S=0.8, V_M=30.0)
         grid = region_grid(*x_range, cp_min=-5.0, cp_max=0.0, x_points=x_points,
                            cp_points=45)
@@ -551,8 +554,9 @@ class TestScanRegion:
         assert list(row != RegionClass.UNPHYSICAL) == [False] + [True] * 7 + [False]
 
     def test_scan_leaks_no_floating_point_warnings(self):
-        # the kernel runs over each block's bounding box, whose cells past a
-        # row's run take the square root of a negative det
+        # the kernel's delta-free terms are formed for every row, rows
+        # without a physical cell included, and only physical cells go
+        # through the kernel
         params = ProtocolParams(V_S=0.8, V_M=30.0)
         for mode, x_range in ((RegionMode.FREE_VPB, (0.7, 2.2)),
                               (RegionMode.SYMMETRIC_NOISE, (0.0, 0.5))):
@@ -570,6 +574,208 @@ class TestScanRegion:
         r4 = scan_region(self.params, self.chan_x, grid4, RegionMode.FREE_VPB)
         assert np.array_equal(r1.cells, r4.cells)
         assert region_to_json(r1) == region_to_json(r4)
+
+
+def full_scan_cells(params, chan_x, grid, mode):
+    """scan_region's cells by the evaluation that the two-pass scan
+    replaced: blocks of 32 rows, each one broadcast pass of the kernel over
+    the box around the block's runs, so every physical cell goes through
+    the kernel.  Overflowing rows are left to scan_region to reject."""
+    eta_x, eps_x = chan_x
+    chan = ChannelParams.symmetric(eta_x, eps_x)
+    cp_axis = np.linspace(grid.cp_min, grid.cp_max, grid.cp_points)
+    x_axis = np.linspace(grid.x_min, grid.x_max, grid.x_points)
+    vpb_rows = x_axis if mode is RegionMode.FREE_VPB else _vpb(params, eta_x, x_axis)
+    key_mi = params.beta * mutual_information(params, chan)
+    xm = _x_moments(params, eta_x, eps_x)
+    v0, c0, coeff = _parabola(xm, params, eta_x, eps_x)
+    dv = vpb_rows - v0
+    half = np.sqrt(coeff * np.maximum(dv, 0.0))
+    first = np.searchsorted(cp_axis, c0 - half, "left")
+    stop = np.searchsorted(cp_axis, c0 + half, "right")
+    stop[dv < -VERTEX_SLACK * max(1.0, abs(v0))] = 0
+    np.maximum(dv, 0.0, out=dv)
+    s_cond_rr = _conditional_entropy(xm, coeff, 0.0, RR)
+    s_cond_dr = _g_mu_array(xm.b * dv)
+    delta = cp_axis - c0
+    col = np.arange(grid.cp_points)
+    cells = np.zeros((grid.x_points, grid.cp_points), dtype=np.int8)
+    for start in range(0, grid.x_points, 32):
+        rows = slice(start, start + 32)
+        occupied = stop[rows] > first[rows]
+        if not occupied.any():
+            continue
+        box = slice(first[rows][occupied].min(), stop[rows][occupied].max())
+        ob = _observe(xm, coeff, dv[rows, None], half[rows, None], np.sqrt)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            mu_plus, mu_minus = _symplectic_pair(ob, delta[box], np.sqrt)
+        work = np.empty_like(mu_plus)
+        s_ab = _g_mu_array(mu_plus, work)
+        s_ab += _g_mu_array(mu_minus, work)
+        np.subtract(s_ab, s_cond_dr[rows, None], out=work)
+        s_ab -= s_cond_rr
+        code = cells[rows, box]
+        np.less(work, key_mi, out=code.view(np.bool_))
+        secure_rr = np.less(s_ab, key_mi).view(np.int8)
+        secure_rr <<= 1
+        code += secure_rr
+        code += 1
+        inside = first[rows, None] <= col[box]
+        inside &= col[box] < stop[rows, None]
+        code *= inside
+    return cells
+
+
+def figure_maps():
+    """(params, chan_x, grid, mode) of reproduce_figures' six 400x400 region
+    maps."""
+    script = load_script()
+    chan_x = (script.REGION_ETA_X, script.REGION_EPS_X)
+    maps = []
+    for v_s in script.REGION_VS:
+        params = ProtocolParams(V_S=v_s, V_M=script.REGION_VM)
+        for mode, x_range in ((RegionMode.FREE_VPB, (0.85, 2.0)),
+                              (RegionMode.SYMMETRIC_NOISE, (0.0, 0.6))):
+            grid = region_grid(*x_range, cp_min=-2.8, cp_max=-0.5, points=400)
+            maps.append((params, chan_x, grid, mode))
+    return maps
+
+
+class TestTwoPassScan:
+    """scan_region samples each row's run every REGION_STRIDE cells and
+    evaluates only the cells between samples whose class can differ; its
+    cells must equal those of full_scan_cells, which evaluates them all."""
+
+    def test_figure_maps_match_full_evaluation(self):
+        for params, chan_x, grid, mode in figure_maps():
+            region = scan_region(params, chan_x, grid, mode)
+            assert region.cells.dtype == np.int8
+            assert np.array_equal(region.cells, full_scan_cells(params, chan_x, grid, mode))
+
+    @staticmethod
+    def crossing(params, chan_x, v_p_b, lo, hi, direction):
+        """A C_p in [lo, hi] within an ulp of where the key rate in
+        direction changes sign, by bisection on holevo_bound; lo and hi
+        are physical and have rates of opposite signs."""
+        chan = ChannelParams.symmetric(*chan_x)
+        key_mi = params.beta * mutual_information(params, chan)
+
+        def secure(c_p):
+            return key_mi - holevo_bound(params, chan, c_p, v_p_b, direction) > 0.0
+
+        lo_secure = secure(lo)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if secure(mid) == lo_secure:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def fuzzed_maps(self, mode, rng, rounds):
+        """Maps with V_M from 0.1 to 1e17, each round up to three:
+
+        - a broad map over the axis ranges of
+          test_scan_matches_row_by_row_evaluation_anywhere, up to 120 x 400
+          cells, whose C_p range clips the parabola or holds it whole;
+        - a two-row map whose C_p axis is 400 ulps around a threshold
+          crossing in a row of the broad map, where rounding decides the
+          cells' classes;
+        - a 60 x 400 map whose rows lie within 0.1% of the observation at
+          which the key rate crosses 0 (max_tolerable_noise), so that its
+          insecure runs are short and lie around the row's largest S_AB.
+        """
+        x_range = (0.7, 2.2) if mode is RegionMode.FREE_VPB else (0.0, 0.5)
+        for _ in range(rounds):
+            v_m = 10.0 ** rng.uniform(-1.0, 17.0)
+            params = ProtocolParams(V_S=rng.uniform(0.5, 2.0), V_M=v_m)
+            chan_x = (rng.uniform(0.5, 0.95), 0.03)
+            scale = (v_m / 30.0) ** 0.25
+            cp_min = rng.uniform(-6.0, 0.0)
+            grid = region_grid(*x_range, cp_min=cp_min * scale,
+                               cp_max=(cp_min + rng.uniform(0.1, 6.0)) * scale,
+                               x_points=int(rng.integers(2, 121)),
+                               cp_points=int(rng.choice([rng.integers(2, 40),
+                                                         rng.integers(40, 401)])))
+            yield params, chan_x, grid
+
+            direction = DR if rng.uniform() < 0.5 else RR
+            cells = full_scan_cells(params, chan_x, grid, mode)
+            insecure = np.isin(cells, INSECURE_CODES[direction.value])
+            changes = np.argwhere((cells[:, 1:] != 0) & (cells[:, :-1] != 0)
+                                  & (insecure[:, 1:] != insecure[:, :-1]))
+            if len(changes):
+                i, j = changes[rng.integers(len(changes))]
+                x = float(np.linspace(*x_range, grid.x_points)[i])
+                cp_axis = np.linspace(grid.cp_min, grid.cp_max, grid.cp_points)
+                c_p = self.crossing(params, chan_x, self.vpb(params, chan_x, x, mode),
+                                    float(cp_axis[j]), float(cp_axis[j + 1]), direction)
+                ulp = math.ulp(c_p)
+                yield params, chan_x, region_grid(x, x + 1e-12 * max(x, 1.0),
+                                                  cp_min=c_p - 200 * ulp,
+                                                  cp_max=c_p + 200 * ulp,
+                                                  x_points=2, cp_points=401)
+
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-1.0, 1.0), V_M=v_m)
+            eta = rng.uniform(0.3, 0.99)
+            try:
+                eps = max_tolerable_noise(params, eta_to_db(eta), direction, tol=1e-12)
+            except (NoPositiveRate, NoRoot):
+                continue
+            x = symmetric_vpB(params, eta, eps) if mode is RegionMode.FREE_VPB else eps
+            lo, hi = physicality_interval(params, ChannelParams.symmetric(eta, eps),
+                                          self.vpb(params, (eta, eps), 1.001 * x, mode))
+            yield params, (eta, eps), region_grid(0.999 * x, 1.001 * x, cp_min=lo, cp_max=hi,
+                                                  x_points=60, cp_points=400)
+
+    @staticmethod
+    def vpb(params, chan_x, x, mode):
+        return x if mode is RegionMode.FREE_VPB else symmetric_vpB(params, chan_x[0], x)
+
+    @pytest.mark.parametrize("mode", list(RegionMode))
+    def test_fuzzed_maps_match_full_evaluation(self, mode):
+        # the fuzz reaches each rule that sends cells to the kernel: runs
+        # of one cell and runs shorter than the stride; an insecure run
+        # shorter than the stride with no sample in it, which only the
+        # window around the row's largest sample finds; and rows where
+        # rounding splits a direction's insecure cells, which only
+        # REGION_MARGIN finds
+        rng = np.random.default_rng(181 if mode is RegionMode.FREE_VPB else 191)
+        stride = sweeps.REGION_STRIDE
+        single = short = hidden = split = 0
+        for params, chan_x, grid in self.fuzzed_maps(mode, rng, 100):
+            want = full_scan_cells(params, chan_x, grid, mode)
+            got = scan_region(params, chan_x, grid, mode).cells
+            assert np.array_equal(got, want), (params, chan_x, grid)
+            split += len(split_insecure_rows(want))
+            for row in want:
+                run = np.flatnonzero(row)
+                if not len(run):
+                    continue
+                single += len(run) == 1
+                short += len(run) < stride
+                sampled = np.zeros(len(row), dtype=bool)
+                sampled[run[::stride]] = sampled[run[-1]] = True
+                for codes in INSECURE_CODES.values():
+                    insecure = np.isin(row, codes)
+                    hidden += insecure.any() and not (insecure & sampled).any()
+        assert min(single, short, hidden, split) > 0, (single, short, hidden, split)
+
+    def test_figure_maps_run_the_kernel_at_few_cells(self, monkeypatch):
+        # the kernel at every physical cell of a figure map takes 43k-57k
+        # cells (full_scan_cells's boxes); the two-pass scan takes 10k-14k,
+        # the upper-end check included
+        evaluated = []
+        kernel = sweeps._symplectic_pair
+
+        def counted_kernel(ob, delta, sqrt):
+            evaluated[-1] += np.broadcast(ob[0], delta).size
+            return kernel(ob, delta, sqrt)
+
+        monkeypatch.setattr(sweeps, "_symplectic_pair", counted_kernel)
+        for params, chan_x, grid, mode in figure_maps():
+            evaluated.append(0)
+            scan_region(params, chan_x, grid, mode)
+        assert max(evaluated) <= 20_000, evaluated
 
 
 class TestKeyrateVsAttenuation:
