@@ -59,10 +59,10 @@ DB_CAP = 60.0
 # within REGION_MARGIN bits of a key-rate threshold (scan_region).
 REGION_STRIDE = 8
 REGION_MARGIN = 1e-9
-# Coarse samples per block of whole rows: one block on a 400x400 map, and
-# at most REGION_STRIDE times this many cells through the kernel per block,
-# so temporaries stay bounded at any grid size.
-REGION_BLOCK_SAMPLES = 1 << 15
+# Cells per block of whole rows, or one row where a row holds more: one
+# block on a 400x400 map, and each kernel pass over a block takes at most
+# its cells, so temporaries stay bounded at any grid size.
+REGION_BLOCK_CELLS = 1 << 18
 
 
 def db_to_eta(db: float) -> float:
@@ -236,15 +236,16 @@ def scan_region(
     conditional entropies are constant along a row, so each direction's
     insecure cells are one run inside the row's physical run.  A coarse
     pass classifies the cells every REGION_STRIDE columns from the run's
-    first cell, and its last cell, over blocks of up to
-    REGION_BLOCK_SAMPLES samples.  Between two samples S_AB is monotone,
+    first cell, and its last cell, over blocks of whole rows of up to
+    REGION_BLOCK_CELLS cells.  Between two samples S_AB is monotone,
     except in the two intervals next to the row's largest sample, so an
     interval's inner cells take its samples' code when the two codes agree,
-    the interval does not border that sample and neither sample lies
-    within REGION_MARGIN bits of a threshold, far above the kernel's
-    rounding.  A refine pass runs the kernel at the inner cells of every
-    other interval.  The cells are those of running the kernel at every
-    physical cell, bit for bit.
+    the interval does not border that sample unless it is insecure both
+    ways, and neither sample lies within REGION_MARGIN bits of a threshold,
+    far above the kernel's rounding.  Those cells are filled by one
+    run-length repeat per block.  A refine pass runs the kernel at the
+    inner cells of every other interval.  The cells are those of running
+    the kernel at every physical cell, bit for bit.
     """
     import numpy as np
 
@@ -277,8 +278,9 @@ def scan_region(
     stop[dv < -VERTEX_SLACK * max(1.0, abs(v0))] = 0
     np.maximum(dv, 0.0, out=dv)
     s_cond_rr = _conditional_entropy(xm, coeff, 0.0, ReconciliationDirection.REVERSE)
-    # _conditional_entropy's DIRECT rule, G(b dv), for every row
-    s_cond_dr = _g_mu_array(xm.b * dv)
+    with np.errstate(over="ignore"):
+        # _conditional_entropy's DIRECT rule, G(b dv), for every row
+        s_cond_dr = _g_mu_array(xm.b * dv)
     delta = cp_axis - c0
     # the kernel's delta-free terms for every row, gathered per cell by
     # classify; those of rows without a physical cell may overflow and are
@@ -320,19 +322,18 @@ def scan_region(
     # coarse samples of each row's run [first, stop): every REGION_STRIDE
     # cells from first, and always at stop - 1
     count = np.where(physical, (stop - first + REGION_STRIDE - 2) // REGION_STRIDE + 1, 0)
-    ends = np.cumsum(count)
-    end = 0
-    while end < grid.x_points:
-        # whole rows, up to REGION_BLOCK_SAMPLES samples, at least one row
-        start, base = end, ends[end] - count[end]
-        end = max(int(np.searchsorted(ends, base + REGION_BLOCK_SAMPLES, "right")), start + 1)
-        held = start + np.flatnonzero(physical[start:end])
+    block = max(1, REGION_BLOCK_CELLS // grid.cp_points)
+    flat = cells.reshape(-1)
+    for start in range(0, grid.x_points, block):
+        held = start + np.flatnonzero(physical[start:start + block])
         if not held.size:
             continue
         sizes = count[held]
         rows = held.repeat(sizes)
-        # each row's first sample in the block, and each sample's column
-        starts = ends[held] - sizes - base
+        # each row's first sample in the block and the one after its last,
+        # and each sample's column
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
         place = np.arange(rows.size) - starts.repeat(sizes)
         cols = np.minimum(first[rows] + place * REGION_STRIDE, stop[rows] - 1)
         code, chi_dr, chi_rr = classify(rows, cols)
@@ -343,8 +344,11 @@ def scan_region(
         # that code throughout unless it borders that peak, or one of its
         # samples lies within REGION_MARGIN of a threshold, where rounding
         # can decide.  Those intervals, and the ones whose codes differ,
-        # are refined.
+        # are refined.  A peak insecure both ways needs no window: where
+        # S_AB is at least a threshold is an interval, so one between two
+        # samples insecure beyond REGION_MARGIN is insecure throughout.
         flag = chi_rr == np.maximum.reduceat(chi_rr, starts).repeat(sizes)
+        flag &= code != RegionClass.PHYSICAL_INSECURE
         flag |= np.abs(chi_dr - key_mi) <= REGION_MARGIN
         flag |= np.abs(chi_rr - key_mi) <= REGION_MARGIN
         refine = code[1:] != code[:-1]
@@ -352,19 +356,10 @@ def scan_region(
         refine |= flag[:-1]
         refine &= rows[1:] == rows[:-1]
 
-        # each sample's code from its column up to the next sample's, as a
-        # cumulative sum of code changes along the row that is 0 from stop
-        # on; summed over the box around the block's runs, transposed, so
-        # that numpy adds whole rows of the box at a time
-        step = code.copy()
-        step[1:] -= code[:-1]
-        step[starts] = code[starts]
-        lo, hi = first[held].min(), stop[held].max()
-        box = np.zeros((hi - lo + 1, end - start), dtype=np.int8)
-        box[cols - lo, rows - start] = step
-        box[stop[held] - lo, held - start] = -code[starts + sizes - 1]
-        np.cumsum(box, axis=0, dtype=np.int8, out=box)
-        cells[start:end, lo:hi] = box[:-1].T
+        # each sample's code runs to the next sample of its row, and a 0
+        # from the row's stop on: one repeat into the flat cells
+        at = np.insert(rows * grid.cp_points + cols, ends, held * grid.cp_points + stop[held])
+        flat[at[0]:at[-1]] = np.insert(code, ends, 0)[:-1].repeat(np.diff(at))
 
         # the inner cells of the intervals refined, through the kernel
         inner = np.where(refine, cols[1:] - cols[:-1] - 1, 0)

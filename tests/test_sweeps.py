@@ -566,6 +566,15 @@ class TestScanRegion:
                 region = scan_region(params, self.chan_x, grid, mode)
             physical = region.cells != RegionClass.UNPHYSICAL
             assert physical.any() and not physical[:, 0].all()
+        # the DR conditional entropy's b dv overflows on every row but the
+        # first; coeff is 0, so each row's interval is the point C0, about
+        # -1e-200, which no cell holds
+        grid = region_grid(1.0, 1e300, points=5, cp_min=-5.0, cp_max=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            region = scan_region(ProtocolParams(V_S=1e200, V_M=1.0), self.chan_x, grid,
+                                 RegionMode.FREE_VPB)
+        assert (region.cells == RegionClass.UNPHYSICAL).all()
 
     def test_thread_count_does_not_change_cells(self):
         grid1 = region_grid(0.9, 1.8)
@@ -760,9 +769,36 @@ class TestTwoPassScan:
                     hidden += insecure.any() and not (insecure & sampled).any()
         assert min(single, short, hidden, split) > 0, (single, short, hidden, split)
 
+    def test_maps_in_many_blocks_match_full_evaluation(self, monkeypatch):
+        # a 400x400 map is one block; here blocks of one row (at block
+        # sizes below, at and just above a row's cells), two and ten rows.
+        # Besides the figure maps: a 57-row map whose first 33 rows lie
+        # below the vertex, so its first blocks hold no physical row and
+        # its last block is short; and the same rows with a C_p axis above
+        # every row's interval, so no block holds one.  (The rows'
+        # intervals nest, so only leading blocks can be empty otherwise.)
+        params, chan_x = ProtocolParams(V_S=1.0, V_M=10.0), (0.9, 0.03)
+        v0 = physicality_parabola(params, ChannelParams.symmetric(*chan_x))[0]
+        below = region_grid(0.3 * v0, 1.5 * v0, x_points=57, cp_points=400,
+                            cp_min=-2.2, cp_max=-1.0)
+        above = region_grid(0.3 * v0, 1.5 * v0, x_points=57, cp_points=400,
+                            cp_min=0.0, cp_max=1.0)
+        for params, chan_x, grid, mode in figure_maps() + [
+                (params, chan_x, below, RegionMode.FREE_VPB),
+                (params, chan_x, above, RegionMode.FREE_VPB)]:
+            want = full_scan_cells(params, chan_x, grid, mode)
+            if grid is below:
+                assert not want[:33].any() and want[33:].any(axis=1).all()
+            if grid is above:
+                assert not want.any()
+            for block_cells in (1, grid.cp_points, grid.cp_points + 1, 2 * grid.cp_points, 4_000):
+                monkeypatch.setattr(sweeps, "REGION_BLOCK_CELLS", block_cells)
+                got = scan_region(params, chan_x, grid, mode).cells
+                assert np.array_equal(got, want), (grid, mode, block_cells)
+
     def test_figure_maps_run_the_kernel_at_few_cells(self, monkeypatch):
         # the kernel at every physical cell of a figure map takes 43k-57k
-        # cells (full_scan_cells's boxes); the two-pass scan takes 10k-14k,
+        # cells (full_scan_cells's boxes); the two-pass scan takes 9.6k-12k,
         # the upper-end check included
         evaluated = []
         kernel = sweeps._symplectic_pair
@@ -775,7 +811,7 @@ class TestTwoPassScan:
         for params, chan_x, grid, mode in figure_maps():
             evaluated.append(0)
             scan_region(params, chan_x, grid, mode)
-        assert max(evaluated) <= 20_000, evaluated
+        assert max(evaluated) <= 12_500, evaluated
 
 
 class TestKeyrateVsAttenuation:
