@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": (
-        "ConfigError", "DomainError", "NoPositiveRate", "NoRoot", "NonPositiveDefinite",
-        "ToolkitError", "UnphysicalObservation", "UnphysicalState",
+        "ConfigError", "DomainError", "NoPositiveRate", "NoRoot", "ToolkitError",
+        "UnphysicalObservation", "UnphysicalState",
     ),
     "protocol": (
         "ChannelParams", "ProtocolParams", "ReconciliationDirection", "SecurityAssessment",

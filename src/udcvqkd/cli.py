@@ -10,10 +10,8 @@ domain error (error name on stderr), 2 argument or configuration error
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import __version__
 from .errors import ConfigError, ToolkitError
 from .protocol import (
     ChannelParams,
@@ -25,8 +23,10 @@ from .protocol import (
     symmetric_vpB,
 )
 from .sweeps import (
+    _TOOL,
     RegionMode,
     SweepConfig,
+    _json_text,
     _noise_root,
     curve_to_csv,
     curve_to_json,
@@ -37,8 +37,6 @@ from .sweeps import (
     region_to_json,
     scan_region,
 )
-
-_TOOL = f"udcvqkd {__version__}"
 
 
 def _parse_bool(text: str) -> bool:
@@ -223,10 +221,6 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_text(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _cmd_keyrate(opts: dict) -> int:

@@ -9,10 +9,6 @@ class ToolkitError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NonPositiveDefinite(ToolkitError):
-    """A covariance matrix has a nonpositive ordinary eigenvalue."""
-
-
 class DomainError(ToolkitError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 

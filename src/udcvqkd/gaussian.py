@@ -19,13 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDefinite, ToolkitError
+from .errors import ToolkitError
 from .protocol import NU_CLAMP_TOL, ChannelParams, ProtocolParams, _x_moments, entropy_g
 
 SYMMETRY_TOL = 1e-12
 PAIRING_TOL = 1e-8
 PHYSICALITY_TOL = 1e-9
 CONDITIONING_TOL = 1e-12
+
+
+class NonPositiveDefinite(ToolkitError):
+    """A covariance matrix has a nonpositive ordinary eigenvalue."""
 
 
 class NumericalDegeneracy(ToolkitError):
@@ -109,6 +113,7 @@ def apply_channel(
     parties know of it, as key_rate and holevo_bound take it: Bob's
     observed p variance V_p_B, and a correlation C_p that they cannot
     measure (physicality of the result is tested separately, not here).
+    Raises DomainError where the physicality parabola is not finite.
     """
     xm = _x_moments(params, chan.eta_x, chan.eps_x)
     return CovMatrix(

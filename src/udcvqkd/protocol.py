@@ -141,25 +141,34 @@ class SecurityAssessment:
 
 
 class _XMoments(NamedTuple):
-    """x-side second moments of the state shared after the channel.
+    """x-side second moments of the shared state, and its physicality parabola.
 
     v is Alice's variance (both quadratures), c_x the x correlation, v_x_b
     Bob's x variance, and b = 1 - eta_x + eta_x (V_S + eps_x).  v_x_b is
     built as b + eta_x V_M, so det X = v v_x_b - c_x**2 = v b holds by
     construction, and the kernel below uses v b in place of that
-    cancelling difference.
+    cancelling difference.  v0, c0 and coeff are physicality_parabola's
+    V0, C0 and coeff; _x_moments raises DomainError where one is not finite.
     """
 
     v: float
     c_x: float
     v_x_b: float
     b: float
+    v0: float
+    c0: float
+    coeff: float
 
 
 def _x_moments(params: ProtocolParams, eta_x: float, eps_x: float) -> _XMoments:
     v = params.tmsv_variance
     b = _x_noise(params.V_S, eta_x, eps_x)
-    return _XMoments(v, math.sqrt(eta_x * params.V_M) * math.sqrt(v), b + eta_x * params.V_M, b)
+    c_x = math.sqrt(eta_x * params.V_M) * math.sqrt(v)
+    n11 = params.V_M * ((1.0 - eta_x) + eta_x * eps_x) / params.V_S
+    v0, c0, coeff = 1.0 / b, -c_x / (v * b), n11 / (v * b)
+    if not (math.isfinite(v0) and math.isfinite(c0) and math.isfinite(coeff)):
+        raise _not_finite("physicality parabola")
+    return _XMoments(v, c_x, b + eta_x * params.V_M, b, v0, c0, coeff)
 
 
 def _x_noise(V_S: float, eta_x: float, eps_x: float) -> float:
@@ -174,7 +183,7 @@ def _x_noise(V_S: float, eta_x: float, eps_x: float) -> float:
     return (1.0 - eta_x) + eta_x * (V_S + eps_x)
 
 
-def _observe(xm: _XMoments, coeff: float, dv, h, sqrt=math.sqrt):
+def _observe(xm: _XMoments, dv, h, sqrt=math.sqrt):
     """The delta-free terms of the two-mode kernel at one observation.
 
     The kernel works in the physicality margins N = P - X^-1 =
@@ -189,7 +198,7 @@ def _observe(xm: _XMoments, coeff: float, dv, h, sqrt=math.sqrt):
     t0 + 2 c_x (h + delta), a sum of terms >= 0 on the interval; c_x; v b;
     (v coeff - v_x_b dv)**2 / 4; v; c_x dv; c_x coeff; and v_x_b.
     """
-    v, c_x, v_x_b, b = xm
+    v, c_x, v_x_b, b, _, _, coeff = xm
     vb = v * b
     half_t0 = math.sqrt(v * coeff) - sqrt(v_x_b * dv)
     half_t0 *= 0.5 * half_t0
@@ -250,7 +259,10 @@ def _entropy_slope(ob: tuple, delta: float) -> float:
     below 1e-5 t, so it stays finite there.
     G'(mu) = log2(e) log1p(2 (nu + 1)/mu) / (4 nu) with nu = sqrt(1 + mu).
     s and t come from ob as in _symplectic_pair, written out here because
-    this runs about ten times per key_rate.
+    this runs about ten times per key_rate.  Where t rounds to 0 (det
+    underflowed, or s overflowed) G'(t) is unbounded, and the slope is
+    taken as its limit, +inf for delta <= 0 and -inf above, the sign that
+    d det gives it; _bracket_sign_change bisects on those values.
     """
     h, half_t0, c_x, vb, quarter_diff_sq, v, cx_dv, cx_coeff, v_x_b = ob
     plus = h + delta
@@ -258,6 +270,8 @@ def _entropy_slope(ob: tuple, delta: float) -> float:
     s = (plus * c_x + half_t0) + math.sqrt(
         abs(quarter_diff_sq + (v * delta + cx_dv) * (cx_coeff + v_x_b * delta)))
     t = det / s
+    if not t:
+        return math.inf if delta <= 0.0 else -math.inf
     vb_delta = vb * delta
     nu_t = math.sqrt(1.0 + t)
     df_t = math.log1p(2.0 * (nu_t + 1.0) / t) * LOG2E / (4.0 * nu_t)
@@ -348,16 +362,7 @@ def physicality_parabola(
     cancel (0 on a lossless, noiseless channel).  Only the x-quadrature
     channel parameters enter.
     """
-    return _parabola(_x_moments(params, chan.eta_x, chan.eps_x), params, chan.eta_x, chan.eps_x)
-
-
-def _parabola(xm: _XMoments, params: ProtocolParams, eta_x: float, eps_x: float):
-    vb = xm.v * xm.b
-    n11 = params.V_M * ((1.0 - eta_x) + eta_x * eps_x) / params.V_S
-    v0, c0, coeff = 1.0 / xm.b, -xm.c_x / vb, n11 / vb
-    if not (math.isfinite(v0) and math.isfinite(c0) and math.isfinite(coeff)):
-        raise _not_finite("physicality parabola")
-    return v0, c0, coeff
+    return _x_moments(params, chan.eta_x, chan.eps_x)[-3:]
 
 
 def physicality_interval(
@@ -369,32 +374,31 @@ def physicality_interval(
     sits on the parabola vertex or the curvature vanishes, or None when no
     physical state is compatible (V_p_B below the vertex).
     """
-    _, c0, _ = parabola = physicality_parabola(params, chan)
-    margins = _margins(parabola, V_p_B)
-    return None if margins is None else (c0 - margins[1], c0 + margins[1])
+    xm = _x_moments(params, chan.eta_x, chan.eps_x)
+    margins = _margins(xm, V_p_B)
+    return None if margins is None else (xm.c0 - margins[1], xm.c0 + margins[1])
 
 
-def _margins(parabola, V_p_B: float):
-    """(dv, h): V_p_B's margin dv = V_p_B - V0 over the parabola vertex,
+def _margins(xm: _XMoments, V_p_B: float):
+    """(dv, h): V_p_B's margin dv = V_p_B - V0 over xm's parabola vertex,
     clamped at 0, and the C_p interval's half-width h = sqrt(coeff dv);
     None below the vertex beyond VERTEX_SLACK.  The interval is C0 -+ h,
     and the kernel takes C_p as C0 + delta with delta in [-h, h]."""
     if not 0.0 < V_p_B < math.inf:
         _check_finite(V_p_B=V_p_B)
         raise DomainError("V_p_B must be positive")
-    v0, _, coeff = parabola
-    dv = V_p_B - v0
-    if dv < -VERTEX_SLACK * max(1.0, abs(v0)):
+    dv = V_p_B - xm.v0
+    if dv < -VERTEX_SLACK * max(1.0, abs(xm.v0)):
         return None
     dv = max(dv, 0.0)
-    h = math.sqrt(coeff * dv)
+    h = math.sqrt(xm.coeff * dv)
     if not math.isfinite(h):
         raise _not_finite("physicality interval")
     return dv, h
 
 
 def _conditional_entropy(
-    xm: _XMoments, coeff: float, dv: float, direction: ReconciliationDirection
+    xm: _XMoments, dv: float, direction: ReconciliationDirection
 ) -> float:
     """Entropy in bits of the state left after the reference side's
     homodyne measurement: single-mode and diagonal, with nu**2 = b V_p_B
@@ -403,7 +407,7 @@ def _conditional_entropy(
     observation up to VERTEX_SLACK below the vertex a pure mode."""
     if direction is ReconciliationDirection.DIRECT:
         return _g_mu(xm.b * dv)
-    return _g_mu(coeff * (xm.v * xm.b) / xm.v_x_b)
+    return _g_mu(xm.coeff * (xm.v * xm.b) / xm.v_x_b)
 
 
 def _floor_holevo(chi: float) -> float:
@@ -445,16 +449,15 @@ def holevo_bound(
     other C_p and DomainError when V_p_B is not positive and finite.
     """
     xm = _x_moments(params, chan.eta_x, chan.eps_x)
-    _, c0, coeff = parabola = _parabola(xm, params, chan.eta_x, chan.eps_x)
-    margins = _margins(parabola, V_p_B)
+    margins = _margins(xm, V_p_B)
     if margins is not None:
-        reach = _margins(parabola, V_p_B + 8.0 * math.ulp(V_p_B))[1]
-        reach += 8.0 * math.ulp(abs(c0) + reach)
-    if margins is None or not abs(C_p - c0) <= reach:
+        reach = _margins(xm, V_p_B + 8.0 * math.ulp(V_p_B))[1]
+        reach += 8.0 * math.ulp(abs(xm.c0) + reach)
+    if margins is None or not abs(C_p - xm.c0) <= reach:
         raise UnphysicalState(f"two-mode state with C_p={C_p!r}, V_p_B={V_p_B!r} is unphysical")
     dv, h = margins
-    return _floor_holevo(_joint_entropy(_observe(xm, coeff, dv, h), c0, C_p)
-                         - _conditional_entropy(xm, coeff, dv, direction))
+    return _floor_holevo(_joint_entropy(_observe(xm, dv, h), xm.c0, C_p)
+                         - _conditional_entropy(xm, dv, direction))
 
 
 def _bracket_sign_change(f, a: float, fa: float, b: float, fb: float,
@@ -619,24 +622,16 @@ def _key_rate(
     _worst_case_correlation, and without it the result is key_rate's.
     """
     xm = _x_moments(params, eta_x, eps_x)
-    _, c0, coeff = parabola = _parabola(xm, params, eta_x, eps_x)
-    margins = _margins(parabola, V_p_B)
+    margins = _margins(xm, V_p_B)
     if margins is None:
         raise UnphysicalObservation(
             f"V_p_B={V_p_B!r} lies below the physicality parabola vertex"
         )
     dv, h = margins
     mi = _mutual_information(params, eta_x, xm.b)
-    try:
-        worst_cp, s_ab = _worst_case_correlation(_observe(xm, coeff, dv, h), c0, start)
-    except ZeroDivisionError as exc:
-        # mu_minus = det / mu_plus rounded to 0 inside the interval, where
-        # mu_plus overflowed or det underflowed
-        raise DomainError(
-            f"the two-mode kernel lost all precision at V_p_B={V_p_B!r}: {exc}"
-        ) from exc
-    chi = _floor_holevo(s_ab - _conditional_entropy(xm, coeff, dv, direction))
-    return mi, chi, worst_cp, (c0 - h, c0 + h)
+    worst_cp, s_ab = _worst_case_correlation(_observe(xm, dv, h), xm.c0, start)
+    chi = _floor_holevo(s_ab - _conditional_entropy(xm, dv, direction))
+    return mi, chi, worst_cp, (xm.c0 - h, xm.c0 + h)
 
 
 def symmetric_vpB(

@@ -40,7 +40,6 @@ from .protocol import (
     _key_rate,
     _not_finite,
     _observe,
-    _parabola,
     _symplectic_pair,
     _vpb,
     _x_moments,
@@ -51,6 +50,7 @@ from .protocol import (
 if TYPE_CHECKING:
     import numpy as np
 
+_TOOL = f"udcvqkd {__version__}"
 NOISE_CAP = 10.0
 DB_CAP = 60.0
 # Region maps sample each row's run of physical cells every REGION_STRIDE
@@ -88,8 +88,10 @@ def db_grid(start: float, stop: float, step: float) -> list[float]:
         raise ConfigError("step must be positive")
     if stop < start:
         raise ConfigError("stop must not precede start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ConfigError("dB grid span over step overflows")
+    return [start + i * step for i in range(int(math.floor(steps + 1e-9)) + 1)]
 
 
 class RegionClass(enum.IntEnum):
@@ -130,8 +132,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.x_points < 2 or self.cp_points < 2:
             raise ConfigError("grid resolutions must be at least 2")
-        if not all(math.isfinite(v) for v in (self.x_min, self.x_max, self.cp_min, self.cp_max)):
-            raise ConfigError("axis ranges must be finite")
+        if not all(math.isfinite(v) for v in (self.x_max - self.x_min, self.cp_max - self.cp_min)):
+            raise ConfigError("axis ranges and their spans must be finite")
         if not (self.x_max > self.x_min and self.cp_max > self.cp_min):
             raise ConfigError("axis ranges must be nonempty")
         if self.threads < 1:
@@ -270,14 +272,14 @@ def scan_region(
     xm = _x_moments(params, eta_x, eps_x)
     # protocol._margins and physicality_interval for every row at once, as
     # columns [first, stop)
-    v0, c0, coeff = _parabola(xm, params, eta_x, eps_x)
+    v0, c0 = xm.v0, xm.c0
     dv = vpb_rows - v0
-    half = np.sqrt(coeff * np.maximum(dv, 0.0))
+    half = np.sqrt(xm.coeff * np.maximum(dv, 0.0))
     first = np.searchsorted(cp_axis, c0 - half, "left")
     stop = np.searchsorted(cp_axis, c0 + half, "right")
     stop[dv < -VERTEX_SLACK * max(1.0, abs(v0))] = 0
     np.maximum(dv, 0.0, out=dv)
-    s_cond_rr = _conditional_entropy(xm, coeff, 0.0, ReconciliationDirection.REVERSE)
+    s_cond_rr = _conditional_entropy(xm, 0.0, ReconciliationDirection.REVERSE)
     with np.errstate(over="ignore"):
         # _conditional_entropy's DIRECT rule, G(b dv), for every row
         s_cond_dr = _g_mu_array(xm.b * dv)
@@ -292,7 +294,7 @@ def scan_region(
     # finite where it is.
     physical = stop > first
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ob = _observe(xm, coeff, dv, half, np.sqrt)
+        ob = _observe(xm, dv, half, np.sqrt)
         if not np.isfinite(_symplectic_pair(ob, half, np.sqrt)[0][physical]).all():
             raise _not_finite("two-mode kernel")
 
@@ -567,8 +569,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_text(obj: dict) -> str:
+    """JSON text of a record, as curves and CLI results are written."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def _provenance_lines(metadata: dict) -> list[str]:
-    lines = [f"# tool=udcvqkd {__version__}"]
+    lines = [f"# tool={_TOOL}"]
     for key in sorted(metadata):
         lines.append(f"# {key}={_fmt(metadata[key])}")
     return lines
@@ -592,15 +599,14 @@ def write_curve_csv(curve: Curve, path) -> None:
 
 
 def curve_to_json(curve: Curve) -> str:
-    obj = {
-        "tool": f"udcvqkd {__version__}",
+    return _json_text({
+        "tool": _TOOL,
         "metadata": curve.metadata,
         "x_name": curve.x_name,
         "y_name": curve.y_name,
         "abscissa": list(curve.abscissa),
         "ordinate": list(curve.ordinate),
-    }
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    })
 
 
 def region_to_json(region: RegionMap) -> str:
@@ -615,7 +621,7 @@ def region_to_json(region: RegionMap) -> str:
     import numpy as np
 
     obj = {
-        "tool": f"udcvqkd {__version__}",
+        "tool": _TOOL,
         "mode": region.mode.value,
         "metadata": region.metadata,
         "x_axis": region.x_axis.tolist(),

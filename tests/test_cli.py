@@ -128,9 +128,18 @@ class TestArgumentErrors:
         assert code == 2
         assert "exactly one" in err
 
-    def test_non_finite_grid_is_a_config_error(self, capsys):
-        code, out, err = run(capsys, "sweep-loss", "--vs", "1", "--vm", "10",
-                             "--dir", "dr", "--db", "0:inf:1")
+    # a grid whose span, or span over step, overflows is not finite either
+    @pytest.mark.parametrize("argv", [
+        ["sweep-loss", "--dir", "dr", "--db", "0:inf:1"],
+        ["sweep-loss", "--dir", "dr", "--db", "0:3:5e-324"],
+        ["sweep-loss", "--dir", "dr", "--db=-1e308:1e308:1"],
+        ["region", "--eta", "0.9", "--mode", "vpb", "--x-range", "1:2:4",
+         "--cp-range=-1e308:1e308:3"],
+        ["region", "--eta", "0.9", "--mode", "vpb", "--x-range=-1e308:1e308:3",
+         "--cp-range=-3:0:4"],
+    ])
+    def test_non_finite_grid_is_a_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--vs", "1", "--vm", "10")
         assert code == 2
         assert out == ""
         assert "ConfigError:" in err

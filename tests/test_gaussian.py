@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_pd_cm, random_physical_cm
-from udcvqkd import DomainError, NonPositiveDefinite, entropy_g
+from udcvqkd import DomainError, entropy_g
 from udcvqkd.gaussian import (
     CovMatrix,
+    NonPositiveDefinite,
     Quadrature,
     QuadratureSelector,
     SingularConditioning,

@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,7 +15,9 @@ from udcvqkd import (
     NoPositiveRate,
     ProtocolParams,
     ReconciliationDirection,
+    RegionMode,
     SecurityAssessment,
+    SweepConfig,
     ToolkitError,
     UnphysicalObservation,
     UnphysicalState,
@@ -30,6 +33,7 @@ from udcvqkd import (
     noise_frontier,
     physicality_interval,
     physicality_parabola,
+    scan_region,
     symmetric_vpB,
 )
 from udcvqkd import protocol
@@ -52,7 +56,6 @@ from udcvqkd.protocol import (
     _key_rate,
     _margins,
     _observe,
-    _parabola,
     _symplectic_pair,
     _warm_bracket,
     _worst_case_correlation,
@@ -75,11 +78,10 @@ def pure_cp(params: ProtocolParams) -> float:
 def observed(params, eta, eps, v_p_b):
     """The kernel's inputs as key_rate builds them for a physical
     observation: _observe's tuple, C0, and the conditional entropy's
-    (xm, coeff, dv)."""
+    (xm, dv)."""
     xm = _x_moments(params, eta, eps)
-    _, c0, coeff = parabola = _parabola(xm, params, eta, eps)
-    dv, h = _margins(parabola, v_p_b)
-    return _observe(xm, coeff, dv, h), c0, (xm, coeff, dv)
+    dv, h = _margins(xm, v_p_b)
+    return _observe(xm, dv, h), xm.c0, (xm, dv)
 
 
 def closed_form_conditionals(params, chan, v_p_b):
@@ -375,7 +377,7 @@ class TestPhysicalityBound:
     def uncertainty_2x2(xm, c_p, v_p_b):
         """gamma + i.Omega >= 0 as P - X^-1 >= 0 for the x and p blocks X
         and P, multiplied through by det X = v b."""
-        v, c_x, v_x_b, b = xm
+        v, c_x, v_x_b, b = xm[:4]
         n11 = v * v * b - v_x_b
         n22 = v_p_b * v * b - v
         n12 = c_p * v * b + c_x
@@ -479,12 +481,11 @@ class TestConditionalEntropy:
             eta, eps = rng.uniform(0.01, 1.0), rng.choice([0.0, rng.uniform(0.0, 0.5)])
             xm = _x_moments(params, eta, eps)
             v_p_b = (1.0 + rng.uniform(-1e-8, 1.0)) / xm.b
-            _, _, coeff = parabola = _parabola(xm, params, eta, eps)
-            margins = _margins(parabola, v_p_b)
+            margins = _margins(xm, v_p_b)
             if margins is None:
                 continue
             for direction in (DR, RR):
-                got = _conditional_entropy(xm, coeff, margins[0], direction)
+                got = _conditional_entropy(xm, margins[0], direction)
                 with mpmath.workdps(50):
                     want = _mp_conditional_entropy(params, ChannelParams(eta, eps), v_p_b,
                                                    direction)
@@ -685,12 +686,12 @@ def _mp_key_rate(params, chan, v_p_b, direction, delta=None, interval=None):
 def grid_holevo(params, eta, eps, v_p_b, direction):
     """The Holevo bound on 1001 points across the C_p interval, through
     the kernel on arrays, as region maps take it."""
-    ob, _, (xm, coeff, dv) = observed(params, eta, eps, v_p_b)
-    rows = _observe(xm, coeff, np.array([[dv]]), np.array([[ob[0]]]), np.sqrt)
+    ob, _, (xm, dv) = observed(params, eta, eps, v_p_b)
+    rows = _observe(xm, np.array([[dv]]), np.array([[ob[0]]]), np.sqrt)
     with np.errstate(invalid="ignore"):  # a pure state's 0/0, which counts as 0
         mu_plus, mu_minus = _symplectic_pair(rows, np.linspace(-ob[0], ob[0], 1001), np.sqrt)
     return (_g_mu_array(mu_plus) + _g_mu_array(mu_minus)
-            - _conditional_entropy(xm, coeff, dv, direction))
+            - _conditional_entropy(xm, dv, direction))
 
 
 class TestTwoModeKernel:
@@ -729,11 +730,10 @@ class TestTwoModeKernel:
             eta, eps = rng.uniform(0.0, 1.0) or 1.0, rng.choice([0.0, rng.uniform(0.0, 0.2)])
             v_p_b = symmetric_vpB(params, eta, eps) + rng.choice([0.0, 10.0 ** rng.uniform(-6, 0)])
             xm = _x_moments(params, eta, eps)
-            _, c0, coeff = parabola = _parabola(xm, params, eta, eps)
-            dv, h = _margins(parabola, v_p_b)
+            dv, h = _margins(xm, v_p_b)
             delta = h * rng.uniform(-1.5, 1.5)
-            want = _symplectic_pair(_observe(xm, coeff, dv, h), delta)
-            rows = _observe(xm, coeff, np.array([[dv]]), np.array([[h]]), np.sqrt)
+            want = _symplectic_pair(_observe(xm, dv, h), delta)
+            rows = _observe(xm, np.array([[dv]]), np.array([[h]]), np.sqrt)
             got = _symplectic_pair(rows, np.array([delta]), np.sqrt)
             assert [float(x[0, 0]) for x in got] == list(want), (params, eta, eps, v_p_b, delta)
             draws += 1
@@ -974,8 +974,8 @@ class TestWorstCaseSearch:
             lo, hi = physicality_interval(params, ChannelParams.symmetric(eta, eps), v_p_b)
             if not hi > lo:
                 continue
-            ob, c0, (xm, coeff, dv) = observed(params, eta, eps, v_p_b)
-            s_cond = _conditional_entropy(xm, coeff, dv, direction)
+            ob, c0, (xm, dv) = observed(params, eta, eps, v_p_b)
+            s_cond = _conditional_entropy(xm, dv, direction)
             cp, s_ab, count = search(ob, c0)
             chi = s_ab - s_cond
             cold_calls.append(count)
@@ -1164,6 +1164,31 @@ class TestKeyRate:
             assert holevo_bound(params, chan, a.worst_Cp, v_p_b, direction) == a.holevo
             checked += 1
         assert checked > 3000
+
+    def test_subnormal_modulation_computes(self):
+        # with V_M subnormal, det = v b (h - delta)(h + delta) underflows
+        # inside the interval, so mu_minus rounds to 0 where the search
+        # probes the slope; the slope takes its infinite limit there, and
+        # key_rate computes as holevo_bound and region maps do
+        rng = random.Random(1323)
+        for _ in range(40):
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-1.0, 1.0),
+                                    V_M=10.0 ** rng.uniform(-323.0, -280.0))
+            eta, eps = rng.uniform(0.02, 1.0), rng.choice([0.0, rng.uniform(0.0, 0.2)])
+            chan = ChannelParams.symmetric(eta, eps)
+            v_p_b = symmetric_vpB(params, eta, eps) + rng.choice([0.0, 10.0 ** rng.uniform(-9, 1)])
+            direction = rng.choice([DR, RR])
+            a = key_rate(params, chan, v_p_b, direction)
+            assert all(math.isfinite(x) for x in (a.mutual_info, a.holevo, a.key_rate,
+                                                  a.worst_Cp, *a.Cp_interval)), a
+            assert a.holevo == holevo_bound(params, chan, a.worst_Cp, v_p_b, direction)
+            lo, hi = a.Cp_interval
+            pad = max(hi - lo, 1e-300)
+            grid = SweepConfig(x_min=0.5 * v_p_b, x_max=2.0 * v_p_b, cp_min=lo - pad,
+                               cp_max=hi + pad, x_points=5, cp_points=41)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scan_region(params, (eta, eps), grid, RegionMode.FREE_VPB)
 
     def test_worst_case_dominates_interior_samples(self):
         rng = np.random.default_rng(61)

@@ -63,7 +63,6 @@ from udcvqkd.protocol import (
     _g_mu,
     _margins,
     _observe,
-    _parabola,
     _symplectic_pair,
     _vpb,
     _x_moments,
@@ -166,6 +165,14 @@ class TestConfigValidation:
             region_grid(1.0, bad)
         with pytest.raises(ConfigError):
             region_grid(1.0, 2.0, cp_min=-bad)
+        # finite settings whose span, or span over step, overflows
+        for args in ((0.0, 3.0, 5e-324), (-1e308, 1e308, 1.0)):
+            with pytest.raises(ConfigError):
+                db_grid(*args)
+        with pytest.raises(ConfigError):
+            region_grid(-1e308, 1e308)
+        with pytest.raises(ConfigError):
+            region_grid(1.0, 2.0, cp_min=-1e308, cp_max=1e308)
         params = ProtocolParams(V_S=1.0, V_M=10.0)
         with pytest.raises(ConfigError):
             max_tolerable_noise(params, 0.2, DR, tol=bad)
@@ -409,9 +416,8 @@ class TestScanRegion:
         eta, eps = chan_x
         chan = ChannelParams.symmetric(eta, eps)
         xm = _x_moments(params, eta, eps)
-        _, c0, coeff = parabola = _parabola(xm, params, eta, eps)
         key_mi = mutual_information(params, chan)
-        s_cond_rr = _conditional_entropy(xm, coeff, 0.0, RR)
+        s_cond_rr = _conditional_entropy(xm, 0.0, RR)
         want = np.zeros_like(region.cells)
         for i, x in enumerate(region.x_axis):
             v_p_b = (float(x) if mode is RegionMode.FREE_VPB
@@ -420,12 +426,13 @@ class TestScanRegion:
             if interval is None:
                 continue
             lo, hi = interval
-            dv, h = _margins(parabola, v_p_b)
-            ob = _observe(xm, coeff, dv, h)
+            dv, h = _margins(xm, v_p_b)
+            ob = _observe(xm, dv, h)
             for j in np.flatnonzero((lo <= region.cp_axis) & (region.cp_axis <= hi)):
-                mu_plus, mu_minus = _symplectic_pair(ob, region.cp_axis[j:j + 1] - c0, np.sqrt)
+                mu_plus, mu_minus = _symplectic_pair(ob, region.cp_axis[j:j + 1] - xm.c0,
+                                                     np.sqrt)
                 s_ab = float(_g_mu_array(mu_plus)[0] + _g_mu_array(mu_minus)[0])
-                k_dr = key_mi - (s_ab - _conditional_entropy(xm, coeff, dv, DR))
+                k_dr = key_mi - (s_ab - _conditional_entropy(xm, dv, DR))
                 k_rr = key_mi - (s_ab - s_cond_rr)
                 want[i, j] = (
                     RegionClass.SECURE_BOTH if (k_dr > 0 and k_rr > 0)
@@ -597,14 +604,14 @@ def full_scan_cells(params, chan_x, grid, mode):
     vpb_rows = x_axis if mode is RegionMode.FREE_VPB else _vpb(params, eta_x, x_axis)
     key_mi = params.beta * mutual_information(params, chan)
     xm = _x_moments(params, eta_x, eps_x)
-    v0, c0, coeff = _parabola(xm, params, eta_x, eps_x)
+    v0, c0, coeff = xm[-3:]
     dv = vpb_rows - v0
     half = np.sqrt(coeff * np.maximum(dv, 0.0))
     first = np.searchsorted(cp_axis, c0 - half, "left")
     stop = np.searchsorted(cp_axis, c0 + half, "right")
     stop[dv < -VERTEX_SLACK * max(1.0, abs(v0))] = 0
     np.maximum(dv, 0.0, out=dv)
-    s_cond_rr = _conditional_entropy(xm, coeff, 0.0, RR)
+    s_cond_rr = _conditional_entropy(xm, 0.0, RR)
     s_cond_dr = _g_mu_array(xm.b * dv)
     delta = cp_axis - c0
     col = np.arange(grid.cp_points)
@@ -615,7 +622,7 @@ def full_scan_cells(params, chan_x, grid, mode):
         if not occupied.any():
             continue
         box = slice(first[rows][occupied].min(), stop[rows][occupied].max())
-        ob = _observe(xm, coeff, dv[rows, None], half[rows, None], np.sqrt)
+        ob = _observe(xm, dv[rows, None], half[rows, None], np.sqrt)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             mu_plus, mu_minus = _symplectic_pair(ob, delta[box], np.sqrt)
         work = np.empty_like(mu_plus)
