@@ -31,7 +31,6 @@ NU_CLAMP_TOL = 1e-9
 # Numerical policy for the worst-case correlation search: the final
 # bracket is WORST_CASE_XTOL wide, or that fraction of a narrower interval.
 WORST_CASE_XTOL = 1e-10
-HOLEVO_FLOOR_TOL = 1e-9
 # Observations this close below the parabola vertex are treated as sitting
 # on it, so that exactly-critical channels (e.g. pure loss on a coherent
 # state) survive floating-point rounding.
@@ -259,8 +258,8 @@ def _entropy_slope(ob: tuple, delta: float) -> float:
     below 1e-5 t, so it stays finite there.
     G'(mu) = log2(e) log1p(2 (nu + 1)/mu) / (4 nu) with nu = sqrt(1 + mu).
     s and t come from ob as in _symplectic_pair, written out here because
-    this runs about ten times per key_rate.  Where t rounds to 0 (det
-    underflowed, or s overflowed) G'(t) is unbounded, and the slope is
+    this runs about ten times per key_rate.  Where t is below M_MIN (det
+    underflowed, or s overflowed) 2 (nu + 1)/t overflows, and the slope is
     taken as its limit, +inf for delta <= 0 and -inf above, the sign that
     d det gives it; _bracket_sign_change bisects on those values.
     """
@@ -270,7 +269,7 @@ def _entropy_slope(ob: tuple, delta: float) -> float:
     s = (plus * c_x + half_t0) + math.sqrt(
         abs(quarter_diff_sq + (v * delta + cx_dv) * (cx_coeff + v_x_b * delta)))
     t = det / s
-    if not t:
+    if t < M_MIN:
         return math.inf if delta <= 0.0 else -math.inf
     vb_delta = vb * delta
     nu_t = math.sqrt(1.0 + t)
@@ -411,14 +410,8 @@ def _conditional_entropy(
 
 
 def _floor_holevo(chi: float) -> float:
-    """Clamp rounding below zero.  Beyond HOLEVO_FLOOR_TOL below it, or
-    where chi is not finite, the inputs are past double precision (g has
-    infinite slope at 1, so rounding in a near-pure mode is amplified)."""
-    if chi < -HOLEVO_FLOOR_TOL:
-        raise DomainError(
-            f"Holevo bound evaluated to {chi!r}; conditioning exceeded the "
-            "joint entropy beyond numerical tolerance"
-        )
+    """chi clamped at 0, as rounding can leave a Holevo quantity a few ulps
+    below it; DomainError where chi is not finite."""
     if not math.isfinite(chi):
         raise _not_finite("Holevo bound")
     return max(chi, 0.0)
@@ -437,8 +430,8 @@ def holevo_bound(
     entropy conditioned on the reference side's homodyne outcome, both
     from the closed-form kernel that key_rate searches over, at
     delta = C_p - C0 clipped to [-h, h]; at key_rate's worst_Cp it is
-    key_rate's holevo to the bit.  Small negative values (within 1e-9) are
-    clamped to zero.
+    key_rate's holevo to the bit.  A value that rounding leaves below zero
+    is clamped to zero.
 
     C_p is physical when it lies in physicality_interval, up to rounding:
     boundary states computed another way (pure loss, or the source state
@@ -547,28 +540,27 @@ def _worst_case_correlation(
 
     The conditional entropy does not depend on C_p, so this maximum is the
     Holevo bound's.  The joint entropy is concave in delta = C_p - C0 on
-    [-h, h] (the tests check the result against a dense grid), so its
-    slope (_entropy_slope) falls from positive to negative across it.  The
-    slope is taken xtol/2 inside each end; if it already points outward
-    there, the maximum lies within xtol of that end.  Otherwise
-    _bracket_sign_change closes on the slope's zero.  xtol is
-    WORST_CASE_XTOL times min(1, 2 h), but not below a few ulps of C_p:
-    near a pure state the entropy can vary by 5e-11 across an interval
-    1e-11 wide.  The upper end hi = C0 + h stays a candidate, the lower
-    one does not: mu_minus = 0 at both, and mu_plus = t0 + 2 c_x (h + delta)
-    is smaller at the lower.  Each candidate's entropy is taken, as
-    holevo_bound takes it, from its C_p, so holevo_bound repeats it to the
-    bit.
+    [-h, h], as the Gaussian entropy is concave in the covariance matrix
+    (Wolf, Giedke & Cirac, PRL 96, 080502 (2006)), so its slope
+    (_entropy_slope) falls from positive to negative across it.  The slope
+    is taken xtol/2 inside each end, where xtol is WORST_CASE_XTOL times
+    min(1, 2 h) and at least 8 ulps of h, as the slope can be 0/0 on an end;
+    if it points outward there, the maximum lies within xtol of that end.
+    Otherwise _bracket_sign_change closes on the slope's zero.  The upper
+    end hi = C0 + h stays a candidate, the lower one does not: mu_minus = 0
+    at both, and mu_plus = t0 + 2 c_x (h + delta) is smaller at the lower.
+    Each candidate's entropy is taken, as holevo_bound takes it, from its
+    C_p, so holevo_bound repeats it to the bit.
 
     _warm_bracket finds the sign change from a probe at c: cold, c is
     xtol/2 - h and w is inf, so both ends are probed.  start = (t, step)
     puts c at delta = (2 t - 1) h, the place t in the C_p interval, with
-    w = max(min(step, 0.25) 2 h, 2 xtol); the result can then differ from
-    the cold search's in the last digits, within the final bracket.
+    w = max(step 2 h, 2 xtol); the result can then differ from the cold
+    search's in the last digits, within the final bracket.
     """
     h = ob[0]
     hi = c0 + h
-    xtol = max(WORST_CASE_XTOL * min(1.0, 2.0 * h), 8.0 * math.ulp(abs(c0) + h))
+    xtol = max(WORST_CASE_XTOL * min(1.0, 2.0 * h), 8.0 * math.ulp(h))
     half = 0.5 * xtol
     a, b = half - h, h - half
     refined = 0.0
@@ -578,7 +570,7 @@ def _worst_case_correlation(
         if start is not None:
             t, step = start
             c = min(max((2.0 * t - 1.0) * h, a), b)
-            w = max(min(step, 0.25) * (2.0 * h), 2.0 * xtol)
+            w = max(step * (2.0 * h), 2.0 * xtol)
         a, b = _bracket_sign_change(slope, *_warm_bracket(slope, a, b, c, w), xtol)
         refined = 0.5 * (a + b)
 

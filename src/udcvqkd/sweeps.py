@@ -53,6 +53,7 @@ if TYPE_CHECKING:
 _TOOL = f"udcvqkd {__version__}"
 NOISE_CAP = 10.0
 DB_CAP = 60.0
+DB_GRID_CAP = 10**6  # db_grid's most points; a figure grid has up to 151
 # Region maps sample each row's run of physical cells every REGION_STRIDE
 # cells, and run the kernel at a cell between two samples only where the
 # samples' classes differ, border the row's largest joint entropy, or lie
@@ -88,10 +89,10 @@ def db_grid(start: float, stop: float, step: float) -> list[float]:
         raise ConfigError("step must be positive")
     if stop < start:
         raise ConfigError("stop must not precede start")
-    steps = (stop - start) / step
-    if not math.isfinite(steps):
-        raise ConfigError("dB grid span over step overflows")
-    return [start + i * step for i in range(int(math.floor(steps + 1e-9)) + 1)]
+    steps = (stop - start) / step + 1e-9
+    if not steps < DB_GRID_CAP:
+        raise ConfigError(f"dB grid must hold at most {DB_GRID_CAP} points")
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
 class RegionClass(enum.IntEnum):
@@ -613,7 +614,13 @@ def region_to_json(region: RegionMap) -> str:
     """JSON text: axes arrays plus row-major cell codes 0-4.
 
     cells[i][j] classifies (x_axis[i], cp_axis[j]); the legend maps codes
-    to names.  The text is written into one byte buffer and decoded once:
+    to names.  The text is _region_json_bytes decoded once.
+    """
+    return str(_region_json_bytes(region), "ascii")
+
+
+def _region_json_bytes(region: RegionMap) -> memoryview:
+    """region_to_json's text as ASCII bytes, written into one buffer:
     '{"cells":[', each row as "[d,d,...,d]," two bytes a cell (the last row
     ends in "]]", which closes the grid), then "," and the other keys,
     which sort after "cells", as json.dumps writes them.
@@ -644,9 +651,9 @@ def region_to_json(region: RegionMap) -> str:
     text[end] = ord(",")
     text[end + 1:-1] = np.frombuffer(rest, dtype=np.uint8, offset=1)
     text[-1] = ord("\n")
-    return str(memoryview(text), "ascii")
+    return memoryview(text)
 
 
 def write_region_json(region: RegionMap, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(region_to_json(region))
+    with open(path, "wb") as fh:
+        fh.write(_region_json_bytes(region))

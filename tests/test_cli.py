@@ -362,6 +362,13 @@ def test_attenuation_is_echoed_as_given(capsys, command, argv):
             params, 0.5, ReconciliationDirection.DIRECT)
 
 
+def test_lossless_channel_prints_positive_zero_db(capsys):
+    code, out, _ = run(capsys, "keyrate", "--vs", "1", "--vm", "10", "--eta", "1",
+                       "--dir", "dr")
+    assert code == 0
+    assert '"attenuation_db": 0.0,' in out
+
+
 class TestRegionCommand:
     def test_writes_region_json(self, capsys, tmp_path):
         out_path = tmp_path / "region.json"

@@ -2,6 +2,7 @@ import math
 import random
 import struct
 import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -356,6 +357,15 @@ class TestPhysicalityBound:
         params = ProtocolParams(V_S=1.0, V_M=1.0)
         with pytest.raises(DomainError):
             physicality_interval(params, ChannelParams.symmetric(0.9, 0.0), 0.0)
+
+    def test_overflowing_half_width_is_a_domain_error(self):
+        # coeff is 1e10 here, so coeff dv overflows at V_p_B = 1e300, where
+        # the interval would be (-inf, inf)
+        params = ProtocolParams(V_S=1e-10, V_M=1e10)
+        chan = ChannelParams.symmetric(0.5, 0.0)
+        for observe in (physicality_interval, partial(key_rate, direction=DR)):
+            with pytest.raises(DomainError, match="physicality interval"):
+                observe(params, chan, 1e300)
 
     @pytest.mark.parametrize("v_s", [1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-12, 1.0 + 1e-12,
                                      1.0 - 1e-15, 1.0 + 1e-15])
@@ -825,6 +835,20 @@ class TestTwoModeKernel:
             a = key_rate(params, chan, v_p_b, direction)
             assert a.holevo == pytest.approx(golden, abs=1e-12)
 
+    def test_slope_takes_its_limit_where_mu_minus_is_subnormal(self):
+        # at V_M = 1e-315 mu_minus is 2.7e-316 at C0, subnormal, so
+        # 2 (nu + 1)/mu_minus overflows and mu_minus c_x underflows; the
+        # formula gave inf * 0 = NaN there, and the limit rule now takes
+        # the slope's limit, which at C0 is nonnegative, as at V_M = 1e-300
+        params = ProtocolParams(V_S=2.0, V_M=1e-315)
+        v_p_b = 1.5 * symmetric_vpB(params, 0.3, 0.0)
+        ob = observed(params, 0.3, 0.0, v_p_b)[0]
+        assert 0.0 < _symplectic_pair(ob, 0.0)[1] < protocol.M_MIN
+        assert _entropy_slope(ob, 0.0) >= 0.0
+        params = ProtocolParams(V_S=2.0, V_M=1e-300)
+        ob = observed(params, 0.3, 0.0, 1.5 * symmetric_vpB(params, 0.3, 0.0))[0]
+        assert _entropy_slope(ob, 0.0) == pytest.approx(6.365376710075173e-151, rel=1e-12)
+
     @pytest.mark.parametrize("direction", [DR, RR])
     def test_worst_case_at_interval_end(self, direction):
         params = ProtocolParams(V_S=0.8, V_M=100.0)
@@ -993,6 +1017,40 @@ class TestWorstCaseSearch:
         assert max(started_calls) <= max(cold_calls) + 2
         assert np.mean(started_calls) <= np.mean(cold_calls) - 1.5
 
+    def test_start_with_no_step_probes_no_point_twice(self, monkeypatch):
+        # a root walk passes step 0 when two probes' worst cases share their
+        # place t.  The step from the start toward the sign change is then
+        # 2 xtol, so no slope value is taken twice, and a start on an
+        # interior worst case brackets it within a few slope calls; a step
+        # of 0 would probe the start again
+        probes = []
+        slope = protocol._entropy_slope
+
+        def recorded_slope(ob, delta):
+            probes.append(delta)
+            return slope(ob, delta)
+
+        monkeypatch.setattr(protocol, "_entropy_slope", recorded_slope)
+        rng = random.Random(2711)
+        for _ in range(20):
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-1.0, 1.0),
+                                    V_M=10.0 ** rng.uniform(0.0, 6.0))
+            eta, eps = rng.uniform(0.1, 0.95), rng.uniform(0.0, 0.1)
+            v_p_b = symmetric_vpB(params, eta, eps) + rng.uniform(0.0, 1.0)
+            lo, hi = physicality_interval(params, ChannelParams.symmetric(eta, eps), v_p_b)
+            ob, c0, _ = observed(params, eta, eps, v_p_b)
+            probes.clear()
+            cp, s_ab = _worst_case_correlation(ob, c0)
+            cold = len(probes)
+            assert lo < cp < hi
+            for t in ((cp - lo) / (hi - lo), 1.0, 0.0):
+                probes.clear()
+                started = _worst_case_correlation(ob, c0, (t, 0.0))
+                assert len(set(probes)) == len(probes), (params, eta, eps, v_p_b, t)
+                assert started[1] == pytest.approx(s_ab, rel=1e-15)
+                if t not in (0.0, 1.0):
+                    assert len(probes) <= 4 < cold, (params, eta, eps, v_p_b)
+
 
 def recorded(f):
     """f and the list of points it is called at; a runaway loop stops at
@@ -1039,6 +1097,34 @@ class TestBracketSignChange:
         f, points = recorded(lambda x: 0.25 - x)
         assert _bracket_sign_change(f, 0.0, 0.25, 1.0, -0.75, 1e-12) == (0.25, 0.25)
         assert points == [0.25]
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_rising_value_on_the_same_side_halves_the_kept_end(self, mirrored):
+        # f is not monotone: the second point, on the same side as the
+        # first, holds the larger value, so 1 - f(x)/f(replaced) is -1/3
+        # and the kept end's value is halved instead, which keeps its sign.
+        # K can rise with dB where it is negative (RR).  Mirrored, the
+        # same happens on the negative side, to the other end
+        def g(x):
+            if mirrored:
+                return -g0(1.0 - x)
+            return g0(x)
+
+        def g0(x):
+            # g0(0) = 1, g0(1/2) = 1/2, g0(2/3) = 2/3, g0(1) = -1
+            return 1.0 - x if x <= 0.5 else (x if x < 0.7 else 4.0 * (0.75 - x))
+
+        f, points = recorded(g)
+        lo, hi = _bracket_sign_change(f, 0.0, g(0.0), 1.0, g(1.0), 1e-12)
+        x1, x2, x3 = points[:3]
+        assert g(x1) * g(x2) > 0.0 and abs(g(x2)) > abs(g(x1))
+        # the secant through x2 and the kept end at half its value
+        if mirrored:
+            assert x3 == pytest.approx(x2 * 0.5 / (0.5 - g(x2)), rel=1e-12)
+        else:
+            assert x3 == pytest.approx(x2 + (1.0 - x2) * g(x2) / (g(x2) + 0.5), rel=1e-12)
+        assert g(lo) >= 0.0 >= g(hi) and hi - lo <= 1e-12
+        assert lo == pytest.approx(0.25 if mirrored else 0.75, abs=1e-12)
 
 
 class TestWarmBracket:
@@ -1189,6 +1275,35 @@ class TestKeyRate:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 scan_region(params, (eta, eps), grid, RegionMode.FREE_VPB)
+
+    def test_raw_holevo_is_at_most_rounding_below_zero(self):
+        # chi = S_AB - S_cond is a Holevo quantity, never negative, so
+        # key_rate only clamps rounding: the raw difference at the worst
+        # case lies within 8 ulps of max(1, S_AB) below 0.  A bound relative
+        # to S_AB alone fails at subnormal V_M, where a probe found S_AB
+        # 4.8e-299 and chi -4.76e-299; the worst elsewhere was 3 ulps of
+        # S_AB = 1.88
+        rng = random.Random(2027)
+        negative = 0
+        for _ in range(20000):
+            v_m = (10.0 ** rng.uniform(-323.0, -308.0) if rng.random() < 0.05
+                   else 10.0 ** rng.uniform(-3.0, 12.0))
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-2.0, 2.0), V_M=v_m)
+            eta = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0)
+            eps = rng.choice([0.0, rng.uniform(0.0, 0.1)])
+            chan = ChannelParams.symmetric(eta, eps)
+            v_p_b = rng.choice([physicality_parabola(params, chan)[0],
+                                symmetric_vpB(params, eta, eps),
+                                symmetric_vpB(params, eta, eps) + 10.0 ** rng.uniform(-9, 1)])
+            direction = rng.choice([DR, RR])
+            ob, c0, (xm, dv) = observed(params, eta, eps, v_p_b)
+            s_ab = _worst_case_correlation(ob, c0)[1]
+            chi = s_ab - _conditional_entropy(xm, dv, direction)
+            assert chi >= -8.0 * math.ulp(max(1.0, s_ab)), (params, eta, eps, v_p_b, direction)
+            assert key_rate(params, chan, v_p_b, direction).holevo == max(chi, 0.0)
+            negative += chi < 0.0
+        # the clamp has rounding to clamp
+        assert negative > 0
 
     def test_worst_case_dominates_interior_samples(self):
         rng = np.random.default_rng(61)
@@ -1516,6 +1631,9 @@ def _entry_points(v_s, v_m, eta, eps, v_p_b, c_p, direction):
 @example(v_s=1.0, v_m=2e153, eta=0.1, eps=0.0, v_p_b=100.0, c_p=0.0, direction=DR)
 # mu_minus = det / mu_plus underflows to 0 at the search's end probe
 @example(v_s=2.0, v_m=1e-315, eta=0.3, eps=0.0, v_p_b=0.85, c_p=0.0, direction=DR)
+# h is 1.6e51 and the split is 0 at the interval's ends, where the slope is
+# 0/0: the search's end probes lie 8 ulps of h inside them
+@example(v_s=1.0, v_m=1e206, eta=1.0, eps=1.0, v_p_b=1.0, c_p=0.0, direction=DR)
 @given(
     v_s=MAGNITUDE,
     v_m=st.one_of(st.just(0.0), MAGNITUDE),

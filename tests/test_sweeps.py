@@ -84,6 +84,10 @@ class TestHelpers:
         for db in (0.0, 0.3, 3.0, 20.0):
             assert eta_to_db(db_to_eta(db)) == pytest.approx(db, abs=1e-12)
 
+    def test_lossless_channel_is_positive_zero_db(self):
+        # -10 log10(1) is -0.0, which JSON writes as "-0.0"
+        assert math.copysign(1.0, eta_to_db(1.0)) == 1.0
+
     @pytest.mark.parametrize("eta", [0.0, -0.5, math.nan])
     def test_eta_to_db_needs_positive_transmittance(self, eta):
         with pytest.raises(DomainError):
@@ -100,6 +104,20 @@ class TestHelpers:
             db_grid(0.0, 1.0, 0.0)
         with pytest.raises(ConfigError):
             db_grid(1.0, 0.0, 0.1)
+
+    def test_db_grid_caps_its_point_count(self, monkeypatch):
+        # a finite grid of 3e300 points is refused before any list is built
+        def no_list(*args):
+            raise AssertionError("db_grid built its list")
+
+        monkeypatch.setattr(sweeps, "range", no_list, raising=False)
+        with pytest.raises(ConfigError, match="at most"):
+            db_grid(0.0, 3.0, 1e-300)
+        monkeypatch.undo()
+        monkeypatch.setattr(sweeps, "DB_GRID_CAP", 4)
+        assert db_grid(0.0, 3.0, 1.0) == [0.0, 1.0, 2.0, 3.0]
+        with pytest.raises(ConfigError):
+            db_grid(0.0, 4.0, 1.0)
 
 
 def scalar_g_mu_with_np_log1p(mu: float) -> float:
@@ -282,6 +300,20 @@ class TestScanRegion:
         assert (region.cells == RegionClass.UNPHYSICAL).all()
         with pytest.raises(UnphysicalObservation):
             key_rate(params, chan, float(region.x_axis[-1]), DR)
+
+    def test_row_in_the_slack_below_the_vertex_is_physical(self):
+        # an observation up to VERTEX_SLACK below the vertex sits on it, as
+        # in key_rate: its interval is the point C0, which the C_p axis holds
+        chan = ChannelParams.symmetric(*self.chan_x)
+        v0, c0, _ = physicality_parabola(self.params, chan)
+        grid = region_grid(v0 * (1.0 - 1e-13), v0 + 1.0, points=3, cp_min=c0, cp_max=c0 + 1.0)
+        region = scan_region(self.params, self.chan_x, grid, RegionMode.FREE_VPB)
+        v_p_b = float(region.x_axis[0])
+        assert v_p_b < v0 and region.cp_axis[0] == c0
+        assert physicality_interval(self.params, chan, v_p_b) == (c0, c0)
+        mi = mutual_information(self.params, chan)
+        dr, rr = (mi > holevo_bound(self.params, chan, c0, v_p_b, d) for d in (DR, RR))
+        assert list(region.cells[0]) == [1 + dr + 2 * rr, 0, 0]
 
     def test_overflowing_rows_raise_like_key_rate(self):
         # (v coeff - v_x_b dv)**2 in the kernel overflows from V_p_B of
@@ -914,6 +946,10 @@ class TestNoiseFrontier:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ConfigError):
             noise_frontier(ProtocolParams(V_S=1.0, V_M=100.0), [1.0, 0.5], DR, 1e-6)
+        # a repeated point is refused before its search, which at 40 dB
+        # finds no positive rate and would leave no curve point to check
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            noise_frontier(ProtocolParams(V_S=1.0, V_M=100.0), [40.0, 40.0], DR, 1e-6)
 
 
 def independent_dr_rate(v_s, v_m, eta, eps, grid_points=201):
@@ -1029,6 +1065,43 @@ class TestZeroCrossing:
         assert len(calls) < 100
         assert fine == pytest.approx(coarse, abs=1e-4)
         assert math.nextafter(fine, math.inf) > fine
+
+    def test_probes_start_at_the_last_worst_case_from_the_third_on(self, monkeypatch):
+        # the first two probes search cold; each later one starts at the
+        # last worst case's place t, with the last change in t as its step
+        calls = []
+        probe = sweeps._symmetric_rate
+
+        def recorded(params, eta, eps, direction, start=None):
+            k, t = probe(params, eta, eps, direction, start)
+            calls.append((start, t))
+            return k, t
+
+        monkeypatch.setattr(sweeps, "_symmetric_rate", recorded)
+        max_tolerable_noise(ProtocolParams(V_S=2.0, V_M=100.0), 0.2, DR)
+        starts, places = zip(*calls)
+        assert len(calls) > 3 and None not in places
+        assert starts[:2] == (None, None)
+        assert list(starts[2:]) == [(t, abs(t - last)) for last, t in zip(places, places[1:-1])]
+
+    def test_zero_rate_probe_is_not_the_lower_end(self, monkeypatch):
+        # a probe below the cap whose rate is exactly 0 is no sign change's
+        # positive end: the bracket keeps the last positive probe
+        rates = {0.0: 1.0, 0.1: 0.5, 0.2: 0.0, 0.4: -1.0}
+        brackets = []
+
+        def scripted(params, eta, eps, direction, start=None):
+            return rates[eps], 0.5
+
+        def spy(f, a, fa, b, fb, xtol):
+            brackets.append((a, fa, b, fb))
+            return a, b
+
+        monkeypatch.setattr(sweeps, "_symmetric_rate", scripted)
+        monkeypatch.setattr(sweeps, "_bracket_sign_change", spy)
+        params = ProtocolParams(V_S=1.0, V_M=10.0)
+        assert max_tolerable_noise(params, 1.0, DR) == pytest.approx(0.25)
+        assert brackets == [(0.1, 0.5, 0.4, -1.0)]
 
     @pytest.mark.parametrize("tol,expected", [(1e-6, 7), (1e-3, 7), (0.3, 3)])
     def test_calls_follow_the_tolerance(self, monkeypatch, tol, expected):
@@ -1146,9 +1219,12 @@ class TestMaxAttenuation:
         db = max_attenuation(ProtocolParams(V_S=1.0, V_M=100.0), 0.03, DR)
         assert db == pytest.approx(1.108185, abs=2e-3)
 
-    def test_reverse_noiseless_coherent_never_crosses_below_cap(self):
+    def test_reverse_noiseless_coherent_never_crosses_below_cap(self, monkeypatch):
+        # probes at 0 dB and 0.5, 1, ..., 32 dB, then the 60 dB cap
+        calls = count_key_rate_calls(monkeypatch, limit=100)
         with pytest.raises(NoRoot):
             max_attenuation(ProtocolParams(V_S=1.0, V_M=100.0), 0.0, RR)
+        assert len(calls) == 9
 
     def test_no_positive_rate_under_heavy_noise(self):
         with pytest.raises(NoPositiveRate):
@@ -1200,6 +1276,14 @@ class TestWriters:
         write_curve_csv(curve, p1)
         write_curve_csv(self.make_curve(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_region_file_holds_the_json_text(self, tmp_path):
+        params = ProtocolParams(V_S=1.0, V_M=10.0)
+        region = scan_region(params, (0.9, 0.03), region_grid(0.9, 1.8, points=16),
+                             RegionMode.FREE_VPB)
+        path = tmp_path / "region.json"
+        write_region_json(region, path)
+        assert path.read_bytes() == region_to_json(region).encode("ascii")
 
     def test_region_json_schema(self, tmp_path):
         params = ProtocolParams(V_S=1.0, V_M=10.0)
