@@ -128,12 +128,12 @@ MUTANTS = [
     (SWEEPS, "    if any(b <= a for a, b in zip(db_values, db_values[1:])):",
      "    if any(b < a for a, b in zip(db_values, db_values[1:])):"),
     # region maps
-    (SWEEPS, "    mu[zero] = 0.0", "    pass"),
+    (SWEEPS, "        g[~(m >= M_MIN)] = 0.0", "        pass"),
     (SWEEPS, "        if grid.x_min <= 0:", "        if grid.x_min < 0:"),
     (SWEEPS, "        if grid.x_min < 0:", "        if grid.x_min < -1:"),
     (SWEEPS, '        raise ConfigError(f"unknown region mode {mode!r}")', "        pass"),
     (SWEEPS, "    stop[dv < -VERTEX_SLACK * max(1.0, abs(v0))] = 0", "    stop[dv < 0.0] = 0"),
-    (SWEEPS, "    np.maximum(dv, 0.0, out=dv)", "    pass"),
+    (SWEEPS, "    dv = np.maximum(dv, 0.0)", "    pass"),
     (SWEEPS, "        if not np.isfinite(_symplectic_pair(ob, half, np.sqrt)[0][physical]).all():",
      "        if False:"),
     (SWEEPS, "        flag |= np.abs(chi_dr - key_mi) <= REGION_MARGIN", "        pass"),

@@ -199,9 +199,8 @@ def _observe(xm: _XMoments, dv, h, sqrt=math.sqrt):
     """
     v, c_x, v_x_b, b, _, _, coeff = xm
     vb = v * b
-    half_t0 = math.sqrt(v * coeff) - sqrt(v_x_b * dv)
-    half_t0 *= 0.5 * half_t0
-    half_t0 += vb * h / (math.sqrt(v * v_x_b) + c_x)
+    root_diff = math.sqrt(v * coeff) - sqrt(v_x_b * dv)
+    half_t0 = 0.5 * root_diff * root_diff + vb * h / (math.sqrt(v * v_x_b) + c_x)
     diff = 0.5 * (v * coeff - v_x_b * dv)
     return (h, half_t0, c_x, vb, diff * diff, v, c_x * dv, c_x * coeff, v_x_b)
 
@@ -224,22 +223,13 @@ def _symplectic_pair(ob: tuple, delta, sqrt=math.sqrt):
     delta is a float, or with sqrt np.sqrt an array that broadcasts
     against ob's columns; both take the same correctly rounded
     operations, so a float and a 1-element array agree to the bit.
-    Arrays of the broadcast shape are allocated five times and otherwise
-    updated in place.
     """
     h, half_t0, c_x, vb, quarter_diff_sq, v, cx_dv, cx_coeff, v_x_b = ob
     plus = h + delta
-    det = h - delta
-    det *= vb
-    det *= plus
-    plus *= c_x
-    plus += half_t0
-    split = v * delta + cx_dv
-    split *= cx_coeff + v_x_b * delta
-    split += quarter_diff_sq
-    plus += sqrt(abs(split))
-    det /= plus
-    return plus, det
+    det = (h - delta) * vb * plus
+    s = (plus * c_x + half_t0) + sqrt(
+        abs(quarter_diff_sq + (v * delta + cx_dv) * (cx_coeff + v_x_b * delta)))
+    return s, det / s
 
 
 def _entropy_slope(ob: tuple, delta: float) -> float:

@@ -6,16 +6,15 @@ C_p axis.  key_rate's closed-form two-mode kernel then runs in two passes
 over flat arrays of cells: a coarse pass classifies every REGION_STRIDE-th
 cell of each run and its last cell, and a refine pass only the cells
 between two samples whose class can differ; the other cells take their
-samples' class.  The kernel and the entropies update their arrays in
-place, cells are classified as int8 codes, and the JSON text is written
-into one byte buffer, cell codes two bytes at a time.  Curves call
-key_rate's core, protocol._key_rate, point by point.  Root searches probe it by regula
-falsi through the bracketing helper that the worst-case C_p search uses,
-and each probe's C_p search starts at the last probe's worst case.
-Everything runs on the calling thread, so output is deterministic.  Only
-the region-map code imports numpy, inside its functions, so curves and
-roots run without loading it.  Region maps serialize to JSON and curves
-to CSV, schemas documented in the README.
+samples' class.  Cells are classified as int8 codes, and the JSON text
+is written into one byte buffer, cell codes two bytes at a time.  Curves
+call key_rate's core, protocol._key_rate, point by point.  Root searches
+probe it by regula falsi through the bracketing helper that the
+worst-case C_p search uses, and each probe's C_p search starts at the
+last probe's worst case.  Everything runs on the calling thread, so
+output is deterministic.  Only the region-map code imports numpy, inside
+its functions, so curves and roots run without loading it.  Region maps
+serialize to JSON and curves to CSV, schemas documented in the README.
 """
 
 from __future__ import annotations
@@ -187,33 +186,20 @@ class Curve:
             raise ConfigError("abscissa must be strictly increasing")
 
 
-def _g_mu_array(mu: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """protocol._g_mu over a float64 array, computed in mu's own storage and
-    returned; an element whose m is below M_MIN, or NaN, gives 0, without
-    warnings.
+def _g_mu_array(mu: np.ndarray) -> np.ndarray:
+    """protocol._g_mu over a float64 array; an element whose m is below
+    M_MIN, or NaN, gives 0, without warnings.
 
-    work, a float64 array of mu's shape, holds m's denominator and then
-    the m log1p(1/m) term; one is allocated when it is not given.  Each
-    element takes _g_mu's operations in _g_mu's order, but through
+    Each element takes _g_mu's operations in _g_mu's order, but through
     np.log1p, which need not round like math.log1p.
     """
     import numpy as np
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        work = np.add(mu, 1.0, out=work)
-        np.sqrt(work, out=work)
-        work += 1.0
-        work *= 2.0
-        mu /= work
-        zero = ~(mu >= M_MIN)
-        np.divide(1.0, mu, out=work)
-        np.log1p(work, out=work)
-        work *= mu
-        np.log1p(mu, out=mu)
-        mu += work
-    mu *= LOG2E
-    mu[zero] = 0.0
-    return mu
+        m = mu / (2.0 * (np.sqrt(mu + 1.0) + 1.0))
+        g = (np.log1p(m) + m * np.log1p(1.0 / m)) * LOG2E
+        g[~(m >= M_MIN)] = 0.0
+    return g
 
 
 def scan_region(
@@ -279,7 +265,7 @@ def scan_region(
     first = np.searchsorted(cp_axis, c0 - half, "left")
     stop = np.searchsorted(cp_axis, c0 + half, "right")
     stop[dv < -VERTEX_SLACK * max(1.0, abs(v0))] = 0
-    np.maximum(dv, 0.0, out=dv)
+    dv = np.maximum(dv, 0.0)
     s_cond_rr = _conditional_entropy(xm, 0.0, ReconciliationDirection.REVERSE)
     with np.errstate(over="ignore"):
         # _conditional_entropy's DIRECT rule, G(b dv), for every row
@@ -305,20 +291,14 @@ def scan_region(
         cell_ob = tuple(term[rows] if np.ndim(term) else term for term in ob)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             mu_plus, mu_minus = _symplectic_pair(cell_ob, delta[cols], np.sqrt)
-        work = np.empty_like(mu_plus)
-        chi_rr = _g_mu_array(mu_plus, work)
-        chi_rr += _g_mu_array(mu_minus, work)
-        chi_dr = np.subtract(chi_rr, s_cond_dr[rows], out=work)
-        chi_rr -= s_cond_rr
+        s_ab = _g_mu_array(mu_plus) + _g_mu_array(mu_minus)
+        chi_dr = s_ab - s_cond_dr[rows]
+        chi_rr = s_ab - s_cond_rr
         # key_mi - chi > 0 exactly when chi < key_mi, as key_mi is finite
         # and a difference of finite floats is 0 only when they are equal.
         # PHYSICAL_INSECURE, SECURE_DR, SECURE_RR, SECURE_BOTH are
         # 1 + dr + 2 rr
-        code = np.less(chi_dr, key_mi).view(np.int8)
-        secure_rr = np.less(chi_rr, key_mi).view(np.int8)
-        secure_rr <<= 1
-        code += secure_rr
-        code += 1
+        code = (chi_dr < key_mi).view(np.int8) + 2 * (chi_rr < key_mi).view(np.int8) + 1
         return code, chi_dr, chi_rr
 
     cells = np.zeros((grid.x_points, grid.cp_points), dtype=np.int8)

@@ -694,12 +694,16 @@ def _mp_key_rate(params, chan, v_p_b, direction, delta=None, interval=None):
 
 
 def grid_holevo(params, eta, eps, v_p_b, direction):
-    """The Holevo bound on 1001 points across the C_p interval, through
-    the kernel on arrays, as region maps take it."""
-    ob, _, (xm, dv) = observed(params, eta, eps, v_p_b)
-    rows = _observe(xm, np.array([[dv]]), np.array([[ob[0]]]), np.sqrt)
+    """The Holevo bound on 1001 float C_p across the interval, through the
+    kernel on arrays, as region maps take it: delta = C_p - C0, clipped to
+    [-h, h] as key_rate clips it.  The top point is then key_rate's hi
+    candidate, which fl(C0 + h) - C0 can move off h."""
+    ob, c0, (xm, dv) = observed(params, eta, eps, v_p_b)
+    h = ob[0]
+    delta = np.clip(np.linspace(c0 - h, c0 + h, 1001) - c0, -h, h)
+    rows = _observe(xm, np.array([[dv]]), np.array([[h]]), np.sqrt)
     with np.errstate(invalid="ignore"):  # a pure state's 0/0, which counts as 0
-        mu_plus, mu_minus = _symplectic_pair(rows, np.linspace(-ob[0], ob[0], 1001), np.sqrt)
+        mu_plus, mu_minus = _symplectic_pair(rows, delta, np.sqrt)
     return (_g_mu_array(mu_plus) + _g_mu_array(mu_minus)
             - _conditional_entropy(xm, dv, direction))
 
@@ -788,6 +792,10 @@ class TestTwoModeKernel:
         st.floats(min_value=0.0, max_value=0.5),
         st.sampled_from([DR, RR]),
     )
+    # C0 is -31.6 and h 3.2e-8, so fl(C0 + h) - C0 is off h, and the
+    # entropy's edge turns that into 4e-12 between delta = h and hi
+    @example(-1.0, 3.0, 1.0, 1e-10, 0.0, DR)
+    @example(-1.0, 3.0, 1.0, 1e-10, 0.0, RR)
     def test_worst_case_dominates_dense_grid(self, log_vs, log_vm, eta, eps, extra, direction):
         params = ProtocolParams(V_S=10.0**log_vs, V_M=10.0**log_vm)
         chan = ChannelParams.symmetric(eta, eps)
