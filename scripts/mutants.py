@@ -9,7 +9,10 @@ temporary directory and applies one mutant at a time there.  For each it
 runs the tests in one sequential subprocess, with a timeout and a fixed
 hypothesis seed, without acceptance 5, which fails on the unmutated
 code, and without tests/test_mutants.py, which any applied mutant fails.
-The unmutated tests run first, and must pass.  A mutant is killed
+The unmutated tests run first, and must pass.  Under a mutant the
+mutated module's own test file runs before the others: its tests are the
+likeliest to kill it, and they bound their loops, so a mutant that would
+hang a later test dies in seconds.  A mutant is killed
 when a test fails or the run times out.  It prints killed or survived
 for each, with the first failing test, and exits 1 if any survives.
 
@@ -151,6 +154,10 @@ MUTANTS = [
     (SWEEPS, "        if hi >= cap:", "        if hi > cap:"),
     (SWEEPS, "        if k > 0.0:\n            lo, k_lo = hi, k",
      "        if True:\n            lo, k_lo = hi, k"),
+    # the map's clamp of chi, and the mutual information's log1p
+    (SWEEPS, "(np.maximum(chi, 0.0) < key_mi for chi", "(chi < key_mi for chi"),
+    (PROTOCOL, "math.log1p(eta_x * params.V_M / b) * LOG2E",
+     "math.log2(1.0 + eta_x * params.V_M / b)"),
 ]
 
 
@@ -163,6 +170,18 @@ def stale(root: pathlib.Path = ROOT) -> list[str]:
         if count != 1 or old == new:
             problems.append(f"mutant {i} ({path}): old text occurs {count} times: {old!r}")
     return problems
+
+
+def _test_files(mutated: str | None = None) -> list[str]:
+    """The test files without STALE_CHECK, in directory order but with the
+    mutated module's own, tests/test_<module>.py, first.
+
+    pytest runs the files in the order given; each is named, because a file
+    given before its directory goes back into directory order."""
+    own = mutated and f"tests/test_{pathlib.PurePath(mutated).stem}.py"
+    files = sorted(f"tests/{p.name}" for p in (ROOT / "tests").glob("test_*.py"))
+    files.remove(STALE_CHECK)
+    return sorted(files, key=lambda f: f != own)
 
 
 def _first_failure(output: str) -> str:
@@ -181,9 +200,9 @@ def run(indices: list[int]) -> int:
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "figure_data"))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                   "--hypothesis-seed=0", "tests", "--deselect", ACCEPTANCE_5,
-                   "--ignore", STALE_CHECK]
-        baseline = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+                   "--hypothesis-seed=0", "--deselect", ACCEPTANCE_5]
+        baseline = subprocess.run(command + _test_files(), cwd=copy, env=env,
+                                  capture_output=True, text=True)
         shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
         if baseline.returncode:
             raise SystemExit(f"the unmutated tests fail: {_first_failure(baseline.stdout)}")
@@ -194,8 +213,8 @@ def run(indices: list[int]) -> int:
             line = original[:original.index(old)].count("\n") + 1
             target.write_text(original.replace(old, new, 1))
             try:
-                proc = subprocess.run(command, cwd=copy, env=env, capture_output=True,
-                                      text=True, timeout=TIMEOUT_S)
+                proc = subprocess.run(command + _test_files(path), cwd=copy, env=env,
+                                      capture_output=True, text=True, timeout=TIMEOUT_S)
                 killed, detail = proc.returncode != 0, _first_failure(proc.stdout)
             except subprocess.TimeoutExpired:
                 killed, detail = True, f"timed out after {TIMEOUT_S:g} s"

@@ -4,8 +4,8 @@ All states are zero-mean, so an n-mode Gaussian state is fully described
 by its 2n x 2n covariance matrix in shot-noise units (vacuum variance 1)
 with quadrature ordering (x1, p1, x2, p2, ...).  The tests compare the
 closed forms of protocol against these eigensolver computations, on the
-states that build_eb_state and apply_channel assemble from protocol's
-parameters; neither key_rate nor the region maps call this module.  It
+states that build_eb_state and apply_channel assemble from the source and
+the channel; neither key_rate nor the region maps call this module.  It
 is reached as udcvqkd.gaussian and is not part of the package's exported
 names, so importing those never loads numpy.  Everything here is a pure
 function of its inputs and safe to call concurrently.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToolkitError
-from .protocol import NU_CLAMP_TOL, ChannelParams, ProtocolParams, _x_moments, entropy_g
+from .protocol import NU_CLAMP_TOL, ChannelParams, ProtocolParams, entropy_g
 
 SYMMETRY_TOL = 1e-12
 PAIRING_TOL = 1e-8
@@ -109,23 +109,20 @@ def apply_channel(
 ) -> CovMatrix:
     """State shared between the parties after the phase-sensitive channel.
 
-    The x side is fixed by the channel.  The p side is what the trusted
-    parties know of it, as key_rate and holevo_bound take it: Bob's
-    observed p variance V_p_B, and a correlation C_p that they cannot
-    measure (physicality of the result is tested separately, not here).
-    Raises DomainError where the physicality parabola is not finite.
+    The x side is build_eb_state's through the x quadrature's channel map
+    (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)): C_x scales by
+    sqrt(eta_x), and Bob's variance becomes eta_x (V_S + V_M + eps_x) +
+    1 - eta_x.  The p side is what the trusted parties know of it, as
+    key_rate and holevo_bound take it: Bob's observed p variance V_p_B, and
+    a correlation C_p that they cannot measure (physicality of the result
+    is tested separately, not here).
     """
-    xm = _x_moments(params, chan.eta_x, chan.eps_x)
-    return CovMatrix(
-        np.array(
-            [
-                [xm.v, 0.0, xm.c_x, 0.0],
-                [0.0, xm.v, 0.0, C_p],
-                [xm.c_x, 0.0, xm.v_x_b, 0.0],
-                [0.0, C_p, 0.0, V_p_B],
-            ]
-        )
-    )
+    eta, mat = chan.eta_x, build_eb_state(params).mat.copy()
+    mat[0, 2] = mat[2, 0] = math.sqrt(eta) * mat[0, 2]
+    mat[2, 2] = eta * (mat[2, 2] + chan.eps_x) + (1.0 - eta)
+    mat[1, 3] = mat[3, 1] = C_p
+    mat[3, 3] = V_p_B
+    return CovMatrix(mat)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -136,16 +133,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-def _abs_spectrum(mats: np.ndarray) -> np.ndarray:
-    """|eigenvalues| of i.Omega.gamma for a stack of matrices, sorted descending.
-
-    Shape (..., 2n); the 2n values pair up as (nu, nu) per mode.
-    """
-    n = mats.shape[-1] // 2
-    ev = np.linalg.eigvals((1j * symplectic_form(n)) @ mats)
-    return np.sort(np.abs(ev), axis=-1)[..., ::-1]
 
 
 def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
@@ -165,7 +152,8 @@ def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
     """
     if np.linalg.eigvalsh(gamma.mat).min() <= 0.0:
         raise NonPositiveDefinite("covariance matrix is not positive definite")
-    spec = _abs_spectrum(gamma.mat[np.newaxis])[0]
+    omega = symplectic_form(gamma.n_modes)
+    spec = np.sort(np.abs(np.linalg.eigvals(1j * omega @ gamma.mat)))[::-1]
     pairs = spec.reshape(-1, 2)
     mismatch = np.abs(pairs[:, 0] - pairs[:, 1])
     if np.any(mismatch > PAIRING_TOL * np.maximum(1.0, pairs[:, 0])):
@@ -217,11 +205,5 @@ def is_physical(gamma: CovMatrix, tol: float = PHYSICALITY_TOL) -> bool:
     True iff the smallest eigenvalue of the Hermitian matrix
     gamma + i.Omega is >= -tol.
     """
-    return bool(_min_uncertainty_eig(gamma.mat[np.newaxis])[0] >= -tol)
-
-
-def _min_uncertainty_eig(mats: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of gamma + i.Omega for a stack of matrices."""
-    n = mats.shape[-1] // 2
-    herm = mats + 1j * symplectic_form(n)
-    return np.linalg.eigvalsh(herm)[..., 0]
+    herm = gamma.mat + 1j * symplectic_form(gamma.n_modes)
+    return bool(np.linalg.eigvalsh(herm)[0] >= -tol)

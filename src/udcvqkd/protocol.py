@@ -319,15 +319,15 @@ def _joint_entropy(ob: tuple, c0: float, C_p: float) -> float:
 def mutual_information(params: ProtocolParams, chan: ChannelParams) -> float:
     """Classical mutual information (bits) of the modulated quadrature.
 
-    (1/2) log2[1 + eta_x V_M / (1 + eta_x (V_S + eps_x - 1))]; identical
-    for direct and reverse reconciliation.
+    (1/2) log2[1 + eta_x V_M / (1 + eta_x (V_S + eps_x - 1))], by log1p so
+    that a small ratio keeps its digits; the same for DR and RR.
     """
     return _mutual_information(params, chan.eta_x, _x_noise(params.V_S, chan.eta_x, chan.eps_x))
 
 
 def _mutual_information(params: ProtocolParams, eta_x: float, b: float) -> float:
     """mutual_information from Bob's x variance b given Alice's data."""
-    mi = 0.5 * math.log2(1.0 + eta_x * params.V_M / b)
+    mi = 0.5 * math.log1p(eta_x * params.V_M / b) * LOG2E
     if not math.isfinite(mi):
         raise _not_finite("mutual information")
     return mi

@@ -294,11 +294,13 @@ def scan_region(
         s_ab = _g_mu_array(mu_plus) + _g_mu_array(mu_minus)
         chi_dr = s_ab - s_cond_dr[rows]
         chi_rr = s_ab - s_cond_rr
-        # key_mi - chi > 0 exactly when chi < key_mi, as key_mi is finite
-        # and a difference of finite floats is 0 only when they are equal.
+        # the key rate key_mi - max(chi, 0), with holevo_bound's clamp, is
+        # > 0 exactly when max(chi, 0) < key_mi, as key_mi is finite and a
+        # difference of finite floats is 0 only when they are equal.
         # PHYSICAL_INSECURE, SECURE_DR, SECURE_RR, SECURE_BOTH are
         # 1 + dr + 2 rr
-        code = (chi_dr < key_mi).view(np.int8) + 2 * (chi_rr < key_mi).view(np.int8) + 1
+        dr, rr = (np.maximum(chi, 0.0) < key_mi for chi in (chi_dr, chi_rr))
+        code = dr.view(np.int8) + 2 * rr.view(np.int8) + 1
         return code, chi_dr, chi_rr
 
     cells = np.zeros((grid.x_points, grid.cp_points), dtype=np.int8)

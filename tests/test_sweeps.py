@@ -50,7 +50,6 @@ from udcvqkd.gaussian import (
     CovMatrix,
     Quadrature,
     QuadratureSelector,
-    _min_uncertainty_eig,
     apply_channel,
     condition_on_homodyne,
     symplectic_eigenvalues,
@@ -211,23 +210,27 @@ class TestScanRegion:
     params = ProtocolParams(V_S=1.0, V_M=10.0)
     chan_x = (0.9, 0.03)
 
-    def test_cells_match_pointwise_library_calls(self):
-        grid = region_grid(0.9, 1.8)
-        region = scan_region(self.params, self.chan_x, grid, RegionMode.FREE_VPB)
+    @pytest.mark.parametrize("params,grid", [
+        (params, region_grid(0.9, 1.8)),
+        # no modulation: the mutual information is 0, the one physical C_p
+        # is 0, and the raw chi of 4 of the 82 physical cells rounds below
+        # 0, where holevo_bound and the key rate are 0
+        (ProtocolParams(V_S=1.0, V_M=0.0),
+         region_grid(0.05, 5.0, x_points=101, cp_points=3, cp_min=-1.0, cp_max=1.0)),
+    ])
+    def test_cells_match_pointwise_library_calls(self, params, grid):
+        region = scan_region(params, self.chan_x, grid, RegionMode.FREE_VPB)
         chan = ChannelParams.symmetric(*self.chan_x)
-        mi = mutual_information(self.params, chan)
-        rng = np.random.default_rng(67)
-        for _ in range(60):
-            i = int(rng.integers(0, grid.x_points))
-            j = int(rng.integers(0, grid.cp_points))
+        mi = mutual_information(params, chan)
+        for i, j in np.ndindex(region.cells.shape):
             v_p_b = float(region.x_axis[i])
             c_p = float(region.cp_axis[j])
-            interval = physicality_interval(self.params, chan, v_p_b)
+            interval = physicality_interval(params, chan, v_p_b)
             if interval is None or not interval[0] <= c_p <= interval[1]:
                 expected = RegionClass.UNPHYSICAL
             else:
-                k_dr = mi - holevo_bound(self.params, chan, c_p, v_p_b, DR)
-                k_rr = mi - holevo_bound(self.params, chan, c_p, v_p_b, RR)
+                k_dr = mi - holevo_bound(params, chan, c_p, v_p_b, DR)
+                k_rr = mi - holevo_bound(params, chan, c_p, v_p_b, RR)
                 if k_dr > 0 and k_rr > 0:
                     expected = RegionClass.SECURE_BOTH
                 elif k_dr > 0:
@@ -275,7 +278,7 @@ class TestScanRegion:
             mats[:] = apply_channel(params, chan, 0.0, v0).mat
             mats[:, :, 3, 3] = region.x_axis[:, np.newaxis]
             mats[:, :, 1, 3] = mats[:, :, 3, 1] = region.cp_axis[np.newaxis, :]
-            want = _min_uncertainty_eig(mats) >= 0.0
+            want = np.linalg.eigvalsh(mats + 1j * symplectic_form(2))[..., 0] >= 0.0
             assert np.array_equal(region.cells != RegionClass.UNPHYSICAL, want)
             assert want.any() and not want.all()
 
@@ -622,7 +625,9 @@ def full_scan_cells(params, chan_x, grid, mode):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             mu_plus, mu_minus = _symplectic_pair(ob, delta[box], np.sqrt)
         s_ab = _g_mu_array(mu_plus) + _g_mu_array(mu_minus)
-        code = 1 + (s_ab - s_cond_dr[rows, None] < key_mi) + 2 * (s_ab - s_cond_rr < key_mi)
+        # secure where the key rate, key_mi - max(chi, 0), is positive
+        dr = np.maximum(s_ab - s_cond_dr[rows, None], 0.0) < key_mi
+        code = 1 + dr + 2 * (np.maximum(s_ab - s_cond_rr, 0.0) < key_mi)
         cells[rows, box] = code * inside[rows, box]
     return cells
 
