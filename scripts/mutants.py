@@ -8,7 +8,9 @@ programmer's slip would (DeMillo, Lipton & Sayward, Computer 11(4), 34
 temporary directory and applies one mutant at a time there.  For each it
 runs the tests in one sequential subprocess, with a timeout and a fixed
 hypothesis seed, without acceptance 5, which fails on the unmutated
-code, and without tests/test_mutants.py, which any applied mutant fails.
+code, without tests/test_mutants.py, which any applied mutant fails, and
+without tests/test_fingerprint.py, which fails whenever an output moves,
+so that a kill names the test that states the guard's property.
 The unmutated tests run first, and must pass.  Under a mutant the
 mutated module's own test file runs before the others: its tests are the
 likeliest to kill it, and they bound their loops, so a mutant that would
@@ -38,6 +40,7 @@ PROTOCOL = "src/udcvqkd/protocol.py"
 SWEEPS = "src/udcvqkd/sweeps.py"
 ACCEPTANCE_5 = "tests/test_acceptance.py::test_acceptance_5_keyrate_crossings"
 STALE_CHECK = "tests/test_mutants.py"
+FINGERPRINT = "tests/test_fingerprint.py"
 TIMEOUT_S = 300.0
 
 MUTANTS = [
@@ -173,14 +176,15 @@ def stale(root: pathlib.Path = ROOT) -> list[str]:
 
 
 def _test_files(mutated: str | None = None) -> list[str]:
-    """The test files without STALE_CHECK, in directory order but with the
-    mutated module's own, tests/test_<module>.py, first.
+    """The test files without STALE_CHECK and FINGERPRINT, in directory
+    order but with the mutated module's own, tests/test_<module>.py, first.
 
     pytest runs the files in the order given; each is named, because a file
     given before its directory goes back into directory order."""
     own = mutated and f"tests/test_{pathlib.PurePath(mutated).stem}.py"
     files = sorted(f"tests/{p.name}" for p in (ROOT / "tests").glob("test_*.py"))
     files.remove(STALE_CHECK)
+    files.remove(FINGERPRINT)
     return sorted(files, key=lambda f: f != own)
 
 
