@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check of the guards, clamps and fallbacks in protocol and sweeps.
+"""Mutation check of the guards, clamps and fallbacks in the package.
 
 Each MUTANTS entry (path, old, new) replaces the one occurrence of old in
 path with new: a guard, clamp or fallback deleted or bent, as a competent
@@ -38,6 +38,8 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PROTOCOL = "src/udcvqkd/protocol.py"
 SWEEPS = "src/udcvqkd/sweeps.py"
+CLI = "src/udcvqkd/cli.py"
+GAUSSIAN = "src/udcvqkd/gaussian.py"
 ACCEPTANCE_5 = "tests/test_acceptance.py::test_acceptance_5_keyrate_crossings"
 STALE_CHECK = "tests/test_mutants.py"
 FINGERPRINT = "tests/test_fingerprint.py"
@@ -161,6 +163,16 @@ MUTANTS = [
     (SWEEPS, "(np.maximum(chi, 0.0) < key_mi for chi", "(chi < key_mi for chi"),
     (PROTOCOL, "math.log1p(eta_x * params.V_M / b) * LOG2E",
      "math.log2(1.0 + eta_x * params.V_M / b)"),
+    # the CLI's exit-2 paths
+    (CLI, "            except OSError as exc:\n                raise ConfigError(f\"cannot write",
+     "            except FileNotFoundError as exc:\n                raise ConfigError(f\"cannot write"),
+    (CLI, "    except OSError as exc:\n        raise ConfigError(f\"cannot read",
+     "    except FileNotFoundError as exc:\n        raise ConfigError(f\"cannot read"),
+    (CLI, '    _require(opts, "vs")\n', "    pass\n"),
+    (CLI, "    if len(parts) != 3:", "    if len(parts) < 2:"),
+    # the covariance-matrix oracle
+    (GAUSSIAN, "    if np.any(mismatch > PAIRING_TOL):", "    if False:"),
+    (GAUSSIAN, "        if not np.isfinite(m).all():", "        if False:"),
 ]
 
 

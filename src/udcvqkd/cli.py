@@ -2,9 +2,11 @@
 
 Thin dispatch over the library: every number printed or written comes
 straight from a library call or is an input echoed as given, so CLI
-results match direct API use bit for bit.  Exit codes: 0 success, 1
-domain error (error name on stderr), 2 argument or configuration error
-(usage on stderr).
+results match direct API use bit for bit.  Each subcommand returns its
+text, and main writes it to --output or to stdout.  Exit codes: 0
+success, 1 domain error (error name on stderr), 2 argument or
+configuration error, or a config or output file that cannot be read or
+written (usage on stderr).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .sweeps import (
     _TOOL,
     RegionMode,
     SweepConfig,
+    _inputs,
     _json_text,
     _noise_root,
     curve_to_csv,
@@ -57,13 +60,13 @@ class _Choice(tuple):
         return text
 
 
-def _parse_axis(text: str, default_points: int = 400) -> tuple[float, float, int]:
+def _parse_axis(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ConfigError(f"expected lo:hi[:points], got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
-        points = int(parts[2]) if len(parts) == 3 else default_points
+        points = int(parts[2]) if len(parts) == 3 else 400
     except ValueError as exc:
         raise ConfigError(f"bad axis range {text!r}: {exc}") from exc
     return lo, hi, points
@@ -215,103 +218,67 @@ def _db(eta: float, eta_db: float | None) -> float:
     return eta_to_db(eta) if eta_db is None else eta_db
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_keyrate(opts: dict) -> int:
+def _cmd_keyrate(opts: dict) -> str:
     _require(opts, "vs", "vm", "dir")
     eta, eta_db = _resolve_eta(opts)
     params = ProtocolParams(V_S=opts["vs"], V_M=opts["vm"], beta=opts["beta"])
     chan = ChannelParams.symmetric(eta, opts["eps"])
     v_p_b = symmetric_vpB(params, eta, opts["eps"], opts["strict_paper_vpb"])
     assessment = key_rate(params, chan, v_p_b, ReconciliationDirection(opts["dir"]))
-    obj = {
-        "tool": _TOOL,
-        "params": {
-            "V_S": params.V_S,
-            "V_M": params.V_M,
-            "beta": params.beta,
-            "eta": eta,
-            "attenuation_db": _db(eta, eta_db),
-            "eps": opts["eps"],
-            "direction": opts["dir"],
-            "strict_paper_vpb": opts["strict_paper_vpb"],
-            "V_p_B": v_p_b,
-        },
+    return _json_text({
+        "params": _inputs(params, eta=eta, attenuation_db=_db(eta, eta_db), eps=opts["eps"],
+                          direction=opts["dir"], strict_paper_vpb=opts["strict_paper_vpb"],
+                          V_p_B=v_p_b),
         "mutual_info_bits": assessment.mutual_info,
         "holevo_bits": assessment.holevo,
         "key_rate_bits": assessment.key_rate,
         "worst_Cp": assessment.worst_Cp,
         "Cp_interval": list(assessment.Cp_interval),
-    }
-    _emit(_json_text(obj), opts.get("output"))
-    return 0
+    })
 
 
-def _cmd_region(opts: dict) -> int:
+def _cmd_region(opts: dict) -> str:
     _require(opts, "vs", "vm", "mode", "x_range", "cp_range")
     eta, _ = _resolve_eta(opts)
     params = ProtocolParams(V_S=opts["vs"], V_M=opts["vm"], beta=opts["beta"])
     (x_lo, x_hi, x_points), (cp_lo, cp_hi, cp_points) = opts["x_range"], opts["cp_range"]
     grid = SweepConfig(x_min=x_lo, x_max=x_hi, cp_min=cp_lo, cp_max=cp_hi,
                        x_points=x_points, cp_points=cp_points)
-    region = scan_region(params, (eta, opts["eps"]), grid, RegionMode(opts["mode"]))
-    _emit(region_to_json(region), opts.get("output"))
-    return 0
+    return region_to_json(scan_region(params, (eta, opts["eps"]), grid, RegionMode(opts["mode"])))
 
 
-def _cmd_sweep_loss(opts: dict) -> int:
+def _cmd_sweep_loss(opts: dict) -> str:
     _require(opts, "vs", "vm", "dir", "db")
     params = ProtocolParams(V_S=opts["vs"], V_M=opts["vm"], beta=opts["beta"])
     curve = keyrate_vs_attenuation(params, opts["eps"], opts["db"],
                                    ReconciliationDirection(opts["dir"]))
-    text = curve_to_csv(curve) if opts["format"] == "csv" else curve_to_json(curve)
-    _emit(text, opts.get("output"))
-    return 0
+    return curve_to_csv(curve) if opts["format"] == "csv" else curve_to_json(curve)
 
 
-def _cmd_max_noise(opts: dict) -> int:
+def _cmd_max_noise(opts: dict) -> str:
     _require(opts, "vs", "vm", "dir")
     eta, eta_db = _resolve_eta(opts)
     params = ProtocolParams(V_S=opts["vs"], V_M=opts["vm"], beta=opts["beta"])
     db = _db(eta, eta_db)
     # at eta itself: --eta taken to dB and back can move by an ulp
     eps_max = _noise_root(params, eta, ReconciliationDirection(opts["dir"]), opts["tol"], db)
-    obj = {
-        "tool": _TOOL,
-        "params": {
-            "V_S": params.V_S,
-            "V_M": params.V_M,
-            "beta": params.beta,
-            "attenuation_db": db,
-            "direction": opts["dir"],
-            "tol": opts["tol"],
-        },
+    return _json_text({
+        "params": _inputs(params, attenuation_db=db, direction=opts["dir"], tol=opts["tol"]),
         "eps_max": eps_max,
-    }
-    _emit(_json_text(obj), opts.get("output"))
-    return 0
+    })
 
 
-def _cmd_asymptotic(opts: dict) -> int:
+def _cmd_asymptotic(opts: dict) -> str:
     _require(opts, "vs")
     eta, eta_db = _resolve_eta(opts)
     vs = opts["vs"]
-    obj = {
-        "tool": _TOOL,
+    return _json_text({
         "params": {"V_S": vs, "eta": eta, "attenuation_db": _db(eta, eta_db)},
         "dr": asymptotic_key_rate_dr(vs, eta),
         "rr": asymptotic_key_rate_rr(vs, eta),
         "dr_coherent": asymptotic_key_rate_dr(1.0, eta),
         "rr_coherent": asymptotic_key_rate_rr(1.0, eta),
-    }
-    _emit(_json_text(obj), opts.get("output"))
-    return 0
+    })
 
 
 _DISPATCH = {
@@ -331,7 +298,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         opts = _merge(args)
-        return _DISPATCH[args.command](opts)
+        text = _DISPATCH[args.command](opts)
+        if not opts["output"]:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(opts["output"], "w", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file: {exc}") from exc
+        return 0
     except ConfigError as exc:
         print(args.usage(), file=sys.stderr, end="")
         print(f"ConfigError: {exc}", file=sys.stderr)

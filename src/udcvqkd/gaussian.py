@@ -57,8 +57,9 @@ class QuadratureSelector:
 class CovMatrix:
     """Real symmetric covariance matrix of an n-mode Gaussian state.
 
-    The constructor copies its input, checks symmetry to 1e-12 and a
-    strictly positive diagonal, and freezes the array.
+    The constructor copies its input, checks that every entry is finite,
+    symmetry to 1e-12 and a strictly positive diagonal, and freezes the
+    array.
     """
 
     mat: np.ndarray
@@ -69,6 +70,8 @@ class CovMatrix:
             raise ValueError("covariance matrix must be square")
         if m.shape[0] == 0 or m.shape[0] % 2:
             raise ValueError("covariance matrix must be 2n x 2n with n >= 1")
+        if not np.isfinite(m).all():
+            raise ValueError("covariance matrix entries must be finite")
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
             raise ValueError("covariance matrix must be symmetric within 1e-12")
         if np.any(np.diag(m) <= 0.0):
@@ -155,10 +158,10 @@ def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
     omega = symplectic_form(gamma.n_modes)
     spec = np.sort(np.abs(np.linalg.eigvals(1j * omega @ gamma.mat)))[::-1]
     pairs = spec.reshape(-1, 2)
-    mismatch = np.abs(pairs[:, 0] - pairs[:, 1])
-    if np.any(mismatch > PAIRING_TOL * np.maximum(1.0, pairs[:, 0])):
+    mismatch = np.abs(pairs[:, 0] - pairs[:, 1]) / np.maximum(1.0, pairs[:, 0])
+    if np.any(mismatch > PAIRING_TOL):
         raise NumericalDegeneracy(
-            f"symplectic eigenvalue pairing off by {mismatch.max():.3e}"
+            f"symplectic eigenvalue pairing off by {mismatch.max():.3e} relative"
         )
     nus = pairs[:, 0].copy()
     nus[(nus >= 1.0 - NU_CLAMP_TOL) & (nus < 1.0)] = 1.0
@@ -199,11 +202,11 @@ def condition_on_homodyne(gamma: CovMatrix, sel: QuadratureSelector) -> CovMatri
     return CovMatrix(reduced)
 
 
-def is_physical(gamma: CovMatrix, tol: float = PHYSICALITY_TOL) -> bool:
+def is_physical(gamma: CovMatrix) -> bool:
     """Uncertainty-principle test: gamma + i.Omega positive semidefinite.
 
     True iff the smallest eigenvalue of the Hermitian matrix
-    gamma + i.Omega is >= -tol.
+    gamma + i.Omega is >= -1e-9.
     """
     herm = gamma.mat + 1j * symplectic_form(gamma.n_modes)
-    return bool(np.linalg.eigvalsh(herm)[0] >= -tol)
+    return bool(np.linalg.eigvalsh(herm)[0] >= -PHYSICALITY_TOL)

@@ -353,15 +353,8 @@ def scan_region(
         fine_cols += np.arange(fine_cols.size)
         cells[fine_rows, fine_cols] = classify(fine_rows, fine_cols)[0]
 
-    metadata = {
-        "V_S": params.V_S,
-        "V_M": params.V_M,
-        "beta": params.beta,
-        "eta_x": eta_x,
-        "eps_x": eps_x,
-        "mode": mode.value,
-    }
-    return RegionMap(x_axis=x_axis, cp_axis=cp_axis, cells=cells, mode=mode, metadata=metadata)
+    return RegionMap(x_axis=x_axis, cp_axis=cp_axis, cells=cells, mode=mode,
+                     metadata=_inputs(params, eta_x=eta_x, eps_x=eps_x, mode=mode.value))
 
 
 def _symmetric_rate(
@@ -413,10 +406,9 @@ def _db_axis(db_values) -> list[float]:
     return db_values
 
 
-def _curve_metadata(params: ProtocolParams, direction: ReconciliationDirection,
-                    **extra) -> dict:
-    return {"V_S": params.V_S, "V_M": params.V_M, "beta": params.beta,
-            "direction": direction.value, **extra}
+def _inputs(params: ProtocolParams, **extra) -> dict:
+    """The parameter echo of every output: params' fields, then extra."""
+    return {"V_S": params.V_S, "V_M": params.V_M, "beta": params.beta, **extra}
 
 
 def keyrate_vs_attenuation(
@@ -437,7 +429,7 @@ def keyrate_vs_attenuation(
         ChannelParams.symmetric(eta, eps)  # key_rate's checks
         rates.append(_symmetric_rate(params, eta, eps, direction)[0])
     return Curve(tuple(db_values), tuple(rates), "attenuation_db", "key_rate_bits",
-                 _curve_metadata(params, direction, eps=eps))
+                 _inputs(params, direction=direction.value, eps=eps))
 
 
 def noise_frontier(
@@ -459,7 +451,7 @@ def noise_frontier(
         except (NoPositiveRate, NoRoot):
             continue
     return Curve(tuple(db for db, _ in kept), tuple(eps for _, eps in kept),
-                 "attenuation_db", "eps_max", _curve_metadata(params, direction, tol=tol))
+                 "attenuation_db", "eps_max", _inputs(params, direction=direction.value, tol=tol))
 
 
 def _zero_crossing(params: ProtocolParams, direction: ReconciliationDirection, channel,
@@ -553,8 +545,9 @@ def _fmt(value) -> str:
 
 
 def _json_text(obj: dict) -> str:
-    """JSON text of a record, as curves and CLI results are written."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """JSON text of a record and the tool stamp, as curves and CLI results
+    are written."""
+    return json.dumps({"tool": _TOOL, **obj}, sort_keys=True, indent=2) + "\n"
 
 
 def _provenance_lines(metadata: dict) -> list[str]:
@@ -583,7 +576,6 @@ def write_curve_csv(curve: Curve, path) -> None:
 
 def curve_to_json(curve: Curve) -> str:
     return _json_text({
-        "tool": _TOOL,
         "metadata": curve.metadata,
         "x_name": curve.x_name,
         "y_name": curve.y_name,

@@ -114,11 +114,16 @@ class TestKeyrateCommand:
 
 
 class TestArgumentErrors:
-    def test_missing_required_option(self, capsys):
-        code, _, err = run(capsys, "keyrate", "--vs", "1", "--vm", "10", "--eta-db", "1")
+    @pytest.mark.parametrize("argv,flag", [
+        (["keyrate", "--vs", "1", "--vm", "10", "--eta-db", "1"], "--dir"),
+        (["asymptotic", "--eta", "0.5"], "--vs"),
+    ])
+    def test_missing_required_option(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
         assert code == 2
-        assert "usage:" in err
-        assert "--dir" in err
+        assert out == ""
+        assert err.startswith(f"usage: udcvqkd {argv[0]} ")
+        assert f"ConfigError: missing required option(s): {flag}\n" in err
 
     def test_eta_flags_are_mutually_exclusive(self, capsys):
         code, _, err = run(
@@ -175,12 +180,31 @@ class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
-    def test_malformed_db_grid(self, capsys):
-        code, _, err = run(
+    @pytest.mark.parametrize("text", ["0-3-1", "0:3"])
+    def test_malformed_db_grid(self, capsys, text):
+        code, out, err = run(
             capsys, "sweep-loss", "--vs", "1", "--vm", "10",
-            "--dir", "dr", "--db", "0-3-1",
+            "--dir", "dr", "--db", text,
         )
         assert code == 2
+        assert out == ""
+        assert f"ConfigError: --db: expected start:stop:step, got {text!r}" in err
+
+    # a directory that does not exist, and a path that is a directory
+    @pytest.mark.parametrize("path", ["missing/result.json", "."])
+    @pytest.mark.parametrize("argv", [
+        ["keyrate", "--vs", "1", "--vm", "10", "--eta", "0.9", "--dir", "dr"],
+        ["region", "--vs", "1", "--vm", "10", "--eta", "0.9", "--mode", "vpb",
+         "--x-range", "1:2:4", "--cp-range=-3:0:4"],
+    ])
+    def test_unwritable_output_is_a_config_error(self, capsys, tmp_path, argv, path):
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path / path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage: udcvqkd {argv[0]} ")
+        assert "\nConfigError: cannot write output file: [Errno " in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == []
 
     @pytest.mark.parametrize("argv", [
         ["region", "--vs", "1", "--vm", "10", "--eta", "0.9", "--mode", "vpb",
@@ -457,6 +481,14 @@ class TestConfigFile:
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "keyrate", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
+
+    def test_unreadable_file_rejected(self, capsys, tmp_path):
+        # a path that exists but cannot be read as a file
+        code, out, err = run(capsys, *self.ARGS, "--config", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "ConfigError: cannot read config file: [Errno " in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value,flag", [("yes", ["--strict-paper-vpb"]), ("off", [])])
     def test_boolean_config_value_equivalent_to_flag(self, capsys, tmp_path, value, flag):

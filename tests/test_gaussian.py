@@ -10,6 +10,7 @@ from udcvqkd import DomainError, entropy_g
 from udcvqkd.gaussian import (
     CovMatrix,
     NonPositiveDefinite,
+    NumericalDegeneracy,
     Quadrature,
     QuadratureSelector,
     SingularConditioning,
@@ -76,6 +77,15 @@ class TestCovMatrix:
         with pytest.raises(ValueError):
             cm.mat[0, 0] = 5.0
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entries(self, entry, where):
+        # NaN passes both the symmetry and the diagonal comparison
+        m = np.eye(2)
+        m[where] = m[where[::-1]] = entry
+        with pytest.raises(ValueError, match="finite"):
+            CovMatrix(m)
+
 
 class TestSymplecticEigenvalues:
     def test_two_mode_vacuum(self):
@@ -120,6 +130,21 @@ class TestSymplecticEigenvalues:
                 reverse=True,
             )
             assert symplectic_eigenvalues(cm) == pytest.approx(expected, abs=1e-9)
+
+    # A real state can fail the pairing: apply_channel at V_S 0.0370, V_M
+    # 7.5e13, eta 0.794, eps 0, V_p_B 38.82, C_p -41050.87, inside its C_p
+    # interval, has cond(gamma) about 3e18, and LAPACK pairs its smaller
+    # eigenvalues 1.06e-8 apart, relative.  These spectra do not depend on
+    # LAPACK's rounding.
+    @pytest.mark.parametrize("gap,unpaired", [(0.5e-8, False), (2e-8, True), (0.5, True)])
+    def test_pairing_is_checked_to_a_relative_tolerance(self, monkeypatch, gap, unpaired):
+        spectrum = np.array([3.0, -3.0, 1.5, -1.5 * (1.0 - gap)])
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: spectrum)
+        if unpaired:
+            with pytest.raises(NumericalDegeneracy, match=f"off by {gap:.3e} relative"):
+                symplectic_eigenvalues(tmsv(2.0))
+        else:
+            assert list(symplectic_eigenvalues(tmsv(2.0))) == [3.0, 1.5]
 
     def test_returns_subunity_values_for_unphysical_states(self):
         nus = symplectic_eigenvalues(CovMatrix(np.diag([0.5, 0.5])))
