@@ -13,7 +13,7 @@ Four digests, each over length-prefixed chunks of bytes:
   key_rate
       protocol._key_rate's five doubles, packed '<d', or the error class
       name, in DR and in RR, at KEY_RATE_DRAWS seeded draws of
-      tests/test_protocol.py's broad_draw, inputs taken as Python floats.
+      tests/conftest.py's broad_draw.
 
 The float bits come from libm and from numpy's own loops, so another
 Python, numpy or machine can differ in the last ulp: each digest is
@@ -120,18 +120,16 @@ def _cli() -> str:
 def _key_rate_digest() -> str:
     if str(ROOT / "tests") not in sys.path:
         sys.path.insert(0, str(ROOT / "tests"))
-    from test_protocol import broad_draw
+    from conftest import broad_draw
 
     rng = np.random.default_rng(KEY_RATE_SEED)
     chunks = []
     for _ in range(KEY_RATE_DRAWS):
         params, chan, v_p_b, _ = broad_draw(rng)
-        # Python floats, as the CLI and the curves pass them; numpy scalars
-        # hold the same values but take twice as long through _key_rate
-        inputs = float(chan.eta_x), float(chan.eps_x), float(v_p_b)
         for direction in DIRECTIONS:
             try:
-                mi, chi, worst_cp, (lo, hi) = _key_rate(params, *inputs, direction)
+                mi, chi, worst_cp, (lo, hi) = _key_rate(params, chan.eta_x, chan.eps_x, v_p_b,
+                                                        direction)
                 chunks.append(struct.pack("<5d", mi, chi, worst_cp, lo, hi))
             except ToolkitError as exc:
                 chunks.append(type(exc).__name__.encode())

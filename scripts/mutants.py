@@ -65,9 +65,9 @@ MUTANTS = [
      "    _check_finite(V_S=V_S)\n    if not V_S >= 0.0:"),
     # the entropy kernel and its slope
     (PROTOCOL, "    if t < M_MIN:", "    if not t:"),
-    (PROTOCOL, "return math.inf if delta <= 0.0 else -math.inf",
-     "return math.inf if delta < 0.0 else -math.inf"),
-    (PROTOCOL, "    if s - t > 1e-5 * t:", "    if s - t > 0.0:"),
+    (PROTOCOL, "return math.inf if z <= 0.0 else -math.inf, math.nan",
+     "return math.inf if z < 0.0 else -math.inf, math.nan"),
+    (PROTOCOL, "    if gap > 1e-5 * t:", "    if gap > 0.0:"),
     (PROTOCOL, "    if m < M_MIN:", "    if m <= 0.0:"),
     (PROTOCOL, "    if nu < 1.0 - NU_CLAMP_TOL:", "    if nu < 0.0:"),
     (PROTOCOL, "    if not (h or half_t0):", "    if False:"),
@@ -87,18 +87,17 @@ MUTANTS = [
     (PROTOCOL, "                break", "                pass"),
     (PROTOCOL, "                fb *= m if m > 0.0 else 0.5", "                fb *= m"),
     (PROTOCOL, "                fa *= m if m > 0.0 else 0.5", "                fa *= m"),
-    (PROTOCOL, "            a = b = x", "            a = x"),
-    (PROTOCOL, "    if c == end or not s * fc > 0.0:", "    if c == end:"),
-    (PROTOCOL, "    if not s * (end - x) > 0.0:", "    if False:"),
-    (PROTOCOL, "    if s * fx > 0.0 and x != end:", "    if s * fx > 0.0:"),
-    (PROTOCOL, "    if not s * fx < 0.0:", "    if not s * fx <= 0.0:"),
+    (PROTOCOL, "            a = b = x\n    return a, b", "            a = x\n    return a, b"),
     # the worst-case C_p search and key_rate
-    (PROTOCOL, "    if a < b:", "    if True:"),
-    (PROTOCOL, "            c = min(max((2.0 * t - 1.0) * h, a), b)",
-     "            c = (2.0 * t - 1.0) * h"),
+    (PROTOCOL, "    if end > 0.0:", "    if True:"),
+    (PROTOCOL, "math.atanh(min(max(2.0 * start - 1.0, 0.0), end / h))",
+     "math.atanh(2.0 * start - 1.0)"),
+    (PROTOCOL, "            if not za < z < zb:", "            if False:"),
+    (PROTOCOL, "            if not a + half <= x <= b - half:", "            if False:"),
+    (PROTOCOL, "refined = h * math.tanh(z) if za <= z <= zb else 0.5 * (a + b)",
+     "refined = h * math.tanh(z)"),
     (PROTOCOL, "    xtol = max(WORST_CASE_XTOL * min(1.0, 2.0 * h), 8.0 * math.ulp(h))",
      "    xtol = WORST_CASE_XTOL * min(1.0, 2.0 * h)"),
-    (PROTOCOL, "            w = max(step * (2.0 * h), 2.0 * xtol)", "            w = step * (2.0 * h)"),
     (PROTOCOL, "    cp, s_ab = hi, _joint_entropy(ob, c0, hi)", "    cp, s_ab = hi, -math.inf"),
     (PROTOCOL, "    if margins is None:\n        raise UnphysicalObservation(",
      "    if False:\n        raise UnphysicalObservation("),
@@ -151,8 +150,8 @@ MUTANTS = [
     (SWEEPS, "        if not held.size:", "        if False:"),
     # curves and root searches
     (SWEEPS, "(worst_cp - lo) / (hi - lo) if hi > lo else None", "(worst_cp - lo) / (hi - lo)"),
-    (SWEEPS, "        start = None if t is None or last_t is None else (t, abs(t - last_t))",
-     "        start = None if t is None else (t, abs(t - (last_t or 0.0)))"),
+    (SWEEPS, "        k, t = _symmetric_rate(params, *channel(x), direction, t)",
+     "        k, t = _symmetric_rate(params, *channel(x), direction, None)"),
     (SWEEPS, "        except (NoPositiveRate, NoRoot):", "        except NoPositiveRate:"),
     (SWEEPS, "    if not 0.0 < tol < math.inf:", "    if not 0.0 < tol:"),
     (SWEEPS, "    if k0 <= 0.0:", "    if k0 < 0.0:"),

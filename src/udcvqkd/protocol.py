@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 from .errors import DomainError, UnphysicalObservation, UnphysicalState
@@ -232,46 +231,58 @@ def _symplectic_pair(ob: tuple, delta, sqrt=math.sqrt):
     return s, det / s
 
 
-def _entropy_slope(ob: tuple, delta: float) -> float:
-    """d/d delta of the joint entropy G(mu_plus) + G(mu_minus) in bits,
-    for delta strictly inside (-h, h), where mu_minus > 0.
+def _entropy_slope(ob: tuple, z: float) -> tuple[float, float]:
+    """(F, dF/dz): the slope F = dS/d delta of the joint entropy
+    S = G(s) + G(t) in bits, s, t = mu_plus, mu_minus, and its derivative
+    in the rapidity z, at delta = h tanh z.
 
-    With s, t = mu_plus, mu_minus the slope is G'(s) ds + G'(t) dt.
-    s + t = tr and s t = det give ds = (s dtr - d det)/(s - t) and
-    dt = (d det - t dtr)/(s - t), with dtr = 2 c_x and
-    d det = -2 v b delta, whose factor 2 is taken out; taking dt as
-    dtr - ds instead cancels under strong modulation, where ds is about
-    dtr.  Where s and t meet
-    (v_p_b = v**2/v_x_b, c_p = -c_x v/v_x_b) the slope is written
-    G'(t) dtr + D (s dtr - d det), with the divided difference
-    D = (G'(s) - G'(t))/(s - t) taken as G'' at the midpoint while s - t is
-    below 1e-5 t, so it stays finite there.
-    G'(mu) = log2(e) log1p(2 (nu + 1)/mu) / (4 nu) with nu = sqrt(1 + mu).
-    s and t come from ob as in _symplectic_pair, written out here because
-    this runs about ten times per key_rate.  Where t is below M_MIN (det
-    underflowed, or s overflowed) 2 (nu + 1)/t overflows, and the slope is
-    taken as its limit, +inf for delta <= 0 and -inf above, the sign that
-    d det gives it; _bracket_sign_change bisects on those values.
+    h + delta = 2 h/(1 + e^-2z) and h - delta = (h + delta) e^-2z for
+    z >= 0, mirrored below, so neither cancels next to an end; s and t
+    follow as in _symplectic_pair.  s + t = tr and s t = det give
+    s' = 2 (s c_x + v b delta)/(s - t) and t' = -2 (t c_x + v b delta)/(s - t),
+    as tr' = 2 c_x and det' = -2 v b delta (t' taken as tr' - s' would
+    cancel under strong modulation), and s'' = -t'' = 2 (s' t' + v b)/(s - t),
+    taken as 8 v b diff**2/(s - t)**3 with _observe's
+    diff**2 = (v coeff - v_x_b dv)**2/4, which does not cancel.
+    F = G'(s) s' + G'(t) t' and dF/dz = S'' (h + delta)(h - delta)/h, with
+    S'' = G''(s) s'**2 + G''(t) t'**2 + (G'(s) - G'(t)) s'' a sum of terms
+    <= 0.  G'(mu) = log2(e) log1p(2 (nu + 1)/mu)/(4 nu), nu = sqrt(1 + mu),
+    and G''(mu) = -(log2(e)/mu + 2 G'(mu))/(4 (1 + mu)) takes the same log1p.
+    Where s - t is below 1e-5 t (they meet at v_p_b = v**2/v_x_b,
+    c_p = -c_x v/v_x_b) F is G'(t) tr' + D (s tr' - det'), with
+    D = (G'(s) - G'(t))/(s - t) taken as G'' at the midpoint, and where t
+    is below M_MIN (det underflowed, or s overflowed) F is its limit, +inf
+    for z <= 0 and -inf above, the sign det' gives it; both give dF/dz NaN.
     """
     h, half_t0, c_x, vb, quarter_diff_sq, v, cx_dv, cx_coeff, v_x_b = ob
-    plus = h + delta
-    det = (h - delta) * vb * plus
+    e = math.exp(-2.0 * abs(z))
+    if z >= 0.0:
+        plus = 2.0 * h / (1.0 + e)
+        minus, delta = plus * e, plus - h
+    else:
+        minus = 2.0 * h / (1.0 + e)
+        plus, delta = minus * e, h - minus
     s = (plus * c_x + half_t0) + math.sqrt(
         abs(quarter_diff_sq + (v * delta + cx_dv) * (cx_coeff + v_x_b * delta)))
-    t = det / s
+    t = minus * vb * plus / s
     if t < M_MIN:
-        return math.inf if delta <= 0.0 else -math.inf
+        return math.inf if z <= 0.0 else -math.inf, math.nan
     vb_delta = vb * delta
     nu_t = math.sqrt(1.0 + t)
     df_t = math.log1p(2.0 * (nu_t + 1.0) / t) * LOG2E / (4.0 * nu_t)
-    if s - t > 1e-5 * t:
+    gap = s - t
+    if gap > 1e-5 * t:
         nu_s = math.sqrt(1.0 + s)
         df_s = math.log1p(2.0 * (nu_s + 1.0) / s) * LOG2E / (4.0 * nu_s)
-        return 2.0 * (df_s * (s * c_x + vb_delta) - df_t * (t * c_x + vb_delta)) / (s - t)
+        ds, dt = 2.0 * (s * c_x + vb_delta) / gap, -2.0 * (t * c_x + vb_delta) / gap
+        curvature = (-(LOG2E / s + 2.0 * df_s) / (4.0 * (1.0 + s)) * ds * ds
+                     - (LOG2E / t + 2.0 * df_t) / (4.0 * (1.0 + t)) * dt * dt
+                     + (df_s - df_t) * (8.0 * vb * quarter_diff_sq / (gap * gap * gap)))
+        return df_s * ds + df_t * dt, curvature * plus * minus / h
     x = 0.5 * (s + t)
     nu = math.sqrt(1.0 + x)
     d2f = -LOG2E * (nu / x + 0.5 * math.log1p(2.0 * (nu + 1.0) / x)) / (4.0 * nu * (1.0 + x))
-    return 2.0 * (df_t * c_x + d2f * (s * c_x + vb_delta))
+    return 2.0 * (df_t * c_x + d2f * (s * c_x + vb_delta)), math.nan
 
 
 def _g_mu(mu: float) -> float:
@@ -495,35 +506,8 @@ def _bracket_sign_change(f, a: float, fa: float, b: float, fb: float,
     return a, b
 
 
-def _warm_bracket(f, a: float, b: float, c: float, w: float):
-    """A bracket of the decreasing f's sign change in [a, b], from a probe
-    at c in [a, b].
-
-    The sign of f(c) tells which side holds the change: the search steps w
-    toward it and, if the sign holds there too, goes to the end of [a, b]
-    on that side.  Returns (l, fl, r, fr) with fl > 0 > fr, or l = r at
-    the end of [a, b] where the sign still holds, or at a point where f
-    is 0 or NaN, which closes the search on itself as in
-    _bracket_sign_change.  c = a with w = inf probes a, then b.
-    """
-    fc = f(c)
-    s, end = (1.0, b) if fc > 0.0 else (-1.0, a)
-    if c == end or not s * fc > 0.0:
-        return c, fc, c, fc
-    x = c + s * w
-    if not s * (end - x) > 0.0:
-        x = end
-    fx = f(x)
-    if s * fx > 0.0 and x != end:
-        c, fc, x = x, fx, end
-        fx = f(x)
-    if not s * fx < 0.0:
-        return x, fx, x, fx
-    return (c, fc, x, fx) if s > 0.0 else (x, fx, c, fc)
-
-
 def _worst_case_correlation(
-    ob: tuple, c0: float, start: tuple[float, float] | None = None
+    ob: tuple, c0: float, start: float | None = None
 ) -> tuple[float, float]:
     """Maximize the joint entropy over the physical correlation interval;
     returns (worst_Cp, S_AB there).
@@ -531,38 +515,53 @@ def _worst_case_correlation(
     The conditional entropy does not depend on C_p, so this maximum is the
     Holevo bound's.  The joint entropy is concave in delta = C_p - C0 on
     [-h, h], as the Gaussian entropy is concave in the covariance matrix
-    (Wolf, Giedke & Cirac, PRL 96, 080502 (2006)), so its slope
-    (_entropy_slope) falls from positive to negative across it.  The slope
-    is taken xtol/2 inside each end, where xtol is WORST_CASE_XTOL times
-    min(1, 2 h) and at least 8 ulps of h, as the slope can be 0/0 on an end;
-    if it points outward there, the maximum lies within xtol of that end.
-    Otherwise _bracket_sign_change closes on the slope's zero.  The upper
-    end hi = C0 + h stays a candidate, the lower one does not: mu_minus = 0
-    at both, and mu_plus = t0 + 2 c_x (h + delta) is smaller at the lower.
-    Each candidate's entropy is taken, as holevo_bound takes it, from its
-    C_p, so holevo_bound repeats it to the bit.
-
-    _warm_bracket finds the sign change from a probe at c: cold, c is
-    xtol/2 - h and w is inf, so both ends are probed.  start = (t, step)
-    puts c at delta = (2 t - 1) h, the place t in the C_p interval, with
-    w = max(step 2 h, 2 xtol); the result can then differ from the cold
-    search's in the last digits, within the final bracket.
+    (Wolf, Giedke & Cirac, PRL 96, 080502 (2006)), so its slope F
+    (_entropy_slope) falls across it, to -inf at h.  F >= 0 at delta = 0:
+    there F = 2 c_x (s G'(s) - t G'(t))/(s - t), and mu G'(mu) increases,
+    as with nu = coth(y/2) it is log2(e) (y/2)/sinh y, whose derivative in
+    mu has the sign of y - tanh y > 0.  So [0, h] brackets F's sign change
+    with no call.  Safeguarded Newton steps on F in the rapidity
+    z = atanh(delta/h) (rtsafe, Press et al., Numerical Recipes, 3rd ed.,
+    sec. 9.4), where F's logarithmic tail is nearly linear, shrink the
+    bracket to at most xtol, WORST_CASE_XTOL times min(1, 2 h) and at least
+    8 ulps of h: a step that leaves the z bracket, or one from a point
+    without dF/dz, bisects it, and each point is kept xtol/2 inside the
+    bracket in delta, so a step next to the zero closes it.  A cold search
+    starts at the upper end, h - xtol/2 (F can be 0/0 on an end), and one
+    started at the place t = start in the C_p interval at (2 t - 1) h; a
+    step past the upper end probes it.  The refined point is the Newton
+    point from the last one, where it lies in the final bracket, or else
+    the bracket's midpoint, also where F is not negative at the upper end.
+    The upper end hi = C0 + h stays a candidate, the lower one does not:
+    mu_minus = 0 at both, and mu_plus = t0 + 2 c_x (h + delta) is smaller
+    at the lower.  Each candidate's entropy is taken, as holevo_bound takes
+    it, from its C_p, so holevo_bound repeats it to the bit.
     """
     h = ob[0]
     hi = c0 + h
     xtol = max(WORST_CASE_XTOL * min(1.0, 2.0 * h), 8.0 * math.ulp(h))
     half = 0.5 * xtol
-    a, b = half - h, h - half
-    refined = 0.0
-    if a < b:
-        slope = partial(_entropy_slope, ob)
-        c, w = a, math.inf
-        if start is not None:
-            t, step = start
-            c = min(max((2.0 * t - 1.0) * h, a), b)
-            w = max(step * (2.0 * h), 2.0 * xtol)
-        a, b = _bracket_sign_change(slope, *_warm_bracket(slope, a, b, c, w), xtol)
-        refined = 0.5 * (a + b)
+    end, refined = h - half, 0.0
+    if end > 0.0:
+        # the bracket [a, b] in delta and [za, zb] in z
+        a, za, b, zb = 0.0, 0.0, h, math.inf
+        z = zb if start is None else math.atanh(min(max(2.0 * start - 1.0, 0.0), end / h))
+        while b - a > xtol:
+            if not za < z < zb:
+                z = 0.5 * (za + zb)
+            x = h * math.tanh(z)
+            if not a + half <= x <= b - half:
+                x = min(max(x, a + half), b - half)
+                z = math.atanh(x / h)
+            f, df = _entropy_slope(ob, z)
+            if f > 0.0:
+                a, za = x, z
+            elif f < 0.0:
+                b, zb = x, z
+            else:
+                a = b = x
+            z = z - f / df if df < 0.0 else math.nan
+        refined = h * math.tanh(z) if za <= z <= zb else 0.5 * (a + b)
 
     # the first of the candidates hi, refined whose entropy is larger
     cp, s_ab = hi, _joint_entropy(ob, c0, hi)
@@ -595,7 +594,7 @@ def _key_rate(
     eps_x: float,
     V_p_B: float,
     direction: ReconciliationDirection,
-    start: tuple[float, float] | None = None,
+    start: float | None = None,
 ) -> tuple[float, float, float, tuple[float, float]]:
     """key_rate's checks and search, on an (eta_x, eps_x) that the caller
     has checked as ChannelParams does.

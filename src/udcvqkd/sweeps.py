@@ -9,12 +9,12 @@ between two samples whose class can differ; the other cells take their
 samples' class.  Cells are classified as int8 codes, and the JSON text
 is written into one byte buffer, cell codes two bytes at a time.  Curves
 call key_rate's core, protocol._key_rate, point by point.  Root searches
-probe it by regula falsi through the bracketing helper that the
-worst-case C_p search uses, and each probe's C_p search starts at the
-last probe's worst case.  Everything runs on the calling thread, so
-output is deterministic.  Only the region-map code imports numpy, inside
-its functions, so curves and roots run without loading it.  Region maps
-serialize to JSON and curves to CSV, schemas documented in the README.
+probe it by regula falsi (protocol._bracket_sign_change), and each
+probe's C_p search starts at the place of the last probe's worst case.
+Everything runs on the calling thread, so output is deterministic.  Only
+the region-map code imports numpy, inside its functions, so curves and
+roots run without loading it.  Region maps serialize to JSON and curves
+to CSV, schemas documented in the README.
 """
 
 from __future__ import annotations
@@ -362,7 +362,7 @@ def _symmetric_rate(
     eta: float,
     eps: float,
     direction: ReconciliationDirection,
-    start: tuple[float, float] | None = None,
+    start: float | None = None,
 ) -> tuple[float, float | None]:
     """Worst-case key rate on a symmetric channel whose eta and eps are
     checked, and where its worst case lies: t = (worst_Cp - lo)/(hi - lo)
@@ -382,18 +382,15 @@ def _rate_walk(params: ProtocolParams, direction: ReconciliationDirection, chann
     """The worst-case key rate at channel(x) = (eta, eps), a checked
     symmetric channel, for the probes x of one root search.
 
-    Each probe's C_p search starts where the last probe's worst case lay,
-    with the last change in its place t as the step
-    (protocol._worst_case_correlation); the first two probes, and any after
-    a point interval, search cold.
+    Each probe's C_p search starts at the place t where the last probe's
+    worst case lay (protocol._worst_case_correlation); the first probe,
+    and any after a point interval, search cold.
     """
-    last_t = start = None
+    t = None
 
     def rate(x: float) -> float:
-        nonlocal last_t, start
-        k, t = _symmetric_rate(params, *channel(x), direction, start)
-        start = None if t is None or last_t is None else (t, abs(t - last_t))
-        last_t = t
+        nonlocal t
+        k, t = _symmetric_rate(params, *channel(x), direction, t)
         return k
 
     return rate

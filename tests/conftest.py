@@ -1,5 +1,7 @@
 import numpy as np
 
+from udcvqkd import ChannelParams, ProtocolParams, ReconciliationDirection
+from udcvqkd import physicality_parabola, symmetric_vpB
 from udcvqkd.gaussian import CovMatrix
 
 
@@ -18,6 +20,26 @@ def random_pd_cm(rng, n_modes: int = 2) -> CovMatrix:
     """Positive definite but only sometimes physical."""
     shift = rng.uniform(0.3, 2.0)
     return CovMatrix(random_symmetric(rng, n_modes, scale=0.5) + shift * np.eye(2 * n_modes))
+
+
+def broad_draw(rng):
+    """(params, chan, V_p_B, direction) from the whole domain: V_M up to
+    1e12, and subnormal for 5%; 1 - eta log-uniform down to 1e-12; V_p_B at
+    the parabola vertex, at the symmetric value or up to 10 above it.
+
+    rng is a random.Random or a numpy Generator; the values are Python
+    floats either way, as the CLI and the curves pass them.
+    """
+    v_m = (10.0 ** rng.uniform(-323.0, -308.0) if rng.random() < 0.05
+           else 10.0 ** rng.uniform(-3.0, 12.0))
+    params = ProtocolParams(V_S=10.0 ** rng.uniform(-2.0, 2.0), V_M=v_m)
+    eta = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0)
+    eps = float(rng.choice([0.0, rng.uniform(0.0, 0.1)]))
+    chan = ChannelParams.symmetric(eta, eps)
+    v_p_b = float(rng.choice([physicality_parabola(params, chan)[0],
+                              symmetric_vpB(params, eta, eps),
+                              symmetric_vpB(params, eta, eps) + 10.0 ** rng.uniform(-9, 1)]))
+    return params, chan, v_p_b, rng.choice(list(ReconciliationDirection))
 
 
 # RegionClass codes of the physical cells where each direction's key rate

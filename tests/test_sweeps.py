@@ -1024,9 +1024,9 @@ class TestZeroCrossing:
         assert fine == pytest.approx(coarse, abs=1e-4)
         assert math.nextafter(fine, math.inf) > fine
 
-    def test_probes_start_at_the_last_worst_case_from_the_third_on(self, monkeypatch):
-        # the first two probes search cold; each later one starts at the
-        # last worst case's place t, with the last change in t as its step
+    def test_probes_start_at_the_last_worst_case_from_the_second_on(self, monkeypatch):
+        # the first probe searches cold; each later one starts at the last
+        # worst case's place t
         calls = []
         probe = sweeps._symmetric_rate
 
@@ -1039,8 +1039,8 @@ class TestZeroCrossing:
         max_tolerable_noise(ProtocolParams(V_S=2.0, V_M=100.0), 0.2, DR)
         starts, places = zip(*calls)
         assert len(calls) > 3 and None not in places
-        assert starts[:2] == (None, None)
-        assert list(starts[2:]) == [(t, abs(t - last)) for last, t in zip(places, places[1:-1])]
+        assert starts[0] is None
+        assert list(starts[1:]) == list(places[:-1])
 
     def test_zero_rate_probe_is_not_the_lower_end(self, monkeypatch):
         # a probe below the cap whose rate is exactly 0 is no sign change's
@@ -1119,8 +1119,9 @@ class TestZeroCrossing:
 
     def test_figure_set_roots_within_slope_budget(self, monkeypatch):
         # each probe's C_p search starts at the last probe's worst case;
-        # with every search cold the figure set takes 78.75 slope calls per
-        # root, and the key_rate probes per root do not change
+        # with every search cold the figure set takes 32.9 slope calls per
+        # root (78.8 by regula falsi, and 59.3 started), and the key_rate
+        # probes per root do not change
         slopes = []
         slope = protocol._entropy_slope
 
@@ -1131,10 +1132,10 @@ class TestZeroCrossing:
         monkeypatch.setattr(protocol, "_entropy_slope", counted)
         roots = figure_set_roots(slopes)
         assert len(roots) == 88
-        assert sum(r[-1] for r in roots) / len(roots) <= 61
+        assert sum(r[-1] for r in roots) / len(roots) <= 30
 
     def test_figure_set_roots_move_within_tolerance_of_cold_probes(self, monkeypatch):
-        # a warm-started C_p search closes on another final bracket, so the
+        # a started C_p search ends on another last Newton point, so the
         # probes' rates and the roots move, but by less than tol
         started = figure_set_roots([])
         probe = sweeps._key_rate
