@@ -94,6 +94,7 @@ MUTANTS = [
      "math.atanh(2.0 * start - 1.0)"),
     (PROTOCOL, "            if not za < z < zb:", "            if False:"),
     (PROTOCOL, "            if not a + half <= x <= b - half:", "            if False:"),
+    (PROTOCOL, "            if z == z_last:", "            if False:"),
     (PROTOCOL, "refined = h * math.tanh(z) if za <= z <= zb else 0.5 * (a + b)",
      "refined = h * math.tanh(z)"),
     (PROTOCOL, "    xtol = max(WORST_CASE_XTOL * min(1.0, 2.0 * h), 8.0 * math.ulp(h))",

@@ -526,10 +526,11 @@ def _worst_case_correlation(
     bracket to at most xtol, WORST_CASE_XTOL times min(1, 2 h) and at least
     8 ulps of h: a step that leaves the z bracket, or one from a point
     without dF/dz, bisects it, and each point is kept xtol/2 inside the
-    bracket in delta, so a step next to the zero closes it.  A cold search
-    starts at the upper end, h - xtol/2 (F can be 0/0 on an end), and one
-    started at the place t = start in the C_p interval at (2 t - 1) h; a
-    step past the upper end probes it.  The refined point is the Newton
+    bracket in delta, so a step next to the zero closes it; a step that
+    leaves z as it is, F being 0 to z's rounding, closes it there as F = 0
+    does.  A cold search starts at the upper end, h - xtol/2 (F can be 0/0
+    on an end), and one started at the place t = start in the C_p interval
+    at (2 t - 1) h; a step past the upper end probes it.  The refined point is the Newton
     point from the last one, where it lies in the final bracket, or else
     the bracket's midpoint, also where F is not negative at the upper end.
     The upper end hi = C0 + h stays a candidate, the lower one does not:
@@ -560,7 +561,9 @@ def _worst_case_correlation(
                 b, zb = x, z
             else:
                 a = b = x
-            z = z - f / df if df < 0.0 else math.nan
+            z, z_last = (z - f / df if df < 0.0 else math.nan), z
+            if z == z_last:
+                a = b = x
         refined = h * math.tanh(z) if za <= z <= zb else 0.5 * (a + b)
 
     # the first of the candidates hi, refined whose entropy is larger

@@ -1197,6 +1197,154 @@ class TestWorstCaseSearch:
                     assert len(probes) <= 2 < cold, (params, eta, eps, v_p_b)
 
 
+def log_slope(h: float, r: float):
+    """slope(z) = (F, dF/dz) for F(delta) = log((h - delta)/(h - r)), which
+    falls from log(h/(h - r)) > 0 at 0 through 0 at r to -inf at h, like
+    the entropy slope; dF/dz = -(h + delta)/h.  h - delta is formed from
+    z as _entropy_slope forms it, so F is about log(2 h/(h - r)) - 2 z,
+    linear in z, next to h."""
+    def slope(z):
+        e = math.exp(-2.0 * z)
+        minus = 2.0 * h * e / (1.0 + e)
+        return math.log(minus / (h - r)), -(2.0 * h - minus) / h
+
+    return slope
+
+
+def log_entropy(h: float, r: float):
+    """The concave entropy whose slope log_slope gives, 0 at h."""
+    def entropy(delta):
+        minus = h - delta
+        return minus * (1.0 - math.log(minus / (h - r))) if minus > 0.0 else 0.0
+
+    return entropy
+
+
+def synthetic_search(monkeypatch, h, slope, entropy, start=None):
+    """_worst_case_correlation on ob = (h,) and C0 = 0 with slope(z) in
+    place of _entropy_slope and entropy(delta) in place of the joint
+    entropy; returns (worst C_p, the slope's points z, the entropy's
+    points delta).  A runaway loop stops at 200 slope calls."""
+    probes, points = [], []
+
+    def recorded_slope(ob, z):
+        probes.append(z)
+        assert len(probes) <= 200, "search did not terminate"
+        return slope(z)
+
+    def recorded_entropy(ob, c0, c_p):
+        points.append(c_p)
+        return entropy(c_p)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(protocol, "_entropy_slope", recorded_slope)
+        patched.setattr(protocol, "_joint_entropy", recorded_entropy)
+        cp, _ = _worst_case_correlation((h,), 0.0, start)
+    return cp, probes, points
+
+
+def search_xtol(h: float) -> float:
+    return max(protocol.WORST_CASE_XTOL * min(1.0, 2.0 * h), 8.0 * math.ulp(h))
+
+
+class TestNewtonSearch:
+    """The worst-case search's steps on synthetic slopes whose zero is known."""
+
+    @pytest.mark.parametrize("h", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("place", [1e-3, 0.3, 0.9, 1.0 - 1e-9])
+    def test_logarithmic_slope_closes_on_its_zero(self, monkeypatch, h, place):
+        # from a cold start and from starts on either side of the zero:
+        # each point lies xtol/2 inside the bracket that the earlier ones
+        # left, none repeats, and the worst case lies within xtol of the
+        # zero.  Newton steps from one side, where F rounds to -1e-16 at
+        # the zero, stopped moving z there; bisecting the z bracket then
+        # took up to 33 calls (h = 1e-6, place 0.9, start 0.75)
+        r = place * h
+        slope = log_slope(h, r)
+        xtol = search_xtol(h)
+        half = 0.5 * xtol
+        for start in (None, 0.25, 0.75, 0.9999):
+            cp, probes, _ = synthetic_search(monkeypatch, h, slope, log_entropy(h, r), start)
+            assert abs(cp - r) <= xtol, (start, cp, r)
+            assert len(set(probes)) == len(probes), start
+            assert len(probes) <= 8, (start, len(probes))
+            a, b = 0.0, h
+            for z in probes:
+                x = h * math.tanh(z)
+                assert a + half - 2.0 * math.ulp(h) <= x <= b - half + 2.0 * math.ulp(h), start
+                if slope(z)[0] > 0.0:
+                    a = x
+                else:
+                    b = x
+
+    @pytest.mark.parametrize("start", [-1.0, 0.0, 0.3, 0.5, 1.0, 2.0])
+    def test_start_without_an_interior_place_searches_cold(self, monkeypatch, start):
+        # a place at or below the middle of the C_p interval lies at or
+        # below C0, where the slope is known to be nonnegative, and one at
+        # or past the upper end lies on the cold search's first point
+        slope, entropy = log_slope(1.0, 0.3), log_entropy(1.0, 0.3)
+        cold = synthetic_search(monkeypatch, 1.0, slope, entropy)
+        assert synthetic_search(monkeypatch, 1.0, slope, entropy, start) == cold
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, math.inf])
+    def test_slope_not_negative_at_the_upper_end_takes_one_call(self, monkeypatch, value):
+        # the worst case then lies within xtol of hi, which stays the
+        # candidate where the entropy rises to it
+        h = 2.0
+        cp, probes, points = synthetic_search(
+            monkeypatch, h, lambda z: (value, math.nan), lambda delta: delta)
+        assert probes == [math.atanh((h - 0.5 * search_xtol(h)) / h)]
+        assert h - points[1] <= search_xtol(h)
+        assert cp == h
+
+    @pytest.mark.parametrize("value", [0.0, math.nan])
+    @pytest.mark.parametrize("start,k", [(None, 0), (0.75, 0), (None, 1)])
+    def test_zero_or_nan_slope_closes_on_that_point(self, monkeypatch, value, start, k):
+        # a slope of 0 is the zero, and NaN, which orders with nothing,
+        # stops the search where it is rather than looping
+        h, r = 1.0, 0.3
+        slope = log_slope(h, r)
+        calls = []
+
+        def slope_with_value(z):
+            calls.append(z)
+            f, df = slope(z)
+            return (value, df) if len(calls) == k + 1 else (f, df)
+
+        _, probes, points = synthetic_search(
+            monkeypatch, h, slope_with_value, log_entropy(h, r), start)
+        assert len(probes) == k + 1
+        assert abs(points[1] - h * math.tanh(probes[k])) <= 2.0 * math.ulp(h)
+
+    @pytest.mark.parametrize("df", [math.nan, 0.0, 1.0, -1e-300])
+    def test_step_without_a_usable_derivative_bisects_in_z(self, monkeypatch, df):
+        # no derivative, one that does not fall, and one whose step leaves
+        # the bracket: the next point halves [0, z] and the search still
+        # closes on the zero
+        h, r = 1.0, 0.3
+        slope = log_slope(h, r)
+
+        def first_without_derivative(z):
+            f, good = slope(z)
+            return (f, df) if z == first else (f, good)
+
+        first = math.atanh((h - 0.5 * search_xtol(h)) / h)
+        cp, probes, _ = synthetic_search(
+            monkeypatch, h, first_without_derivative, log_entropy(h, r))
+        assert probes[:2] == [first, 0.5 * first]
+        assert abs(cp - r) <= search_xtol(h)
+
+    @pytest.mark.parametrize("h", [0.0, 5e-324])
+    def test_interval_within_xtol_takes_no_slope_call(self, monkeypatch, h):
+        # a point interval, and one narrower than xtol/2: the candidates
+        # are hi and C0, and hi holds the larger entropy here
+        cp, probes, points = synthetic_search(
+            monkeypatch, h, log_slope(1.0, 0.3), lambda delta: delta)
+        assert probes == []
+        assert points == [h, 0.0]
+        assert cp == h
+
+
 def recorded(f):
     """f and the list of points it is called at; a runaway loop stops at
     1000 calls."""
