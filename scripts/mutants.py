@@ -14,7 +14,11 @@ so that a kill names the test that states the guard's property.
 The unmutated tests run first, and must pass.  Under a mutant the
 mutated module's own test file runs before the others: its tests are the
 likeliest to kill it, and they bound their loops, so a mutant that would
-hang a later test dies in seconds.  A mutant is killed
+hang a later test dies in seconds.  A protocol mutant runs
+test_protocol.py's TestNewtonSearch before that file (FIRST): a mutant of
+the worst-case search's safeguards can loop forever in the file's first
+key_rate test, while the class's synthetic searches stop at 200 calls.
+A mutant is killed
 when a test fails or the run times out.  It prints killed or survived
 for each, with the first failing test, and exits 1 if any survives.
 
@@ -44,6 +48,8 @@ ACCEPTANCE_5 = "tests/test_acceptance.py::test_acceptance_5_keyrate_crossings"
 STALE_CHECK = "tests/test_mutants.py"
 FINGERPRINT = "tests/test_fingerprint.py"
 TIMEOUT_S = 300.0
+# the tests run ahead of a module's own test file under its mutants
+FIRST = {PROTOCOL: ["tests/test_protocol.py::TestNewtonSearch"]}
 
 MUTANTS = [
     # parameter and observation checks
@@ -84,7 +90,8 @@ MUTANTS = [
     (PROTOCOL, "        if fa < math.inf and fb > -math.inf:", "        if True:"),
     (PROTOCOL, "        if x < a + half:", "        if x < a:"),
     (PROTOCOL, "        elif x > b - half:", "        elif x > b:"),
-    (PROTOCOL, "                break", "                pass"),
+    (PROTOCOL, "                break\n        fx = f(x)",
+     "                pass\n        fx = f(x)"),
     (PROTOCOL, "                fb *= m if m > 0.0 else 0.5", "                fb *= m"),
     (PROTOCOL, "                fa *= m if m > 0.0 else 0.5", "                fa *= m"),
     (PROTOCOL, "            a = b = x\n    return a, b", "            a = x\n    return a, b"),
@@ -94,12 +101,18 @@ MUTANTS = [
      "math.atanh(2.0 * start - 1.0)"),
     (PROTOCOL, "            if not za < z < zb:", "            if False:"),
     (PROTOCOL, "            if not a + half <= x <= b - half:", "            if False:"),
-    (PROTOCOL, "            if z == z_last:", "            if False:"),
-    (PROTOCOL, "refined = h * math.tanh(z) if za <= z <= zb else 0.5 * (a + b)",
-     "refined = h * math.tanh(z)"),
+    (PROTOCOL, "                if abs(x - x_last) <= half:", "                if False:"),
+    (PROTOCOL, "z = za if f == -math.inf and za == 0.0 else 0.5 * (za + zb)",
+     "z = 0.5 * (za + zb)"),
+    (PROTOCOL, "if f == -math.inf and za == 0.0 else", "if f == -math.inf else"),
+    (PROTOCOL, "refined = x if za <= z <= zb else 0.5 * (a + b)", "refined = x"),
     (PROTOCOL, "    xtol = max(WORST_CASE_XTOL * min(1.0, 2.0 * h), 8.0 * math.ulp(h))",
      "    xtol = WORST_CASE_XTOL * min(1.0, 2.0 * h)"),
-    (PROTOCOL, "    cp, s_ab = hi, _joint_entropy(ob, c0, hi)", "    cp, s_ab = hi, -math.inf"),
+    (PROTOCOL, "    if zb < math.inf:", "    if False:"),
+    (PROTOCOL, "        if not (2.0 * h * c_x + half_t0) + math.sqrt(",
+     "        if False and (2.0 * h * c_x + half_t0) + math.sqrt("),
+    (PROTOCOL, "    s_ab = _joint_entropy(ob, c0, hi)", "    s_ab = -math.inf"),
+    (PROTOCOL, "    if cp != hi:", "    if True:"),
     (PROTOCOL, "    if margins is None:\n        raise UnphysicalObservation(",
      "    if False:\n        raise UnphysicalObservation("),
     # the strong-modulation closed forms
@@ -189,15 +202,18 @@ def stale(root: pathlib.Path = ROOT) -> list[str]:
 
 def _test_files(mutated: str | None = None) -> list[str]:
     """The test files without STALE_CHECK and FINGERPRINT, in directory
-    order but with the mutated module's own, tests/test_<module>.py, first.
+    order but with the mutated module's own, tests/test_<module>.py, first,
+    and its FIRST tests before that.
 
     pytest runs the files in the order given; each is named, because a file
-    given before its directory goes back into directory order."""
+    given before its directory goes back into directory order.  FIRST's
+    tests run again in their file, as the runner keeps duplicates: without
+    that, pytest folds them into the file, in the file's order."""
     own = mutated and f"tests/test_{pathlib.PurePath(mutated).stem}.py"
     files = sorted(f"tests/{p.name}" for p in (ROOT / "tests").glob("test_*.py"))
     files.remove(STALE_CHECK)
     files.remove(FINGERPRINT)
-    return sorted(files, key=lambda f: f != own)
+    return FIRST.get(mutated, []) + sorted(files, key=lambda f: f != own)
 
 
 def _first_failure(output: str) -> str:
@@ -216,7 +232,7 @@ def run(indices: list[int]) -> int:
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "figure_data"))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                   "--hypothesis-seed=0", "--deselect", ACCEPTANCE_5]
+                   "--keep-duplicates", "--hypothesis-seed=0", "--deselect", ACCEPTANCE_5]
         baseline = subprocess.run(command + _test_files(), cwd=copy, env=env,
                                   capture_output=True, text=True)
         shutil.rmtree(copy / ".hypothesis", ignore_errors=True)

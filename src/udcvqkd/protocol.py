@@ -523,34 +523,47 @@ def _worst_case_correlation(
     with no call.  Safeguarded Newton steps on F in the rapidity
     z = atanh(delta/h) (rtsafe, Press et al., Numerical Recipes, 3rd ed.,
     sec. 9.4), where F's logarithmic tail is nearly linear, shrink the
-    bracket to at most xtol, WORST_CASE_XTOL times min(1, 2 h) and at least
-    8 ulps of h: a step that leaves the z bracket, or one from a point
+    bracket until a Newton point lies inside it within xtol/2 of the point
+    it was taken from (rtsafe's |dx| < xacc exit; a step that leaves z as
+    it is, F being 0 to z's rounding, is one), or until the bracket is at
+    most xtol wide; xtol is WORST_CASE_XTOL times min(1, 2 h) and at least
+    8 ulps of h.  A step that leaves the z bracket, or one from a point
     without dF/dz, bisects it, and each point is kept xtol/2 inside the
-    bracket in delta, so a step next to the zero closes it; a step that
-    leaves z as it is, F being 0 to z's rounding, closes it there as F = 0
-    does.  A cold search starts at the upper end, h - xtol/2 (F can be 0/0
-    on an end), and one started at the place t = start in the C_p interval
-    at (2 t - 1) h; a step past the upper end probes it.  The refined point is the Newton
-    point from the last one, where it lies in the final bracket, or else
-    the bracket's midpoint, also where F is not negative at the upper end.
-    The upper end hi = C0 + h stays a candidate, the lower one does not:
-    mu_minus = 0 at both, and mu_plus = t0 + 2 c_x (h + delta) is smaller
-    at the lower.  Each candidate's entropy is taken, as holevo_bound takes
-    it, from its C_p, so holevo_bound repeats it to the bit.
+    bracket in delta, so a step next to the zero closes it.  While no
+    point had F > 0, the slope's limit -inf (t < M_MIN above C0: det
+    underflowed, or mu_plus overflowed) is followed by a point xtol/2
+    above 0 instead, as the zero lies below the limit's point: at a
+    subnormal V_M every point takes the limit, and that second one closes
+    the bracket.  A cold search starts at the upper end, h - xtol/2 (F can
+    be 0/0 on an end), and one started at the place t = start in the C_p
+    interval at (2 t - 1) h; a step past the upper end probes it.  The
+    refined point is that converged Newton point, or the last one where it
+    lies in the final bracket, or else the bracket's midpoint.
+
+    The upper end hi = C0 + h is a candidate only while no point had
+    F < 0: one at b < h gives S(h) <= S(b) + F(b) (h - b) < S(b).  The
+    lower one never is: mu_minus = 0 at both, and
+    mu_plus = t0 + 2 c_x (h + delta) is smaller at the lower.  Where hi
+    is not taken, mu_plus there is still formed, as the region map forms
+    it, so that an overflow raises DomainError, as in the map.  Each
+    candidate's entropy is taken once, as holevo_bound takes it, from its
+    C_p, so holevo_bound repeats it to the bit.
     """
     h = ob[0]
     hi = c0 + h
     xtol = max(WORST_CASE_XTOL * min(1.0, 2.0 * h), 8.0 * math.ulp(h))
     half = 0.5 * xtol
-    end, refined = h - half, 0.0
+    end, refined, zb = h - half, 0.0, math.inf
     if end > 0.0:
-        # the bracket [a, b] in delta and [za, zb] in z
-        a, za, b, zb = 0.0, 0.0, h, math.inf
+        # the bracket [a, b] in delta and [za, zb] in z, and the point x
+        # at z; f = 0 before the first call
+        a, za, b, f = 0.0, 0.0, h, 0.0
         z = zb if start is None else math.atanh(min(max(2.0 * start - 1.0, 0.0), end / h))
+        x = h * math.tanh(z)
         while b - a > xtol:
             if not za < z < zb:
-                z = 0.5 * (za + zb)
-            x = h * math.tanh(z)
+                z = za if f == -math.inf and za == 0.0 else 0.5 * (za + zb)
+                x = h * math.tanh(z)
             if not a + half <= x <= b - half:
                 x = min(max(x, a + half), b - half)
                 z = math.atanh(x / h)
@@ -561,17 +574,29 @@ def _worst_case_correlation(
                 b, zb = x, z
             else:
                 a = b = x
-            z, z_last = (z - f / df if df < 0.0 else math.nan), z
-            if z == z_last:
-                a = b = x
-        refined = h * math.tanh(z) if za <= z <= zb else 0.5 * (a + b)
+            z = z - f / df if df < 0.0 else math.nan
+            if za <= z <= zb:
+                x, x_last = h * math.tanh(z), x
+                if abs(x - x_last) <= half:
+                    break
+        refined = x if za <= z <= zb else 0.5 * (a + b)
 
-    # the first of the candidates hi, refined whose entropy is larger
-    cp, s_ab = hi, _joint_entropy(ob, c0, hi)
-    s_refined = _joint_entropy(ob, c0, c0 + refined)
-    if s_refined > s_ab:
-        cp, s_ab = c0 + refined, s_refined
-    return cp, s_ab
+    cp = c0 + refined
+    if zb < math.inf:
+        # a point had F < 0, so hi is no candidate; _symplectic_pair's
+        # mu_plus at delta = h must still be finite
+        h, half_t0, c_x, _, quarter_diff_sq, v, cx_dv, cx_coeff, v_x_b = ob
+        if not (2.0 * h * c_x + half_t0) + math.sqrt(
+                abs(quarter_diff_sq + (v * h + cx_dv) * (cx_coeff + v_x_b * h))) < math.inf:
+            raise _not_finite("two-mode kernel")
+        return cp, _joint_entropy(ob, c0, cp)
+    # the first of the candidates hi, cp whose entropy is larger
+    s_ab = _joint_entropy(ob, c0, hi)
+    if cp != hi:
+        s_refined = _joint_entropy(ob, c0, cp)
+        if s_refined > s_ab:
+            return cp, s_refined
+    return hi, s_ab
 
 
 def key_rate(
