@@ -86,15 +86,14 @@ MUTANTS = [
     (PROTOCOL, "        reach += 8.0 * math.ulp(abs(xm.c0) + reach)", "        reach += 0.0"),
     (PROTOCOL, "    if margins is None or not abs(C_p - xm.c0) <= reach:",
      "    if margins is None:"),
-    # the bracketing search
-    (PROTOCOL, "        if fa < math.inf and fb > -math.inf:", "        if True:"),
-    (PROTOCOL, "        if x < a + half:", "        if x < a:"),
-    (PROTOCOL, "        elif x > b - half:", "        elif x > b:"),
-    (PROTOCOL, "                break\n        fx = f(x)",
+    # the root finders' bracketing search
+    (SWEEPS, "        if x < a + half:", "        if x < a:"),
+    (SWEEPS, "        elif x > b - half:", "        elif x > b:"),
+    (SWEEPS, "                break\n        fx = f(x)",
      "                pass\n        fx = f(x)"),
-    (PROTOCOL, "                fb *= m if m > 0.0 else 0.5", "                fb *= m"),
-    (PROTOCOL, "                fa *= m if m > 0.0 else 0.5", "                fa *= m"),
-    (PROTOCOL, "            a = b = x\n    return a, b", "            a = x\n    return a, b"),
+    (SWEEPS, "                fb *= m if m > 0.0 else 0.5", "                fb *= m"),
+    (SWEEPS, "                fa *= m if m > 0.0 else 0.5", "                fa *= m"),
+    (SWEEPS, "            a = b = x\n    return a, b", "            a = x\n    return a, b"),
     # the worst-case C_p search and key_rate
     (PROTOCOL, "    if end > 0.0:", "    if True:"),
     (PROTOCOL, "math.atanh(min(max(2.0 * start - 1.0, 0.0), end / h))",

@@ -236,10 +236,11 @@ def _entropy_slope(ob: tuple, z: float) -> tuple[float, float]:
     S = G(s) + G(t) in bits, s, t = mu_plus, mu_minus, and its derivative
     in the rapidity z, at delta = h tanh z.
 
-    h + delta = 2 h/(1 + e^-2z) and h - delta = (h + delta) e^-2z for
-    z >= 0, mirrored below, so neither cancels next to an end; s and t
-    follow as in _symplectic_pair.  s + t = tr and s t = det give
-    s' = 2 (s c_x + v b delta)/(s - t) and t' = -2 (t c_x + v b delta)/(s - t),
+    It is evaluated only for z >= 0, as _worst_case_correlation probes
+    only points above C0.  There h + delta = 2 h/(1 + e^-2z) and
+    h - delta = (h + delta) e^-2z, so neither cancels next to the upper
+    end; s and t follow as in _symplectic_pair.  s + t = tr and s t = det
+    give s' = 2 (s c_x + v b delta)/(s - t) and t' = -2 (t c_x + v b delta)/(s - t),
     as tr' = 2 c_x and det' = -2 v b delta (t' taken as tr' - s' would
     cancel under strong modulation), and s'' = -t'' = 2 (s' t' + v b)/(s - t),
     taken as 8 v b diff**2/(s - t)**3 with _observe's
@@ -252,16 +253,12 @@ def _entropy_slope(ob: tuple, z: float) -> tuple[float, float]:
     c_p = -c_x v/v_x_b) F is G'(t) tr' + D (s tr' - det'), with
     D = (G'(s) - G'(t))/(s - t) taken as G'' at the midpoint, and where t
     is below M_MIN (det underflowed, or s overflowed) F is its limit, +inf
-    for z <= 0 and -inf above, the sign det' gives it; both give dF/dz NaN.
+    at z = 0 and -inf above, the sign det' gives it; both give dF/dz NaN.
     """
     h, half_t0, c_x, vb, quarter_diff_sq, v, cx_dv, cx_coeff, v_x_b = ob
-    e = math.exp(-2.0 * abs(z))
-    if z >= 0.0:
-        plus = 2.0 * h / (1.0 + e)
-        minus, delta = plus * e, plus - h
-    else:
-        minus = 2.0 * h / (1.0 + e)
-        plus, delta = minus * e, h - minus
+    e = math.exp(-2.0 * z)
+    plus = 2.0 * h / (1.0 + e)
+    minus, delta = plus * e, plus - h
     s = (plus * c_x + half_t0) + math.sqrt(
         abs(quarter_diff_sq + (v * delta + cx_dv) * (cx_coeff + v_x_b * delta)))
     t = minus * vb * plus / s
@@ -452,58 +449,6 @@ def holevo_bound(
     dv, h = margins
     return _floor_holevo(_joint_entropy(_observe(xm, dv, h), xm.c0, C_p)
                          - _conditional_entropy(xm, dv, direction))
-
-
-def _bracket_sign_change(f, a: float, fa: float, b: float, fb: float,
-                         xtol: float) -> tuple[float, float]:
-    """Shrink a sign-change bracket of f until it is at most xtol wide.
-
-    Takes fa = f(a) > 0 > f(b) = fb, or a = b, and returns the final
-    (a, b).  Regula falsi with the Anderson-Bjorck end scaling (Illinois,
-    Dowell & Jarratt, BIT 11, 168 (1971), with the adaptive factor of
-    Anderson & Bjorck, BIT 13, 423 (1973)): a point on the same side as
-    the last one scales the kept end's value by 1 - f(x)/f(replaced), or
-    by 1/2 when that is not positive, so a convex f cannot pin one end.
-    It bisects while an end's value is infinite, and keeps interpolated
-    points xtol/2 inside the bracket, so a step next to the zero closes
-    it.  An exact zero closes the bracket on that point.  When neither
-    that point nor the midpoint lies strictly inside (the ends are
-    adjacent floats, an xtol below their spacing) it stops there.
-
-    Where f is nearly flat the scaling factor nears 0 and the next point
-    lands beside the kept end, so a bracket reaching far into a flat tail
-    can take more steps than bisection.  The root finders' doubling
-    brackets are a factor of two wide.
-    """
-    half = 0.5 * xtol
-    side = 0
-    while b - a > xtol:
-        if fa < math.inf and fb > -math.inf:
-            x = a + (b - a) * (fa / (fa - fb))
-        else:
-            x = 0.5 * (a + b)
-        if x < a + half:
-            x = a + half
-        elif x > b - half:
-            x = b - half
-        if not a < x < b:
-            x = 0.5 * (a + b)
-            if not a < x < b:
-                break
-        fx = f(x)
-        if fx > 0.0:
-            if side > 0:
-                m = 1.0 - fx / fa
-                fb *= m if m > 0.0 else 0.5
-            a, fa, side = x, fx, 1
-        elif fx < 0.0:
-            if side < 0:
-                m = 1.0 - fx / fb
-                fa *= m if m > 0.0 else 0.5
-            b, fb, side = x, fx, -1
-        else:
-            a = b = x
-    return a, b
 
 
 def _worst_case_correlation(

@@ -9,8 +9,9 @@ between two samples whose class can differ; the other cells take their
 samples' class.  Cells are classified as int8 codes, and the JSON text
 is written into one byte buffer, cell codes two bytes at a time.  Curves
 call key_rate's core, protocol._key_rate, point by point.  Root searches
-probe it by regula falsi (protocol._bracket_sign_change), and each
-probe's C_p search starts at the place of the last probe's worst case.
+probe it by regula falsi (_bracket_sign_change, beside _zero_crossing,
+its one caller), and each probe's C_p search starts at the place of the
+last probe's worst case.
 Everything runs on the calling thread, so output is deterministic.  Only
 the region-map code imports numpy, inside its functions, so curves and
 roots run without loading it.  Region maps serialize to JSON and curves
@@ -34,7 +35,6 @@ from .protocol import (
     ChannelParams,
     ProtocolParams,
     ReconciliationDirection,
-    _bracket_sign_change,
     _conditional_entropy,
     _key_rate,
     _not_finite,
@@ -378,24 +378,6 @@ def _symmetric_rate(
     return params.beta * mi - chi, (worst_cp - lo) / (hi - lo) if hi > lo else None
 
 
-def _rate_walk(params: ProtocolParams, direction: ReconciliationDirection, channel):
-    """The worst-case key rate at channel(x) = (eta, eps), a checked
-    symmetric channel, for the probes x of one root search.
-
-    Each probe's C_p search starts at the place t where the last probe's
-    worst case lay (protocol._worst_case_correlation); the first probe,
-    and any after a point interval, search cold.
-    """
-    t = None
-
-    def rate(x: float) -> float:
-        nonlocal t
-        k, t = _symmetric_rate(params, *channel(x), direction, t)
-        return k
-
-    return rate
-
-
 def _db_axis(db_values) -> list[float]:
     db_values = [float(v) for v in db_values]
     if any(b <= a for a, b in zip(db_values, db_values[1:])):
@@ -451,19 +433,71 @@ def noise_frontier(
                  "attenuation_db", "eps_max", _inputs(params, direction=direction.value, tol=tol))
 
 
+def _bracket_sign_change(f, a: float, fa: float, b: float, fb: float,
+                         xtol: float) -> tuple[float, float]:
+    """Shrink a sign-change bracket of f until it is at most xtol wide.
+
+    Takes finite fa = f(a) > 0 > f(b) = fb, or a = b, and returns the
+    final (a, b); _zero_crossing, its one caller, passes key rates, which
+    _key_rate returns finite or raises.  Regula falsi with the
+    Anderson-Bjorck end scaling (Illinois, Dowell & Jarratt, BIT 11, 168
+    (1971), with the adaptive factor of Anderson & Bjorck, BIT 13, 423
+    (1973)): a point on the same side as the last one scales the kept
+    end's value by 1 - f(x)/f(replaced), or by 1/2 when that is not
+    positive, so a convex f cannot pin one end.  It keeps interpolated
+    points xtol/2 inside the bracket, so a step next to the zero closes
+    it.  An exact zero closes the bracket on that point.  When neither
+    that point nor the midpoint lies strictly inside (the ends are
+    adjacent floats, an xtol below their spacing) it stops there.
+
+    Where f is nearly flat the scaling factor nears 0 and the next point
+    lands beside the kept end, so a bracket reaching far into a flat tail
+    can take more steps than bisection.  The root finders' doubling
+    brackets are a factor of two wide.
+    """
+    half = 0.5 * xtol
+    side = 0
+    while b - a > xtol:
+        x = a + (b - a) * (fa / (fa - fb))
+        if x < a + half:
+            x = a + half
+        elif x > b - half:
+            x = b - half
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        fx = f(x)
+        if fx > 0.0:
+            if side > 0:
+                m = 1.0 - fx / fa
+                fb *= m if m > 0.0 else 0.5
+            a, fa, side = x, fx, 1
+        elif fx < 0.0:
+            if side < 0:
+                m = 1.0 - fx / fb
+                fa *= m if m > 0.0 else 0.5
+            b, fb, side = x, fx, -1
+        else:
+            a = b = x
+    return a, b
+
+
 def _zero_crossing(params: ProtocolParams, direction: ReconciliationDirection, channel,
                    first: float, cap: float, tol: float, label) -> float:
     """A zero crossing on [0, cap] of the worst-case key rate at
     channel(x) = (eta, eps), by regula falsi.
 
     channel(0) is checked as ChannelParams.symmetric does, and every
-    channel(x) with x in [0, cap] must then be valid.  The rate is probed
-    through one _rate_walk, so each probe's C_p search starts at the last
-    probe's worst case.  label(x) names the point x in error messages.
+    channel(x) with x in [0, cap] must then be valid.  Each probe's C_p
+    search starts at the place t where the last probe's worst case lay
+    (protocol._worst_case_correlation); the first probe, and any after a
+    point interval, search cold.  label(x) names the point x in error messages.
     The upper bracket doubles from first up to cap, and the last probe
-    with a positive rate is the lower end.  _bracket_sign_change then
-    closes the bracket until it is at most tol wide, or until its ends are
-    adjacent floats (a tol below their spacing).  Returns its midpoint.
+    with a positive rate is the lower end.  _bracket_sign_change, above,
+    then closes the bracket, whose end values are finite key rates, until
+    it is at most tol wide, or until its ends are adjacent floats (a tol
+    below their spacing).  Returns its midpoint.
 
     Raises NoPositiveRate when the rate at 0 is not positive and NoRoot
     when the rate at cap is still nonnegative.
@@ -471,7 +505,13 @@ def _zero_crossing(params: ProtocolParams, direction: ReconciliationDirection, c
     if not 0.0 < tol < math.inf:
         raise ConfigError("tolerance must be positive and finite")
     ChannelParams.symmetric(*channel(0.0))
-    rate = _rate_walk(params, direction, channel)
+    t = None
+
+    def rate(x: float) -> float:
+        nonlocal t
+        k, t = _symmetric_rate(params, *channel(x), direction, t)
+        return k
+
     k0 = rate(0.0)
     if k0 <= 0.0:
         raise NoPositiveRate(f"key rate at {label(0.0)} is {k0!r}")

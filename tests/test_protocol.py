@@ -49,7 +49,6 @@ from udcvqkd.gaussian import (
 )
 from udcvqkd.protocol import (
     VERTEX_SLACK,
-    _bracket_sign_change,
     _conditional_entropy,
     _entropy_slope,
     _g_mu,
@@ -906,14 +905,16 @@ class TestTwoModeKernel:
         # calls.  Regula falsi took a mean of 9.7 slope calls here and at
         # most 22; Newton steps that closed the bracket took 5.5 and at most
         # 10 with 2 candidates each, and with the converged-step exit they
-        # take 4.8 and at most 9, with 1.02 candidates
+        # take 4.8 and at most 9, with 1.02 candidates.  Every point lies
+        # above C0, z > 0, where _entropy_slope has its one formula
         slopes, kernels, entropies = [], [], []
         slope, kernel = protocol._entropy_slope, protocol._symplectic_pair
         entropy = protocol._joint_entropy
 
-        def counted_slope(*args):
+        def counted_slope(ob, z):
+            assert z > 0.0, z
             slopes[-1] += 1
-            return slope(*args)
+            return slope(ob, z)
 
         def counted_kernel(*args):
             kernels[-1] += 1
@@ -1470,96 +1471,6 @@ class TestNewtonSearch:
         assert probes[1] == math.atanh(half / h)
         assert abs(cp - r) <= search_xtol(h)
         assert len(probes) <= 8
-
-
-def recorded(f):
-    """f and the list of points it is called at; a runaway loop stops at
-    1000 calls."""
-    points = []
-
-    def wrapped(x):
-        points.append(x)
-        assert len(points) <= 1000, "search did not terminate"
-        return f(x)
-
-    return wrapped, points
-
-
-class TestBracketSignChange:
-    @pytest.mark.parametrize("a,b", [(0.0, 4.0), (2.0, 4.0)])
-    def test_convex_decay_closes_faster_than_bisection(self, a, b):
-        # exp(-x) - c is convex and flattens, like K(dB); the brackets are
-        # the shapes the root finders' doubling gives, [0, first probe] and
-        # [probe, 2 probe]
-        c = math.exp(-3.0)
-        g = lambda x: math.exp(-x) - c
-        f, points = recorded(g)
-        lo, hi = _bracket_sign_change(f, a, g(a), b, g(b), 1e-4)
-        assert lo <= 3.0 <= hi and hi - lo <= 1e-4
-        assert len(points) < math.ceil(math.log2((b - a) / 1e-4))
-
-    def test_infinite_end_forces_bisection_and_still_closes(self):
-        f, points = recorded(lambda x: 0.3 - x if x < 0.4 else -math.inf)
-        lo, hi = _bracket_sign_change(f, 0.0, 0.3, 1.0, -math.inf, 1e-9)
-        # midpoints while the upper end's value is -inf: 0.5 (-inf again),
-        # 0.25 (positive), then 0.375, the first finite negative end
-        assert points[:3] == [0.5, 0.25, 0.375]
-        assert lo <= 0.3 <= hi and hi - lo <= 1e-9
-
-    def test_tolerance_below_float_spacing_stops_at_adjacent_floats(self):
-        # a step function has no zero, so only the adjacent-float stop ends it
-        f, points = recorded(lambda x: 1.0 if x < 0.3 else -1.0)
-        lo, hi = _bracket_sign_change(f, 0.0, 1.0, 1.0, -1.0, 1e-300)
-        assert lo < 0.3 <= hi == math.nextafter(lo, math.inf)
-        assert len(points) < 100
-
-    def test_exact_zero_returns_that_point(self):
-        f, points = recorded(lambda x: 0.25 - x)
-        assert _bracket_sign_change(f, 0.0, 0.25, 1.0, -0.75, 1e-12) == (0.25, 0.25)
-        assert points == [0.25]
-
-    @pytest.mark.parametrize("mirrored", [False, True])
-    def test_point_kept_inside_the_bracket_closes_it(self, mirrored):
-        # 0.1 - x**10 is flat left of its zero and steep right of it, so
-        # the interpolated points reach the zero from one side; kept xtol/2
-        # inside the bracket, the point beside it lands past it and closes
-        # the bracket in 21 calls, where points left where they fall take
-        # 31.  Mirrored, the rule at the other end does the same
-        def g(x):
-            return -(0.1 - (1.0 - x) ** 10) if mirrored else 0.1 - x**10
-
-        f, points = recorded(g)
-        lo, hi = _bracket_sign_change(f, 0.0, g(0.0), 1.0, g(1.0), 1e-9)
-        assert g(lo) >= 0.0 >= g(hi) and hi - lo <= 1e-9
-        assert len(points) <= 21
-
-    @pytest.mark.parametrize("mirrored", [False, True])
-    def test_rising_value_on_the_same_side_halves_the_kept_end(self, mirrored):
-        # f is not monotone: the second point, on the same side as the
-        # first, holds the larger value, so 1 - f(x)/f(replaced) is -1/3
-        # and the kept end's value is halved instead, which keeps its sign.
-        # K can rise with dB where it is negative (RR).  Mirrored, the
-        # same happens on the negative side, to the other end
-        def g(x):
-            if mirrored:
-                return -g0(1.0 - x)
-            return g0(x)
-
-        def g0(x):
-            # g0(0) = 1, g0(1/2) = 1/2, g0(2/3) = 2/3, g0(1) = -1
-            return 1.0 - x if x <= 0.5 else (x if x < 0.7 else 4.0 * (0.75 - x))
-
-        f, points = recorded(g)
-        lo, hi = _bracket_sign_change(f, 0.0, g(0.0), 1.0, g(1.0), 1e-12)
-        x1, x2, x3 = points[:3]
-        assert g(x1) * g(x2) > 0.0 and abs(g(x2)) > abs(g(x1))
-        # the secant through x2 and the kept end at half its value
-        if mirrored:
-            assert x3 == pytest.approx(x2 * 0.5 / (0.5 - g(x2)), rel=1e-12)
-        else:
-            assert x3 == pytest.approx(x2 + (1.0 - x2) * g(x2) / (g(x2) + 0.5), rel=1e-12)
-        assert g(lo) >= 0.0 >= g(hi) and hi - lo <= 1e-12
-        assert lo == pytest.approx(0.25 if mirrored else 0.75, abs=1e-12)
 
 
 class TestKeyRate:
