@@ -243,8 +243,10 @@ def _entropy_slope(ob: tuple, z: float) -> tuple[float, float]:
     give s' = 2 (s c_x + v b delta)/(s - t) and t' = -2 (t c_x + v b delta)/(s - t),
     as tr' = 2 c_x and det' = -2 v b delta (t' taken as tr' - s' would
     cancel under strong modulation), and s'' = -t'' = 2 (s' t' + v b)/(s - t),
-    taken as 8 v b diff**2/(s - t)**3 with _observe's
-    diff**2 = (v coeff - v_x_b dv)**2/4, which does not cancel.
+    taken as 8 v b (diff**2/(s - t)**2)/(s - t) with _observe's
+    diff**2 = (v coeff - v_x_b dv)**2/4, which does not cancel; the ratio
+    is formed first, as (s - t)**3 and v b diff**2 overflow from V_M about
+    1e102 and 1e124 (V_S 1, eta_x 0.1, V_p_B 100).
     F = G'(s) s' + G'(t) t' and dF/dz = S'' (h + delta)(h - delta)/h, with
     S'' = G''(s) s'**2 + G''(t) t'**2 + (G'(s) - G'(t)) s'' a sum of terms
     <= 0.  G'(mu) = log2(e) log1p(2 (nu + 1)/mu)/(4 nu), nu = sqrt(1 + mu),
@@ -274,7 +276,7 @@ def _entropy_slope(ob: tuple, z: float) -> tuple[float, float]:
         ds, dt = 2.0 * (s * c_x + vb_delta) / gap, -2.0 * (t * c_x + vb_delta) / gap
         curvature = (-(LOG2E / s + 2.0 * df_s) / (4.0 * (1.0 + s)) * ds * ds
                      - (LOG2E / t + 2.0 * df_t) / (4.0 * (1.0 + t)) * dt * dt
-                     + (df_s - df_t) * (8.0 * vb * quarter_diff_sq / (gap * gap * gap)))
+                     + (df_s - df_t) / gap * (8.0 * vb * (quarter_diff_sq / gap / gap)))
         return df_s * ds + df_t * dt, curvature * plus * minus / h
     x = 0.5 * (s + t)
     nu = math.sqrt(1.0 + x)

@@ -820,10 +820,13 @@ class TestTwoModeKernel:
         a = key_rate(params, chan, v_p_b, direction)
         assert a.holevo >= grid_holevo(params, eta, eps, v_p_b, direction).max() - 1e-12
 
-    @pytest.mark.parametrize("v_m", [1e2, 1e6, 1e8])
+    @pytest.mark.parametrize("v_m", [1e2, 1e6, 1e8, 1e120])
     def test_slope_matches_50_digit_derivative(self, v_m):
+        # the last point is V_p_B 100 on a coherent source at eta 0.1, where
+        # v b diff**2 overflows from V_M about 1e105
         for v_s, eta, eps, extra in ((0.5, 0.3, 0.0, 0.0), (1.0, 0.6, 0.02, 0.3),
-                                     (2.0, 0.9, 0.0, 0.1), (0.7, 0.95, 0.05, 0.0)):
+                                     (2.0, 0.9, 0.0, 0.1), (0.7, 0.95, 0.05, 0.0),
+                                     (1.0, 0.1, 0.0, 99.0)):
             params = ProtocolParams(V_S=v_s, V_M=v_m)
             chan = ChannelParams.symmetric(eta, eps)
             v_p_b = symmetric_vpB(params, eta, eps) + extra
@@ -835,13 +838,17 @@ class TestTwoModeKernel:
                 # the slope and its derivative in z = atanh(delta/h), where
                 # d delta/dz = (h**2 - delta**2)/h
                 slope, d_slope = _entropy_slope(ob, math.atanh((c_p - c0) / h))
-                with mpmath.workdps(50):
+                # 50 digits past those that the oracle's det X =
+                # v v_x_b - c_x**2 and its difference quotients cancel,
+                # about 3 log10(V_M) at V_M 1e120
+                with mpmath.workdps(50 + 3 * int(math.log10(v_m))):
                     want, curvature = (mpmath.diff(
                         lambda c: _mp_joint_entropy(params, chan, c, v_p_b), mpmath.mpf(c_p), n)
                         for n in (1, 2))
                     d_delta = (h**2 - (mpmath.mpf(c_p) - c0) ** 2) / h
-                assert slope == pytest.approx(float(want), rel=1e-8)
-                assert d_slope == pytest.approx(float(curvature * d_delta), rel=1e-8)
+                # relative only: at V_M 1e120 both are about 1e-31
+                assert slope == pytest.approx(float(want), rel=1e-8, abs=0.0)
+                assert d_slope == pytest.approx(float(curvature * d_delta), rel=1e-8, abs=0.0)
 
     def test_slope_is_finite_where_the_eigenvalues_meet(self):
         # nu_+ = nu_- at v_p_b = v**2/v_x_b, c_p = -c_x v/v_x_b, where the
@@ -946,6 +953,27 @@ class TestTwoModeKernel:
         assert max(slopes) <= 10
         assert np.mean(entropies) <= 1.1
         assert max(kernels) <= 2
+
+    def test_strong_modulation_keeps_the_slope_derivative(self, monkeypatch):
+        # at V_S 1, eta 0.1, V_p_B 100, (s - t)**3 overflows from V_M about
+        # 1e102, which dropped s'' from dF/dz, and v b diff**2 from about
+        # 1e124, which made dF/dz NaN, so the search bisected: 55 to 69
+        # slope calls per key_rate from 1e105 on, against 7 at 1e100.  The
+        # ratio diff**2/(s - t)**2, formed first, keeps 7 up to 1e153, below
+        # the kernel's overflow at 2e153
+        slopes = []
+        slope = protocol._entropy_slope
+
+        def counted_slope(ob, z):
+            slopes[-1] += 1
+            return slope(ob, z)
+
+        monkeypatch.setattr(protocol, "_entropy_slope", counted_slope)
+        chan = ChannelParams(0.1, 0.0)
+        for exponent in (*range(100, 151, 5), 153):
+            slopes.append(0)
+            key_rate(ProtocolParams(V_S=1.0, V_M=10.0**exponent), chan, 100.0, DR)
+        assert max(slopes) <= 10, slopes
 
 
 class TestWorstCaseSearch:
