@@ -236,8 +236,8 @@ def _entropy_slope(ob: tuple, z: float) -> tuple[float, float]:
     S = G(s) + G(t) in bits, s, t = mu_plus, mu_minus, and its derivative
     in the rapidity z, at delta = h tanh z.
 
-    It is evaluated only for z >= 0, as _worst_case_correlation probes
-    only points above C0.  There h + delta = 2 h/(1 + e^-2z) and
+    The search evaluates it only for z >= 0, as _worst_case_correlation
+    probes only points above C0.  There h + delta = 2 h/(1 + e^-2z) and
     h - delta = (h + delta) e^-2z, so neither cancels next to the upper
     end; s and t follow as in _symplectic_pair.  s + t = tr and s t = det
     give s' = 2 (s c_x + v b delta)/(s - t) and t' = -2 (t c_x + v b delta)/(s - t),
