@@ -823,7 +823,7 @@ class TestTwoModeKernel:
     @pytest.mark.parametrize("v_m", [1e2, 1e6, 1e8, 1e120])
     def test_slope_matches_50_digit_derivative(self, v_m):
         # the last point is V_p_B 100 on a coherent source at eta 0.1, where
-        # v b diff**2 overflows from V_M about 1e105
+        # (s - t)**3 and v b diff**2 overflow from V_M about 1e102 and 1e124
         for v_s, eta, eps, extra in ((0.5, 0.3, 0.0, 0.0), (1.0, 0.6, 0.02, 0.3),
                                      (2.0, 0.9, 0.0, 0.1), (0.7, 0.95, 0.05, 0.0),
                                      (1.0, 0.1, 0.0, 99.0)):
