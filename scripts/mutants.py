@@ -158,8 +158,14 @@ MUTANTS = [
      "        if False:"),
     (SWEEPS, "        flag |= np.abs(chi_dr - key_mi) <= REGION_MARGIN", "        pass"),
     (SWEEPS, "        flag |= np.abs(chi_rr - key_mi) <= REGION_MARGIN", "        pass"),
-    (SWEEPS, "        flag &= code != RegionClass.PHYSICAL_INSECURE", "        pass"),
     (SWEEPS, "        refine &= rows[1:] == rows[:-1]", "        pass"),
+    (SWEEPS, "insecure_above, secure_below = key_mi + REGION_MARGIN,",
+     "insecure_above, secure_below = key_mi,"),
+    (SWEEPS, "= key_mi + REGION_MARGIN, key_mi - REGION_MARGIN\n", "= key_mi + REGION_MARGIN, key_mi\n"),
+    (SWEEPS, "            run[ends - 1] = np.nan", "            pass"),
+    (SWEEPS, "        kept = lo <= hi", "        kept = True"),
+    (SWEEPS, 'np.minimum(np.maximum(np.searchsorted(delta, hi, "right"), inner_first), cols[after])',
+     'np.minimum(np.searchsorted(delta, hi, "right"), cols[after])'),
     (SWEEPS, "        if not held.size:", "        if False:"),
     # curves and root searches
     (SWEEPS, "(worst_cp - lo) / (hi - lo) if hi > lo else None", "(worst_cp - lo) / (hi - lo)"),
@@ -172,7 +178,7 @@ MUTANTS = [
     (SWEEPS, "        if k > 0.0:\n            lo, k_lo = hi, k",
      "        if True:\n            lo, k_lo = hi, k"),
     # the map's clamp of chi, and the mutual information's log1p
-    (SWEEPS, "(np.maximum(chi, 0.0) < key_mi for chi", "(chi < key_mi for chi"),
+    (SWEEPS, "dr, rr = np.maximum(chi, 0.0) < key_mi", "dr, rr = chi < key_mi"),
     (PROTOCOL, "math.log1p(eta_x * params.V_M / b) * LOG2E",
      "math.log2(1.0 + eta_x * params.V_M / b)"),
     # the CLI's exit-2 paths

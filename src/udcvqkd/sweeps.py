@@ -5,9 +5,11 @@ that physicality_interval and key_rate use, by two binary searches on the
 C_p axis.  key_rate's closed-form two-mode kernel then runs in two passes
 over flat arrays of cells: a coarse pass classifies every REGION_STRIDE-th
 cell of each run and its last cell, and a refine pass only the cells
-between two samples whose class can differ; the other cells take their
-samples' class.  Cells are classified as int8 codes, and the JSON text
-is written into one byte buffer, cell codes two bytes at a time.  Curves
+between two samples whose class the concavity of S_AB in C_p leaves open:
+a chord bounds it from below and the neighbouring secants' lines from
+above.  The other cells take their samples' class.  Cells are classified
+as int8 codes, and the JSON text is written into one byte buffer, cell
+codes two bytes at a time.  Curves
 call key_rate's core, protocol._key_rate, point by point.  Root searches
 probe it by regula falsi (_bracket_sign_change, beside _zero_crossing,
 its one caller), and each probe's C_p search starts at the place of the
@@ -54,10 +56,12 @@ NOISE_CAP = 10.0
 DB_CAP = 60.0
 DB_GRID_CAP = 10**6  # db_grid's most points; a figure grid has up to 151
 # Region maps sample each row's run of physical cells every REGION_STRIDE
-# cells, and run the kernel at a cell between two samples only where the
-# samples' classes differ, border the row's largest joint entropy, or lie
-# within REGION_MARGIN bits of a key-rate threshold (scan_region).
-REGION_STRIDE = 8
+# cells.  Between two samples whose classes differ, that border the row's
+# largest joint entropy, or that lie within REGION_MARGIN bits of a
+# key-rate threshold, the kernel runs only at the cells that the chord and
+# the neighbouring secants do not settle by REGION_MARGIN (scan_region),
+# a few per interval, so samples can be this sparse.
+REGION_STRIDE = 24
 REGION_MARGIN = 1e-9
 # Cells per block of whole rows, or one row where a row holds more: one
 # block on a 400x400 map, and each kernel pass over a block takes at most
@@ -221,20 +225,34 @@ def scan_region(
     through key_rate's kernel with dv and h per row and delta = C_p - C0
     per cell (protocol._observe).
 
-    The kernel runs at few of the cells.  S_AB is concave in C_p and the
-    conditional entropies are constant along a row, so each direction's
-    insecure cells are one run inside the row's physical run.  A coarse
-    pass classifies the cells every REGION_STRIDE columns from the run's
-    first cell, and its last cell, over blocks of whole rows of up to
-    REGION_BLOCK_CELLS cells.  Between two samples S_AB is monotone,
-    except in the two intervals next to the row's largest sample, so an
-    interval's inner cells take its samples' code when the two codes agree,
-    the interval does not border that sample unless it is insecure both
-    ways, and neither sample lies within REGION_MARGIN bits of a threshold,
-    far above the kernel's rounding.  Those cells are filled by one
-    run-length repeat per block.  A refine pass runs the kernel at the
-    inner cells of every other interval.  The cells are those of running
-    the kernel at every physical cell, bit for bit.
+    The kernel runs at few of the cells.  S_AB is concave in C_p (Wolf,
+    Giedke & Cirac, PRL 96, 080502 (2006)) and the conditional entropies
+    are constant along a row, so each direction's insecure cells are one
+    run inside the row's physical run.  A coarse pass classifies the cells
+    every REGION_STRIDE columns from the run's first cell, and its last
+    cell, over blocks of whole rows of up to REGION_BLOCK_CELLS cells.
+    Between two samples S_AB is monotone, except in the two intervals next
+    to the row's largest sample, so an interval's inner cells take its
+    samples' code when the two codes agree, the interval does not border
+    that sample, and neither sample lies within REGION_MARGIN bits of a
+    threshold.  Every other interval is refined, in delta = C_p - C0: a
+    concave function lies above each chord, and below each secant's line
+    outside the secant's span.  So chi lies above the chord of the
+    interval's samples k and k + 1, and below the lines of the secants
+    (k - 1, k) and (k + 1, k + 2) of its row.  Where the chord lies more
+    than REGION_MARGIN above key_mi a cell is insecure, and where a secant
+    line lies more than REGION_MARGIN below it, secure.  In each
+    direction the cells that neither settles form one interval of delta,
+    and as the chord lies below the secant lines, no delta is settled both
+    ways, so the cells before that interval take sample k's class and
+    those after it sample k + 1's.  The kernel runs only at the inner
+    cells in the hull of the two directions' intervals; the cells before
+    the hull keep sample k's code and sample k + 1's code runs from the
+    hull's end, by one run-length repeat per block.  REGION_MARGIN, 1e-9 bits, is far above the rounding of the
+    kernel's samples and of the lines through them; a line meets its
+    threshold at a rounded delta, and a cell's delta, a float strictly
+    beyond it, lies beyond the exact meeting point too.  The cells are
+    those of running the kernel at every physical cell, bit for bit.
     """
     import numpy as np
 
@@ -287,26 +305,29 @@ def scan_region(
 
     def classify(rows, cols):
         """The codes of the cells (rows[k], cols[k]) and their Holevo
-        bounds S_AB - S_cond for DR and for RR, as flat arrays."""
+        bounds S_AB - S_cond, DR's in the first row of a 2-row array and
+        RR's in the second."""
         cell_ob = tuple(term[rows] if np.ndim(term) else term for term in ob)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             mu_plus, mu_minus = _symplectic_pair(cell_ob, delta[cols], np.sqrt)
         s_ab = _g_mu_array(mu_plus) + _g_mu_array(mu_minus)
-        chi_dr = s_ab - s_cond_dr[rows]
-        chi_rr = s_ab - s_cond_rr
+        chi = np.empty((2, s_ab.size))
+        np.subtract(s_ab, s_cond_dr[rows], out=chi[0])
+        np.subtract(s_ab, s_cond_rr, out=chi[1])
         # the key rate key_mi - max(chi, 0), with holevo_bound's clamp, is
         # > 0 exactly when max(chi, 0) < key_mi, as key_mi is finite and a
         # difference of finite floats is 0 only when they are equal.
         # PHYSICAL_INSECURE, SECURE_DR, SECURE_RR, SECURE_BOTH are
         # 1 + dr + 2 rr
-        dr, rr = (np.maximum(chi, 0.0) < key_mi for chi in (chi_dr, chi_rr))
+        dr, rr = np.maximum(chi, 0.0) < key_mi
         code = dr.view(np.int8) + 2 * rr.view(np.int8) + 1
-        return code, chi_dr, chi_rr
+        return code, chi
 
     cells = np.zeros((grid.x_points, grid.cp_points), dtype=np.int8)
     # coarse samples of each row's run [first, stop): every REGION_STRIDE
     # cells from first, and always at stop - 1
     count = np.where(physical, (stop - first + REGION_STRIDE - 2) // REGION_STRIDE + 1, 0)
+    insecure_above, secure_below = key_mi + REGION_MARGIN, key_mi - REGION_MARGIN
     block = max(1, REGION_BLOCK_CELLS // grid.cp_points)
     flat = cells.reshape(-1)
     for start in range(0, grid.x_points, block):
@@ -321,7 +342,8 @@ def scan_region(
         starts = ends - sizes
         place = np.arange(rows.size) - starts.repeat(sizes)
         cols = np.minimum(first[rows] + place * REGION_STRIDE, stop[rows] - 1)
-        code, chi_dr, chi_rr = classify(rows, cols)
+        code, chi = classify(rows, cols)
+        chi_dr, chi_rr = chi
 
         # S_AB is concave along a row: between two samples it is monotone,
         # except next to the row's largest sample (chi_rr is S_AB less a
@@ -329,11 +351,8 @@ def scan_region(
         # that code throughout unless it borders that peak, or one of its
         # samples lies within REGION_MARGIN of a threshold, where rounding
         # can decide.  Those intervals, and the ones whose codes differ,
-        # are refined.  A peak insecure both ways needs no window: where
-        # S_AB is at least a threshold is an interval, so one between two
-        # samples insecure beyond REGION_MARGIN is insecure throughout.
+        # are refined, each within its row.
         flag = chi_rr == np.maximum.reduceat(chi_rr, starts).repeat(sizes)
-        flag &= code != RegionClass.PHYSICAL_INSECURE
         flag |= np.abs(chi_dr - key_mi) <= REGION_MARGIN
         flag |= np.abs(chi_rr - key_mi) <= REGION_MARGIN
         refine = code[1:] != code[:-1]
@@ -341,15 +360,57 @@ def scan_region(
         refine |= flag[:-1]
         refine &= rows[1:] == rows[:-1]
 
-        # each sample's code runs to the next sample of its row, and a 0
-        # from the row's stop on: one repeat into the flat cells
-        at = np.insert(rows * grid.cp_points + cols, ends, held * grid.cp_points + stop[held])
+        # On a refined interval (k, k + 1), chi lies above the chord of its
+        # two samples and below the lines of the secants (k - 1, k) and
+        # (k + 1, k + 2) beside it, in delta.  Each direction's cells that
+        # neither bound puts REGION_MARGIN beyond key_mi form one interval
+        # of delta, [lo, hi], empty where the bounds settle every cell.
+        # run is each secant's d delta / d chi, from chi_rr, which differs
+        # from chi_dr by a constant along a row.  It is NaN, so that it
+        # bounds nothing, where the secant's samples lie in two rows, and
+        # past the last sample, where run[k - 1] of the first sample wraps.
+        k = np.flatnonzero(refine)
+        after = k + 1
+        x = delta[cols]
+        run = np.empty(rows.size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(x[1:] - x[:-1], chi_rr[1:] - chi_rr[:-1], out=run[:-1])
+            run[ends - 1] = np.nan
+            x0, x1, f0, f1 = x[k], x[after], chi.take(k, 1), chi.take(after, 1)
+            chord, left, right = run[k], run[k - 1], run[after]
+            # where each line meets its threshold: a falling chord bounds
+            # [lo, hi] from below, a falling secant from above
+            meet = x0 + (insecure_above - f0) * chord
+            falls = np.signbit(chord)
+            lo = np.fmax(x0, np.where(falls, meet, -np.inf))
+            hi = np.fmin(x1, np.where(falls, np.inf, meet))
+            for meet, slope in ((x0 + (secure_below - f0) * left, left),
+                                (x1 + (secure_below - f1) * right, right)):
+                falls = np.signbit(slope)
+                lo = np.fmax(lo, np.where(falls, -np.inf, meet))
+                hi = np.fmin(hi, np.where(falls, meet, np.inf))
+        kept = lo <= hi
+        lo = np.minimum(*np.where(kept, lo, np.inf))
+        hi = np.maximum(*np.where(kept, hi, -np.inf))
+        # the kernel runs at the inner cells in the hull of the two
+        # directions' intervals, [fine, cut); the cells before it keep
+        # sample k's code, and sample k + 1's run starts at cut
+        inner_first = cols[k] + 1
+        fine = np.maximum(np.searchsorted(delta, lo), inner_first)
+        cut = np.minimum(np.maximum(np.searchsorted(delta, hi, "right"), inner_first), cols[after])
+
+        # each sample's code runs to the next sample's cut, and a 0 from the
+        # row's stop on: one repeat into the flat cells
+        row = rows[k]
+        at = rows * grid.cp_points + cols
+        at[after] = row * grid.cp_points + cut
+        at = np.insert(at, ends, held * grid.cp_points + stop[held])
         flat[at[0]:at[-1]] = np.insert(code, ends, 0)[:-1].repeat(np.diff(at))
 
-        # the inner cells of the intervals refined, through the kernel
-        inner = np.where(refine, cols[1:] - cols[:-1] - 1, 0)
-        fine_rows = rows[:-1].repeat(inner)
-        fine_cols = (cols[:-1] + 1 - np.cumsum(inner) + inner).repeat(inner)
+        # the cells of each hull, through the kernel
+        inner = np.maximum(cut - fine, 0)
+        fine_rows = row.repeat(inner)
+        fine_cols = (fine - np.cumsum(inner) + inner).repeat(inner)
         fine_cols += np.arange(fine_cols.size)
         cells[fine_rows, fine_cols] = classify(fine_rows, fine_cols)[0]
 

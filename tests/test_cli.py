@@ -260,8 +260,8 @@ class TestAsymptoticCommand:
                                  "--eta", "0.999999999999999")
             assert code == 0, err
             rates[v_s] = json.loads(out)["rr"]
-        assert rates["1.000000001"] == pytest.approx(rates["1"], rel=1e-9)
-        assert rates["1"] == pytest.approx(24.47234245838989, rel=1e-13)
+        assert rates["1.000000001"] == pytest.approx(rates["1"], rel=1e-9, abs=0.0)
+        assert rates["1"] == pytest.approx(24.47234245838989, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("v_s,eta", [("0.5", "1e-300"), ("1e-300", "1e-17"),
                                          ("2", "5e-324"), ("1e-300", "0.9999999999999999")])

@@ -744,7 +744,7 @@ class TestTwoModeKernel:
             want = symplectic_eigenvalues(apply_channel(params, chan, c_p, v_p_b))
             ob, c0, _ = observed(params, eta, eps, v_p_b)
             got = tuple(math.sqrt(1.0 + mu) for mu in _symplectic_pair(ob, c_p - c0))
-            assert got == pytest.approx(tuple(want), rel=1e-9)
+            assert got == pytest.approx(tuple(want), rel=1e-9, abs=0.0)
             checked += 1
 
     def test_floats_and_arrays_round_alike(self):
@@ -862,7 +862,7 @@ class TestTwoModeKernel:
         assert lo < c_star < hi
         ob, c0, _ = observed(params, 0.7, 0.0, v_p_b)
         nu_plus, nu_minus = (math.sqrt(1.0 + mu) for mu in _symplectic_pair(ob, c_star - c0))
-        assert nu_plus == pytest.approx(nu_minus, rel=1e-12)
+        assert nu_plus == pytest.approx(nu_minus, rel=1e-12, abs=0.0)
         # the divided difference gives the slope there, and no derivative,
         # so the search bisects
         slope, d_slope = _entropy_slope(ob, math.atanh((c_star - c0) / ob[0]))
@@ -871,7 +871,7 @@ class TestTwoModeKernel:
             want = mpmath.diff(
                 lambda c: _mp_joint_entropy(params, chan, c, v_p_b), mpmath.mpf(c_star))
         assert math.isfinite(slope)
-        assert slope == pytest.approx(float(want), rel=1e-8)
+        assert slope == pytest.approx(float(want), rel=1e-8, abs=0.0)
         # the golden-section search over the whole interval gave these
         for direction, golden in ((DR, 2.4297904129126633), (RR, 2.4297904129126637)):
             a = key_rate(params, chan, v_p_b, direction)
@@ -889,7 +889,8 @@ class TestTwoModeKernel:
         assert _entropy_slope(ob, 0.0)[0] >= 0.0
         params = ProtocolParams(V_S=2.0, V_M=1e-300)
         ob = observed(params, 0.3, 0.0, 1.5 * symmetric_vpB(params, 0.3, 0.0))[0]
-        assert _entropy_slope(ob, 0.0)[0] == pytest.approx(6.365376710075173e-151, rel=1e-12)
+        assert _entropy_slope(ob, 0.0)[0] == pytest.approx(6.365376710075173e-151,
+                                                           rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("direction", [DR, RR])
     def test_worst_case_at_interval_end(self, direction):
@@ -1055,7 +1056,7 @@ class TestWorstCaseSearch:
                 cp_bisected, s_ab_bisected = _worst_case_correlation(ob, c0)
             xtol = max(protocol.WORST_CASE_XTOL * min(1.0, 2.0 * ob[0]), 8.0 * math.ulp(ob[0]))
             assert abs(cp_bisected - cp) <= xtol, (params, eta, eps, v_p_b)
-            assert s_ab_bisected == pytest.approx(s_ab, rel=1e-14)
+            assert s_ab_bisected == pytest.approx(s_ab, rel=1e-14, abs=0.0)
 
     def test_worst_case_beside_an_end_matches_60_digit_maximum(self):
         # a worst case 3.7e-11 inside the upper end (xtol 6.2e-11), where
@@ -1232,7 +1233,7 @@ class TestWorstCaseSearch:
                 probes.clear()
                 started = _worst_case_correlation(ob, c0, t)
                 assert len(set(probes)) == len(probes), (params, eta, eps, v_p_b, t)
-                assert started[1] == pytest.approx(s_ab, rel=1e-15)
+                assert started[1] == pytest.approx(s_ab, rel=1e-15, abs=0.0)
                 if t not in (0.0, 1.0):
                     assert len(probes) == 1 < cold, (params, eta, eps, v_p_b)
 
@@ -1801,8 +1802,9 @@ class TestAsymptoticRates:
             for func in (asymptotic_key_rate_dr, asymptotic_key_rate_rr):
                 at_one = func(1.0, eta)
                 assert math.isfinite(at_one), (func, eta)
+                near = pytest.approx(at_one, rel=1e-9, abs=0.0)
                 for v_s in (1.0 - 1e-9, 1.0 + 1e-9):
-                    assert func(v_s, eta) == pytest.approx(at_one, rel=1e-9), (func, v_s, eta)
+                    assert func(v_s, eta) == near, (func, v_s, eta)
 
     @pytest.mark.parametrize("v_s", [math.inf, math.nan, 0.0, -1.0])
     def test_signal_variance_must_be_positive_and_finite(self, v_s):

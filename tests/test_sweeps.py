@@ -737,20 +737,60 @@ class TestTwoPassScan:
     def vpb(params, chan_x, x, mode):
         return x if mode is RegionMode.FREE_VPB else symmetric_vpB(params, chan_x[0], x)
 
+    @staticmethod
+    def fine_columns(params, chan_x, grid, mode, monkeypatch):
+        """scan_region's cells, and for each physical row of a map of one
+        block the columns at which its refine pass ran the kernel.
+
+        The kernel then runs three times: at every row's upper end, delta =
+        h, at the samples, and at the refined cells.  A cell's row is the
+        one whose h it got, and its column the one whose delta it got; the
+        columns are left out where the physical rows' h or the C_p axis's
+        deltas repeat, as on C_p axes a few hundred ulps wide."""
+        calls = []
+        kernel = sweeps._symplectic_pair
+
+        def recorded(ob, delta, sqrt):
+            calls.append((np.array(ob[0]), np.array(delta)))
+            return kernel(ob, delta, sqrt)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sweeps, "_symplectic_pair", recorded)
+            cells = scan_region(params, chan_x, grid, mode).cells
+        physical = np.flatnonzero(cells.any(axis=1))
+        cp_axis = np.linspace(grid.cp_min, grid.cp_max, grid.cp_points)
+        delta = cp_axis - _x_moments(params, *chan_x).c0
+        h = calls[0][0][physical]
+        if not len(physical) or len(np.unique(h)) < len(h) or not (np.diff(delta) > 0).all():
+            return cells, {}
+        _, _, (fine_h, fine_delta) = calls
+        order = np.argsort(h)
+        at = np.searchsorted(h[order], fine_h)
+        assert np.array_equal(h[order][at], fine_h)
+        rows, cols = physical[order][at], np.searchsorted(delta, fine_delta)
+        return cells, {i: cols[rows == i] for i in physical.tolist()}
+
     @pytest.mark.parametrize("mode", list(RegionMode))
-    def test_fuzzed_maps_match_full_evaluation(self, mode):
+    def test_fuzzed_maps_match_full_evaluation(self, mode, monkeypatch):
         # the fuzz reaches each rule that sends cells to the kernel: runs
         # of one cell and runs shorter than the stride; an insecure run
         # shorter than the stride with no sample in it, which only the
         # window around the row's largest sample finds; and rows where
         # rounding splits a direction's insecure cells, which only
-        # REGION_MARGIN finds
+        # REGION_MARGIN finds.  It also reaches each way the concavity
+        # bounds settle cells between two samples: a crossing whose
+        # uncertain cells are none, so that the run of the later sample's
+        # code starts at the crossing with no kernel call; a bump inside an
+        # interval of one code, next to the row's largest sample, whose
+        # kernel cells are fewer than the interval's; and a refined
+        # interval at the end of its row, whose secant beyond that end
+        # pairs it with another row's sample and is masked out.
         rng = np.random.default_rng(181 if mode is RegionMode.FREE_VPB else 191)
         stride = sweeps.REGION_STRIDE
-        single = short = hidden = split = 0
+        single = short = hidden = split = crossed = narrowed = masked = 0
         for params, chan_x, grid in self.fuzzed_maps(mode, rng, 100):
             want = full_scan_cells(params, chan_x, grid, mode)
-            got = scan_region(params, chan_x, grid, mode).cells
+            got, fine = self.fine_columns(params, chan_x, grid, mode, monkeypatch)
             assert np.array_equal(got, want), (params, chan_x, grid)
             split += len(split_insecure_rows(want))
             for row in want:
@@ -764,7 +804,23 @@ class TestTwoPassScan:
                 for codes in INSECURE_CODES.values():
                     insecure = np.isin(row, codes)
                     hidden += insecure.any() and not (insecure & sampled).any()
-        assert min(single, short, hidden, split) > 0, (single, short, hidden, split)
+            physical = sorted(fine)
+            for i, evaluated in fine.items():
+                row = want[i]
+                run = np.flatnonzero(row)
+                samples = np.unique(np.append(run[::stride], run[-1]))
+                c0, c1 = samples[:-1], samples[1:]
+                kernel = np.searchsorted(evaluated, c1) - np.searchsorted(evaluated, c0, "right")
+                differ = row[c0] != row[c1]
+                crossed += np.sum(differ & (c1 - c0 > 1) & (kernel == 0))
+                part = ~differ & (0 < kernel) & (kernel < c1 - c0 - 1)
+                narrowed += sum((row[a + 1:b] != row[a]).any() for a, b in zip(c0[part], c1[part]))
+                refined = differ | (kernel > 0)
+                if len(refined):
+                    masked += refined[0] and i != physical[0]
+                    masked += refined[-1] and i != physical[-1]
+        counts = single, short, hidden, split, crossed, narrowed, masked
+        assert min(counts) > 0, counts
 
     def test_maps_in_many_blocks_match_full_evaluation(self, monkeypatch):
         # a 400x400 map is one block; here blocks of one row (at block
@@ -795,8 +851,9 @@ class TestTwoPassScan:
 
     def test_figure_maps_run_the_kernel_at_few_cells(self, monkeypatch):
         # the kernel at every physical cell of a figure map takes 43k-57k
-        # cells (full_scan_cells's boxes); the two-pass scan takes 9.6k-12k,
-        # the upper-end check included
+        # cells (full_scan_cells's boxes); the two-pass scan, whose refine
+        # pass runs it only where the concavity bounds leave a cell
+        # unsettled, takes 3.9k-4.9k, the upper-end check included
         evaluated = []
         kernel = sweeps._symplectic_pair
 
@@ -808,7 +865,7 @@ class TestTwoPassScan:
         for params, chan_x, grid, mode in figure_maps():
             evaluated.append(0)
             scan_region(params, chan_x, grid, mode)
-        assert max(evaluated) <= 12_500, evaluated
+        assert max(evaluated) <= 5_500, evaluated
 
 
 class TestKeyrateVsAttenuation:
@@ -1080,9 +1137,9 @@ class TestBracketSignChange:
         assert g(x1) * g(x2) > 0.0 and abs(g(x2)) > abs(g(x1))
         # the secant through x2 and the kept end at half its value
         if mirrored:
-            assert x3 == pytest.approx(x2 * 0.5 / (0.5 - g(x2)), rel=1e-12)
+            assert x3 == pytest.approx(x2 * 0.5 / (0.5 - g(x2)), rel=1e-12, abs=0.0)
         else:
-            assert x3 == pytest.approx(x2 + (1.0 - x2) * g(x2) / (g(x2) + 0.5), rel=1e-12)
+            assert x3 == pytest.approx(x2 + (1.0 - x2) * g(x2) / (g(x2) + 0.5), rel=1e-12, abs=0.0)
         assert g(lo) >= 0.0 >= g(hi) and hi - lo <= 1e-12
         assert lo == pytest.approx(0.25 if mirrored else 0.75, abs=1e-12)
 
