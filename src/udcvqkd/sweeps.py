@@ -389,12 +389,13 @@ def scan_region(
                 falls = np.signbit(slope)
                 lo = np.fmax(lo, np.where(falls, -np.inf, meet))
                 hi = np.fmin(hi, np.where(falls, meet, np.inf))
+        # the kernel runs at the inner cells in the hull of the two
+        # directions' intervals, [fine, cut), to which an empty one adds
+        # nothing; the cells before it keep sample k's code, and sample
+        # k + 1's run starts at cut
         kept = lo <= hi
         lo = np.minimum(*np.where(kept, lo, np.inf))
         hi = np.maximum(*np.where(kept, hi, -np.inf))
-        # the kernel runs at the inner cells in the hull of the two
-        # directions' intervals, [fine, cut); the cells before it keep
-        # sample k's code, and sample k + 1's run starts at cut
         inner_first = cols[k] + 1
         fine = np.maximum(np.searchsorted(delta, lo), inner_first)
         cut = np.minimum(np.maximum(np.searchsorted(delta, hi, "right"), inner_first), cols[after])
