@@ -57,10 +57,11 @@ DB_CAP = 60.0
 DB_GRID_CAP = 10**6  # db_grid's most points; a figure grid has up to 151
 # Region maps sample each row's run of physical cells every REGION_STRIDE
 # cells.  Between two samples whose classes differ, that border the row's
-# largest joint entropy, or that lie within REGION_MARGIN bits of a
-# key-rate threshold, the kernel runs only at the cells that the chord and
-# the neighbouring secants do not settle by REGION_MARGIN (scan_region),
-# a few per interval, so samples can be this sparse.
+# largest joint entropy, or one of which lies within REGION_MARGIN bits of
+# a key-rate threshold, the kernel runs only at the cells that the chord
+# and the neighbouring secants do not settle by REGION_MARGIN
+# (scan_region), a few per interval, so samples can be this sparse: of
+# strides 16, 20, 24 and 32, 20 and 24 scanned the figure maps fastest.
 REGION_STRIDE = 24
 REGION_MARGIN = 1e-9
 # Cells per block of whole rows, or one row where a row holds more: one
