@@ -130,6 +130,8 @@ MUTANTS = [
     (SWEEPS, "    if not steps < DB_GRID_CAP:", "    if not steps < math.inf:"),
     (SWEEPS, "        if self.x_points < 2 or self.cp_points < 2:",
      "        if self.x_points < 1 or self.cp_points < 1:"),
+    (SWEEPS, "        if self.x_points * self.cp_points > REGION_CELL_CAP:",
+     "        if self.x_points * self.cp_points >= REGION_CELL_CAP:"),
     (SWEEPS, "        if not all(math.isfinite(v) for v in (self.x_max - self.x_min, "
      "self.cp_max - self.cp_min)):", "        if False:"),
     (SWEEPS, "        if not (self.x_max > self.x_min and self.cp_max > self.cp_min):",

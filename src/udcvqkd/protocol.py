@@ -252,10 +252,12 @@ def _entropy_slope(ob: tuple, z: float) -> tuple[float, float]:
     <= 0.  G'(mu) = log2(e) log1p(2 (nu + 1)/mu)/(4 nu), nu = sqrt(1 + mu),
     and G''(mu) = -(log2(e)/mu + 2 G'(mu))/(4 (1 + mu)) takes the same log1p.
     Where s - t is below 1e-5 t (they meet at v_p_b = v**2/v_x_b,
-    c_p = -c_x v/v_x_b) F is G'(t) tr' + D (s tr' - det'), with
-    D = (G'(s) - G'(t))/(s - t) taken as G'' at the midpoint, and where t
-    is below M_MIN (det underflowed, or s overflowed) F is its limit, +inf
-    at z = 0 and -inf above, the sign det' gives it; both give dF/dz NaN.
+    c_p = -c_x v/v_x_b, below C0) F is G'(t) tr' + D (s tr' - det'), with
+    D = (G'(s) - G'(t))/(s - t) taken as G'' at the midpoint; above C0,
+    (s - t)/t >= 2 sqrt(eta_x V_M/b), so the search reaches this branch
+    only where eta_x V_M/b < 2.5e-11.  Where t is below M_MIN (det
+    underflowed, or s overflowed) F is its limit, +inf at z = 0 and -inf
+    above, the sign det' gives it; both give dF/dz NaN.
     """
     h, half_t0, c_x, vb, quarter_diff_sq, v, cx_dv, cx_coeff, v_x_b = ob
     e = math.exp(-2.0 * z)

@@ -55,6 +55,9 @@ _TOOL = f"udcvqkd {__version__}"
 NOISE_CAP = 10.0
 DB_CAP = 60.0
 DB_GRID_CAP = 10**6  # db_grid's most points; a figure grid has up to 151
+# SweepConfig's most cells: a 10 000 x 10 000 map, 100 MB of cells and
+# 200 MB of JSON; a figure map has 160 000
+REGION_CELL_CAP = 10**8
 # Region maps sample each row's run of physical cells every REGION_STRIDE
 # cells.  Between two samples whose classes differ, that border the row's
 # largest joint entropy, or one of which lies within REGION_MARGIN bits of
@@ -121,9 +124,11 @@ class SweepConfig:
     """Region-map grid: axis ranges and resolutions.
 
     x ranges cover V_p_B (FREE_VPB mode) or eps_p (SYMMETRIC_NOISE mode);
-    cp ranges cover the unknown p correlation.  threads has no effect, as
-    sweeps run on the calling thread; it stays, validated, only because
-    perfbench/workloads.py still passes it.
+    cp ranges cover the unknown p correlation.  A grid holds at most
+    REGION_CELL_CAP cells, so a larger one is refused before scan_region
+    allocates it.  threads has no effect, as sweeps run on the calling
+    thread; it stays, validated, only because perfbench/workloads.py
+    still passes it.
     """
 
     x_min: float
@@ -137,6 +142,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.x_points < 2 or self.cp_points < 2:
             raise ConfigError("grid resolutions must be at least 2")
+        if self.x_points * self.cp_points > REGION_CELL_CAP:
+            raise ConfigError(f"region grid must hold at most {REGION_CELL_CAP} cells")
         if not all(math.isfinite(v) for v in (self.x_max - self.x_min, self.cp_max - self.cp_min)):
             raise ConfigError("axis ranges and their spans must be finite")
         if not (self.x_max > self.x_min and self.cp_max > self.cp_min):

@@ -1,8 +1,21 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 
 from udcvqkd import ChannelParams, ProtocolParams, ReconciliationDirection
 from udcvqkd import physicality_parabola, symmetric_vpB
 from udcvqkd.gaussian import CovMatrix
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    """scripts/<name>.py, loaded afresh as a module named name."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def random_symmetric(rng, n_modes: int, scale: float = 1.0) -> np.ndarray:

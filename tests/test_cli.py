@@ -18,7 +18,7 @@ from udcvqkd import (
     mutual_information,
     symmetric_vpB,
 )
-from udcvqkd import sweeps
+from udcvqkd import cli, sweeps
 from udcvqkd.cli import _OPTIONS, _SUBCOMMAND_OPTIONS, _Choice, main
 
 # every option with choices, on every subcommand that takes it
@@ -148,6 +148,20 @@ class TestArgumentErrors:
         assert code == 2
         assert out == ""
         assert "ConfigError:" in err
+        assert "Traceback" not in err
+
+    def test_oversized_grid_is_a_config_error(self, capsys, monkeypatch):
+        # 1e14 cells, 745 GiB of axis, is refused before the scan runs
+        def no_scan(*args):
+            raise AssertionError("scan_region ran")
+
+        monkeypatch.setattr(cli, "scan_region", no_scan)
+        code, out, err = run(capsys, "region", "--vs", "1", "--vm", "10", "--eta", "0.9",
+                             "--mode", "vpb", "--x-range", "1:2:1000",
+                             "--cp-range=-3:0:100000000000")
+        assert code == 2
+        assert out == ""
+        assert "ConfigError: region grid must hold at most 100000000 cells\n" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [

@@ -1,18 +1,14 @@
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "fingerprint.py"
+from conftest import load_script
 
 
 def test_outputs_match_committed_fingerprints():
     # figure files, CLI runs and key_rate on seeded draws, hashed; a change
     # whose outputs move on purpose reruns the script with --update
-    spec = importlib.util.spec_from_file_location("fingerprint", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("fingerprint")
     committed = json.loads(script.COMMITTED.read_text())
     here = script.environment()
     differ = {key: (committed["environment"].get(key), value)

@@ -60,9 +60,18 @@ from udcvqkd.protocol import (
     _worst_case_correlation,
     _x_moments,
 )
-from udcvqkd.sweeps import _g_mu_array
 
 from conftest import broad_draw
+from oracle_mp import (
+    _mp_conditional_entropy,
+    _mp_holevo,
+    _mp_joint_entropy,
+    _mp_key_rate,
+    _mp_moments,
+    grid_holevo,
+    observed,
+    strong_modulation_rate,
+)
 
 DR = ReconciliationDirection.DIRECT
 RR = ReconciliationDirection.REVERSE
@@ -74,15 +83,6 @@ LOG2E = math.log2(math.e)
 def pure_cp(params: ProtocolParams) -> float:
     """p correlation of the lossless shared state, read off the state itself."""
     return float(build_eb_state(params).mat[1, 3])
-
-
-def observed(params, eta, eps, v_p_b):
-    """The kernel's inputs as key_rate builds them for a physical
-    observation: _observe's tuple, C0, and the conditional entropy's
-    (xm, dv)."""
-    xm = _x_moments(params, eta, eps)
-    dv, h = _margins(xm, v_p_b)
-    return _observe(xm, dv, h), xm.c0, (xm, dv)
 
 
 def closed_form_conditionals(params, chan, v_p_b):
@@ -629,102 +629,6 @@ class TestHolevoBound:
             holevo_bound(params, chan, hi + 1e-2, v_p_b, DR)
 
 
-def _mp_g(nu):
-    if nu <= 1:
-        return mpmath.mpf(0)
-    a, b = (nu + 1) / 2, (nu - 1) / 2
-    return a * mpmath.log(a, 2) - b * mpmath.log(b, 2)
-
-
-def _mp_joint_entropy(params, chan, c_p, v_p_b):
-    """g(nu_+) + g(nu_-) at the working precision, with nu_+-**2 the roots
-    of x**2 - Delta x + det(gamma) for the shared state gamma."""
-    v, cx, vxb = _mp_moments(params, chan)
-    vpb = mpmath.mpf(v_p_b)
-    delta = v**2 + vxb * vpb + 2 * cx * c_p
-    det = (v * vxb - cx**2) * (v * vpb - c_p**2)
-    # the eigenvalues are real, so only rounding makes this negative, where
-    # they meet (a pure state)
-    split = mpmath.sqrt(abs(delta**2 - 4 * det))
-    return _mp_g(mpmath.sqrt((delta + split) / 2)) + _mp_g(mpmath.sqrt((delta - split) / 2))
-
-
-def _mp_moments(params, chan):
-    """v, c_x and v_x_b at the working precision from the float inputs."""
-    v_s, v_m, eta, eps = (mpmath.mpf(x) for x in (params.V_S, params.V_M, chan.eta_x, chan.eps_x))
-    v = mpmath.sqrt(1 + v_m / v_s)
-    return v, mpmath.sqrt(eta * v_m * v), eta * (v_s + v_m + eps) + 1 - eta
-
-
-def _mp_conditional_entropy(params, chan, v_p_b, direction):
-    """Entropy of the state left after the reference side's homodyne, at
-    the working precision."""
-    v, cx, vxb = _mp_moments(params, chan)
-    if direction is DR:
-        return _mp_g(mpmath.sqrt((vxb - cx**2 / v) * mpmath.mpf(v_p_b)))
-    return _mp_g(mpmath.sqrt((v - cx**2 / vxb) * v))
-
-
-def _mp_holevo(params, chan, c_p, v_p_b, direction):
-    """Holevo information at 50 digits from the float inputs, with the
-    symplectic spectrum taken from the eigenvalues of i.Omega.gamma."""
-    with mpmath.workdps(50):
-        v, cx, vxb = _mp_moments(params, chan)
-        cp, vpb = mpmath.mpf(c_p), mpmath.mpf(v_p_b)
-        gamma = mpmath.matrix([[v, 0, cx, 0], [0, v, 0, cp], [cx, 0, vxb, 0], [0, cp, 0, vpb]])
-        omega = mpmath.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-        spectrum = mpmath.eig(mpmath.mpc(0, 1) * omega * gamma, left=False, right=False)
-        nus = sorted(abs(ev) for ev in spectrum)  # (nu_-, nu_-, nu_+, nu_+)
-        return (_mp_g(nus[0]) + _mp_g(nus[2])
-                - _mp_conditional_entropy(params, chan, v_p_b, direction))
-
-
-def _mp_key_rate(params, chan, v_p_b, direction, delta=None, interval=None):
-    """The key rate at 60 digits: at C_p = C0 + delta, with C0 exact and
-    the float delta, or at the joint entropy's maximum over the float
-    interval, taken by a 110-step golden section (the entropy is concave
-    in C_p) with both ends as candidates."""
-    with mpmath.workdps(60):
-        v, cx, vxb = _mp_moments(params, chan)
-        mutual_info = mpmath.log(vxb / (vxb - cx**2 / v), 2) / 2
-        if delta is not None:
-            s_ab = _mp_joint_entropy(params, chan, mpmath.mpf(delta) - cx / (v * vxb - cx**2),
-                                     v_p_b)
-        else:
-            a, b = (mpmath.mpf(x) for x in interval)
-            inv_golden = (mpmath.sqrt(5) - 1) / 2
-            c, d = b - inv_golden * (b - a), a + inv_golden * (b - a)
-            s_c, s_d = (_mp_joint_entropy(params, chan, x, v_p_b) for x in (c, d))
-            for _ in range(110):
-                if s_c < s_d:
-                    a, c, s_c = c, d, s_d
-                    d = a + inv_golden * (b - a)
-                    s_d = _mp_joint_entropy(params, chan, d, v_p_b)
-                else:
-                    b, d, s_d = d, c, s_c
-                    c = b - inv_golden * (b - a)
-                    s_c = _mp_joint_entropy(params, chan, c, v_p_b)
-            ends = (_mp_joint_entropy(params, chan, x, v_p_b) for x in interval)
-            s_ab = max(s_c, s_d, *ends)
-        chi = s_ab - _mp_conditional_entropy(params, chan, v_p_b, direction)
-        return params.beta * mutual_info - chi
-
-
-def grid_holevo(params, eta, eps, v_p_b, direction):
-    """The Holevo bound on 1001 float C_p across the interval, through the
-    kernel on arrays, as region maps take it: delta = C_p - C0, clipped to
-    [-h, h] as key_rate clips it.  The top point is then key_rate's hi
-    candidate, which fl(C0 + h) - C0 can move off h."""
-    ob, c0, (xm, dv) = observed(params, eta, eps, v_p_b)
-    h = ob[0]
-    delta = np.clip(np.linspace(c0 - h, c0 + h, 1001) - c0, -h, h)
-    rows = _observe(xm, np.array([[dv]]), np.array([[h]]), np.sqrt)
-    with np.errstate(invalid="ignore"):  # a pure state's 0/0, which counts as 0
-        mu_plus, mu_minus = _symplectic_pair(rows, delta, np.sqrt)
-    return (_g_mu_array(mu_plus) + _g_mu_array(mu_minus)
-            - _conditional_entropy(xm, dv, direction))
-
-
 class TestTwoModeKernel:
     def test_matches_generic_symplectic_eigenvalues(self):
         rng = np.random.default_rng(71)
@@ -876,6 +780,36 @@ class TestTwoModeKernel:
         for direction, golden in ((DR, 2.4297904129126633), (RR, 2.4297904129126637)):
             a = key_rate(params, chan, v_p_b, direction)
             assert a.holevo == pytest.approx(golden, abs=1e-12)
+
+    def test_search_reaches_the_divided_difference_at_tiny_modulation(self, monkeypatch):
+        # above C0, (s - t)/t >= 2 sqrt(eta_x V_M/b), so the search meets
+        # the divided difference only where eta_x V_M/b < 2.5e-11: here
+        # V_M below 1e-14, with V_p_B where v coeff = v_x_b dv.  It gives a
+        # finite F and no derivative, 5-11 times in each search, and the
+        # worst case matches the 60-digit maximum over the float interval
+        slope = protocol._entropy_slope
+        divided = []
+
+        def recorded(ob, z):
+            f, df = slope(ob, z)
+            divided.append(math.isfinite(f) and math.isnan(df))
+            return f, df
+
+        monkeypatch.setattr(protocol, "_entropy_slope", recorded)
+        rng = random.Random(3701)
+        for _ in range(10):
+            params = ProtocolParams(V_S=10.0 ** rng.uniform(-8.0, -6.0),
+                                    V_M=10.0 ** rng.uniform(-18.0, -14.0))
+            eta = rng.uniform(0.05, 0.95)
+            chan = ChannelParams.symmetric(eta, 0.0)
+            xm = _x_moments(params, eta, 0.0)
+            v_p_b = xm.v0 + xm.v * xm.coeff / xm.v_x_b
+            for direction in (DR, RR):
+                divided.clear()
+                a = key_rate(params, chan, v_p_b, direction)
+                assert any(divided), (params, eta, direction)
+                want = _mp_key_rate(params, chan, v_p_b, direction, interval=a.Cp_interval)
+                assert abs(a.key_rate - want) <= 1e-12 * max(1.0, abs(a.key_rate)), float(want)
 
     def test_slope_takes_its_limit_where_mu_minus_is_subnormal(self):
         # at V_M = 1e-315 mu_minus is 2.7e-316 at C0, subnormal, so
@@ -1912,52 +1846,6 @@ class TestAsymptoticRates:
         k_rr = key_rate(params, chan, v_p_b, RR).key_rate
         assert k_dr == pytest.approx(asymptotic_key_rate_dr(1.0, eta), abs=1e-3)
         assert k_rr == pytest.approx(asymptotic_key_rate_rr(1.0, eta), abs=1e-3)
-
-
-def strong_modulation_rate(v_s, eta, eps, v_p_b, direction, u=None):
-    """The worst-case key rate as V_M -> oo at fixed (V_S, eta, eps, V_p_B),
-    beta 1, with C_p at u = delta/h in [-1, 1], or at the worst u.
-
-    With a = 1 - eta + eta eps, b = a + eta V_S and dv = V_p_B - 1/b
-    clamped at 0, mu_plus -> V_M T(u) with T(u) = p**2 + 2 u p q + q**2,
-    p**2 = a/(V_S b), q**2 = eta dv, and mu_minus -> (a dv/V_S)(1 - u**2)/T(u).
-    I -> log2(eta V_M/b)/2 and G(mu_plus) -> log2(V_M T(u))/2 + log2(e/2),
-    so V_M drops out:
-    K = log2(eta/b)/2 - log2(e/2) + S_cond - max over u of
-    [log2(T(u))/2 + G(mu_minus(u))], with S_cond G(b dv) for DR and
-    G(a/(eta V_S)) for RR.  The bracket is concave in u, the limit of the
-    concave S_AB less its V_M terms, so an 80-step golden section with
-    u = 1 as a candidate finds its maximum.
-    """
-    a = (1.0 - eta) + eta * eps
-    b = a + eta * v_s
-    dv = max(v_p_b - 1.0 / b, 0.0)
-    p2, q2 = a / (v_s * b), eta * dv
-    pq = math.sqrt(p2 * q2)
-
-    def bracket(u):
-        t = p2 + 2.0 * u * pq + q2
-        return 0.5 * math.log2(t) + _g_mu(a * dv / v_s * (1.0 - u * u) / t)
-
-    if u is not None:
-        top = bracket(u)
-    else:
-        inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-        lo, hi = -1.0, 1.0
-        c, d = hi - inv_golden * (hi - lo), lo + inv_golden * (hi - lo)
-        f_c, f_d = bracket(c), bracket(d)
-        for _ in range(80):
-            if f_c < f_d:
-                lo, c, f_c = c, d, f_d
-                d = lo + inv_golden * (hi - lo)
-                f_d = bracket(d)
-            else:
-                hi, d, f_d = d, c, f_c
-                c = hi - inv_golden * (hi - lo)
-                f_c = bracket(c)
-        top = max(f_c, f_d, bracket(1.0))
-    s_cond = _g_mu(b * dv) if direction is DR else _g_mu(a / (eta * v_s))
-    return 0.5 * math.log2(eta / b) - math.log2(math.e / 2.0) + s_cond - top
 
 
 # acceptance 4's cells: a symmetric noiseless channel, V_S and eta

@@ -1,26 +1,16 @@
-import importlib.util
 import json
-import pathlib
 
 import numpy as np
 import pytest
 
-from conftest import split_insecure_rows
+from conftest import load_script, split_insecure_rows
 from udcvqkd import RegionClass
-
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("reproduce_figures", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
 
 
 def test_threads_flag_is_rejected(tmp_path):
+    script = load_script("reproduce_figures")
     with pytest.raises(SystemExit) as exc:
-        load_script().main(["--threads", "1", "--fast", "--outdir", str(tmp_path)])
+        script.main(["--threads", "1", "--fast", "--outdir", str(tmp_path)])
     assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
 
@@ -28,7 +18,7 @@ def test_threads_flag_is_rejected(tmp_path):
 @pytest.fixture(scope="module")
 def fast_run(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("figures")
-    assert load_script().main(["--fast", "--outdir", str(outdir)]) == 0
+    assert load_script("reproduce_figures").main(["--fast", "--outdir", str(outdir)]) == 0
     return outdir
 
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import INSECURE_CODES, split_insecure_rows
-from test_protocol import _mp_key_rate
-from test_reproduce_figures import load_script
+from conftest import INSECURE_CODES, load_script, split_insecure_rows
+from oracle_mp import _mp_key_rate, independent_dr_rate
 from udcvqkd import (
     ChannelParams,
     ConfigError,
@@ -28,7 +27,6 @@ from udcvqkd import (
     curve_to_csv,
     db_grid,
     db_to_eta,
-    entropy_g,
     eta_to_db,
     holevo_bound,
     key_rate,
@@ -46,15 +44,7 @@ from udcvqkd import (
     write_region_json,
 )
 from udcvqkd import __version__, protocol, sweeps
-from udcvqkd.gaussian import (
-    CovMatrix,
-    Quadrature,
-    QuadratureSelector,
-    apply_channel,
-    condition_on_homodyne,
-    symplectic_eigenvalues,
-    symplectic_form,
-)
+from udcvqkd.gaussian import apply_channel, symplectic_form
 from udcvqkd.protocol import (
     LOG2E,
     _conditional_entropy,
@@ -193,6 +183,16 @@ class TestConfigValidation:
             max_tolerable_noise(params, 0.2, DR, tol=bad)
         with pytest.raises(ConfigError):
             max_attenuation(params, 0.03, DR, tol=bad)
+
+    def test_grid_caps_its_cell_count(self, monkeypatch):
+        # a grid of 1e14 cells is refused before scan_region allocates it
+        with pytest.raises(ConfigError, match="at most 100000000 cells"):
+            region_grid(1.0, 2.0, x_points=1000, cp_points=10**11)
+        monkeypatch.setattr(sweeps, "REGION_CELL_CAP", 12)
+        assert region_grid(1.0, 2.0, x_points=3, cp_points=4).cp_points == 4
+        for x_points, cp_points in ((3, 5), (13, 2)):
+            with pytest.raises(ConfigError, match="at most 12 cells"):
+                region_grid(1.0, 2.0, x_points=x_points, cp_points=cp_points)
 
     def test_threads_must_be_positive(self):
         # threads has no effect, but stays a validated setting
@@ -447,10 +447,14 @@ class TestScanRegion:
         (RegionMode.FREE_VPB, (0.7, 2.2)),
         (RegionMode.SYMMETRIC_NOISE, (0.0, 0.5)),
     ])
-    def test_blocked_scan_matches_row_by_row_evaluation(self, x_points, mode, x_range):
+    def test_blocked_scan_matches_row_by_row_evaluation(self, monkeypatch, x_points, mode,
+                                                        x_range):
         # rows are classified from coarse samples, in blocks of whole rows;
         # one row at a time with a float V_p_B, and the kernel at every
-        # physical cell, must give the same cells
+        # physical cell, must give the same cells.  Blocks of 32 rows of 45
+        # cells put 31, 32 and 33 rows on either side of a block edge, and
+        # 97 across three edges
+        monkeypatch.setattr(sweeps, "REGION_BLOCK_CELLS", 32 * 45)
         params = ProtocolParams(V_S=0.8, V_M=30.0)
         grid = region_grid(*x_range, cp_min=-5.0, cp_max=0.0, x_points=x_points,
                            cp_points=45)
@@ -635,7 +639,7 @@ def full_scan_cells(params, chan_x, grid, mode):
 def figure_maps():
     """(params, chan_x, grid, mode) of reproduce_figures' six 400x400 region
     maps."""
-    script = load_script()
+    script = load_script("reproduce_figures")
     chan_x = (script.REGION_ETA_X, script.REGION_EPS_X)
     maps = []
     for v_s in script.REGION_VS:
@@ -965,66 +969,6 @@ class TestNoiseFrontier:
         # finds no positive rate and would leave no curve point to check
         with pytest.raises(ConfigError, match="strictly increasing"):
             noise_frontier(ProtocolParams(V_S=1.0, V_M=100.0), [40.0, 40.0], DR, 1e-6)
-
-
-def independent_dr_rate(v_s, v_m, eta, eps, grid_points=201):
-    """Worst-case DR key rate rebuilt from the generic Gaussian functions.
-
-    Shares no code with protocol.py: the state is a squeezed two-mode
-    squeezed vacuum sent through the symmetric channel, the physical C_p
-    interval comes from the uncertainty principle, the mutual information
-    from homodyne conditioning, and the worst case is a dense grid maximum.
-    """
-    omega = 1j * symplectic_form(2)
-
-    def state(c_p):
-        v = np.sqrt(1.0 + v_m / v_s)
-        c = np.sqrt(v * v - 1.0)
-        tmsv = np.array([[v, 0, c, 0], [0, v, 0, -c], [c, 0, v, 0], [0, -c, 0, v]])
-        s = np.sqrt((v_s + v_m) / v)
-        squeeze = np.diag([1.0, 1.0, s, 1.0 / s])
-        g = squeeze @ tmsv @ squeeze
-        g[0, 2] = g[2, 0] = np.sqrt(eta) * g[0, 2]
-        g[2, 2] = eta * (g[2, 2] + eps) + 1.0 - eta
-        g[3, 3] = eta * (g[3, 3] + eps) + 1.0 - eta
-        g[1, 3] = g[3, 1] = c_p
-        return g
-
-    def slack(c_p):
-        return np.linalg.eigvalsh(state(c_p) + omega)[0]
-
-    def entropy(g):
-        return sum(entropy_g(max(nu, 1.0)) for nu in symplectic_eigenvalues(CovMatrix(g)))
-
-    # slack is concave in C_p: golden-section its maximum inside the
-    # positive-definite range, then bisect each edge from the inside
-    bound = np.sqrt(state(0.0)[1, 1] * state(0.0)[3, 3])
-    a, b = -bound, bound
-    inv_golden = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(100):
-        c, d = b - inv_golden * (b - a), a + inv_golden * (b - a)
-        if slack(c) < slack(d):
-            a = c
-        else:
-            b = d
-    centre = 0.5 * (a + b)
-    assert slack(centre) >= 0.0
-    edges = []
-    for outside in (-bound, bound):
-        inside = centre
-        for _ in range(60):
-            mid = 0.5 * (inside + outside)
-            if slack(mid) >= 0.0:
-                inside = mid
-            else:
-                outside = mid
-        edges.append(inside)
-
-    joint = CovMatrix(state(centre))
-    after_alice = condition_on_homodyne(joint, QuadratureSelector(Quadrature.X, 0))
-    mutual_info = 0.5 * np.log2(joint.mat[2, 2] / after_alice.mat[0, 0])
-    chi = max(entropy(state(c_p)) for c_p in np.linspace(*edges, grid_points))
-    return mutual_info - (chi - entropy(after_alice.mat))
 
 
 def count_key_rate_calls(monkeypatch, limit=2000):
