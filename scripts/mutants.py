@@ -61,8 +61,9 @@ MUTANTS = [
     (PROTOCOL, "    if not (math.isfinite(v0) and math.isfinite(c0) and math.isfinite(coeff)):",
      "    if False:"),
     (PROTOCOL, "    if not 0.0 < V_p_B < math.inf:", "    if not 0.0 <= V_p_B < math.inf:"),
-    (PROTOCOL, "    if dv < -VERTEX_SLACK * max(1.0, abs(xm.v0)):", "    if dv < 0.0:"),
-    (PROTOCOL, "    dv = max(dv, 0.0)", "    dv = dv"),
+    (PROTOCOL, "    below = dv < -VERTEX_SLACK * max(1.0, abs(xm.v0))", "    below = dv < 0.0"),
+    (PROTOCOL, "-VERTEX_SLACK * max(1.0, abs(xm.v0))", "-VERTEX_SLACK * abs(xm.v0)"),
+    (PROTOCOL, "    dv = maximum(dv, 0.0)", "    dv = dv"),
     (PROTOCOL, "    if not math.isfinite(h):", "    if False:"),
     (PROTOCOL, "    if not math.isfinite(mi):", "    if False:"),
     (PROTOCOL, "    if not math.isfinite(v_p_b):", "    if False:"),
@@ -132,6 +133,8 @@ MUTANTS = [
      "        if self.x_points < 1 or self.cp_points < 1:"),
     (SWEEPS, "        if self.x_points * self.cp_points > REGION_CELL_CAP:",
      "        if self.x_points * self.cp_points >= REGION_CELL_CAP:"),
+    (SWEEPS, "        if max(self.x_points, self.cp_points) > REGION_AXIS_CAP:",
+     "        if max(self.x_points, self.cp_points) >= REGION_AXIS_CAP:"),
     (SWEEPS, "        if not all(math.isfinite(v) for v in (self.x_max - self.x_min, "
      "self.cp_max - self.cp_min)):", "        if False:"),
     (SWEEPS, "        if not (self.x_max > self.x_min and self.cp_max > self.cp_min):",
@@ -150,12 +153,11 @@ MUTANTS = [
     (SWEEPS, "    if any(b <= a for a, b in zip(db_values, db_values[1:])):",
      "    if any(b < a for a, b in zip(db_values, db_values[1:])):"),
     # region maps
-    (SWEEPS, "        g[~(m >= M_MIN)] = 0.0", "        pass"),
+    (PROTOCOL, "        g[~(m >= M_MIN)] = 0.0", "        pass"),
     (SWEEPS, "        if grid.x_min <= 0:", "        if grid.x_min < 0:"),
     (SWEEPS, "        if grid.x_min < 0:", "        if grid.x_min < -1:"),
     (SWEEPS, '        raise ConfigError(f"unknown region mode {mode!r}")', "        pass"),
-    (SWEEPS, "    stop[dv < -VERTEX_SLACK * max(1.0, abs(v0))] = 0", "    stop[dv < 0.0] = 0"),
-    (SWEEPS, "    dv = np.maximum(dv, 0.0)", "    pass"),
+    (SWEEPS, "    stop[below] = 0", "    pass"),
     (SWEEPS, "        if not np.isfinite(_symplectic_pair(ob, half, np.sqrt)[0][physical]).all():",
      "        if False:"),
     (SWEEPS, "        flag |= np.abs(chi_dr - key_mi) <= REGION_MARGIN", "        pass"),

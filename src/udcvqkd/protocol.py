@@ -186,11 +186,12 @@ def _observe(xm: _XMoments, dv, h, sqrt=math.sqrt):
 
     The kernel works in the physicality margins N = P - X^-1 =
     [[coeff, delta], [delta, dv]] (physicality_parabola): delta = C_p - C0,
-    dv = V_p_B - V0 clamped at 0 and h = sqrt(coeff dv) (_margins), none
-    of which cancels.  Built once per worst-case search, or once per
-    region map with dv and h arrays over its rows and sqrt np.sqrt.  The
-    plain tuple, which CPython unpacks faster than a NamedTuple, holds h;
-    t0 / 2, where
+    dv = V_p_B - V0 clamped at 0 and h = sqrt(coeff dv) (_margin_terms).
+    dv cancels within a few ulps of the vertex, where V0's rounding is of
+    dv's own size (ROADMAP item 2).  Built once per worst-case search, or
+    once per region map with dv and h arrays over its rows and sqrt
+    np.sqrt.  The plain tuple, which CPython unpacks faster than a
+    NamedTuple, holds h; t0 / 2, where
     t0 = (sqrt(v coeff) - sqrt(v_x_b dv))**2 + 2 v b h / (sqrt(v v_x_b) + c_x),
     so that tr(X N) = v coeff + 2 c_x delta + v_x_b dv is
     t0 + 2 c_x (h + delta), a sum of terms >= 0 on the interval; c_x; v b;
@@ -293,6 +294,22 @@ def _g_mu(mu: float) -> float:
     return _g_m(mu / (2.0 * (math.sqrt(1.0 + mu) + 1.0)))
 
 
+def _g_mu_array(mu):
+    """_g_mu over a float64 array, for region maps; an element whose m is
+    below M_MIN, or NaN, gives 0, without warnings.
+
+    Each element takes _g_mu's operations in _g_mu's order, but through
+    np.log1p, which need not round like math.log1p.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = mu / (2.0 * (np.sqrt(mu + 1.0) + 1.0))
+        g = (np.log1p(m) + m * np.log1p(1.0 / m)) * LOG2E
+        g[~(m >= M_MIN)] = 0.0
+    return g
+
+
 def _g_m(m: float) -> float:
     """Bosonic entropy in bits of a mode with m = (nu - 1)/2, 0 for m
     below M_MIN.
@@ -381,34 +398,51 @@ def physicality_interval(
 
 
 def _margins(xm: _XMoments, V_p_B: float):
-    """(dv, h): V_p_B's margin dv = V_p_B - V0 over xm's parabola vertex,
-    clamped at 0, and the C_p interval's half-width h = sqrt(coeff dv);
-    None below the vertex beyond VERTEX_SLACK.  The interval is C0 -+ h,
-    and the kernel takes C_p as C0 + delta with delta in [-h, h]."""
+    """(dv, h) of _margin_terms for a positive, finite V_p_B; None below
+    the vertex beyond VERTEX_SLACK.  The interval is C0 -+ h, and the
+    kernel takes C_p as C0 + delta with delta in [-h, h]."""
     if not 0.0 < V_p_B < math.inf:
         _check_finite(V_p_B=V_p_B)
         raise DomainError("V_p_B must be positive")
-    dv = V_p_B - xm.v0
-    if dv < -VERTEX_SLACK * max(1.0, abs(xm.v0)):
+    dv, h, below = _margin_terms(xm, V_p_B)
+    if below:
         return None
-    dv = max(dv, 0.0)
-    h = math.sqrt(xm.coeff * dv)
     if not math.isfinite(h):
         raise _not_finite("physicality interval")
     return dv, h
 
 
+def _margin_terms(xm: _XMoments, V_p_B, maximum=max, sqrt=math.sqrt):
+    """(dv, h, below): V_p_B's margin dv = V_p_B - V0 over xm's parabola
+    vertex, clamped at 0, the C_p interval's half-width h = sqrt(coeff dv),
+    and whether V_p_B lies below the vertex by more than VERTEX_SLACK
+    (relative, or absolute where |V0| < 1).
+
+    The one statement of these rules: _margins takes them for key_rate and
+    holevo_bound, and scan_region, with maximum np.maximum and sqrt
+    np.sqrt, for an array of rows' V_p_B.  dv cancels within a few ulps of
+    the vertex: the subtraction is exact there, but V0 = 1/b carries about
+    an ulp of rounding, which is then of dv's own size, and h, whose slope
+    in dv is infinite at 0, magnifies it (ROADMAP item 2).
+    """
+    dv = V_p_B - xm.v0
+    below = dv < -VERTEX_SLACK * max(1.0, abs(xm.v0))
+    dv = maximum(dv, 0.0)
+    return dv, sqrt(xm.coeff * dv), below
+
+
 def _conditional_entropy(
-    xm: _XMoments, dv: float, direction: ReconciliationDirection
+    xm: _XMoments, dv: float, direction: ReconciliationDirection, g=_g_mu
 ) -> float:
     """Entropy in bits of the state left after the reference side's
     homodyne measurement: single-mode and diagonal, with nu**2 = b V_p_B
     (DR) or v**2 b / v_x_b (RR), so mu is b dv or
-    n11 / v_x_b = coeff v b / v_x_b.  dv's clamp at 0 (_margins) makes an
-    observation up to VERTEX_SLACK below the vertex a pure mode."""
+    n11 / v_x_b = coeff v b / v_x_b.  dv's clamp at 0 (_margin_terms)
+    makes an observation up to VERTEX_SLACK below the vertex a pure mode.
+    g is the entropy G(mu), _g_mu, or _g_mu_array for an array of dv."""
     if direction is ReconciliationDirection.DIRECT:
-        return _g_mu(xm.b * dv)
-    return _g_mu(xm.coeff * (xm.v * xm.b) / xm.v_x_b)
+        return g(xm.b * dv)
+    return g(xm.coeff * (xm.v * xm.b) / xm.v_x_b)
 
 
 def _floor_holevo(chi: float) -> float:

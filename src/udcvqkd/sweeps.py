@@ -31,14 +31,13 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .errors import ConfigError, DomainError, NoPositiveRate, NoRoot
 from .protocol import (
-    LOG2E,
-    M_MIN,
-    VERTEX_SLACK,
     ChannelParams,
     ProtocolParams,
     ReconciliationDirection,
     _conditional_entropy,
+    _g_mu_array,
     _key_rate,
+    _margin_terms,
     _not_finite,
     _observe,
     _symplectic_pair,
@@ -58,6 +57,10 @@ DB_GRID_CAP = 10**6  # db_grid's most points; a figure grid has up to 151
 # SweepConfig's most cells: a 10 000 x 10 000 map, 100 MB of cells and
 # 200 MB of JSON; a figure map has 160 000
 REGION_CELL_CAP = 10**8
+# SweepConfig's most points on either axis: scan_region keeps about 113
+# bytes per row, 11 MB at the cap, and region_to_json writes each axis as
+# a list of floats
+REGION_AXIS_CAP = 10**5
 # Region maps sample each row's run of physical cells every REGION_STRIDE
 # cells.  Between two samples whose classes differ, that border the row's
 # largest joint entropy, or one of which lies within REGION_MARGIN bits of
@@ -125,10 +128,10 @@ class SweepConfig:
 
     x ranges cover V_p_B (FREE_VPB mode) or eps_p (SYMMETRIC_NOISE mode);
     cp ranges cover the unknown p correlation.  A grid holds at most
-    REGION_CELL_CAP cells, so a larger one is refused before scan_region
-    allocates it.  threads has no effect, as sweeps run on the calling
-    thread; it stays, validated, only because perfbench/workloads.py
-    still passes it.
+    REGION_CELL_CAP cells and REGION_AXIS_CAP points on either axis, so a
+    larger one is refused before scan_region allocates it.  threads has
+    no effect, as sweeps run on the calling thread; it stays, validated,
+    only because perfbench/workloads.py still passes it.
     """
 
     x_min: float
@@ -144,6 +147,8 @@ class SweepConfig:
             raise ConfigError("grid resolutions must be at least 2")
         if self.x_points * self.cp_points > REGION_CELL_CAP:
             raise ConfigError(f"region grid must hold at most {REGION_CELL_CAP} cells")
+        if max(self.x_points, self.cp_points) > REGION_AXIS_CAP:
+            raise ConfigError(f"region axes must hold at most {REGION_AXIS_CAP} points")
         if not all(math.isfinite(v) for v in (self.x_max - self.x_min, self.cp_max - self.cp_min)):
             raise ConfigError("axis ranges and their spans must be finite")
         if not (self.x_max > self.x_min and self.cp_max > self.cp_min):
@@ -196,22 +201,6 @@ class Curve:
             raise ConfigError("abscissa and ordinate lengths differ")
         if any(b <= a for a, b in zip(self.abscissa, self.abscissa[1:])):
             raise ConfigError("abscissa must be strictly increasing")
-
-
-def _g_mu_array(mu: np.ndarray) -> np.ndarray:
-    """protocol._g_mu over a float64 array; an element whose m is below
-    M_MIN, or NaN, gives 0, without warnings.
-
-    Each element takes _g_mu's operations in _g_mu's order, but through
-    np.log1p, which need not round like math.log1p.
-    """
-    import numpy as np
-
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m = mu / (2.0 * (np.sqrt(mu + 1.0) + 1.0))
-        g = (np.log1p(m) + m * np.log1p(1.0 / m)) * LOG2E
-        g[~(m >= M_MIN)] = 0.0
-    return g
 
 
 def scan_region(
@@ -283,20 +272,16 @@ def scan_region(
 
     key_mi = params.beta * mutual_information(params, chan)
     xm = _x_moments(params, eta_x, eps_x)
-    # protocol._margins and physicality_interval for every row at once, as
-    # columns [first, stop)
-    v0, c0 = xm.v0, xm.c0
-    dv = vpb_rows - v0
-    half = np.sqrt(xm.coeff * np.maximum(dv, 0.0))
-    first = np.searchsorted(cp_axis, c0 - half, "left")
-    stop = np.searchsorted(cp_axis, c0 + half, "right")
-    stop[dv < -VERTEX_SLACK * max(1.0, abs(v0))] = 0
-    dv = np.maximum(dv, 0.0)
+    # protocol._margin_terms for every row at once, and each row's
+    # physicality_interval as columns [first, stop), empty below the vertex
+    dv, half, below = _margin_terms(xm, vpb_rows, np.maximum, np.sqrt)
+    first = np.searchsorted(cp_axis, xm.c0 - half, "left")
+    stop = np.searchsorted(cp_axis, xm.c0 + half, "right")
+    stop[below] = 0
     s_cond_rr = _conditional_entropy(xm, 0.0, ReconciliationDirection.REVERSE)
     with np.errstate(over="ignore"):
-        # _conditional_entropy's DIRECT rule, G(b dv), for every row
-        s_cond_dr = _g_mu_array(xm.b * dv)
-    delta = cp_axis - c0
+        s_cond_dr = _conditional_entropy(xm, dv, ReconciliationDirection.DIRECT, _g_mu_array)
+    delta = cp_axis - xm.c0
     # the kernel's delta-free terms for every row, gathered per cell by
     # classify; those of rows without a physical cell may overflow and are
     # never used.  key_rate takes the joint

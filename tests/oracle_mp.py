@@ -30,12 +30,12 @@ from udcvqkd.gaussian import (
 from udcvqkd.protocol import (
     _conditional_entropy,
     _g_mu,
+    _g_mu_array,
     _margins,
     _observe,
     _symplectic_pair,
     _x_moments,
 )
-from udcvqkd.sweeps import _g_mu_array
 
 DR = ReconciliationDirection.DIRECT
 

@@ -164,6 +164,20 @@ class TestArgumentErrors:
         assert "ConfigError: region grid must hold at most 100000000 cells\n" in err
         assert "Traceback" not in err
 
+    def test_overlong_axis_is_a_config_error(self, capsys, monkeypatch):
+        # 4e5 cells, under the cell cap, but 2e5 rows
+        def no_scan(*args):
+            raise AssertionError("scan_region ran")
+
+        monkeypatch.setattr(cli, "scan_region", no_scan)
+        code, out, err = run(capsys, "region", "--vs", "1", "--vm", "10", "--eta", "0.9",
+                             "--mode", "vpb", "--x-range", "1:2:200000",
+                             "--cp-range=-3:0:2")
+        assert code == 2
+        assert out == ""
+        assert "ConfigError: region axes must hold at most 100000 points\n" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["max-noise", "--vs", "1", "--vm", "10", "--dir", "rr", "--eta", "0"],
         ["max-noise", "--vs", "1", "--vm", "10", "--dir", "rr", "--eta", "-0.5"],

@@ -54,6 +54,7 @@ from udcvqkd.protocol import (
     _g_mu,
     _joint_entropy,
     _key_rate,
+    _margin_terms,
     _margins,
     _observe,
     _symplectic_pair,
@@ -369,6 +370,23 @@ class TestPhysicalityBound:
                 want = (1 / b, -c_x / (v * b), (v**2 * b - v_x_b) / (v * b))
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-14 * abs(w)
+
+    def test_margin_terms_agree_on_floats_and_arrays(self):
+        # key_rate takes _margin_terms at one V_p_B with max and math.sqrt,
+        # scan_region over its rows with np.maximum and np.sqrt: (dv, h,
+        # below) agree bit for bit below the vertex by more than
+        # VERTEX_SLACK and by less, on it and above it
+        xm = _x_moments(ProtocolParams(V_S=0.8, V_M=5.0), 0.7, 0.05)
+        slack = VERTEX_SLACK * max(1.0, abs(xm.v0))
+        rows = [xm.v0 - 4.0 * slack, xm.v0 - 0.5 * slack, xm.v0, xm.v0 + 0.3]
+        dv, h, below = _margin_terms(xm, np.array(rows), np.maximum, np.sqrt)
+        assert below.tolist() == [True, False, False, False]
+        for i, v_p_b in enumerate(rows):
+            want_dv, want_h, want_below = _margin_terms(xm, v_p_b)
+            assert float(dv[i]).hex() == want_dv.hex()
+            assert float(h[i]).hex() == want_h.hex()
+            assert bool(below[i]) is want_below
+        assert dv[:3].tolist() == [0.0, 0.0, 0.0] and h[3] > 0.0
 
     def test_rejects_nonpositive_observation(self):
         params = ProtocolParams(V_S=1.0, V_M=1.0)

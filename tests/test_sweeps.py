@@ -49,13 +49,14 @@ from udcvqkd.protocol import (
     LOG2E,
     _conditional_entropy,
     _g_mu,
+    _g_mu_array,
     _margins,
     _observe,
     _symplectic_pair,
     _vpb,
     _x_moments,
 )
-from udcvqkd.sweeps import _bracket_sign_change, _g_mu_array
+from udcvqkd.sweeps import _bracket_sign_change
 
 DR = ReconciliationDirection.DIRECT
 RR = ReconciliationDirection.REVERSE
@@ -192,6 +193,21 @@ class TestConfigValidation:
         assert region_grid(1.0, 2.0, x_points=3, cp_points=4).cp_points == 4
         for x_points, cp_points in ((3, 5), (13, 2)):
             with pytest.raises(ConfigError, match="at most 12 cells"):
+                region_grid(1.0, 2.0, x_points=x_points, cp_points=cp_points)
+
+    def test_grid_caps_its_axis_length(self, monkeypatch):
+        # 2e5 x 2 cells are under the cell cap, but scan_region's per-row
+        # arrays and region_to_json's axis lists grow with each axis; the
+        # cell cap is checked first, so its message is unchanged
+        for x_points, cp_points in ((200_000, 2), (2, 200_000)):
+            with pytest.raises(ConfigError, match="at most 100000 points"):
+                region_grid(1.0, 2.0, x_points=x_points, cp_points=cp_points)
+        with pytest.raises(ConfigError, match="at most 100000000 cells"):
+            region_grid(1.0, 2.0, x_points=200_000, cp_points=1000)
+        monkeypatch.setattr(sweeps, "REGION_AXIS_CAP", 4)
+        assert region_grid(1.0, 2.0, x_points=4, cp_points=4).x_points == 4
+        for x_points, cp_points in ((5, 2), (2, 5)):
+            with pytest.raises(ConfigError, match="at most 4 points"):
                 region_grid(1.0, 2.0, x_points=x_points, cp_points=cp_points)
 
     def test_threads_must_be_positive(self):
