@@ -157,8 +157,8 @@ MUTANTS = [
     (SWEEPS, "        if grid.x_min <= 0:", "        if grid.x_min < 0:"),
     (SWEEPS, "        if grid.x_min < 0:", "        if grid.x_min < -1:"),
     (SWEEPS, '        raise ConfigError(f"unknown region mode {mode!r}")', "        pass"),
-    (SWEEPS, "    stop[below] = 0", "    pass"),
-    (SWEEPS, "        if not np.isfinite(_symplectic_pair(ob, half, np.sqrt)[0][physical]).all():",
+    (PROTOCOL, "    stop[below] = 0", "    pass"),
+    (PROTOCOL, "        if not np.isfinite(_symplectic_pair(ob, h, np.sqrt)[0][stop > first]).all():",
      "        if False:"),
     (SWEEPS, "        flag |= np.abs(chi_dr - key_mi) <= REGION_MARGIN", "        pass"),
     (SWEEPS, "        flag |= np.abs(chi_rr - key_mi) <= REGION_MARGIN", "        pass"),

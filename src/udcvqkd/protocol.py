@@ -8,7 +8,9 @@ value of that correlation, allowed by the uncertainty principle, that
 maximizes the eavesdropper's Holevo information.
 
 The shared state is two modes with decoupled quadratures, six scalars,
-so everything here is closed-form arithmetic with the math module; the
+so everything here is closed-form arithmetic: the scalar paths use the
+math module only, and the region-map functions, _g_mu_array and
+_map_rows, import numpy inside themselves, as sweeps' do.  The
 covariance-matrix oracle in gaussian, which the tests compare against,
 is built on this module and not used by it.  All operations are pure
 functions with no shared state.
@@ -189,8 +191,8 @@ def _observe(xm: _XMoments, dv, h, sqrt=math.sqrt):
     dv = V_p_B - V0 clamped at 0 and h = sqrt(coeff dv) (_margin_terms).
     dv cancels within a few ulps of the vertex, where V0's rounding is of
     dv's own size (ROADMAP item 2).  Built once per worst-case search, or
-    once per region map with dv and h arrays over its rows and sqrt
-    np.sqrt.  The plain tuple, which CPython unpacks faster than a
+    once per region map (_map_rows) with dv and h arrays over its rows and
+    sqrt np.sqrt.  The plain tuple, which CPython unpacks faster than a
     NamedTuple, holds h; t0 / 2, where
     t0 = (sqrt(v coeff) - sqrt(v_x_b dv))**2 + 2 v b h / (sqrt(v v_x_b) + c_x),
     so that tr(X N) = v coeff + 2 c_x delta + v_x_b dv is
@@ -419,8 +421,8 @@ def _margin_terms(xm: _XMoments, V_p_B, maximum=max, sqrt=math.sqrt):
     (relative, or absolute where |V0| < 1).
 
     The one statement of these rules: _margins takes them for key_rate and
-    holevo_bound, and scan_region, with maximum np.maximum and sqrt
-    np.sqrt, for an array of rows' V_p_B.  dv cancels within a few ulps of
+    holevo_bound, and _map_rows, with maximum np.maximum and sqrt
+    np.sqrt, for a region map's array of rows' V_p_B.  dv cancels within a few ulps of
     the vertex: the subtraction is exact there, but V0 = 1/b carries about
     an ulp of rounding, which is then of dv's own size, and h, whose slope
     in dv is infinite at 0, magnifies it (ROADMAP item 2).
@@ -527,8 +529,8 @@ def _worst_case_correlation(
     F < 0: one at b < h gives S(h) <= S(b) + F(b) (h - b) < S(b).  The
     lower one never is: mu_minus = 0 at both, and
     mu_plus = t0 + 2 c_x (h + delta) is smaller at the lower.  Where hi
-    is not taken, mu_plus there is still formed, as the region map forms
-    it, so that an overflow raises DomainError, as in the map.  Each
+    is not taken, mu_plus there is still formed, as _map_rows forms it
+    for a region map, so that an overflow raises DomainError, as there.  Each
     candidate's entropy is taken once, as holevo_bound takes it, from its
     C_p, so holevo_bound repeats it to the bit.
     """
@@ -624,6 +626,52 @@ def _key_rate(
     worst_cp, s_ab = _worst_case_correlation(_observe(xm, dv, h), xm.c0, start)
     chi = _floor_holevo(s_ab - _conditional_entropy(xm, dv, direction))
     return mi, chi, worst_cp, (xm.c0 - h, xm.c0 + h)
+
+
+def _map_rows(params: ProtocolParams, eta_x: float, eps_x: float, V_p_B, cp_axis):
+    """The kernel of a region map whose rows observe the array V_p_B and
+    whose columns take the increasing array cp_axis of C_p, on an
+    (eta_x, eps_x) that the caller has checked.
+
+    Returns (first, stop, delta, holevo).  Each row's physical cells are
+    the columns [first, stop) in physicality_interval at its V_p_B, by
+    _margin_terms and two binary searches (the interval's ends count as
+    inside), and none below the vertex.  delta is cp_axis - C0, and
+    holevo(rows, cols) the Holevo bounds S_AB - S_cond of the cells
+    (rows[k], cols[k]) by key_rate's kernel, DR's in the first row of a
+    2-row array and RR's in the second, not clamped at 0.  key_rate
+    forms mu_plus at the interval's upper end, delta = h, and raises
+    where it overflows there; over a row's interval mu_plus and every
+    term of the kernel are largest at that end, so this raises
+    DomainError where a row holding a physical cell overflows there, and
+    the terms of rows without one may overflow unused.
+    """
+    import numpy as np
+
+    xm = _x_moments(params, eta_x, eps_x)
+    dv, h, below = _margin_terms(xm, V_p_B, np.maximum, np.sqrt)
+    first = np.searchsorted(cp_axis, xm.c0 - h, "left")
+    stop = np.searchsorted(cp_axis, xm.c0 + h, "right")
+    stop[below] = 0
+    delta = cp_axis - xm.c0
+    s_cond_rr = _conditional_entropy(xm, 0.0, ReconciliationDirection.REVERSE)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s_cond_dr = _conditional_entropy(xm, dv, ReconciliationDirection.DIRECT, _g_mu_array)
+        ob = _observe(xm, dv, h, np.sqrt)
+        if not np.isfinite(_symplectic_pair(ob, h, np.sqrt)[0][stop > first]).all():
+            raise _not_finite("two-mode kernel")
+
+    def holevo(rows, cols):
+        cell_ob = tuple(term[rows] if np.ndim(term) else term for term in ob)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            mu_plus, mu_minus = _symplectic_pair(cell_ob, delta[cols], np.sqrt)
+        s_ab = _g_mu_array(mu_plus) + _g_mu_array(mu_minus)
+        chi = np.empty((2, s_ab.size))
+        np.subtract(s_ab, s_cond_dr[rows], out=chi[0])
+        np.subtract(s_ab, s_cond_rr, out=chi[1])
+        return chi
+
+    return first, stop, delta, holevo
 
 
 def symmetric_vpB(

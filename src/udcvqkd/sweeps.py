@@ -1,9 +1,10 @@
 """Parameter-space sweeps: region maps, loss curves, noise frontiers.
 
-Region maps take each row's run of physical C_p cells from the parabola
-that physicality_interval and key_rate use, by two binary searches on the
-C_p axis.  key_rate's closed-form two-mode kernel then runs in two passes
-over flat arrays of cells: a coarse pass classifies every REGION_STRIDE-th
+Region maps take each row's run of physical C_p cells, and the Holevo
+bounds of the cells they classify, from protocol._map_rows, which uses the
+parabola that physicality_interval and key_rate use and key_rate's
+closed-form two-mode kernel.  That kernel runs in two passes over flat
+arrays of cells: a coarse pass classifies every REGION_STRIDE-th
 cell of each run and its last cell, and a refine pass only the cells
 between two samples whose class the concavity of S_AB in C_p leaves open:
 a chord bounds it from below and the neighbouring secants' lines from
@@ -34,15 +35,9 @@ from .protocol import (
     ChannelParams,
     ProtocolParams,
     ReconciliationDirection,
-    _conditional_entropy,
-    _g_mu_array,
     _key_rate,
-    _margin_terms,
-    _not_finite,
-    _observe,
-    _symplectic_pair,
+    _map_rows,
     _vpb,
-    _x_moments,
     key_rate,  # not called here: perfbench's tracer wraps sweeps.key_rate by name
     mutual_information,
 )
@@ -70,9 +65,11 @@ REGION_AXIS_CAP = 10**5
 # strides 16, 20, 24 and 32, 20 and 24 scanned the figure maps fastest.
 REGION_STRIDE = 24
 REGION_MARGIN = 1e-9
-# Cells per block of whole rows, or one row where a row holds more: one
-# block on a 400x400 map, and each kernel pass over a block takes at most
-# its cells, so temporaries stay bounded at any grid size.
+# Cells per block of whole rows: one block on a 400x400 map, and each
+# kernel pass over a block takes at most its cells, so temporaries stay
+# bounded at any grid size.  A row holds at most REGION_AXIS_CAP cells,
+# fewer than this, so a block of one row, taken where a row holds more,
+# happens only when a test shrinks this size.
 REGION_BLOCK_CELLS = 1 << 18
 
 
@@ -220,7 +217,7 @@ def scan_region(
     key_rate uses.  Secure cells are decided by the sign of the key rate at
     that exact (V_p_B or eps_p, C_p), with no smoothing of boundary cells,
     through key_rate's kernel with dv and h per row and delta = C_p - C0
-    per cell (protocol._observe).
+    per cell (protocol._map_rows).
 
     The kernel runs at few of the cells.  S_AB is concave in C_p (Wolf,
     Giedke & Cirac, PRL 96, 080502 (2006)) and the conditional entropies
@@ -271,42 +268,14 @@ def scan_region(
         raise ConfigError(f"unknown region mode {mode!r}")
 
     key_mi = params.beta * mutual_information(params, chan)
-    xm = _x_moments(params, eta_x, eps_x)
-    # protocol._margin_terms for every row at once, and each row's
-    # physicality_interval as columns [first, stop), empty below the vertex
-    dv, half, below = _margin_terms(xm, vpb_rows, np.maximum, np.sqrt)
-    first = np.searchsorted(cp_axis, xm.c0 - half, "left")
-    stop = np.searchsorted(cp_axis, xm.c0 + half, "right")
-    stop[below] = 0
-    s_cond_rr = _conditional_entropy(xm, 0.0, ReconciliationDirection.REVERSE)
-    with np.errstate(over="ignore"):
-        s_cond_dr = _conditional_entropy(xm, dv, ReconciliationDirection.DIRECT, _g_mu_array)
-    delta = cp_axis - xm.c0
-    # the kernel's delta-free terms for every row, gathered per cell by
-    # classify; those of rows without a physical cell may overflow and are
-    # never used.  key_rate takes the joint
-    # entropy at the interval's upper end, delta = h, and raises where
-    # mu_plus overflows there, and so does a map with a physical cell in
-    # such a row.  Over a row's interval mu_plus and every term of the
-    # kernel are largest at that end, so the row's physical cells are
-    # finite where it is.
+    first, stop, delta, holevo = _map_rows(params, eta_x, eps_x, vpb_rows, cp_axis)
     physical = stop > first
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ob = _observe(xm, dv, half, np.sqrt)
-        if not np.isfinite(_symplectic_pair(ob, half, np.sqrt)[0][physical]).all():
-            raise _not_finite("two-mode kernel")
 
     def classify(rows, cols):
         """The codes of the cells (rows[k], cols[k]) and their Holevo
-        bounds S_AB - S_cond, DR's in the first row of a 2-row array and
-        RR's in the second."""
-        cell_ob = tuple(term[rows] if np.ndim(term) else term for term in ob)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            mu_plus, mu_minus = _symplectic_pair(cell_ob, delta[cols], np.sqrt)
-        s_ab = _g_mu_array(mu_plus) + _g_mu_array(mu_minus)
-        chi = np.empty((2, s_ab.size))
-        np.subtract(s_ab, s_cond_dr[rows], out=chi[0])
-        np.subtract(s_ab, s_cond_rr, out=chi[1])
+        bounds (protocol._map_rows), DR's in the first row of a 2-row
+        array and RR's in the second."""
+        chi = holevo(rows, cols)
         # the key rate key_mi - max(chi, 0), with holevo_bound's clamp, is
         # > 0 exactly when max(chi, 0) < key_mi, as key_mi is finite and a
         # difference of finite floats is 0 only when they are equal.

@@ -768,14 +768,14 @@ class TestTwoPassScan:
         columns are left out where the physical rows' h or the C_p axis's
         deltas repeat, as on C_p axes a few hundred ulps wide."""
         calls = []
-        kernel = sweeps._symplectic_pair
+        kernel = protocol._symplectic_pair
 
         def recorded(ob, delta, sqrt):
             calls.append((np.array(ob[0]), np.array(delta)))
             return kernel(ob, delta, sqrt)
 
         with monkeypatch.context() as patch:
-            patch.setattr(sweeps, "_symplectic_pair", recorded)
+            patch.setattr(protocol, "_symplectic_pair", recorded)
             cells = scan_region(params, chan_x, grid, mode).cells
         physical = np.flatnonzero(cells.any(axis=1))
         cp_axis = np.linspace(grid.cp_min, grid.cp_max, grid.cp_points)
@@ -875,13 +875,13 @@ class TestTwoPassScan:
         # pass runs it only where the concavity bounds leave a cell
         # unsettled, takes 3.9k-4.9k, the upper-end check included
         evaluated = []
-        kernel = sweeps._symplectic_pair
+        kernel = protocol._symplectic_pair
 
         def counted_kernel(ob, delta, sqrt):
             evaluated[-1] += np.broadcast(ob[0], delta).size
             return kernel(ob, delta, sqrt)
 
-        monkeypatch.setattr(sweeps, "_symplectic_pair", counted_kernel)
+        monkeypatch.setattr(protocol, "_symplectic_pair", counted_kernel)
         for params, chan_x, grid, mode in figure_maps():
             evaluated.append(0)
             scan_region(params, chan_x, grid, mode)
