@@ -97,9 +97,10 @@ _OPTIONS = {
     "eta": (float, None, {"help": "channel transmittance (linear)"}),
     "eta_db": (float, None, {"help": "channel attenuation in dB (primary form)"}),
     "eps": (float, 0.0, {"help": "symmetric excess noise (default 0)"}),
-    "dir": (_Choice(("dr", "rr")), None, {"help": "reconciliation direction"}),
+    "dir": (_Choice(d.value for d in ReconciliationDirection), None,
+            {"help": "reconciliation direction"}),
     "db": (_parse_db_grid, None, {"help": "attenuation grid start:stop:step in dB"}),
-    "mode": (_Choice(("vpb", "eps-p")), None,
+    "mode": (_Choice(m.value for m in RegionMode), None,
              {"help": "first region axis: V_p_B itself or symmetric eps_p"}),
     "x_range": (_parse_axis, None, {"help": "first axis lo:hi[:points] (points default 400)"}),
     "cp_range": (_parse_axis, None, {"help": "C_p axis lo:hi[:points]; use --cp-range=-2:-1 "
@@ -111,17 +112,6 @@ _OPTIONS = {
     "output": (str, None, {"help": "write result to this path"}),
     "format": (_Choice(("csv", "json")), "csv", {"help": "curve format"}),
 }
-
-_SUBCOMMAND_OPTIONS = {
-    "keyrate": ["vs", "vm", "beta", "eta", "eta_db", "eps", "dir",
-                "strict_paper_vpb", "output"],
-    "region": ["vs", "vm", "beta", "eta", "eta_db", "eps", "mode",
-               "x_range", "cp_range", "output"],
-    "sweep-loss": ["vs", "vm", "beta", "eps", "dir", "db", "output", "format"],
-    "max-noise": ["vs", "vm", "beta", "eta", "eta_db", "dir", "tol", "output"],
-    "asymptotic": ["vs", "eta", "eta_db", "output"],
-}
-
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
@@ -135,23 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=_TOOL)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, handler, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(usage=p.format_usage)
+        p.set_defaults(usage=p.format_usage, run=handler)
         p.add_argument("--config", help="key=value file; flags override it")
-        for option in _SUBCOMMAND_OPTIONS[name]:
+        for option in options:
             convert, _, keywords = _OPTIONS[option]
             if isinstance(convert, _Choice):
                 keywords = {"metavar": "{" + ",".join(convert) + "}", **keywords}
             p.add_argument(_flag(option), dest=option, **keywords)
-        return p
-
-    add("keyrate", "worst-case key rate at one parameter point (JSON)")
-    add("region", "2-D physicality/security classification map (JSON)")
-    add("sweep-loss", "key rate versus channel attenuation (CSV/JSON)")
-    add("max-noise", "maximal tolerable symmetric excess noise (JSON)")
-    add("asymptotic", "strong-modulation closed-form key rates (JSON)")
     return parser
 
 
@@ -170,7 +152,7 @@ def _load_config(path: str, command: str) -> dict:
                 key = key.strip().replace("-", "_")
                 if key not in _OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                if key not in _SUBCOMMAND_OPTIONS[command]:
+                if key not in _COMMANDS[command][2]:
                     raise ConfigError(f"{path}:{lineno}: {command} does not take key {key!r}")
                 values[key] = _convert(key, value.strip(), f"{path}:{lineno}")
     except OSError as exc:
@@ -189,7 +171,7 @@ def _convert(name: str, text: str, where: str):
 
 def _merge(args: argparse.Namespace) -> dict:
     """Flags over config values over defaults; a bad config line fails even under a flag."""
-    names = _SUBCOMMAND_OPTIONS[args.command]
+    names = _COMMANDS[args.command][2]
     merged = {name: _OPTIONS[name][1] for name in names}
     merged.update(_load_config(args.config, args.command) if args.config else {})
     for name in names:
@@ -281,12 +263,21 @@ def _cmd_asymptotic(opts: dict) -> str:
     })
 
 
-_DISPATCH = {
-    "keyrate": _cmd_keyrate,
-    "region": _cmd_region,
-    "sweep-loss": _cmd_sweep_loss,
-    "max-noise": _cmd_max_noise,
-    "asymptotic": _cmd_asymptotic,
+# Subcommand -> (help, handler, options), in --help order; each option
+# names an _OPTIONS row.
+_COMMANDS = {
+    "keyrate": ("worst-case key rate at one parameter point (JSON)", _cmd_keyrate,
+                ("vs", "vm", "beta", "eta", "eta_db", "eps", "dir", "strict_paper_vpb",
+                 "output")),
+    "region": ("2-D physicality/security classification map (JSON)", _cmd_region,
+               ("vs", "vm", "beta", "eta", "eta_db", "eps", "mode", "x_range", "cp_range",
+                "output")),
+    "sweep-loss": ("key rate versus channel attenuation (CSV/JSON)", _cmd_sweep_loss,
+                   ("vs", "vm", "beta", "eps", "dir", "db", "output", "format")),
+    "max-noise": ("maximal tolerable symmetric excess noise (JSON)", _cmd_max_noise,
+                  ("vs", "vm", "beta", "eta", "eta_db", "dir", "tol", "output")),
+    "asymptotic": ("strong-modulation closed-form key rates (JSON)", _cmd_asymptotic,
+                   ("vs", "eta", "eta_db", "output")),
 }
 
 
@@ -298,7 +289,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         opts = _merge(args)
-        text = _DISPATCH[args.command](opts)
+        text = args.run(opts)
         if not opts["output"]:
             sys.stdout.write(text)
         else:

@@ -19,7 +19,7 @@ from udcvqkd import (
     symmetric_vpB,
 )
 from udcvqkd import cli, sweeps
-from udcvqkd.cli import _OPTIONS, _SUBCOMMAND_OPTIONS, _Choice, main
+from udcvqkd.cli import _COMMANDS, _OPTIONS, _Choice, main
 
 # every option with choices, on every subcommand that takes it
 CHOICE_OPTIONS = [("keyrate", "dir"), ("region", "mode"), ("sweep-loss", "dir"),
@@ -567,10 +567,10 @@ class TestConfigFile:
 
 
 def test_option_table_has_no_missing_or_dead_rows():
-    used = {name for names in _SUBCOMMAND_OPTIONS.values() for name in names}
+    used = {name for _, _, names in _COMMANDS.values() for name in names}
     assert used - set(_OPTIONS) == set(), "subcommand option without an _OPTIONS row"
     assert set(_OPTIONS) - used == set(), "_OPTIONS row no subcommand uses"
-    assert CHOICE_OPTIONS == [(command, name) for command, names in _SUBCOMMAND_OPTIONS.items()
+    assert CHOICE_OPTIONS == [(command, name) for command, (_, _, names) in _COMMANDS.items()
                               for name in names if isinstance(_OPTIONS[name][0], _Choice)]
 
 
