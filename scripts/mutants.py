@@ -25,15 +25,19 @@ for each, with the first failing test, and exits 1 if any survives.
     python scripts/mutants.py               # every mutant, one at a time
     python scripts/mutants.py 3 17          # only mutants 3 and 17
     python scripts/mutants.py --check       # each old matches exactly once
+    python scripts/mutants.py --since main  # the mutants in git diff main's hunks
 
 A run takes a few seconds to a minute per mutant.  --check runs no test;
 the test suite calls it, so a refactor that moves a mutant's target
-shows up as a stale mutant.
+shows up as a stale mutant.  --since REV runs the mutants whose target
+lines meet the hunks of git diff -U0 REV -- src, and every mutant where
+that diff touches no src module or more than one.
 """
 
 import argparse
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -112,6 +116,7 @@ MUTANTS = [
     (PROTOCOL, "        if not (2.0 * h * c_x + half_t0) + math.sqrt(",
      "        if False and (2.0 * h * c_x + half_t0) + math.sqrt("),
     (PROTOCOL, "    s_ab = _joint_entropy(ob, c0, hi)", "    s_ab = -math.inf"),
+    (PROTOCOL, "    if not s_ab < math.inf:", "    if False:"),
     (PROTOCOL, "    if cp != hi:", "    if True:"),
     (PROTOCOL, "    if margins is None:\n        raise UnphysicalObservation(",
      "    if False:\n        raise UnphysicalObservation("),
@@ -157,7 +162,8 @@ MUTANTS = [
     (SWEEPS, "        if grid.x_min <= 0:", "        if grid.x_min < 0:"),
     (SWEEPS, "        if grid.x_min < 0:", "        if grid.x_min < -1:"),
     (SWEEPS, '        raise ConfigError(f"unknown region mode {mode!r}")', "        pass"),
-    (PROTOCOL, "    stop[below] = 0", "    pass"),
+    (PROTOCOL, "        if not (np.isfinite(h) | below).all():", "        if False:"),
+    (PROTOCOL, "        stop[below] = 0", "        pass"),
     (PROTOCOL, "        if not np.isfinite(_symplectic_pair(ob, h, np.sqrt)[0][stop > first]).all():",
      "        if False:"),
     (SWEEPS, "        flag |= np.abs(chi_dr - key_mi) <= REGION_MARGIN", "        pass"),
@@ -209,6 +215,39 @@ def stale(root: pathlib.Path = ROOT) -> list[str]:
     return problems
 
 
+def target_lines(i: int, root: pathlib.Path = ROOT) -> range:
+    """The lines of mutant i's old text in its file, counted from 1."""
+    path, old, _ = MUTANTS[i]
+    text = (root / path).read_text()
+    first = text[:text.index(old)].count("\n") + 1
+    return range(first, first + old.count("\n") + 1)
+
+
+def changed_lines(diff: str) -> dict[str, set[int]]:
+    """Each file's lines, in its new version, in the hunks of a git diff
+    -U0; a hunk that only deletes marks the lines on both sides of the cut."""
+    changed: dict[str, set[int]] = {}
+    for line in diff.splitlines():
+        if line.startswith("diff --git "):
+            lines = changed.setdefault(line.split(" b/", 1)[1], set())
+        elif hunk := re.match(r"@@ -\S+ \+(\d+)(?:,(\d+))? @@", line):
+            start, count = int(hunk[1]), int(hunk[2] or 1)
+            lines.update(range(start, start + (count or 2)))
+    return changed
+
+
+def select(diff: str, root: pathlib.Path = ROOT) -> list[int]:
+    """The mutants whose target lines meet the hunks of diff, a git diff
+    -U0; every mutant where diff touches no src module or more than one."""
+    changed = {path: lines for path, lines in changed_lines(diff).items()
+               if path.startswith("src/")}
+    if len(changed) != 1:
+        return list(range(len(MUTANTS)))
+    [(path, lines)] = changed.items()
+    return [i for i, mutant in enumerate(MUTANTS)
+            if mutant[0] == path and not lines.isdisjoint(target_lines(i, root))]
+
+
 def _test_files(mutated: str | None = None) -> list[str]:
     """The test files without STALE_CHECK and FINGERPRINT, in directory
     order but with the mutated module's own, tests/test_<module>.py, first,
@@ -251,7 +290,7 @@ def run(indices: list[int]) -> int:
             path, old, new = MUTANTS[i]
             target = copy / path
             original = target.read_text()
-            line = original[:original.index(old)].count("\n") + 1
+            line = target_lines(i, copy)[0]
             target.write_text(original.replace(old, new, 1))
             try:
                 proc = subprocess.run(command + _test_files(path), cwd=copy, env=env,
@@ -275,14 +314,21 @@ def main(argv=None) -> int:
     parser.add_argument("indices", nargs="*", type=int, help="mutants to run (default all)")
     parser.add_argument("--check", action="store_true",
                         help="only check that each mutant's old text matches exactly once")
+    parser.add_argument("--since", metavar="REV",
+                        help="only the mutants in the hunks of git diff -U0 REV -- src")
     args = parser.parse_args(argv)
     problems = stale()
     for problem in problems:
         print(problem, file=sys.stderr)
     if args.check or problems:
         return 1 if problems else 0
-    survived = run(args.indices or list(range(len(MUTANTS))))
-    print(f"{survived} of {len(args.indices or MUTANTS)} mutants survived")
+    indices = args.indices or list(range(len(MUTANTS)))
+    if args.since:
+        diff = subprocess.run(["git", "diff", "-U0", args.since, "--", "src"], cwd=ROOT,
+                              capture_output=True, text=True, check=True).stdout
+        indices = [i for i in select(diff) if i in indices]
+    survived = run(indices)
+    print(f"{survived} of {len(indices)} mutants survived")
     return 1 if survived else 0
 
 

@@ -530,7 +530,8 @@ def _worst_case_correlation(
     lower one never is: mu_minus = 0 at both, and
     mu_plus = t0 + 2 c_x (h + delta) is smaller at the lower.  Where hi
     is not taken, mu_plus there is still formed, as _map_rows forms it
-    for a region map, so that an overflow raises DomainError, as there.  Each
+    for a region map, and where it is, its entropy is checked, so that an
+    overflow there raises the two-mode kernel's DomainError in both.  Each
     candidate's entropy is taken once, as holevo_bound takes it, from its
     C_p, so holevo_bound repeats it to the bit.
     """
@@ -577,6 +578,8 @@ def _worst_case_correlation(
         return cp, _joint_entropy(ob, c0, cp)
     # the first of the candidates hi, cp whose entropy is larger
     s_ab = _joint_entropy(ob, c0, hi)
+    if not s_ab < math.inf:
+        raise _not_finite("two-mode kernel")
     if cp != hi:
         s_refined = _joint_entropy(ob, c0, cp)
         if s_refined > s_ab:
@@ -644,18 +647,22 @@ def _map_rows(params: ProtocolParams, eta_x: float, eps_x: float, V_p_B, cp_axis
     where it overflows there; over a row's interval mu_plus and every
     term of the kernel are largest at that end, so this raises
     DomainError where a row holding a physical cell overflows there, and
-    the terms of rows without one may overflow unused.
+    the terms of rows without one may overflow unused.  Before that it
+    raises physicality_interval's DomainError where a row not below the
+    vertex has an infinite h, a row whose cells are all physical.
     """
     import numpy as np
 
     xm = _x_moments(params, eta_x, eps_x)
-    dv, h, below = _margin_terms(xm, V_p_B, np.maximum, np.sqrt)
-    first = np.searchsorted(cp_axis, xm.c0 - h, "left")
-    stop = np.searchsorted(cp_axis, xm.c0 + h, "right")
-    stop[below] = 0
     delta = cp_axis - xm.c0
     s_cond_rr = _conditional_entropy(xm, 0.0, ReconciliationDirection.REVERSE)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dv, h, below = _margin_terms(xm, V_p_B, np.maximum, np.sqrt)
+        if not (np.isfinite(h) | below).all():
+            raise _not_finite("physicality interval")
+        first = np.searchsorted(cp_axis, xm.c0 - h, "left")
+        stop = np.searchsorted(cp_axis, xm.c0 + h, "right")
+        stop[below] = 0
         s_cond_dr = _conditional_entropy(xm, dv, ReconciliationDirection.DIRECT, _g_mu_array)
         ob = _observe(xm, dv, h, np.sqrt)
         if not np.isfinite(_symplectic_pair(ob, h, np.sqrt)[0][stop > first]).all():

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import INSECURE_CODES, load_script, split_insecure_rows
@@ -60,6 +60,15 @@ from udcvqkd.sweeps import _bracket_sign_change
 
 DR = ReconciliationDirection.DIRECT
 RR = ReconciliationDirection.REVERSE
+
+
+def domain_error(call, *args):
+    """call's DomainError message, or None where it returns."""
+    try:
+        call(*args)
+    except DomainError as exc:
+        return str(exc)
+    return None
 
 
 def region_grid(x_min, x_max, points=40, cp_min=-2.4, cp_max=-0.8, **kw):
@@ -371,6 +380,74 @@ class TestScanRegion:
                     region = scan_region(params, (0.1, 0.0), grid, RegionMode.FREE_VPB)
                     assert (region.cells[:, 1:-1] == RegionClass.PHYSICAL_INSECURE).all()
                     assert key_rate(params, chan, 100.0, DR).key_rate < 0.0
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(
+        st.sampled_from(list(RegionMode)),
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.one_of(st.floats(min_value=-300.0, max_value=0.0).map(lambda u: 10.0**u),
+                  st.floats(min_value=-20.0, max_value=-1.0).map(lambda u: 1.0 - 10.0**u)),
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.floats(min_value=-12.0, max_value=2.0),
+        st.booleans(),
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=2, max_value=12),
+    )
+    # a row's h = sqrt(coeff dv) overflows: the map raised the kernel's
+    # error, after a leaked overflow warning, where key_rate raises the
+    # interval's
+    @example(RegionMode.SYMMETRIC_NOISE, math.log10(0.03985759636964726),
+             math.log10(6.095987185990582e+131), 0.9999999999865651,
+             math.log10(2.1724374913448083e-12), math.log10(6.4e295),
+             math.log10(1.0 / 64.0), False, math.log10(0.0032), math.log10(0.00222), 11, 27)
+    # coeff underflows to 0, and mu_plus overflows at the point interval,
+    # the candidate hi: key_rate raised the Holevo bound's error there
+    @example(RegionMode.FREE_VPB, 162.0, 0.0, 1.0, 0.0, 0.0, 0.0, True, -179.0, 0.0, 2, 2)
+    def test_maps_raise_exactly_where_key_rate_raises(
+            self, mode, log_vs, log_vm, eta, log_eps, log_x, log_x_span, around_c0, log_cp,
+            log_cp_span, x_points, cp_points):
+        # inputs from 1e-300 to 1e300, eta near 0 and near 1, C_p axes
+        # anywhere or around C0.  A failure of the map's row-independent
+        # terms raises as mutual_information or physicality_parabola does;
+        # otherwise the map raises DomainError exactly where
+        # physicality_interval or key_rate raises it at a row holding a
+        # physical cell, with one of their messages, and no warning leaks
+        params = ProtocolParams(V_S=10.0**log_vs, V_M=10.0**log_vm)
+        eps = 10.0**log_eps
+        chan = ChannelParams(eta, eps)
+        expected = {domain_error(term, params, chan)
+                    for term in (mutual_information, physicality_parabola)} - {None}
+        cp_min = -(10.0**log_cp)
+        if around_c0 and not expected:
+            cp_min += physicality_parabola(params, chan)[1]
+        cp_max = cp_min + 10.0**log_cp_span
+        assume(cp_max > cp_min)
+        x_min = 10.0**log_x
+        grid = region_grid(x_min, x_min * (1.0 + 10.0**log_x_span), x_points=x_points,
+                           cp_points=cp_points, cp_min=cp_min, cp_max=cp_max)
+        x_axis = np.linspace(grid.x_min, grid.x_max, grid.x_points)
+        cp_axis = np.linspace(grid.cp_min, grid.cp_max, grid.cp_points)
+        assume((np.diff(x_axis) > 0).all() and (np.diff(cp_axis) > 0).all())
+        for x in x_axis.tolist():
+            v_p_b = x if mode is RegionMode.FREE_VPB else symmetric_vpB(params, eta, x)
+            try:
+                interval = physicality_interval(params, chan, v_p_b)
+                if interval is not None and (
+                        (interval[0] <= cp_axis) & (cp_axis <= interval[1])).any():
+                    for direction in ReconciliationDirection:
+                        key_rate(params, chan, v_p_b, direction)
+            except DomainError as exc:
+                expected.add(str(exc))
+        if not expected:
+            scan_region(params, (eta, eps), grid, mode)
+            return
+        with pytest.raises(DomainError) as info:
+            scan_region(params, (eta, eps), grid, mode)
+        assert str(info.value) in expected
 
     def test_secure_cells_are_physical(self):
         grid = region_grid(0.9, 1.8)
