@@ -220,7 +220,7 @@ def target_lines(i: int, root: pathlib.Path = ROOT) -> range:
     path, old, _ = MUTANTS[i]
     text = (root / path).read_text()
     first = text[:text.index(old)].count("\n") + 1
-    return range(first, first + old.count("\n") + 1)
+    return range(first, first + old.rstrip("\n").count("\n") + 1)
 
 
 def changed_lines(diff: str) -> dict[str, set[int]]:
@@ -236,7 +236,7 @@ def changed_lines(diff: str) -> dict[str, set[int]]:
     return changed
 
 
-def select(diff: str, root: pathlib.Path = ROOT) -> list[int]:
+def select(diff: str) -> list[int]:
     """The mutants whose target lines meet the hunks of diff, a git diff
     -U0; every mutant where diff touches no src module or more than one."""
     changed = {path: lines for path, lines in changed_lines(diff).items()
@@ -245,7 +245,7 @@ def select(diff: str, root: pathlib.Path = ROOT) -> list[int]:
         return list(range(len(MUTANTS)))
     [(path, lines)] = changed.items()
     return [i for i, mutant in enumerate(MUTANTS)
-            if mutant[0] == path and not lines.isdisjoint(target_lines(i, root))]
+            if mutant[0] == path and not lines.isdisjoint(target_lines(i))]
 
 
 def _test_files(mutated: str | None = None) -> list[str]:

@@ -20,8 +20,8 @@ def test_since_runs_the_mutants_in_the_hunks_of_one_module():
     script = load_script("mutants")
     everything = list(range(len(script.MUTANTS)))
     # a mutant whose target spans lines, in the module with the most mutants
-    i = next(k for k, (path, old, _) in enumerate(script.MUTANTS)
-             if path == script.PROTOCOL and old.count("\n") == 1)
+    i = next(k for k, (path, _, _) in enumerate(script.MUTANTS)
+             if path == script.PROTOCOL and len(script.target_lines(k)) == 2)
     first, last = script.target_lines(i)
     assert script.changed_lines(hunk(script.PROTOCOL, last, 1)) == {script.PROTOCOL: {last}}
     for start, count in ((first, 1), (last, 1), (first - 3, 4), (last, 0), (first - 1, 0)):
