@@ -65,8 +65,8 @@ MUTANTS = [
     (PROTOCOL, "    if not (math.isfinite(v0) and math.isfinite(c0) and math.isfinite(coeff)):",
      "    if False:"),
     (PROTOCOL, "    if not 0.0 < V_p_B < math.inf:", "    if not 0.0 <= V_p_B < math.inf:"),
-    (PROTOCOL, "    below = dv < -VERTEX_SLACK * max(1.0, abs(xm.v0))", "    below = dv < 0.0"),
-    (PROTOCOL, "-VERTEX_SLACK * max(1.0, abs(xm.v0))", "-VERTEX_SLACK * abs(xm.v0)"),
+    (PROTOCOL, "    below = dv < -VERTEX_SLACK * _fmax(1.0, abs(v0))", "    below = dv < 0.0"),
+    (PROTOCOL, "-VERTEX_SLACK * _fmax(1.0, abs(v0))", "-VERTEX_SLACK * abs(v0)"),
     (PROTOCOL, "    dv = maximum(dv, 0.0)", "    dv = dv"),
     (PROTOCOL, "    if not math.isfinite(h):", "    if False:"),
     (PROTOCOL, "    if not math.isfinite(mi):", "    if False:"),
@@ -82,15 +82,15 @@ MUTANTS = [
     (PROTOCOL, "    if m < M_MIN:", "    if m <= 0.0:"),
     (PROTOCOL, "    if nu < 1.0 - NU_CLAMP_TOL:", "    if nu < 0.0:"),
     (PROTOCOL, "    if not (h or half_t0):", "    if False:"),
-    (PROTOCOL, "_symplectic_pair(ob, min(max(C_p - c0, -h), h))", "_symplectic_pair(ob, C_p - c0)"),
+    (PROTOCOL, "_symplectic_pair(ob, _fmin(_fmax(C_p - c0, -h), h))",
+     "_symplectic_pair(ob, C_p - c0)"),
     # the Holevo bound
     (PROTOCOL, "    if not math.isfinite(chi):", "    if False:"),
-    (PROTOCOL, "    return max(chi, 0.0)", "    return chi"),
-    (PROTOCOL, "        reach = _margins(xm, V_p_B + 8.0 * math.ulp(V_p_B))[1]",
-     "        reach = margins[1]"),
-    (PROTOCOL, "        reach += 8.0 * math.ulp(abs(xm.c0) + reach)", "        reach += 0.0"),
-    (PROTOCOL, "    if margins is None or not abs(C_p - xm.c0) <= reach:",
-     "    if margins is None:"),
+    (PROTOCOL, "    return _fmax(chi, 0.0)", "    return chi"),
+    (PROTOCOL, "        reach = _margins(params, eta_x, eps_x, V_p_B + 8.0 * math.ulp(V_p_B))[5]",
+     "        reach = obs[5]"),
+    (PROTOCOL, "        reach += 8.0 * math.ulp(abs(c0) + reach)", "        reach += 0.0"),
+    (PROTOCOL, "    if obs is None or not abs(C_p - c0) <= reach:", "    if obs is None:"),
     # the root finders' bracketing search
     (SWEEPS, "        if x < a + half:", "        if x < a:"),
     (SWEEPS, "        elif x > b - half:", "        elif x > b:"),
@@ -101,7 +101,7 @@ MUTANTS = [
     (SWEEPS, "            a = b = x\n    return a, b", "            a = x\n    return a, b"),
     # the worst-case C_p search and key_rate
     (PROTOCOL, "    if end > 0.0:", "    if True:"),
-    (PROTOCOL, "math.atanh(min(max(2.0 * start - 1.0, 0.0), end / h))",
+    (PROTOCOL, "math.atanh(_fmin(_fmax(2.0 * start - 1.0, 0.0), end / h))",
      "math.atanh(2.0 * start - 1.0)"),
     (PROTOCOL, "            if not za < z < zb:", "            if False:"),
     (PROTOCOL, "            if not a + half <= x <= b - half:", "            if False:"),
@@ -110,15 +110,15 @@ MUTANTS = [
      "z = 0.5 * (za + zb)"),
     (PROTOCOL, "if f == -math.inf and za == 0.0 else", "if f == -math.inf else"),
     (PROTOCOL, "refined = x if za <= z <= zb else 0.5 * (a + b)", "refined = x"),
-    (PROTOCOL, "    xtol = max(WORST_CASE_XTOL * min(1.0, 2.0 * h), 8.0 * math.ulp(h))",
-     "    xtol = WORST_CASE_XTOL * min(1.0, 2.0 * h)"),
+    (PROTOCOL, "    xtol = _fmax(WORST_CASE_XTOL * _fmin(1.0, 2.0 * h), 8.0 * math.ulp(h))",
+     "    xtol = WORST_CASE_XTOL * _fmin(1.0, 2.0 * h)"),
     (PROTOCOL, "    if zb < math.inf:", "    if False:"),
     (PROTOCOL, "        if not (2.0 * h * c_x + half_t0) + math.sqrt(",
      "        if False and (2.0 * h * c_x + half_t0) + math.sqrt("),
     (PROTOCOL, "    s_ab = _joint_entropy(ob, c0, hi)", "    s_ab = -math.inf"),
     (PROTOCOL, "    if not s_ab < math.inf:", "    if False:"),
     (PROTOCOL, "    if cp != hi:", "    if True:"),
-    (PROTOCOL, "    if margins is None:\n        raise UnphysicalObservation(",
+    (PROTOCOL, "    if obs is None:\n        raise UnphysicalObservation(",
      "    if False:\n        raise UnphysicalObservation("),
     # the strong-modulation closed forms
     (PROTOCOL, "    if u == math.inf:", "    if False:"),
@@ -145,8 +145,8 @@ MUTANTS = [
     (SWEEPS, "        if not (self.x_max > self.x_min and self.cp_max > self.cp_min):",
      "        if not (self.x_max >= self.x_min and self.cp_max >= self.cp_min):"),
     (SWEEPS, "        if self.threads < 1:", "        if self.threads < 0:"),
-    (SWEEPS, "        if np.any(np.diff(self.x_axis) <= 0) or np.any(np.diff(self.cp_axis) <= 0):",
-     "        if np.any(np.diff(self.x_axis) < 0) or np.any(np.diff(self.cp_axis) < 0):"),
+    (SWEEPS, "    if np.any(np.diff(x_axis) <= 0) or np.any(np.diff(cp_axis) <= 0):",
+     "    if np.any(np.diff(x_axis) < 0) or np.any(np.diff(cp_axis) < 0):"),
     (SWEEPS, "        if not (len(self.x_axis) and len(self.cp_axis)):", "        if False:"),
     (SWEEPS, "        if self.cells.shape != (len(self.x_axis), len(self.cp_axis)):",
      "        if False:"),
@@ -162,6 +162,8 @@ MUTANTS = [
     (SWEEPS, "        if grid.x_min <= 0:", "        if grid.x_min < 0:"),
     (SWEEPS, "        if grid.x_min < 0:", "        if grid.x_min < -1:"),
     (SWEEPS, '        raise ConfigError(f"unknown region mode {mode!r}")', "        pass"),
+    (SWEEPS, "    _check_axes(x_axis, cp_axis)\n", "    pass\n"),
+    (SWEEPS, "        if not np.isfinite(vpb_rows).all():", "        if False:"),
     (PROTOCOL, "        if not (np.isfinite(h) | below).all():", "        if False:"),
     (PROTOCOL, "        stop[below] = 0", "        pass"),
     (PROTOCOL, "        if not np.isfinite(_symplectic_pair(ob, h, np.sqrt)[0][stop > first]).all():",

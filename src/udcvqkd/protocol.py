@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import DomainError, UnphysicalObservation, UnphysicalState
 
@@ -52,6 +51,17 @@ def _not_finite(what: str) -> DomainError:
     intermediate value left the double-precision range."""
     return DomainError(f"{what} is not finite for these inputs: an "
                        "intermediate value overflowed or underflowed")
+
+
+# max and min of two floats as the builtins take them: y only where it is
+# larger (smaller) than x, so a NaN x is kept.  CPython 3.11 calls the
+# builtins through an argument tuple, which costs three times these calls.
+def _fmax(x: float, y: float) -> float:
+    return y if y > x else x
+
+
+def _fmin(x: float, y: float) -> float:
+    return y if y < x else x
 
 
 @dataclass(frozen=True)
@@ -140,37 +150,6 @@ class SecurityAssessment:
     Cp_interval: tuple[float, float]
 
 
-class _XMoments(NamedTuple):
-    """x-side second moments of the shared state, and its physicality parabola.
-
-    v is Alice's variance (both quadratures), c_x the x correlation, v_x_b
-    Bob's x variance, and b = 1 - eta_x + eta_x (V_S + eps_x).  v_x_b is
-    built as b + eta_x V_M, so det X = v v_x_b - c_x**2 = v b holds by
-    construction, and the kernel below uses v b in place of that
-    cancelling difference.  v0, c0 and coeff are physicality_parabola's
-    V0, C0 and coeff; _x_moments raises DomainError where one is not finite.
-    """
-
-    v: float
-    c_x: float
-    v_x_b: float
-    b: float
-    v0: float
-    c0: float
-    coeff: float
-
-
-def _x_moments(params: ProtocolParams, eta_x: float, eps_x: float) -> _XMoments:
-    v = params.tmsv_variance
-    b = _x_noise(params.V_S, eta_x, eps_x)
-    c_x = math.sqrt(eta_x * params.V_M) * math.sqrt(v)
-    n11 = params.V_M * ((1.0 - eta_x) + eta_x * eps_x) / params.V_S
-    v0, c0, coeff = 1.0 / b, -c_x / (v * b), n11 / (v * b)
-    if not (math.isfinite(v0) and math.isfinite(c0) and math.isfinite(coeff)):
-        raise _not_finite("physicality parabola")
-    return _XMoments(v, c_x, b + eta_x * params.V_M, b, v0, c0, coeff)
-
-
 def _x_noise(V_S: float, eta_x: float, eps_x: float) -> float:
     """b = 1 - eta_x + eta_x (V_S + eps_x), Bob's x variance given Alice's
     data.
@@ -183,28 +162,67 @@ def _x_noise(V_S: float, eta_x: float, eps_x: float) -> float:
     return (1.0 - eta_x) + eta_x * (V_S + eps_x)
 
 
-def _observe(xm: _XMoments, dv, h, sqrt=math.sqrt):
-    """The delta-free terms of the two-mode kernel at one observation.
+def _observe(params: ProtocolParams, eta_x: float, eps_x: float, V_p_B,
+             maximum=_fmax, sqrt=math.sqrt) -> tuple:
+    """Everything the kernel takes from one observation, each stated once:
+    the x moments and the physicality parabola, V_p_B's margin over its
+    vertex, the kernel's delta-free terms and the conditional entropies'
+    arguments.  Raises DomainError where the parabola is not finite; the
+    checks of V_p_B and of h are _margins'.
+
+    Returns the plain tuple (v0, c0, coeff, b, dv, h, below, kernel,
+    mu_dr, mu_rr); CPython builds and unpacks it faster than a
+    NamedTuple.  v0, c0 and coeff are physicality_parabola's V0, C0 and
+    coeff, and b = 1 - eta_x + eta_x (V_S + eps_x) is Bob's x variance
+    given Alice's data.  With v Alice's variance (both quadratures), c_x
+    the x correlation and v_x_b Bob's x variance, v_x_b is built as
+    b + eta_x V_M, so det X = v v_x_b - c_x**2 = v b holds by
+    construction, and the kernel uses v b in place of that cancelling
+    difference.  With maximum np.maximum and sqrt np.sqrt, V_p_B is an
+    array, a region map's rows (_map_rows), and dv, h, below, mu_dr and
+    the kernel's dv terms are arrays over it.
+
+    The margin: dv = V_p_B - V0 over the vertex; below where dv is under
+    -VERTEX_SLACK (relative, or absolute where V0 = 1/b < 1); then dv
+    clamped at 0, and the C_p interval's half-width h = sqrt(coeff dv).
+    dv cancels within a few ulps of the vertex: the subtraction is exact
+    there, but V0 carries about an ulp of rounding, which is then of dv's
+    own size, and h, whose slope in dv is infinite at 0, magnifies it
+    (ROADMAP item 2).
 
     The kernel works in the physicality margins N = P - X^-1 =
-    [[coeff, delta], [delta, dv]] (physicality_parabola): delta = C_p - C0,
-    dv = V_p_B - V0 clamped at 0 and h = sqrt(coeff dv) (_margin_terms).
-    dv cancels within a few ulps of the vertex, where V0's rounding is of
-    dv's own size (ROADMAP item 2).  Built once per worst-case search, or
-    once per region map (_map_rows) with dv and h arrays over its rows and
-    sqrt np.sqrt.  The plain tuple, which CPython unpacks faster than a
-    NamedTuple, holds h; t0 / 2, where
+    [[coeff, delta], [delta, dv]] (physicality_parabola), delta = C_p - C0.
+    Its plain tuple holds h; t0 / 2, where
     t0 = (sqrt(v coeff) - sqrt(v_x_b dv))**2 + 2 v b h / (sqrt(v v_x_b) + c_x),
     so that tr(X N) = v coeff + 2 c_x delta + v_x_b dv is
     t0 + 2 c_x (h + delta), a sum of terms >= 0 on the interval; c_x; v b;
     (v coeff - v_x_b dv)**2 / 4; v; c_x dv; c_x coeff; and v_x_b.
+
+    The conditional entropy is that of the state left after the reference
+    side's homodyne measurement: single-mode and diagonal, with
+    nu**2 = b V_p_B (DR) or v**2 b / v_x_b (RR), so it is G(mu_dr) with
+    mu_dr = b dv, or G(mu_rr) with mu_rr = n11 / v_x_b = coeff v b / v_x_b.
+    dv's clamp makes an observation up to VERTEX_SLACK below the vertex a
+    pure mode.
     """
-    v, c_x, v_x_b, b, _, _, coeff = xm
+    v = params.tmsv_variance
+    b = _x_noise(params.V_S, eta_x, eps_x)
+    c_x = math.sqrt(eta_x * params.V_M) * math.sqrt(v)
+    n11 = params.V_M * ((1.0 - eta_x) + eta_x * eps_x) / params.V_S
     vb = v * b
+    v0, c0, coeff = 1.0 / b, -c_x / vb, n11 / vb
+    if not (math.isfinite(v0) and math.isfinite(c0) and math.isfinite(coeff)):
+        raise _not_finite("physicality parabola")
+    v_x_b = b + eta_x * params.V_M
+    dv = V_p_B - v0
+    below = dv < -VERTEX_SLACK * _fmax(1.0, abs(v0))
+    dv = maximum(dv, 0.0)
+    h = sqrt(coeff * dv)
     root_diff = math.sqrt(v * coeff) - sqrt(v_x_b * dv)
     half_t0 = 0.5 * root_diff * root_diff + vb * h / (math.sqrt(v * v_x_b) + c_x)
     diff = 0.5 * (v * coeff - v_x_b * dv)
-    return (h, half_t0, c_x, vb, diff * diff, v, c_x * dv, c_x * coeff, v_x_b)
+    kernel = (h, half_t0, c_x, vb, diff * diff, v, c_x * dv, c_x * coeff, v_x_b)
+    return v0, c0, coeff, b, dv, h, below, kernel, b * dv, coeff * vb / v_x_b
 
 
 def _symplectic_pair(ob: tuple, delta, sqrt=math.sqrt):
@@ -343,7 +361,7 @@ def _joint_entropy(ob: tuple, c0: float, C_p: float) -> float:
     h, half_t0 = ob[:2]
     if not (h or half_t0):
         return 0.0
-    mu_plus, mu_minus = _symplectic_pair(ob, min(max(C_p - c0, -h), h))
+    mu_plus, mu_minus = _symplectic_pair(ob, _fmin(_fmax(C_p - c0, -h), h))
     return _g_mu(mu_plus) + _g_mu(mu_minus)
 
 
@@ -382,7 +400,8 @@ def physicality_parabola(
     cancel (0 on a lossless, noiseless channel).  Only the x-quadrature
     channel parameters enter.
     """
-    return _x_moments(params, chan.eta_x, chan.eps_x)[-3:]
+    # V_p_B = 0 lies below every vertex, V0 = 1/b being positive
+    return _observe(params, chan.eta_x, chan.eps_x, 0.0)[:3]
 
 
 def physicality_interval(
@@ -394,57 +413,28 @@ def physicality_interval(
     sits on the parabola vertex or the curvature vanishes, or None when no
     physical state is compatible (V_p_B below the vertex).
     """
-    xm = _x_moments(params, chan.eta_x, chan.eps_x)
-    margins = _margins(xm, V_p_B)
-    return None if margins is None else (xm.c0 - margins[1], xm.c0 + margins[1])
+    obs = _margins(params, chan.eta_x, chan.eps_x, V_p_B)
+    if obs is None:
+        return None
+    c0, h = obs[1], obs[5]
+    return c0 - h, c0 + h
 
 
-def _margins(xm: _XMoments, V_p_B: float):
-    """(dv, h) of _margin_terms for a positive, finite V_p_B; None below
-    the vertex beyond VERTEX_SLACK.  The interval is C0 -+ h, and the
-    kernel takes C_p as C0 + delta with delta in [-h, h]."""
+def _margins(params: ProtocolParams, eta_x: float, eps_x: float, V_p_B: float):
+    """_observe's tuple at a positive, finite V_p_B; None below the vertex
+    beyond VERTEX_SLACK, and DomainError where the interval's half-width h
+    is not finite.  The interval is C0 -+ h, and the kernel takes C_p as
+    C0 + delta with delta in [-h, h]."""
+    obs = _observe(params, eta_x, eps_x, V_p_B)
     if not 0.0 < V_p_B < math.inf:
         _check_finite(V_p_B=V_p_B)
         raise DomainError("V_p_B must be positive")
-    dv, h, below = _margin_terms(xm, V_p_B)
+    h, below = obs[5], obs[6]
     if below:
         return None
     if not math.isfinite(h):
         raise _not_finite("physicality interval")
-    return dv, h
-
-
-def _margin_terms(xm: _XMoments, V_p_B, maximum=max, sqrt=math.sqrt):
-    """(dv, h, below): V_p_B's margin dv = V_p_B - V0 over xm's parabola
-    vertex, clamped at 0, the C_p interval's half-width h = sqrt(coeff dv),
-    and whether V_p_B lies below the vertex by more than VERTEX_SLACK
-    (relative, or absolute where |V0| < 1).
-
-    The one statement of these rules: _margins takes them for key_rate and
-    holevo_bound, and _map_rows, with maximum np.maximum and sqrt
-    np.sqrt, for a region map's array of rows' V_p_B.  dv cancels within a few ulps of
-    the vertex: the subtraction is exact there, but V0 = 1/b carries about
-    an ulp of rounding, which is then of dv's own size, and h, whose slope
-    in dv is infinite at 0, magnifies it (ROADMAP item 2).
-    """
-    dv = V_p_B - xm.v0
-    below = dv < -VERTEX_SLACK * max(1.0, abs(xm.v0))
-    dv = maximum(dv, 0.0)
-    return dv, sqrt(xm.coeff * dv), below
-
-
-def _conditional_entropy(
-    xm: _XMoments, dv: float, direction: ReconciliationDirection, g=_g_mu
-) -> float:
-    """Entropy in bits of the state left after the reference side's
-    homodyne measurement: single-mode and diagonal, with nu**2 = b V_p_B
-    (DR) or v**2 b / v_x_b (RR), so mu is b dv or
-    n11 / v_x_b = coeff v b / v_x_b.  dv's clamp at 0 (_margin_terms)
-    makes an observation up to VERTEX_SLACK below the vertex a pure mode.
-    g is the entropy G(mu), _g_mu, or _g_mu_array for an array of dv."""
-    if direction is ReconciliationDirection.DIRECT:
-        return g(xm.b * dv)
-    return g(xm.coeff * (xm.v * xm.b) / xm.v_x_b)
+    return obs
 
 
 def _floor_holevo(chi: float) -> float:
@@ -452,7 +442,7 @@ def _floor_holevo(chi: float) -> float:
     below it; DomainError where chi is not finite."""
     if not math.isfinite(chi):
         raise _not_finite("Holevo bound")
-    return max(chi, 0.0)
+    return _fmax(chi, 0.0)
 
 
 def holevo_bound(
@@ -479,16 +469,16 @@ def holevo_bound(
     on it, as in key_rate and region maps.  Raises UnphysicalState for any
     other C_p and DomainError when V_p_B is not positive and finite.
     """
-    xm = _x_moments(params, chan.eta_x, chan.eps_x)
-    margins = _margins(xm, V_p_B)
-    if margins is not None:
-        reach = _margins(xm, V_p_B + 8.0 * math.ulp(V_p_B))[1]
-        reach += 8.0 * math.ulp(abs(xm.c0) + reach)
-    if margins is None or not abs(C_p - xm.c0) <= reach:
+    eta_x, eps_x = chan.eta_x, chan.eps_x
+    obs = _margins(params, eta_x, eps_x, V_p_B)
+    if obs is not None:
+        _, c0, _, _, _, _, _, ob, mu_dr, mu_rr = obs
+        reach = _margins(params, eta_x, eps_x, V_p_B + 8.0 * math.ulp(V_p_B))[5]
+        reach += 8.0 * math.ulp(abs(c0) + reach)
+    if obs is None or not abs(C_p - c0) <= reach:
         raise UnphysicalState(f"two-mode state with C_p={C_p!r}, V_p_B={V_p_B!r} is unphysical")
-    dv, h = margins
-    return _floor_holevo(_joint_entropy(_observe(xm, dv, h), xm.c0, C_p)
-                         - _conditional_entropy(xm, dv, direction))
+    mu = mu_dr if direction is ReconciliationDirection.DIRECT else mu_rr
+    return _floor_holevo(_joint_entropy(ob, c0, C_p) - _g_mu(mu))
 
 
 def _worst_case_correlation(
@@ -537,21 +527,21 @@ def _worst_case_correlation(
     """
     h = ob[0]
     hi = c0 + h
-    xtol = max(WORST_CASE_XTOL * min(1.0, 2.0 * h), 8.0 * math.ulp(h))
+    xtol = _fmax(WORST_CASE_XTOL * _fmin(1.0, 2.0 * h), 8.0 * math.ulp(h))
     half = 0.5 * xtol
     end, refined, zb = h - half, 0.0, math.inf
     if end > 0.0:
         # the bracket [a, b] in delta and [za, zb] in z, and the point x
         # at z; f = 0 before the first call
         a, za, b, f = 0.0, 0.0, h, 0.0
-        z = zb if start is None else math.atanh(min(max(2.0 * start - 1.0, 0.0), end / h))
+        z = zb if start is None else math.atanh(_fmin(_fmax(2.0 * start - 1.0, 0.0), end / h))
         x = h * math.tanh(z)
         while b - a > xtol:
             if not za < z < zb:
                 z = za if f == -math.inf and za == 0.0 else 0.5 * (za + zb)
                 x = h * math.tanh(z)
             if not a + half <= x <= b - half:
-                x = min(max(x, a + half), b - half)
+                x = _fmin(_fmax(x, a + half), b - half)
                 z = math.atanh(x / h)
             f, df = _entropy_slope(ob, z)
             if f > 0.0:
@@ -618,17 +608,17 @@ def _key_rate(
     Returns (mutual_info, holevo, worst_Cp, Cp_interval); start goes to
     _worst_case_correlation, and without it the result is key_rate's.
     """
-    xm = _x_moments(params, eta_x, eps_x)
-    margins = _margins(xm, V_p_B)
-    if margins is None:
+    obs = _margins(params, eta_x, eps_x, V_p_B)
+    if obs is None:
         raise UnphysicalObservation(
             f"V_p_B={V_p_B!r} lies below the physicality parabola vertex"
         )
-    dv, h = margins
-    mi = _mutual_information(params, eta_x, xm.b)
-    worst_cp, s_ab = _worst_case_correlation(_observe(xm, dv, h), xm.c0, start)
-    chi = _floor_holevo(s_ab - _conditional_entropy(xm, dv, direction))
-    return mi, chi, worst_cp, (xm.c0 - h, xm.c0 + h)
+    _, c0, _, b, _, h, _, ob, mu_dr, mu_rr = obs
+    mi = _mutual_information(params, eta_x, b)
+    worst_cp, s_ab = _worst_case_correlation(ob, c0, start)
+    mu = mu_dr if direction is ReconciliationDirection.DIRECT else mu_rr
+    chi = _floor_holevo(s_ab - _g_mu(mu))
+    return mi, chi, worst_cp, (c0 - h, c0 + h)
 
 
 def _map_rows(params: ProtocolParams, eta_x: float, eps_x: float, V_p_B, cp_axis):
@@ -638,7 +628,7 @@ def _map_rows(params: ProtocolParams, eta_x: float, eps_x: float, V_p_B, cp_axis
 
     Returns (first, stop, delta, holevo).  Each row's physical cells are
     the columns [first, stop) in physicality_interval at its V_p_B, by
-    _margin_terms and two binary searches (the interval's ends count as
+    _observe and two binary searches (the interval's ends count as
     inside), and none below the vertex.  delta is cp_axis - C0, and
     holevo(rows, cols) the Holevo bounds S_AB - S_cond of the cells
     (rows[k], cols[k]) by key_rate's kernel, DR's in the first row of a
@@ -653,20 +643,19 @@ def _map_rows(params: ProtocolParams, eta_x: float, eps_x: float, V_p_B, cp_axis
     """
     import numpy as np
 
-    xm = _x_moments(params, eta_x, eps_x)
-    delta = cp_axis - xm.c0
-    s_cond_rr = _conditional_entropy(xm, 0.0, ReconciliationDirection.REVERSE)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        dv, h, below = _margin_terms(xm, V_p_B, np.maximum, np.sqrt)
+        _, c0, _, _, _, h, below, ob, mu_dr, mu_rr = _observe(params, eta_x, eps_x, V_p_B,
+                                                              np.maximum, np.sqrt)
         if not (np.isfinite(h) | below).all():
             raise _not_finite("physicality interval")
-        first = np.searchsorted(cp_axis, xm.c0 - h, "left")
-        stop = np.searchsorted(cp_axis, xm.c0 + h, "right")
+        first = np.searchsorted(cp_axis, c0 - h, "left")
+        stop = np.searchsorted(cp_axis, c0 + h, "right")
         stop[below] = 0
-        s_cond_dr = _conditional_entropy(xm, dv, ReconciliationDirection.DIRECT, _g_mu_array)
-        ob = _observe(xm, dv, h, np.sqrt)
+        s_cond_dr = _g_mu_array(mu_dr)
         if not np.isfinite(_symplectic_pair(ob, h, np.sqrt)[0][stop > first]).all():
             raise _not_finite("two-mode kernel")
+    delta = cp_axis - c0
+    s_cond_rr = _g_mu(mu_rr)
 
     def holevo(rows, cols):
         cell_ob = tuple(term[rows] if np.ndim(term) else term for term in ob)

@@ -40,6 +40,7 @@ from .protocol import (
     _vpb,
     key_rate,  # not called here: perfbench's tracer wraps sweeps.key_rate by name
     mutual_information,
+    symmetric_vpB,
 )
 
 if TYPE_CHECKING:
@@ -171,8 +172,7 @@ class RegionMap:
     def __post_init__(self):
         import numpy as np
 
-        if np.any(np.diff(self.x_axis) <= 0) or np.any(np.diff(self.cp_axis) <= 0):
-            raise ConfigError("region axes must be strictly increasing")
+        _check_axes(self.x_axis, self.cp_axis)
         if not (len(self.x_axis) and len(self.cp_axis)):
             raise ConfigError("region axes must be nonempty")
         if self.cells.shape != (len(self.x_axis), len(self.cp_axis)):
@@ -181,6 +181,14 @@ class RegionMap:
             raise ConfigError("cells must be an integer array")
         if self.cells.size and not 0 <= self.cells.min() <= self.cells.max() <= max(RegionClass):
             raise ConfigError("cells must hold RegionClass codes")
+
+
+def _check_axes(x_axis, cp_axis) -> None:
+    """ConfigError unless both region axes are strictly increasing."""
+    import numpy as np
+
+    if np.any(np.diff(x_axis) <= 0) or np.any(np.diff(cp_axis) <= 0):
+        raise ConfigError("region axes must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -263,11 +271,19 @@ def scan_region(
         if grid.x_min < 0:
             raise ConfigError("excess-noise axis must be nonnegative")
         # symmetric_vpB for every row; chan has checked eta_x
-        vpb_rows = _vpb(params, eta_x, x_axis)
+        with np.errstate(over="ignore"):
+            vpb_rows = _vpb(params, eta_x, x_axis)
+        if not np.isfinite(vpb_rows).all():
+            # the first row where it overflows, at which symmetric_vpB
+            # raises its DomainError
+            symmetric_vpB(params, eta_x, float(x_axis[np.isfinite(vpb_rows).argmin()]))
     else:
         raise ConfigError(f"unknown region mode {mode!r}")
 
     key_mi = params.beta * mutual_information(params, chan)
+    # RegionMap's check, before any kernel work: linspace can round the
+    # points of a narrow range onto each other
+    _check_axes(x_axis, cp_axis)
     first, stop, delta, holevo = _map_rows(params, eta_x, eps_x, vpb_rows, cp_axis)
     physical = stop > first
 

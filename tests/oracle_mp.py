@@ -28,13 +28,11 @@ from udcvqkd.gaussian import (
     symplectic_form,
 )
 from udcvqkd.protocol import (
-    _conditional_entropy,
     _g_mu,
     _g_mu_array,
     _margins,
     _observe,
     _symplectic_pair,
-    _x_moments,
 )
 
 DR = ReconciliationDirection.DIRECT
@@ -63,11 +61,16 @@ def golden_max(f, a, b, steps):
 
 def observed(params, eta, eps, v_p_b):
     """The kernel's inputs as key_rate builds them for a physical
-    observation: _observe's tuple, C0, and the conditional entropy's
-    (xm, dv)."""
-    xm = _x_moments(params, eta, eps)
-    dv, h = _margins(xm, v_p_b)
-    return _observe(xm, dv, h), xm.c0, (xm, dv)
+    observation: _observe's kernel tuple, C0, and the whole tuple from
+    _margins."""
+    obs = _margins(params, eta, eps, v_p_b)
+    return obs[7], obs[1], obs
+
+
+def conditional_entropy(obs, direction):
+    """The conditional entropy as key_rate takes it from _observe's tuple
+    obs: G of its direction's mu."""
+    return _g_mu(obs[8] if direction is DR else obs[9])
 
 
 def _mp_g(nu):
@@ -146,14 +149,14 @@ def grid_holevo(params, eta, eps, v_p_b, direction):
     kernel on arrays, as region maps take it: delta = C_p - C0, clipped to
     [-h, h] as key_rate clips it.  The top point is then key_rate's hi
     candidate, which fl(C0 + h) - C0 can move off h."""
-    ob, c0, (xm, dv) = observed(params, eta, eps, v_p_b)
+    ob, c0, obs = observed(params, eta, eps, v_p_b)
     h = ob[0]
     delta = np.clip(np.linspace(c0 - h, c0 + h, 1001) - c0, -h, h)
-    rows = _observe(xm, np.array([[dv]]), np.array([[h]]), np.sqrt)
+    rows = _observe(params, eta, eps, np.array([[v_p_b]]), np.maximum, np.sqrt)[7]
     with np.errstate(invalid="ignore"):  # a pure state's 0/0, which counts as 0
         mu_plus, mu_minus = _symplectic_pair(rows, delta, np.sqrt)
     return (_g_mu_array(mu_plus) + _g_mu_array(mu_minus)
-            - _conditional_entropy(xm, dv, direction))
+            - conditional_entropy(obs, direction))
 
 
 def strong_modulation_rate(v_s, eta, eps, v_p_b, direction, u=None):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,19 @@ class TestKeyrateCommand:
         assert out == ""
         assert err.startswith("DomainError:")
         assert "Traceback" not in err
+
+    def test_overflowing_rows_of_a_noise_map_raise_the_p_variance_error(self, capsys):
+        # V_p_B = eta (1/V_S + eps_p) + 1 - eta overflows on every row: the
+        # map raises symmetric_vpB's error, and no RuntimeWarning leaks,
+        # which under warnings as errors ended the run in a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "region", "--vs", "1e-308", "--vm", "1e-300",
+                                 "--eta", "0.5", "--eps", "1e-300", "--mode", "eps-p",
+                                 "--x-range", "1e308:1.7e308:3", "--cp-range=-3:0:4")
+        assert (code, out) == (1, "")
+        assert err == ("DomainError: Bob's p variance is not finite for these inputs: an "
+                       "intermediate value overflowed or underflowed\n")
 
 
 class TestArgumentErrors:

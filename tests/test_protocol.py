@@ -49,17 +49,14 @@ from udcvqkd.gaussian import (
 )
 from udcvqkd.protocol import (
     VERTEX_SLACK,
-    _conditional_entropy,
     _entropy_slope,
     _g_mu,
     _joint_entropy,
     _key_rate,
-    _margin_terms,
     _margins,
     _observe,
     _symplectic_pair,
     _worst_case_correlation,
-    _x_moments,
 )
 
 from conftest import broad_draw
@@ -69,6 +66,7 @@ from oracle_mp import (
     _mp_joint_entropy,
     _mp_key_rate,
     _mp_moments,
+    conditional_entropy,
     grid_holevo,
     observed,
     strong_modulation_rate,
@@ -211,7 +209,7 @@ class TestParams:
         params = ProtocolParams(V_S=0.7, V_M=12.0)
         chan = ChannelParams(eta_x=0.85, eps_x=0.04)
         eta_p, eps_p = 0.6, 0.02
-        v_x_b = _x_moments(params, chan.eta_x, chan.eps_x).v_x_b
+        v_x_b = _observe(params, chan.eta_x, chan.eps_x, 0.0)[7][-1]
         expected = chan.eta_x * (params.V_S + params.V_M + chan.eps_x) + 1 - chan.eta_x
         assert v_x_b == pytest.approx(expected, abs=1e-12)
         v_p_b = symmetric_vpB(params, eta_p, eps_p)
@@ -371,21 +369,32 @@ class TestPhysicalityBound:
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-14 * abs(w)
 
-    def test_margin_terms_agree_on_floats_and_arrays(self):
-        # key_rate takes _margin_terms at one V_p_B with max and math.sqrt,
-        # scan_region over its rows with np.maximum and np.sqrt: (dv, h,
-        # below) agree bit for bit below the vertex by more than
-        # VERTEX_SLACK and by less, on it and above it
-        xm = _x_moments(ProtocolParams(V_S=0.8, V_M=5.0), 0.7, 0.05)
-        slack = VERTEX_SLACK * max(1.0, abs(xm.v0))
-        rows = [xm.v0 - 4.0 * slack, xm.v0 - 0.5 * slack, xm.v0, xm.v0 + 0.3]
-        dv, h, below = _margin_terms(xm, np.array(rows), np.maximum, np.sqrt)
-        assert below.tolist() == [True, False, False, False]
+    def test_observe_agrees_on_floats_and_arrays(self):
+        # key_rate takes _observe at one V_p_B with its float maximum and
+        # math.sqrt, scan_region over its rows with np.maximum and
+        # np.sqrt: every field, each kernel term included, agrees bit for
+        # bit below the vertex by more than VERTEX_SLACK and by less, on
+        # it and above it
+        params, eta, eps = ProtocolParams(V_S=0.8, V_M=5.0), 0.7, 0.05
+        v0 = physicality_parabola(params, ChannelParams(eta, eps))[0]
+        slack = VERTEX_SLACK * max(1.0, abs(v0))
+        rows = [v0 - 4.0 * slack, v0 - 0.5 * slack, v0, v0 + 0.3]
+
+        def fields(obs):
+            return [*obs[:7], *obs[7], *obs[8:]]
+
+        arrays = _observe(params, eta, eps, np.array(rows), np.maximum, np.sqrt)
         for i, v_p_b in enumerate(rows):
-            want_dv, want_h, want_below = _margin_terms(xm, v_p_b)
-            assert float(dv[i]).hex() == want_dv.hex()
-            assert float(h[i]).hex() == want_h.hex()
-            assert bool(below[i]) is want_below
+            floats = fields(_observe(params, eta, eps, v_p_b))
+            assert len(floats) == len(fields(arrays)) == 18
+            for k, (want, got) in enumerate(zip(floats, fields(arrays))):
+                got = got[i] if np.ndim(got) else got
+                if isinstance(want, bool):
+                    assert bool(got) is want, (i, k)
+                else:
+                    assert type(want) is float and float(got).hex() == want.hex(), (i, k)
+        dv, h, below = arrays[4:7]
+        assert below.tolist() == [True, False, False, False]
         assert dv[:3].tolist() == [0.0, 0.0, 0.0] and h[3] > 0.0
 
     def test_rejects_nonpositive_observation(self):
@@ -419,10 +428,10 @@ class TestPhysicalityBound:
                 key_rate(params, chan, v_p_b, direction)
 
     @staticmethod
-    def uncertainty_2x2(xm, c_p, v_p_b):
+    def uncertainty_2x2(obs, c_p, v_p_b):
         """gamma + i.Omega >= 0 as P - X^-1 >= 0 for the x and p blocks X
-        and P, multiplied through by det X = v b."""
-        v, c_x, v_x_b, b = xm[:4]
+        and P, multiplied through by det X = v b, from _observe's tuple."""
+        b, (_, _, c_x, _, _, v, _, _, v_x_b) = obs[3], obs[7]
         n11 = v * v * b - v_x_b
         n22 = v_p_b * v * b - v
         n12 = c_p * v * b + c_x
@@ -443,11 +452,11 @@ class TestPhysicalityBound:
             v0 = physicality_parabola(params, chan)[0]
             v_p_b = v0 * (1.0 + 10.0 ** rng.uniform(-4.0, 0.0))
             lo, hi = physicality_interval(params, chan, v_p_b)
-            xm = _x_moments(params, eta, eps)
+            obs = _observe(params, eta, eps, v_p_b)
             step = 1e-6 * (hi - lo)
-            assert self.uncertainty_2x2(xm, 0.5 * (lo + hi), v_p_b)
-            assert not self.uncertainty_2x2(xm, lo - step, v_p_b)
-            assert not self.uncertainty_2x2(xm, hi + step, v_p_b)
+            assert self.uncertainty_2x2(obs, 0.5 * (lo + hi), v_p_b)
+            assert not self.uncertainty_2x2(obs, lo - step, v_p_b)
+            assert not self.uncertainty_2x2(obs, hi + step, v_p_b)
             if i % 10:
                 continue
             direction = DR if i % 20 else RR
@@ -524,13 +533,12 @@ class TestConditionalEntropy:
             params = ProtocolParams(V_S=10.0 ** rng.uniform(-2.0, 4.0),
                                     V_M=10.0 ** rng.uniform(-1.0, 8.0))
             eta, eps = rng.uniform(0.01, 1.0), rng.choice([0.0, rng.uniform(0.0, 0.5)])
-            xm = _x_moments(params, eta, eps)
-            v_p_b = (1.0 + rng.uniform(-1e-8, 1.0)) / xm.b
-            margins = _margins(xm, v_p_b)
-            if margins is None:
+            v_p_b = (1.0 + rng.uniform(-1e-8, 1.0)) / _observe(params, eta, eps, 0.0)[3]
+            obs = _margins(params, eta, eps, v_p_b)
+            if obs is None:
                 continue
             for direction in (DR, RR):
-                got = _conditional_entropy(xm, margins[0], direction)
+                got = conditional_entropy(obs, direction)
                 with mpmath.workdps(50):
                     want = _mp_conditional_entropy(params, ChannelParams(eta, eps), v_p_b,
                                                    direction)
@@ -682,11 +690,10 @@ class TestTwoModeKernel:
                                     V_M=10.0 ** rng.uniform(-1.0, 9.0))
             eta, eps = rng.uniform(0.0, 1.0) or 1.0, rng.choice([0.0, rng.uniform(0.0, 0.2)])
             v_p_b = symmetric_vpB(params, eta, eps) + rng.choice([0.0, 10.0 ** rng.uniform(-6, 0)])
-            xm = _x_moments(params, eta, eps)
-            dv, h = _margins(xm, v_p_b)
-            delta = h * rng.uniform(-1.5, 1.5)
-            want = _symplectic_pair(_observe(xm, dv, h), delta)
-            rows = _observe(xm, np.array([[dv]]), np.array([[h]]), np.sqrt)
+            ob = observed(params, eta, eps, v_p_b)[0]
+            delta = ob[0] * rng.uniform(-1.5, 1.5)
+            want = _symplectic_pair(ob, delta)
+            rows = _observe(params, eta, eps, np.array([[v_p_b]]), np.maximum, np.sqrt)[7]
             got = _symplectic_pair(rows, np.array([delta]), np.sqrt)
             assert [float(x[0, 0]) for x in got] == list(want), (params, eta, eps, v_p_b, delta)
             draws += 1
@@ -777,9 +784,9 @@ class TestTwoModeKernel:
         # split s - t of the squared eigenvalues is 0
         params = ProtocolParams(V_S=0.5, V_M=10.0)
         chan = ChannelParams.symmetric(0.7, 0.0)
-        xm = _x_moments(params, 0.7, 0.0)
-        v_p_b = xm.v**2 / xm.v_x_b
-        c_star = -xm.c_x * xm.v / xm.v_x_b
+        _, _, c_x, _, _, v, _, _, v_x_b = _observe(params, 0.7, 0.0, 0.0)[7]
+        v_p_b = v**2 / v_x_b
+        c_star = -c_x * v / v_x_b
         lo, hi = physicality_interval(params, chan, v_p_b)
         assert lo < c_star < hi
         ob, c0, _ = observed(params, 0.7, 0.0, v_p_b)
@@ -820,8 +827,8 @@ class TestTwoModeKernel:
                                     V_M=10.0 ** rng.uniform(-18.0, -14.0))
             eta = rng.uniform(0.05, 0.95)
             chan = ChannelParams.symmetric(eta, 0.0)
-            xm = _x_moments(params, eta, 0.0)
-            v_p_b = xm.v0 + xm.v * xm.coeff / xm.v_x_b
+            v0, _, coeff, _, _, _, _, ob, _, _ = _observe(params, eta, 0.0, 0.0)
+            v_p_b = v0 + ob[5] * coeff / ob[8]  # V0 + v coeff / v_x_b
             for direction in (DR, RR):
                 divided.clear()
                 a = key_rate(params, chan, v_p_b, direction)
@@ -965,9 +972,9 @@ class TestWorstCaseSearch:
         v_p_b = symmetric_vpB(params, eta, eps) + extra
         cold = key_rate(params, chan, v_p_b, direction)
         mi, chi, worst_cp, interval = _key_rate(params, eta, eps, v_p_b, direction, t)
-        ob, c0, (_, dv) = observed(params, eta, eps, v_p_b)
+        ob, c0, obs = observed(params, eta, eps, v_p_b)
         at_vertex = v_p_b
-        if dv == 0.0:
+        if obs[4] == 0.0:  # dv
             with mpmath.workdps(60):
                 eta_mp, v_s, eps_mp = (mpmath.mpf(x) for x in (eta, params.V_S, eps))
                 at_vertex = 1 / ((1 - eta_mp) + eta_mp * (v_s + eps_mp))
@@ -1135,8 +1142,8 @@ class TestWorstCaseSearch:
             lo, hi = physicality_interval(params, ChannelParams.symmetric(eta, eps), v_p_b)
             if not hi > lo:
                 continue
-            ob, c0, (xm, dv) = observed(params, eta, eps, v_p_b)
-            s_cond = _conditional_entropy(xm, dv, direction)
+            ob, c0, obs = observed(params, eta, eps, v_p_b)
+            s_cond = conditional_entropy(obs, direction)
             cp, s_ab, count = search(ob, c0)
             chi = s_ab - s_cond
             cold_calls.append(count)
@@ -1217,8 +1224,8 @@ class TestWorstCaseSearch:
         # worst case lies within xtol of hi
         for params, chan, v_p_b, direction in seeded_broad_draws():
             a = key_rate(params, chan, v_p_b, direction)
-            xm = _x_moments(params, chan.eta_x, chan.eps_x)
-            s_ab = a.holevo + _conditional_entropy(xm, _margins(xm, v_p_b)[0], direction)
+            obs = _margins(params, chan.eta_x, chan.eps_x, v_p_b)
+            s_ab = a.holevo + conditional_entropy(obs, direction)
             at_hi = holevo_bound(params, chan, a.Cp_interval[1], v_p_b, direction)
             assert at_hi <= a.holevo + 4.0 * math.ulp(s_ab), (params, chan, v_p_b, direction)
 
@@ -1557,9 +1564,9 @@ class TestKeyRate:
         negative = 0
         for _ in range(20000):
             params, chan, v_p_b, direction = broad_draw(rng)
-            ob, c0, (xm, dv) = observed(params, chan.eta_x, chan.eps_x, v_p_b)
+            ob, c0, obs = observed(params, chan.eta_x, chan.eps_x, v_p_b)
             s_ab = _worst_case_correlation(ob, c0)[1]
-            chi = s_ab - _conditional_entropy(xm, dv, direction)
+            chi = s_ab - conditional_entropy(obs, direction)
             assert chi >= -8.0 * math.ulp(max(1.0, s_ab)), (params, chan, v_p_b, direction)
             assert key_rate(params, chan, v_p_b, direction).holevo == max(chi, 0.0)
             negative += chi < 0.0
@@ -1625,7 +1632,7 @@ class TestKeyRate:
         v0 = physicality_parabola(params, chan)[0]
         v_p_b = v0 - 0.9 * VERTEX_SLACK * max(1.0, abs(v0))
         assert physicality_interval(params, chan, v_p_b) is not None
-        assert math.sqrt(_x_moments(params, eta, eps).b * v_p_b) < 1.0 - 1e-9
+        assert math.sqrt(_observe(params, eta, eps, 0.0)[3] * v_p_b) < 1.0 - 1e-9
         a = key_rate(params, chan, v_p_b, DR)
         assert math.isfinite(a.key_rate)
         assert a.holevo == holevo_bound(params, chan, a.worst_Cp, v_p_b, DR)

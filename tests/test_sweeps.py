@@ -47,14 +47,12 @@ from udcvqkd import __version__, protocol, sweeps
 from udcvqkd.gaussian import apply_channel, symplectic_form
 from udcvqkd.protocol import (
     LOG2E,
-    _conditional_entropy,
     _g_mu,
     _g_mu_array,
     _margins,
     _observe,
     _symplectic_pair,
     _vpb,
-    _x_moments,
 )
 from udcvqkd.sweeps import _bracket_sign_change
 
@@ -218,6 +216,20 @@ class TestConfigValidation:
         for x_points, cp_points in ((5, 2), (2, 5)):
             with pytest.raises(ConfigError, match="at most 4 points"):
                 region_grid(1.0, 2.0, x_points=x_points, cp_points=cp_points)
+
+    def test_axis_that_linspace_rounds_onto_itself_is_refused_before_the_kernel(
+            self, monkeypatch):
+        # the range 1 to the next float holds 5 points only as repeats;
+        # SweepConfig accepts it, and scan_region refuses it with RegionMap's
+        # error before any kernel work
+        def no_kernel(*args):
+            raise AssertionError("the map kernel ran")
+
+        monkeypatch.setattr(sweeps, "_map_rows", no_kernel)
+        grid = region_grid(1.0, 1.0000000000000002, points=5, cp_min=-3.0, cp_max=0.0)
+        for mode in RegionMode:
+            with pytest.raises(ConfigError, match="^region axes must be strictly increasing$"):
+                scan_region(ProtocolParams(V_S=1.0, V_M=10.0), (0.9, 0.0), grid, mode)
 
     def test_threads_must_be_positive(self):
         # threads has no effect, but stays a validated setting
@@ -699,18 +711,17 @@ def full_scan_cells(params, chan_x, grid, mode):
     cp_axis = np.linspace(grid.cp_min, grid.cp_max, grid.cp_points)
     x_axis = np.linspace(grid.x_min, grid.x_max, grid.x_points)
     key_mi = params.beta * mutual_information(params, chan)
-    xm = _x_moments(params, eta_x, eps_x)
     inside = np.zeros((grid.x_points, grid.cp_points), dtype=bool)
-    dv, half = np.zeros(grid.x_points), np.zeros(grid.x_points)
+    vpb, s_cond_dr = np.zeros(grid.x_points), np.zeros(grid.x_points)
     for i, x in enumerate(x_axis.tolist()):
-        v_p_b = x if mode is RegionMode.FREE_VPB else _vpb(params, eta_x, x)
+        vpb[i] = v_p_b = x if mode is RegionMode.FREE_VPB else _vpb(params, eta_x, x)
         interval = physicality_interval(params, chan, v_p_b)
         if interval is not None:
             inside[i] = (interval[0] <= cp_axis) & (cp_axis <= interval[1])
-            dv[i], half[i] = _margins(xm, v_p_b)
-    s_cond_rr = _conditional_entropy(xm, 0.0, RR)
-    s_cond_dr = _g_mu_array(xm.b * dv)
-    delta = cp_axis - xm.c0
+            s_cond_dr[i] = _g_mu(_margins(params, eta_x, eps_x, v_p_b)[8])
+    _, c0, _, _, _, _, _, _, _, mu_rr = _observe(params, eta_x, eps_x, 0.0)
+    s_cond_rr = _g_mu(mu_rr)
+    delta = cp_axis - c0
     cells = np.zeros((grid.x_points, grid.cp_points), dtype=np.int8)
     for start in range(0, grid.x_points, 32):
         rows = slice(start, start + 32)
@@ -718,8 +729,8 @@ def full_scan_cells(params, chan_x, grid, mode):
         if not occupied.size:
             continue
         box = slice(occupied[0], occupied[-1] + 1)
-        ob = _observe(xm, dv[rows, None], half[rows, None], np.sqrt)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ob = _observe(params, eta_x, eps_x, vpb[rows, None], np.maximum, np.sqrt)[7]
             mu_plus, mu_minus = _symplectic_pair(ob, delta[box], np.sqrt)
         s_ab = _g_mu_array(mu_plus) + _g_mu_array(mu_minus)
         # secure where the key rate, key_mi - max(chi, 0), is positive
@@ -856,7 +867,7 @@ class TestTwoPassScan:
             cells = scan_region(params, chan_x, grid, mode).cells
         physical = np.flatnonzero(cells.any(axis=1))
         cp_axis = np.linspace(grid.cp_min, grid.cp_max, grid.cp_points)
-        delta = cp_axis - _x_moments(params, *chan_x).c0
+        delta = cp_axis - physicality_parabola(params, ChannelParams(*chan_x))[1]
         h = calls[0][0][physical]
         if not len(physical) or len(np.unique(h)) < len(h) or not (np.diff(delta) > 0).all():
             return cells, {}
