@@ -113,8 +113,7 @@ MUTANTS = [
     (PROTOCOL, "    xtol = _fmax(WORST_CASE_XTOL * _fmin(1.0, 2.0 * h), 8.0 * math.ulp(h))",
      "    xtol = WORST_CASE_XTOL * _fmin(1.0, 2.0 * h)"),
     (PROTOCOL, "    if zb < math.inf:", "    if False:"),
-    (PROTOCOL, "        if not (2.0 * h * c_x + half_t0) + math.sqrt(",
-     "        if False and (2.0 * h * c_x + half_t0) + math.sqrt("),
+    (PROTOCOL, "        if not _symplectic_pair(ob, h)[0] < math.inf:", "        if False:"),
     (PROTOCOL, "    s_ab = _joint_entropy(ob, c0, hi)", "    s_ab = -math.inf"),
     (PROTOCOL, "    if not s_ab < math.inf:", "    if False:"),
     (PROTOCOL, "    if cp != hi:", "    if True:"),
@@ -128,6 +127,8 @@ MUTANTS = [
     (PROTOCOL, "    if r2 < 0.01:\n        excess", "    if r2 < 0.0:\n        excess"),
     (PROTOCOL, "math.log1p(x) if x < math.inf else (", "math.log1p(x) if True else ("),
     # grids and records
+    (SWEEPS, "    except OverflowError:\n        raise DomainError(f\"transmittance",
+     "    except ZeroDivisionError:\n        raise DomainError(f\"transmittance"),
     (SWEEPS, "    if not eta > 0.0:", "    if not eta >= 0.0:"),
     (SWEEPS, "-10.0 * math.log10(eta) + 0.0", "-10.0 * math.log10(eta)"),
     (SWEEPS, "    if not all(math.isfinite(v) for v in (start, stop, step)):", "    if False:"),
@@ -152,6 +153,9 @@ MUTANTS = [
      "        if False:"),
     (SWEEPS, "        if not np.issubdtype(self.cells.dtype, np.integer):", "        if False:"),
     (SWEEPS, "self.cells.max() <= max(RegionClass):", "self.cells.max() <= 5:"),
+    (SWEEPS, "            array.flags.writeable = False", "            pass"),
+    (SWEEPS, "@dataclass(frozen=True, eq=False)\nclass RegionMap:",
+     "@dataclass(frozen=True)\nclass RegionMap:"),
     (SWEEPS, "        if len(self.abscissa) != len(self.ordinate):", "        if False:"),
     (SWEEPS, "        if any(b <= a for a, b in zip(self.abscissa, self.abscissa[1:])):",
      "        if any(b < a for a, b in zip(self.abscissa, self.abscissa[1:])):"),

@@ -519,11 +519,12 @@ def _worst_case_correlation(
     F < 0: one at b < h gives S(h) <= S(b) + F(b) (h - b) < S(b).  The
     lower one never is: mu_minus = 0 at both, and
     mu_plus = t0 + 2 c_x (h + delta) is smaller at the lower.  Where hi
-    is not taken, mu_plus there is still formed, as _map_rows forms it
-    for a region map, and where it is, its entropy is checked, so that an
-    overflow there raises the two-mode kernel's DomainError in both.  Each
-    candidate's entropy is taken once, as holevo_bound takes it, from its
-    C_p, so holevo_bound repeats it to the bit.
+    is not taken, mu_plus there is still formed by _symplectic_pair, as
+    _map_rows forms it for a region map, and where it is, its entropy is
+    checked, so that an overflow there raises the two-mode kernel's
+    DomainError in both.  Each candidate's entropy is taken once, as
+    holevo_bound takes it, from its C_p, so holevo_bound repeats it to the
+    bit.
     """
     h = ob[0]
     hi = c0 + h
@@ -559,11 +560,9 @@ def _worst_case_correlation(
 
     cp = c0 + refined
     if zb < math.inf:
-        # a point had F < 0, so hi is no candidate; _symplectic_pair's
-        # mu_plus at delta = h must still be finite
-        h, half_t0, c_x, _, quarter_diff_sq, v, cx_dv, cx_coeff, v_x_b = ob
-        if not (2.0 * h * c_x + half_t0) + math.sqrt(
-                abs(quarter_diff_sq + (v * h + cx_dv) * (cx_coeff + v_x_b * h))) < math.inf:
+        # a point had F < 0, so hi is no candidate; mu_plus at delta = h
+        # must still be finite
+        if not _symplectic_pair(ob, h)[0] < math.inf:
             raise _not_finite("two-mode kernel")
         return cp, _joint_entropy(ob, c0, cp)
     # the first of the candidates hi, cp whose entropy is larger

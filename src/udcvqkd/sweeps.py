@@ -75,8 +75,15 @@ REGION_BLOCK_CELLS = 1 << 18
 
 
 def db_to_eta(db: float) -> float:
-    """Channel attenuation in dB to linear transmittance."""
-    return 10.0 ** (-db / 10.0)
+    """Channel attenuation in dB to linear transmittance.
+
+    Raises DomainError where the transmittance overflows (db below about
+    -3 083).
+    """
+    try:
+        return 10.0 ** (-db / 10.0)
+    except OverflowError:
+        raise DomainError(f"transmittance overflows at {db!r} dB") from None
 
 
 def eta_to_db(eta: float) -> float:
@@ -155,12 +162,14 @@ class SweepConfig:
             raise ConfigError("threads must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionMap:
     """Classified 2-D grid: x axis (V_p_B or eps_p) by C_p axis.
 
     cells, an integer array, holds at [i, j] the RegionClass code at
-    (x_axis[i], cp_axis[j]).
+    (x_axis[i], cp_axis[j]).  The constructor checks its arrays and marks
+    them read-only, without a copy, so a map keeps what it checked; a map
+    equals only itself.
     """
 
     x_axis: np.ndarray
@@ -181,6 +190,8 @@ class RegionMap:
             raise ConfigError("cells must be an integer array")
         if self.cells.size and not 0 <= self.cells.min() <= self.cells.max() <= max(RegionClass):
             raise ConfigError("cells must hold RegionClass codes")
+        for array in (self.x_axis, self.cp_axis, self.cells):
+            array.flags.writeable = False
 
 
 def _check_axes(x_axis, cp_axis) -> None:

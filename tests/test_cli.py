@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from udcvqkd import (
     ChannelParams,
@@ -19,7 +23,7 @@ from udcvqkd import (
     mutual_information,
     symmetric_vpB,
 )
-from udcvqkd import cli, sweeps
+from udcvqkd import cli, errors, sweeps
 from udcvqkd.cli import _COMMANDS, _OPTIONS, _Choice, main
 
 # every option with choices, on every subcommand that takes it
@@ -586,6 +590,98 @@ def test_option_table_has_no_missing_or_dead_rows():
     assert set(_OPTIONS) - used == set(), "_OPTIONS row no subcommand uses"
     assert CHOICE_OPTIONS == [(command, name) for command, (_, _, names) in _COMMANDS.items()
                               for name in names if isinstance(_OPTIONS[name][0], _Choice)]
+
+
+# |x| log-uniform from the least subnormal to the largest double: positive
+# in 7 of 10 draws, negative in 2, and in 1 a value no such draw reaches
+LOG_UNIFORM = st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(math.exp)
+CLI_FLOATS = st.tuples(st.integers(0, 9), LOG_UNIFORM,
+                       st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan))).map(
+    lambda t: t[1] if t[0] < 7 else -t[1] if t[0] < 9 else t[2])
+CLI_VALUES = CLI_FLOATS.map(repr)
+# two values, in increasing order in 3 of 4 draws, and ":"
+CLI_BOUNDS = st.tuples(CLI_FLOATS, CLI_FLOATS, st.integers(0, 3)).map(
+    lambda t: f"{min(t[:2])!r}:{max(t[:2])!r}:" if t[2] else f"{t[0]!r}:{t[1]!r}:")
+# region grids of at most 4 x 4 points
+CLI_AXES = st.tuples(CLI_BOUNDS, st.integers(0, 4).map(str)).map("".join)
+CLI_TEXT = {
+    "dir": st.sampled_from(("dr", "rr")),
+    "mode": st.sampled_from(("vpb", "eps-p")),
+    "format": st.sampled_from(("csv", "json")),
+    "db": st.tuples(CLI_BOUNDS, CLI_VALUES).map("".join),
+    "x_range": CLI_AXES,
+    "cp_range": CLI_AXES,
+    "strict_paper_vpb": st.sampled_from(("true", "false")),
+}
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv, config text or None): a subcommand with each option but
+    output given as --flag=value or as a config line; at most one option
+    and one of eta, eta_db are left out."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    names = [name for name in _COMMANDS[command][2] if name != "output"]
+    absent = {draw(st.one_of(st.none(), st.sampled_from(names)))}
+    if "eta" in names:
+        absent.add(draw(st.sampled_from(["eta", "eta_db", "eta", "eta_db", None])))
+    config = [] if draw(st.booleans()) else None
+    argv = [command]
+    for name in names:
+        if name in absent:
+            continue
+        text = draw(CLI_TEXT.get(name, CLI_VALUES))
+        if config is not None and draw(st.booleans()):
+            config.append(f"{name}={text}")
+        elif name == "strict_paper_vpb":
+            if text == "true":
+                argv.append("--strict-paper-vpb")
+        else:
+            argv.append(f"--{name.replace('_', '-')}={text}")
+    return argv, None if config is None else "\n".join(config) + "\n"
+
+
+def reject_constant(name):
+    raise AssertionError(f"non-finite number {name} in the output")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=cli_cases())
+@example(case=(["asymptotic", "--vs=1.0", "--eta-db=-8103.083927575384"], None))
+@example(case=(["region", "--vs=1e300", "--vm=1e-300", "--eta=1e-300", "--eps=5e-324",
+                "--mode=eps-p", "--x-range=0:1e300:4", "--cp-range=-1e-300:1e-300:4"], None))
+@example(case=(["region", "--vs=1e-308", "--vm=1e-300", "--eta=0.5", "--eps=1e-300",
+                "--mode=eps-p", "--x-range=1e308:1.7e308:3", "--cp-range=-3:0:4"], None))
+@example(case=(["region", "--vs=1", "--vm=10", "--eta=0.9", "--mode=vpb",
+                "--x-range=1:1.0000000000000002:5", "--cp-range=-3:0:4"], None))
+def test_every_input_prints_finite_output_or_one_toolkit_error(tmp_path_factory, case):
+    # each command line either succeeds with finite numbers, or fails with
+    # exit 1 or 2 and one last stderr line naming a ToolkitError, and a
+    # warning is an error, so none leaks into a traceback
+    argv, config = case
+    if config is not None:
+        path = tmp_path_factory.getbasetemp() / "every_input.cfg"
+        path.write_text(config)
+        argv = [*argv, f"--config={path}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        if out.startswith("#"):
+            rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+            assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+        else:
+            json.loads(out, parse_constant=reject_constant)
+        return
+    assert out == "" and "Traceback" not in err and err.endswith("\n")
+    name, _, message = err.splitlines()[-1].partition(": ")
+    assert message and issubclass(getattr(errors, name), errors.ToolkitError), err
+    assert (code == 2) == (name == "ConfigError")
+    assert err.startswith(f"usage: udcvqkd {argv[0]} ") if code == 2 else err.count("\n") == 1
 
 
 # Run in a fresh interpreter, where only these calls can have loaded numpy.

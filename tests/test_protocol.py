@@ -1261,11 +1261,11 @@ def log_entropy(h: float, r: float):
 
 
 def synthetic_search(monkeypatch, h, slope, entropy, start=None):
-    """_worst_case_correlation on C0 = 0 and an ob of h and zeros, whose
-    mu_plus at hi is finite, with slope(z) in place of _entropy_slope and
-    entropy(delta) in place of the joint entropy; returns (worst C_p, the
-    slope's points z, the entropy's points delta).  A runaway loop stops
-    at 200 slope calls."""
+    """_worst_case_correlation on C0 = 0 and an ob of h, half_t0 = 1 and
+    zeros, whose mu_plus at hi is 1, with slope(z) in place of
+    _entropy_slope and entropy(delta) in place of the joint entropy;
+    returns (worst C_p, the slope's points z, the entropy's points delta).
+    A runaway loop stops at 200 slope calls."""
     probes, points = [], []
 
     def recorded_slope(ob, z):
@@ -1280,7 +1280,7 @@ def synthetic_search(monkeypatch, h, slope, entropy, start=None):
     with monkeypatch.context() as patched:
         patched.setattr(protocol, "_entropy_slope", recorded_slope)
         patched.setattr(protocol, "_joint_entropy", recorded_entropy)
-        cp, _ = _worst_case_correlation((h,) + (0.0,) * 8, 0.0, start)
+        cp, _ = _worst_case_correlation((h, 1.0) + (0.0,) * 7, 0.0, start)
     return cp, probes, points
 
 

@@ -84,6 +84,17 @@ class TestHelpers:
         # -10 log10(1) is -0.0, which JSON writes as "-0.0"
         assert math.copysign(1.0, eta_to_db(1.0)) == 1.0
 
+    def test_overflowing_transmittance_is_a_domain_error(self):
+        # 10**(-db/10) overflows below about -3 083 dB, where float pow
+        # raised OverflowError, not a ToolkitError
+        assert db_to_eta(-3080.0) == 10.0 ** 308.0
+        for db in (-3083.0, -1e300):
+            with pytest.raises(DomainError, match="transmittance overflows"):
+                db_to_eta(db)
+        with pytest.raises(DomainError, match="transmittance overflows"):
+            keyrate_vs_attenuation(ProtocolParams(V_S=1.0, V_M=10.0), 0.0, [-4000.0, -3500.0],
+                                   ReconciliationDirection.REVERSE)
+
     @pytest.mark.parametrize("eta", [0.0, -0.5, math.nan])
     def test_eta_to_db_needs_positive_transmittance(self, eta):
         with pytest.raises(DomainError):
@@ -1529,6 +1540,20 @@ class TestWriters:
                            mode=RegionMode.FREE_VPB)
         assert region.cells.dtype == dtype
         assert '"cells":[[0,1],[2,3],[4,0]]' in region_to_json(region)
+
+    def test_scanned_region_is_only_itself_and_read_only(self):
+        # a map equals only itself and hashes; its checked arrays refuse
+        # writes, so no cell can take a code that region_to_json writes as
+        # invalid JSON and no axis can lose its order
+        grid = region_grid(0.9, 1.8, points=3)
+        region, again = (scan_region(ProtocolParams(V_S=1.0, V_M=10.0), (0.9, 0.03), grid,
+                                     RegionMode.FREE_VPB) for _ in range(2))
+        assert region == region and region != again
+        assert hash(region) == hash(region) and len({region, again}) == 2
+        for array in (region.x_axis, region.cp_axis, region.cells):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = array[0]
+        assert region_to_json(region) == region_to_json(again)
 
     def test_repeated_scans_are_byte_identical(self, tmp_path):
         params = ProtocolParams(V_S=1.0, V_M=10.0)
